@@ -21,6 +21,7 @@ from .harness import (SUITES, brute_force_dvrp, brute_force_krvrp,
                       gen_ladder, gen_line, gen_random_metric,
                       reports_to_jsonl, run_solver, run_suite, verify)
 from .harness import LP_ORACLE_LIMIT, ORACLE_LIMIT
+from .pricing import DEFAULT_EXACT_THRESHOLD
 
 SOLVERS = ("rvrp", "dvrp-dp", "dvrp-lp", "mult", "nonuniform", "krvrp")
 
@@ -195,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, help="path budget")
     solve.add_argument("--threshold",
                        help="rounding split threshold in (0,1), e.g. 1/3")
-    solve.add_argument("--exact-threshold", type=int, default=16,
+    solve.add_argument("--exact-threshold", type=int,
+                       default=DEFAULT_EXACT_THRESHOLD,
                        help="largest client count priced exactly")
     solve.add_argument("--out", help="output file (default stdout)")
     solve.set_defaults(func=_cmd_solve)

@@ -17,7 +17,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (Instance, RootedPath, InfeasibleError, _as_int,
                    metric_from_edges)
-from .pricing import HKTable, OracleUnavailableError
+from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable,
+                      OracleUnavailableError)
 from .reductions import (solve_dvrp_dp, solve_dvrp_lp_round, solve_krvrp_minmax,
                          solve_multiplicative, solve_nonuniform, solve_rvrp)
 
@@ -146,10 +147,8 @@ def brute_force_rvrp(inst: Instance, R: int,
     m = len(inst.clients)
     if m == 0:
         return 0
-    table = HKTable(inst, threshold=limit)
-    feasible = [False] + [table.min_regret[mask] <= R
-                          for mask in range(1, 1 << m)]
-    return _cover_count(m, feasible)
+    regrets = HKTable(inst, threshold=limit).min_regret.tolist()
+    return _cover_count(m, [False] + [r <= R for r in regrets[1:]])
 
 
 def brute_force_dvrp(inst: Instance, cap: int,
@@ -164,10 +163,8 @@ def brute_force_dvrp(inst: Instance, cap: int,
     m = len(inst.clients)
     if m == 0:
         return 0
-    table = HKTable(inst, threshold=limit)
-    feasible = [False] + [table.min_length[mask] <= cap
-                          for mask in range(1, 1 << m)]
-    return _cover_count(m, feasible)
+    lengths = HKTable(inst, threshold=limit).min_length.tolist()
+    return _cover_count(m, [False] + [c <= cap for c in lengths[1:]])
 
 
 def brute_force_krvrp(inst: Instance, k: int,
@@ -179,13 +176,12 @@ def brute_force_krvrp(inst: Instance, k: int,
     m = len(inst.clients)
     if m == 0:
         return 0
-    table = HKTable(inst, threshold=limit)
-    values = sorted({table.min_regret[mask] for mask in range(1, 1 << m)})
+    regrets = HKTable(inst, threshold=limit).min_regret.tolist()[1:]
+    values = sorted(set(regrets))
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        feasible = [False] + [table.min_regret[mask] <= values[mid]
-                              for mask in range(1, 1 << m)]
+        feasible = [False] + [r <= values[mid] for r in regrets]
         if _cover_count(m, feasible) <= k:
             hi = mid
         else:
@@ -349,35 +345,29 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     """Dispatch a named solver; the same table drives the CLI."""
     if diagnostics is None:
         diagnostics = {}
+    exact = params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
     if solver == "rvrp":
         threshold = params.get("threshold")
         return solve_rvrp(inst, params["regret"],
                           threshold=Fraction(threshold) if threshold else None,
-                          exact_threshold=params.get("exact_threshold", 16),
-                          diagnostics=diagnostics)
+                          exact_threshold=exact, diagnostics=diagnostics)
     if solver == "dvrp-dp":
-        return solve_dvrp_dp(inst, params["dist"],
-                             exact_threshold=params.get("exact_threshold", 16),
+        return solve_dvrp_dp(inst, params["dist"], exact_threshold=exact,
                              diagnostics=diagnostics)
     if solver == "dvrp-lp":
-        return solve_dvrp_lp_round(
-            inst, params["dist"],
-            exact_threshold=params.get("exact_threshold", 16),
-            diagnostics=diagnostics)
+        return solve_dvrp_lp_round(inst, params["dist"], exact_threshold=exact,
+                                   diagnostics=diagnostics)
     if solver == "mult":
-        return solve_multiplicative(
-            inst, Fraction(params["ratio"]),
-            exact_threshold=params.get("exact_threshold", 16),
-            diagnostics=diagnostics)
+        return solve_multiplicative(inst, Fraction(params["ratio"]),
+                                    exact_threshold=exact,
+                                    diagnostics=diagnostics)
     if solver == "nonuniform":
         bounds = {int(v): _as_int(b) for v, b in params["bounds"].items()}
-        return solve_nonuniform(
-            inst, bounds, exact_threshold=params.get("exact_threshold", 16),
-            diagnostics=diagnostics)
+        return solve_nonuniform(inst, bounds, exact_threshold=exact,
+                                diagnostics=diagnostics)
     if solver == "krvrp":
-        paths, _ = solve_krvrp_minmax(
-            inst, params["k"], exact_threshold=params.get("exact_threshold", 16),
-            diagnostics=diagnostics)
+        paths, _ = solve_krvrp_minmax(inst, params["k"], exact_threshold=exact,
+                                      diagnostics=diagnostics)
         return paths
     raise ValueError(f"unknown solver {solver!r}")
 

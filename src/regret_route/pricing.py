@@ -5,6 +5,23 @@ by scanning a Held-Karp table: HK[S][t] is the cheapest rooted path visiting
 exactly client set S and ending at t. One table serves every budget kind, so
 it is built once per instance and shared. Rewards are exact rationals; all
 comparisons are integer comparisons after clearing denominators.
+
+The table and the scans are numpy arrays, filled one popcount layer at a
+time. Fixed-width integers wrap where Python integers grow, so every dtype
+is chosen from a bound on the values it must hold:
+
+* costs are int32 when (m+1)·max_edge < 2^29 and int64 when it is below
+  2^61, which leaves room for the sentinel that marks end nodes outside a
+  mask; larger metrics fall back to Python integers (dtype=object);
+* reward sums are int64 when the scaled total fits 2^62, else object;
+* the min-excess scan bounds max(|min_regret|, 1)·den + Σ rewards the same
+  way before it multiplies.
+
+An object array runs the same code with exact Python integers, so results
+never depend on the dtype. numpy is imported inside the table constructor,
+after the size check: it costs about as much time and memory as the rest of
+start-up, and runs that never build a table (every instance above the
+exact threshold) do not pay for it.
 """
 
 from __future__ import annotations
@@ -12,15 +29,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
-from .core import INF, Instance, RegretRouteError, RootedPath
+from .core import Instance, RegretRouteError, RootedPath
 
 DEFAULT_EXACT_THRESHOLD = 16
+# Worst-case bytes per (mask, end) cell: an int64 cost and an int8 parent.
+CELL_BYTES = 9
+TABLE_BUDGET_BYTES = 256 << 20
 
 
 class OracleUnavailableError(RegretRouteError):
     """The instance exceeds the exact oracle's size threshold."""
+
+
+def check_exact_threshold(threshold: int) -> None:
+    """Reject a threshold whose largest table would exceed the memory budget.
+
+    The estimate is 2^m·m cells at CELL_BYTES each; nothing is allocated.
+    """
+    m = max(threshold, 0)
+    if (m << m) * CELL_BYTES > TABLE_BUDGET_BYTES:
+        raise ValueError(
+            f"exact threshold {threshold} needs a {m}-client table of about "
+            f"{((m << m) * CELL_BYTES) >> 20} MiB, over the "
+            f"{TABLE_BUDGET_BYTES >> 20} MiB budget")
 
 
 @dataclass(frozen=True)
@@ -44,15 +77,41 @@ class PricedPath:
     value: Fraction
 
 
+def _cost_dtype(top: int, np):
+    """dtype for costs below top, and a sentinel above them all that still
+    fits after one more edge is added."""
+    if top < 1 << 29:
+        return np.int32, 1 << 30
+    if top < 1 << 61:
+        return np.int64, 1 << 62
+    return object, top + 1
+
+
+def _sum_dtype(bound: int, np):
+    """dtype for integers of absolute value below bound."""
+    return np.int64 if bound < 1 << 62 else object
+
+
+def _doubling(values, dtype, np):
+    """out[mask] = sum of values[i] over the bits i of mask: m doublings."""
+    out = np.zeros(1 << len(values), dtype)
+    for i, x in enumerate(values):
+        out[1 << i:2 << i] = out[:1 << i] + x
+    return out
+
+
 class HKTable:
     """Held-Karp subset DP for one instance.
 
-    cost[mask][i] is the cheapest cost of a rooted path visiting exactly the
-    clients in mask and ending at clients[i]; parent pointers reconstruct one
-    canonical optimal path. min_regret/min_length fold out the end node.
+    cost[mask, i] is the cheapest cost of a rooted path visiting exactly the
+    clients in mask and ending at clients[i] (a sentinel above every real
+    cost where i is not in mask); parent pointers reconstruct one canonical
+    optimal path. min_regret/min_length fold out the end node, with the
+    first optimal end in regret_end/length_end (-1 for the empty mask).
     """
 
     def __init__(self, inst: Instance, threshold: int = DEFAULT_EXACT_THRESHOLD):
+        check_exact_threshold(threshold)
         self.inst = inst
         self.clients = list(inst.clients)
         m = len(self.clients)
@@ -60,87 +119,65 @@ class HKTable:
             raise OracleUnavailableError(
                 f"{m} clients exceed the exact threshold {threshold}")
         self.m = m
+        import numpy as np
+
+        clients = self.clients
         dist = inst.dist
-        D = inst.root_dist
-        root = inst.root
+        D = [inst.root_dist[v] for v in clients]
+        top = (m + 1) * max(map(max, dist))
+        dtype, sentinel = _cost_dtype(top, np)
         size = 1 << m
-        cost = [[INF] * m for _ in range(size)]
-        parent = [[-1] * m for _ in range(size)]
-        for i, v in enumerate(self.clients):
-            cost[1 << i][i] = dist[root][v]
-        for mask in range(1, size):
-            row = cost[mask]
-            rest = ((size - 1) ^ mask)
-            for i in range(m):
-                if not mask >> i & 1:
-                    continue
-                base = row[i]
-                if base >= INF:
-                    continue
-                drow = dist[self.clients[i]]
-                r = rest
-                while r:
-                    j = (r & -r).bit_length() - 1
-                    r &= r - 1
-                    new = base + drow[self.clients[j]]
-                    nm = mask | 1 << j
-                    if new < cost[nm][j]:
-                        cost[nm][j] = new
-                        parent[nm][j] = i
+        self.popcount = _doubling([1] * m, np.uint8, np)
+        cost = np.full((size, m), sentinel, dtype)
+        parent = np.full((size, m), -1, np.int8)
+        ends = np.arange(m)
+        cost[1 << ends, ends] = [dist[inst.root][v] for v in clients]
+        step = np.array([[dist[u][v] for v in clients] for u in clients], dtype)
+        # Masks grouped by popcount, ascending within a group.
+        order = np.argsort(self.popcount, kind="stable")
+        starts = np.cumsum(np.bincount(self.popcount, minlength=m + 1))
+        for k in range(1, m):
+            layer = order[starts[k - 1]:starts[k]]
+            rows = cost[layer]
+            for j in range(m):
+                prev = (layer >> j) & 1 == 0
+                cand = rows[prev]
+                cand += step[:, j]
+                # argmin takes the first minimum: the smallest predecessor
+                # end i among the cheapest, the canonical parent.
+                best = cand.argmin(axis=1)
+                nxt = layer[prev] | 1 << j
+                cost[nxt, j] = cand[np.arange(len(best)), best]
+                parent[nxt, j] = best
         self.cost = cost
         self.parent = parent
-        # Per-mask optima over the end node, with the canonical end cached.
-        self.min_regret = [INF] * size
-        self.regret_end = [-1] * size
-        self.min_length = [INF] * size
-        self.length_end = [-1] * size
-        for mask in range(1, size):
-            row = cost[mask]
-            br = bl = INF
-            er = el = -1
-            r = mask
-            while r:
-                i = (r & -r).bit_length() - 1
-                r &= r - 1
-                c = row[i]
-                if c < bl:
-                    bl, el = c, i
-                reg = c - D[self.clients[i]]
-                if reg < br:
-                    br, er = reg, i
-            self.min_regret[mask] = br
-            self.regret_end[mask] = er
-            self.min_length[mask] = bl
-            self.length_end[mask] = el
+        # Per-mask optima over the end node: visit the masks that contain
+        # end i as a strided view and keep strict improvements in ascending
+        # i, so the first optimal end wins.
+        self.min_regret = np.full(size, sentinel, dtype)
+        self.regret_end = np.full(size, -1, np.int8)
+        self.min_length = np.full(size, sentinel, dtype)
+        self.length_end = np.full(size, -1, np.int8)
+        for i in range(m):
+            c = cost.reshape(-1, 2, 1 << i, m)[:, 1, :, i]
+            for low, end, value in ((self.min_length, self.length_end, c),
+                                    (self.min_regret, self.regret_end,
+                                     c - D[i])):
+                low = low.reshape(-1, 2, 1 << i)[:, 1]
+                better = value < low
+                low[better] = value[better]
+                end.reshape(-1, 2, 1 << i)[:, 1][better] = i
 
     def path_for(self, mask: int, end_index: int) -> RootedPath:
         seq = []
         i = end_index
         while i >= 0:
             seq.append(self.clients[i])
-            nxt = self.parent[mask][i]
+            nxt = int(self.parent[mask, i])
             mask ^= 1 << i
             i = nxt
         seq.append(self.inst.root)
         return RootedPath.build(self.inst, reversed(seq))
-
-    def ends_within_regret(self, mask: int, budget: int) -> List[int]:
-        D = self.inst.root_dist
-        row = self.cost[mask]
-        return [i for i in _bits(mask)
-                if row[i] - D[self.clients[i]] <= budget]
-
-    def ends_within_length(self, mask: int, budget: int) -> List[int]:
-        row = self.cost[mask]
-        return [i for i in _bits(mask) if row[i] <= budget]
-
-
-def _bits(mask: int) -> List[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def _scaled_rewards(table: HKTable, rewards: Mapping[int, Fraction]) -> Tuple[List[int], int]:
@@ -152,23 +189,45 @@ def _scaled_rewards(table: HKTable, rewards: Mapping[int, Fraction]) -> Tuple[Li
     return [int(f * den) for f in fr], den
 
 
-def _reward_sums(nums: Sequence[int], m: int) -> List[int]:
-    total = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        total[mask] = total[mask ^ low] + nums[low.bit_length() - 1]
-    return total
+def _reward_sums(nums: List[int], np):
+    return _doubling(nums, _sum_dtype(sum(nums), np), np)
 
 
-def _pick_best_mask(candidates: List[int]) -> int:
-    # Fewer nodes first, then the smallest mask as a canonical order.
-    return min(candidates, key=lambda mask: (bin(mask).count("1"), mask))
+def _pick_best_mask(table: HKTable, masks) -> int:
+    # Fewer nodes first, then the smallest mask as a canonical order; masks
+    # is ascending and argmin takes the first minimum.
+    return int(masks[table.popcount[masks].argmin()])
 
 
 def _table(inst: Instance, table: Optional[HKTable], threshold: int) -> HKTable:
     if table is not None:
         return table
     return HKTable(inst, threshold=threshold)
+
+
+def _max_reward_scan(inst: Instance, rewards: Mapping[int, Fraction],
+                     budget: int, kind: str, table: Optional[HKTable],
+                     threshold: int) -> PricedPath:
+    """Max-reward rooted path whose regret or length is at most budget."""
+    if budget < 0:
+        raise ValueError(f"negative {kind} budget")
+    t = _table(inst, table, threshold)
+    import numpy as np
+
+    nums, den = _scaled_rewards(t, rewards)
+    sums = _reward_sums(nums, np)
+    values = t.min_regret if kind == "regret" else t.min_length
+    feasible = np.flatnonzero(values <= budget)
+    reach = sums[feasible]
+    best = int(reach.max()) if len(reach) else 0
+    if best <= 0:
+        return PricedPath(RootedPath.trivial(inst), Fraction(0))
+    mask = _pick_best_mask(t, feasible[reach == best])
+    row = t.cost[mask].tolist()
+    D = inst.root_dist
+    end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
+               row[i] - (D[v] if kind == "regret" else 0) <= budget)
+    return PricedPath(t.path_for(mask, end), Fraction(best, den))
 
 
 def exact_orienteering(inst: Instance, rewards: Mapping[int, Fraction], budget: int,
@@ -179,50 +238,14 @@ def exact_orienteering(inst: Instance, rewards: Mapping[int, Fraction], budget: 
     Ties are broken toward fewer nodes, then a fixed canonical order. With
     all-zero rewards this is the trivial path at reward 0.
     """
-    if budget < 0:
-        raise ValueError("negative regret budget")
-    t = _table(inst, table, threshold)
-    nums, den = _scaled_rewards(t, rewards)
-    sums = _reward_sums(nums, t.m)
-    best = 0
-    masks: List[int] = []
-    for mask in range(1, 1 << t.m):
-        if t.min_regret[mask] <= budget:
-            s = sums[mask]
-            if s > best:
-                best, masks = s, [mask]
-            elif s == best and best > 0:
-                masks.append(mask)
-    if best <= 0:
-        return PricedPath(RootedPath.trivial(inst), Fraction(0))
-    mask = _pick_best_mask(masks)
-    ends = t.ends_within_regret(mask, budget)
-    return PricedPath(t.path_for(mask, ends[0]), Fraction(best, den))
+    return _max_reward_scan(inst, rewards, budget, "regret", table, threshold)
 
 
 def exact_length_budget(inst: Instance, rewards: Mapping[int, Fraction], budget: int,
                         table: Optional[HKTable] = None,
                         threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
     """Max-reward rooted path with total length at most budget; exact."""
-    if budget < 0:
-        raise ValueError("negative length budget")
-    t = _table(inst, table, threshold)
-    nums, den = _scaled_rewards(t, rewards)
-    sums = _reward_sums(nums, t.m)
-    best = 0
-    masks: List[int] = []
-    for mask in range(1, 1 << t.m):
-        if t.min_length[mask] <= budget:
-            s = sums[mask]
-            if s > best:
-                best, masks = s, [mask]
-            elif s == best and best > 0:
-                masks.append(mask)
-    if best <= 0:
-        return PricedPath(RootedPath.trivial(inst), Fraction(0))
-    mask = _pick_best_mask(masks)
-    ends = t.ends_within_length(mask, budget)
-    return PricedPath(t.path_for(mask, ends[0]), Fraction(best, den))
+    return _max_reward_scan(inst, rewards, budget, "length", table, threshold)
 
 
 def exact_min_excess_pricing(inst: Instance, rewards: Mapping[int, Fraction],
@@ -236,20 +259,22 @@ def exact_min_excess_pricing(inst: Instance, rewards: Mapping[int, Fraction],
     column when value < -offset. Ties go to fewer nodes, then canonical.
     """
     t = _table(inst, table, threshold)
+    import numpy as np
+
     nums, den = _scaled_rewards(t, rewards)
-    sums = _reward_sums(nums, t.m)
-    best = 0  # empty path, scaled
-    masks: List[int] = []
-    for mask in range(1, 1 << t.m):
-        v = t.min_regret[mask] * den - sums[mask]
-        if v < best:
-            best, masks = v, [mask]
-        elif v == best and best < 0:
-            masks.append(mask)
+    sums = _reward_sums(nums, np)[1:]
+    regret = t.min_regret[1:]           # the empty mask is the trivial path
+    if not len(regret):
+        return PricedPath(RootedPath.trivial(inst), Fraction(0))
+    top = max(-int(regret.min()), int(regret.max()), 1) * den + sum(nums)
+    dtype = _sum_dtype(top, np)
+    excess = regret.astype(dtype) * den - sums.astype(dtype)
+    best = int(excess.min())
     if best >= 0:
         return PricedPath(RootedPath.trivial(inst), Fraction(0))
-    mask = _pick_best_mask(masks)
-    return PricedPath(t.path_for(mask, t.regret_end[mask]), Fraction(best, den))
+    mask = _pick_best_mask(t, np.flatnonzero(excess == best) + 1)
+    return PricedPath(t.path_for(mask, int(t.regret_end[mask])),
+                      Fraction(best, den))
 
 
 def heuristic_pricing(inst: Instance, query: PricingQuery) -> PricedPath:

@@ -1,0 +1,155 @@
+"""Pure-Python Held-Karp table and exact pricers: the test oracle.
+
+These are the plain loops that ``regret_route.pricing`` vectorises.  The
+tests require the vectorised table and pricers to agree with them exactly:
+the same costs, parent pointers, per-mask optima and canonical ends, and
+the same (path, value) from every pricer.
+"""
+
+import math
+from fractions import Fraction
+
+from regret_route.core import INF, RootedPath
+from regret_route.pricing import PricedPath
+
+
+class ReferenceTable:
+    """cost[mask][i] is the cheapest rooted path visiting exactly mask and
+    ending at clients[i]; INF where i is not in mask."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.clients = list(inst.clients)
+        m = self.m = len(self.clients)
+        dist = inst.dist
+        D = inst.root_dist
+        size = 1 << m
+        cost = [[INF] * m for _ in range(size)]
+        parent = [[-1] * m for _ in range(size)]
+        for i, v in enumerate(self.clients):
+            cost[1 << i][i] = dist[inst.root][v]
+        for mask in range(1, size):
+            row = cost[mask]
+            rest = (size - 1) ^ mask
+            for i in range(m):
+                if not mask >> i & 1:
+                    continue
+                base = row[i]
+                if base >= INF:
+                    continue
+                drow = dist[self.clients[i]]
+                r = rest
+                while r:
+                    j = (r & -r).bit_length() - 1
+                    r &= r - 1
+                    new = base + drow[self.clients[j]]
+                    nm = mask | 1 << j
+                    if new < cost[nm][j]:
+                        cost[nm][j] = new
+                        parent[nm][j] = i
+        self.cost = cost
+        self.parent = parent
+        self.min_regret = [INF] * size
+        self.regret_end = [-1] * size
+        self.min_length = [INF] * size
+        self.length_end = [-1] * size
+        for mask in range(1, size):
+            row = cost[mask]
+            br = bl = INF
+            er = el = -1
+            for i in _bits(mask):
+                c = row[i]
+                if c < bl:
+                    bl, el = c, i
+                reg = c - D[self.clients[i]]
+                if reg < br:
+                    br, er = reg, i
+            self.min_regret[mask] = br
+            self.regret_end[mask] = er
+            self.min_length[mask] = bl
+            self.length_end[mask] = el
+
+    def path_for(self, mask, end_index):
+        seq = []
+        i = end_index
+        while i >= 0:
+            seq.append(self.clients[i])
+            nxt = self.parent[mask][i]
+            mask ^= 1 << i
+            i = nxt
+        seq.append(self.inst.root)
+        return RootedPath.build(self.inst, reversed(seq))
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _scaled_rewards(table, rewards):
+    fr = [Fraction(rewards.get(v, 0)) for v in table.clients]
+    den = math.lcm(*(f.denominator for f in fr)) if fr else 1
+    return [int(f * den) for f in fr], den
+
+
+def _reward_sums(nums, m):
+    total = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        total[mask] = total[mask ^ low] + nums[low.bit_length() - 1]
+    return total
+
+
+def _pick_best_mask(candidates):
+    return min(candidates, key=lambda mask: (bin(mask).count("1"), mask))
+
+
+def _max_reward(t, rewards, budget, values, end_offset):
+    nums, den = _scaled_rewards(t, rewards)
+    sums = _reward_sums(nums, t.m)
+    best = 0
+    masks = []
+    for mask in range(1, 1 << t.m):
+        if values[mask] <= budget:
+            s = sums[mask]
+            if s > best:
+                best, masks = s, [mask]
+            elif s == best and best > 0:
+                masks.append(mask)
+    if best <= 0:
+        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
+    mask = _pick_best_mask(masks)
+    row = t.cost[mask]
+    end = next(i for i in _bits(mask) if row[i] - end_offset[i] <= budget)
+    return PricedPath(t.path_for(mask, end), Fraction(best, den))
+
+
+def orienteering(t, rewards, budget):
+    D = t.inst.root_dist
+    return _max_reward(t, rewards, budget, t.min_regret,
+                       [D[v] for v in t.clients])
+
+
+def length_budget(t, rewards, budget):
+    return _max_reward(t, rewards, budget, t.min_length, [0] * t.m)
+
+
+def min_excess(t, rewards):
+    nums, den = _scaled_rewards(t, rewards)
+    sums = _reward_sums(nums, t.m)
+    best = 0
+    masks = []
+    for mask in range(1, 1 << t.m):
+        v = t.min_regret[mask] * den - sums[mask]
+        if v < best:
+            best, masks = v, [mask]
+        elif v == best and best < 0:
+            masks.append(mask)
+    if best >= 0:
+        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
+    mask = _pick_best_mask(masks)
+    return PricedPath(t.path_for(mask, t.regret_end[mask]),
+                      Fraction(best, den))

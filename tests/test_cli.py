@@ -57,6 +57,10 @@ def test_solve_errors_exit_one(tmp_path, capsys):
     assert run_cli("solve", "rvrp", "--instance", inst,
                    "--regret", "-1") == 1
     assert "error:" in capsys.readouterr().err
+    # a threshold whose table would not fit the memory budget
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
+                   "--exact-threshold", "40") == 1
+    assert "budget" in capsys.readouterr().err
 
 
 def test_missing_required_param_exits_nonzero(tmp_path):
@@ -130,3 +134,19 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stats"]["count"] == 1
+
+
+def test_no_numpy_import_without_a_table():
+    # numpy is loaded only to build a Held-Karp table; above the exact
+    # threshold nothing builds one, so start-up time and memory stay lean.
+    code = (
+        "import sys\n"
+        "import regret_route, regret_route.cli, regret_route.harness\n"
+        "from regret_route.harness import gen_euclidean, run_solver\n"
+        "inst = gen_euclidean(21, 1)\n"
+        "assert run_solver('rvrp', inst, {'regret': max(inst.root_dist) // 4})\n"
+        "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

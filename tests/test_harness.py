@@ -167,6 +167,10 @@ def test_oracle_frozen_values():
     # one path per client is always regret-free
     rand = gen_random_metric(6, 77)
     assert brute_force_krvrp(rand, len(rand.clients)) == 0
+    # table-backed values reach JSON reports: plain ints, never numpy scalars
+    for value in (brute_force_rvrp(line, 0), brute_force_dvrp(line, 2),
+                  brute_force_krvrp(rand, 2)):
+        assert type(value) is int
 
 
 def test_oracle_rvrp_single_path_when_budget_huge():
@@ -267,6 +271,7 @@ def test_run_job_report_shape():
         assert key in report, key
     assert report["ok"] and not report["failures"]
     assert report["count"] >= report["oracle"] >= 1
+    assert type(report["oracle"]) is int
     assert report["ratio"] == round(report["count"] / report["oracle"], 6)
     json.dumps(report)            # must be serializable as-is
 

@@ -4,13 +4,18 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from regret_route.core import Instance, RootedPath, metric_from_edges
+import hk_reference
+from regret_route.core import INF, Instance, RootedPath, metric_from_edges
+from regret_route.harness import gen_euclidean, gen_random_metric
 from regret_route.pricing import (
+    DEFAULT_EXACT_THRESHOLD,
     HKTable,
     OracleUnavailableError,
     PricingQuery,
+    check_exact_threshold,
     exact_length_budget,
     exact_min_excess_pricing,
     exact_orienteering,
@@ -69,6 +74,138 @@ def test_table_threshold_refusal():
     inst = random_instance(6, 1)
     with pytest.raises(OracleUnavailableError):
         HKTable(inst, threshold=4)
+
+
+def test_threshold_over_memory_budget_is_refused():
+    check_exact_threshold(DEFAULT_EXACT_THRESHOLD)
+    # Only the estimate is checked: a 2^40-mask table is never allocated.
+    with pytest.raises(ValueError):
+        check_exact_threshold(40)
+    with pytest.raises(ValueError):
+        HKTable(line_instance(), threshold=40)
+
+
+# --- vectorised table vs. the pure-Python reference -------------------------
+
+def reference_layout(table):
+    """The table's arrays as the reference's lists: INF off the mask."""
+    cost = [[c if mask >> i & 1 else INF for i, c in enumerate(row)]
+            for mask, row in enumerate(table.cost.tolist())]
+    min_regret = [INF] + table.min_regret.tolist()[1:]
+    min_length = [INF] + table.min_length.tolist()[1:]
+    return (cost, table.parent.tolist(), min_regret,
+            table.regret_end.tolist(), min_length, table.length_end.tolist())
+
+
+def assert_same_table(table, ref):
+    assert reference_layout(table) == (
+        ref.cost, ref.parent, ref.min_regret, ref.regret_end,
+        ref.min_length, ref.length_end)
+
+
+def assert_same_pricing(inst, table, ref, rewards, budget):
+    pairs = [
+        (exact_orienteering(inst, rewards, budget, table=table),
+         hk_reference.orienteering(ref, rewards, budget)),
+        (exact_length_budget(inst, rewards, budget, table=table),
+         hk_reference.length_budget(ref, rewards, budget)),
+        (exact_min_excess_pricing(inst, rewards, table=table),
+         hk_reference.min_excess(ref, rewards)),
+    ]
+    for got, want in pairs:
+        assert (got.path.nodes, got.value) == (want.path.nodes, want.value)
+        assert type(got.value.numerator) is int
+
+
+def reward_draws(inst, rng, scale):
+    clients = list(inst.clients)
+    yield {}
+    yield {v: Fraction(scale) for v in clients}      # every subset ties
+    for _ in range(4):
+        yield {v: Fraction(rng.randint(0, 9 * scale), rng.randint(1, 3))
+               for v in clients if rng.random() < 0.8}
+
+
+def cross_check(inst, rng, budgets, scale=1):
+    table = HKTable(inst)
+    ref = hk_reference.ReferenceTable(inst)
+    assert_same_table(table, ref)
+    for rewards in reward_draws(inst, rng, scale):
+        for budget in budgets:
+            assert_same_pricing(inst, table, ref, rewards, budget)
+    return table
+
+
+def test_table_and_pricers_match_reference_on_random_metrics():
+    rng = random.Random(11)
+    cross_check(Instance.from_matrix([[0]]), rng, (0, 5))
+    for m in range(1, 13):
+        for inst in (gen_euclidean(m + 1, 500 + m),
+                     gen_random_metric(m + 1, 600 + m)):
+            top = max(map(max, inst.dist))
+            cross_check(inst, rng, (0, rng.randint(1, top), 3 * top))
+
+
+def test_table_and_pricers_match_reference_on_tied_lines():
+    rng = random.Random(12)
+    for positions in ((0, 1, 2, 4), (0, -2, -1, 1, 2, 3),
+                      (0, 2, 4, 6, 8, 10, 12, 14), (0, -3, -2, -1, 1, 2, 3)):
+        cross_check(line_instance(positions), rng, (0, 1, 2, 4, 30))
+    uniform = Instance.from_matrix(
+        [[0 if i == j else 1 for j in range(9)] for i in range(9)])
+    cross_check(uniform, rng, (0, 1, 3, 8))
+
+
+def test_sixteen_client_table_matches_reference():
+    inst = gen_euclidean(17, 7)
+    assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
+
+
+@pytest.mark.parametrize("den", [(1 << 40) - 87, (1 << 70) - 35])
+def test_huge_denominators_take_the_object_path(den):
+    inst = gen_euclidean(9, 5)
+    rng = random.Random(den)
+    table = HKTable(inst)
+    ref = hk_reference.ReferenceTable(inst)
+    for _ in range(6):
+        # Three near-coprime denominators: the scale is about den^3.
+        rewards = {v: Fraction(rng.randint(0, 60 * den), den - rng.randint(0, 2))
+                   for v in inst.clients}
+        nums, _ = hk_reference._scaled_rewards(ref, rewards)
+        assert sum(nums) >= 1 << 62
+        for budget in (0, 20, 80, 400):
+            assert_same_pricing(inst, table, ref, rewards, budget)
+
+
+def scaled(inst, factor):
+    return Instance.from_matrix([[d * factor for d in row] for row in inst.dist])
+
+
+def test_wide_edges_take_int64_costs():
+    inst = scaled(gen_random_metric(9, 8), 1 << 27)
+    table = cross_check(inst, random.Random(13),
+                        (0, 5 << 27, 40 << 27, 1 << 40), scale=1 << 27)
+    assert table.cost.dtype == np.int64
+
+
+def test_edges_beyond_int64_keep_exact_python_costs():
+    base = gen_random_metric(8, 9)
+    factor = 1 << 62
+    table = HKTable(scaled(base, factor))
+    ref = hk_reference.ReferenceTable(base)
+    assert table.cost.dtype == object
+    cost, parent, min_regret, regret_end, _, _ = reference_layout(table)
+    assert parent == ref.parent and regret_end == ref.regret_end
+    assert min_regret[1:] == [r * factor for r in ref.min_regret[1:]]
+    assert all(c == (INF if r == INF else r * factor)
+               for row, ref_row in zip(cost, ref.cost)
+               for c, r in zip(row, ref_row))
+    rewards = {v: Fraction(v * factor, 3) for v in base.clients}
+    got = exact_min_excess_pricing(table.inst, rewards, table=table)
+    want = hk_reference.min_excess(ref, {v: Fraction(v, 3)
+                                         for v in base.clients})
+    assert got.path.nodes == want.path.nodes
+    assert got.value == want.value * factor
 
 
 def test_orienteering_collects_reachable_rewards():
