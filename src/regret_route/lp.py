@@ -44,6 +44,7 @@ class FractionalSolution:
     count_cap: Optional[int]
     certified: bool
     rounds: int = 0
+    pivots: int = 0                      # the master's cumulative pivots
     trace: List[dict] = field(default_factory=list)
 
     @property
@@ -58,19 +59,28 @@ class FractionalSolution:
         return [(p, w) for p, w in zip(self.columns, self.weights) if w > 0]
 
     def validate(self) -> None:
-        assert len(self.columns) == len(self.weights)
-        assert all(w >= 0 for w in self.weights)
+        """Raise SolverError unless coverage, column bounds, the count cap
+        and the stated value all hold; kept under ``python -O``."""
+        if len(self.columns) != len(self.weights):
+            raise SolverError(f"{len(self.columns)} columns but "
+                              f"{len(self.weights)} weights")
+        if any(w < 0 for w in self.weights):
+            raise SolverError("negative column weight")
         for v in self.inst.clients:
-            assert self.coverage(v) >= 1, f"client {v} under-covered"
+            if self.coverage(v) < 1:
+                raise SolverError(f"client {v} under-covered")
         if self.column_bound is not None:
             kind, limit = self.column_bound
             for p, _ in self.support():
                 used = p.regret if kind == "regret" else p.cost
-                assert used <= limit, f"column {p.nodes} breaks {kind}<={limit}"
-        if self.count_cap is not None:
-            assert self.total_weight <= self.count_cap
+                if used > limit:
+                    raise SolverError(f"column {p.nodes} breaks {kind}<={limit}")
+        if self.count_cap is not None and self.total_weight > self.count_cap:
+            raise SolverError(f"total weight {self.total_weight} exceeds "
+                              f"the count cap {self.count_cap}")
         expect = self._objective_value()
-        assert self.value == expect, (self.value, expect)
+        if self.value != expect:
+            raise SolverError(str((self.value, expect)))
 
     def _objective_value(self) -> Fraction:
         if self.objective == "count":
@@ -94,8 +104,8 @@ class FractionalSolution:
         return sol
 
 
-def _column_cost(path: RootedPath, objective: str) -> Fraction:
-    return Fraction(1) if objective == "count" else Fraction(path.regret)
+def _column_cost(path: RootedPath, objective: str) -> int:
+    return 1 if objective == "count" else path.regret
 
 
 def _greedy_hamiltonian(inst: Instance) -> RootedPath:
@@ -144,11 +154,11 @@ def _price(inst: Instance, duals: Dict[int, Fraction], z: Fraction,
                 rewards=dict(duals), budget_kind=kind, budget=limit))
         return res.path, res.value, res.value > 1
     if exact:
-        res = exact_min_excess_pricing(inst, duals, offset=z, table=table,
+        res = exact_min_excess_pricing(inst, duals, table=table,
                                        threshold=threshold)
     else:
         res = heuristic_pricing(inst, PricingQuery(
-            rewards=dict(duals), budget_kind="min_excess", offset=z))
+            rewards=dict(duals), budget_kind="min_excess"))
     return res.path, res.value, res.value < -z
 
 
@@ -171,8 +181,7 @@ def column_generation(inst: Instance, objective: str,
         except OracleUnavailableError:
             exact = False
 
-    cap = Fraction(count_cap) if count_cap is not None else None
-    master = CoveringMaster(clients, budget=cap)
+    master = CoveringMaster(clients, budget=count_cap)
     columns: List[RootedPath] = []
     seen = set()
     for p in _seed_columns(inst, objective, column_bound, count_cap):
@@ -215,7 +224,7 @@ def column_generation(inst: Instance, objective: str,
         inst=inst, columns=columns, weights=list(sol.weights),
         value=sol.value, duals=dict(sol.duals), budget_dual=sol.budget_dual,
         objective=objective, column_bound=column_bound, count_cap=count_cap,
-        certified=exact, rounds=rounds, trace=trace)
+        certified=exact, rounds=rounds, pivots=sol.pivots, trace=trace)
     result.validate()
     return result
 
@@ -264,8 +273,7 @@ def solve_restricted_master(inst: Instance, columns: Sequence[RootedPath],
     """Exact optimum of the covering LP restricted to the given columns."""
     if objective not in ("count", "regret"):
         raise ValueError(f"unknown objective {objective!r}")
-    cap = Fraction(count_cap) if count_cap is not None else None
-    master = CoveringMaster(list(inst.clients), budget=cap)
+    master = CoveringMaster(list(inst.clients), budget=count_cap)
     for p in columns:
         master.add_column(p.nodes[1:], _column_cost(p, objective))
     return master.solve()
@@ -300,6 +308,8 @@ def preprocess_fractional(sol: FractionalSolution) -> FractionalSolution:
         inst, order, [acc[p.nodes] for p in order], objective=sol.objective,
         column_bound=sol.column_bound, count_cap=None, certified=False)
     for p in out.columns:
-        assert p.is_trivial or p.end == farthest_node(inst, p)
+        if not (p.is_trivial or p.end == farthest_node(inst, p)):
+            raise SolverError(f"column {p.nodes} does not end at its "
+                              f"farthest node")
     out.validate()
     return out

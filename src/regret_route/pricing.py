@@ -62,13 +62,12 @@ class PricingQuery:
 
     budget_kind is "regret" (paths with regret <= budget), "length"
     (cost <= budget), or "min_excess" (no budget; minimize regret minus
-    reward, offset by the budget-row dual).
+    reward).
     """
 
     rewards: Mapping[int, Fraction]
     budget_kind: str
     budget: int = 0
-    offset: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -249,14 +248,13 @@ def exact_length_budget(inst: Instance, rewards: Mapping[int, Fraction], budget:
 
 
 def exact_min_excess_pricing(inst: Instance, rewards: Mapping[int, Fraction],
-                             offset: Fraction = Fraction(0),
                              table: Optional[HKTable] = None,
                              threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
     """Minimize regret(P) - reward(P) over rooted paths; exact.
 
     The empty path (value 0) is always a candidate, so the result never has
-    positive value. The offset is the budget-row dual: callers admit the
-    column when value < -offset. Ties go to fewer nodes, then canonical.
+    positive value. Under a budget row whose dual is z >= 0, callers admit
+    the column when value < -z. Ties go to fewer nodes, then canonical.
     """
     t = _table(inst, table, threshold)
     import numpy as np

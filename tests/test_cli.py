@@ -125,18 +125,18 @@ def test_bench_smoke_jsonl(tmp_path):
         assert record["ok"], record["id"]
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, src_env):
     inst = tmp_path / "inst.json"
     run_cli("gen", "line", "--positions", "0,1,2", "--out", inst)
     proc = subprocess.run(
         [sys.executable, "-m", "regret_route", "solve", "rvrp",
          "--instance", str(inst), "--regret", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stats"]["count"] == 1
 
 
-def test_no_numpy_import_without_a_table():
+def test_no_numpy_import_without_a_table(src_env):
     # numpy is loaded only to build a Held-Karp table; above the exact
     # threshold nothing builds one, so start-up time and memory stay lean.
     code = (
@@ -147,6 +147,6 @@ def test_no_numpy_import_without_a_table():
         "assert run_solver('rvrp', inst, {'regret': max(inst.root_dist) // 4})\n"
         "print('numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from regret_route.core import InfeasibleError, Instance, RootedPath
+from regret_route.core import (InfeasibleError, Instance, RootedPath,
+                               SolverError)
 from regret_route.harness import (brute_force_lp, brute_force_rvrp,
                                   gen_euclidean, gen_ladder, gen_line,
                                   gen_random_metric)
@@ -147,3 +148,54 @@ def test_column_generation_rejects_bad_objective():
     inst = gen_line([0, 1])
     with pytest.raises(ValueError):
         column_generation(inst, "speed")
+
+
+def test_validate_raises_solver_error():
+    inst = gen_line([0, 1, 2])
+    cols = [RootedPath.build(inst, [0, 1]), RootedPath.build(inst, [0, 1, 2])]
+    sol = FractionalSolution.from_columns(
+        inst, cols, [Fraction(1), Fraction(1, 2)], objective="count")
+    with pytest.raises(SolverError, match="client 2 under-covered"):
+        sol.validate()
+    sol = FractionalSolution.from_columns(inst, cols, [1, 1])
+    sol.value = Fraction(1)
+    with pytest.raises(SolverError):
+        sol.validate()
+
+
+def test_validate_survives_optimized_python(src_env):
+    # Under -O every assert is compiled out; validate must still refuse.
+    import subprocess
+    import sys
+    script = (
+        "from fractions import Fraction\n"
+        "from regret_route.core import RootedPath, SolverError\n"
+        "from regret_route.harness import gen_line\n"
+        "from regret_route.lp import FractionalSolution\n"
+        "assert False, 'asserts are live'\n"
+        "inst = gen_line([0, 1, 2])\n"
+        "sol = FractionalSolution.from_columns(\n"
+        "    inst, [RootedPath.build(inst, [0, 1])], [Fraction(1)])\n"
+        "try:\n"
+        "    sol.validate()\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "SolverError: client 2 under-covered"
+
+
+def test_pivot_count_reaches_solution(monkeypatch):
+    from regret_route import lp
+    seen = []
+    solve = lp.CoveringMaster.solve
+
+    def spy(self):
+        res = solve(self)
+        seen.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(lp.CoveringMaster, "solve", spy)
+    sol = solve_rvrp_lp(gen_ladder(3), 1)
+    assert sol.rounds == len(seen) > 1
+    assert sol.pivots == seen[-1] > 0
