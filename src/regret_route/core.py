@@ -142,8 +142,10 @@ class RootedPath:
         for u, v in zip(nodes, nodes[1:]):
             cost += dist[u][v]
             prefix.append(cost - D[v])
-        assert all(p >= 0 for p in prefix) and \
-            all(a <= b for a, b in zip(prefix, prefix[1:]))
+        if not (all(p >= 0 for p in prefix) and
+                all(a <= b for a, b in zip(prefix, prefix[1:]))):
+            raise SolverError(f"prefix regrets {prefix} of {nodes} are not "
+                              "nonnegative and nondecreasing")
         return cls(nodes=nodes, cost=cost, regret=prefix[-1],
                    prefix_regret=tuple(prefix), node_set=frozenset(nodes))
 

@@ -406,7 +406,8 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     """Execute one (instance, solver) pair into a report dictionary.
 
     Report keys: id, solver, n, params, count, total_regret, max_regret,
-    max_length, lp_value (when the solver produced one), oracle (exact
+    max_length, lp_value and lp_certified (when the solver produced an LP;
+    certified is false when pricing was heuristic), oracle (exact
     optimum when the instance is small enough, plus the solver/oracle
     ratio), bound_checks (forwarded from the solver diagnostics), ok.
     """
@@ -435,6 +436,7 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     }
     if "lp_value" in diag:
         report["lp_value"] = diag["lp_value"]
+        report["lp_certified"] = diag["lp_certified"]
     if "bound_checks" in diag:
         report["bound_checks"] = diag["bound_checks"]
     if job.get("oracle"):
@@ -513,7 +515,26 @@ def _suite_caps(seed: int) -> List[dict]:
     return jobs
 
 
-SUITES = {"smoke": _suite_smoke, "rvrp": _suite_rvrp, "caps": _suite_caps}
+def _suite_heuristic(seed: int) -> List[dict]:
+    """18 to 24 clients, above the exact threshold: every LP is priced by
+    the heuristic, under a regret (rvrp), a length (dvrp-lp) and a
+    min-excess (krvrp) query."""
+    jobs = []
+    for i in range(9):
+        n = 19 + (3 * i) % 7
+        inst = (gen_euclidean(n, seed * 900 + i) if i % 2 == 0
+                else gen_random_metric(n, seed * 900 + i))
+        maxd = max(inst.root_dist)
+        solver, params = (("rvrp", {"regret": maxd // 4}),
+                          ("krvrp", {"k": 2 + i % 2}),
+                          ("dvrp-lp", {"dist": maxd + maxd // 2}))[i % 3]
+        jobs.append({"id": f"heuristic-{i:03d}", "solver": solver,
+                     "instance": inst, "params": params})
+    return jobs
+
+
+SUITES = {"smoke": _suite_smoke, "rvrp": _suite_rvrp, "caps": _suite_caps,
+          "heuristic": _suite_heuristic}
 
 
 def run_suite(name: str, seed: int = 0, threads: Optional[int] = None,

@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .core import Instance, RegretRouteError, RootedPath
+from .core import Instance, RegretRouteError, RootedPath, SolverError
 
 DEFAULT_EXACT_THRESHOLD = 16
 # Worst-case bytes per (mask, end) cell: an int64 cost and an int8 parent.
@@ -179,9 +179,10 @@ class HKTable:
         return RootedPath.build(self.inst, reversed(seq))
 
 
-def _scaled_rewards(table: HKTable, rewards: Mapping[int, Fraction]) -> Tuple[List[int], int]:
+def _scaled_rewards(clients: Sequence[int],
+                    rewards: Mapping[int, Fraction]) -> Tuple[List[int], int]:
     """Clear denominators: returns per-client integer rewards and the scale."""
-    fr = [Fraction(rewards.get(v, 0)) for v in table.clients]
+    fr = [Fraction(rewards.get(v, 0)) for v in clients]
     if any(f < 0 for f in fr):
         raise ValueError("rewards must be nonnegative")
     den = math.lcm(*(f.denominator for f in fr)) if fr else 1
@@ -213,7 +214,7 @@ def _max_reward_scan(inst: Instance, rewards: Mapping[int, Fraction],
     t = _table(inst, table, threshold)
     import numpy as np
 
-    nums, den = _scaled_rewards(t, rewards)
+    nums, den = _scaled_rewards(t.clients, rewards)
     sums = _reward_sums(nums, np)
     values = t.min_regret if kind == "regret" else t.min_length
     feasible = np.flatnonzero(values <= budget)
@@ -259,7 +260,7 @@ def exact_min_excess_pricing(inst: Instance, rewards: Mapping[int, Fraction],
     t = _table(inst, table, threshold)
     import numpy as np
 
-    nums, den = _scaled_rewards(t, rewards)
+    nums, den = _scaled_rewards(t.clients, rewards)
     sums = _reward_sums(nums, np)[1:]
     regret = t.min_regret[1:]           # the empty mask is the trivial path
     if not len(regret):
@@ -275,62 +276,139 @@ def exact_min_excess_pricing(inst: Instance, rewards: Mapping[int, Fraction],
                       Fraction(best, den))
 
 
+def _insertion_deltas(row: Sequence[int], links) -> List[int]:
+    """Added cost of putting node v between a and b, for each link (a, b,
+    d[a][b]) of a path; row is d[v]."""
+    return [row[a] + row[b] - ab for a, b, ab in links]
+
+
+def _first_reversal(dist, D: Sequence[int],
+                    nodes: List[int]) -> Optional[Tuple[int, int, int]]:
+    """The first (i, j), in lexicographic order, whose reversal of
+    nodes[i..j] strictly lowers the path's regret, with the cost it adds;
+    None when no reversal does."""
+    last = len(nodes) - 1
+    for i in range(1, last):
+        a, u = nodes[i - 1], nodes[i]
+        row_a, row_u = dist[a], dist[u]
+        for j in range(i + 1, last + 1):
+            w = nodes[j]
+            delta = row_a[w] - row_a[u]
+            if j < last:
+                b = nodes[j + 1]
+                delta += row_u[b] - dist[w][b]
+                if delta < 0:
+                    return i, j, delta
+            elif delta - D[u] < -D[w]:      # u becomes the end
+                return i, j, delta
+    return None
+
+
 def heuristic_pricing(inst: Instance, query: PricingQuery) -> PricedPath:
     """Greedy insertion plus 2-opt under the query's budget; no optimality.
 
-    Any returned path satisfies the budget exactly (integer arithmetic).
-    Used when the client count exceeds the exact threshold; the caller must
-    then report the LP as unverified.
-    """
-    rewards = {v: Fraction(query.rewards.get(v, 0)) for v in inst.clients}
-    if query.budget_kind == "regret":
-        feasible = lambda p: p.regret <= query.budget
-        objective = lambda p: sum(rewards[v] for v in p.nodes[1:])
-        improves = lambda new, old: new > old
-    elif query.budget_kind == "length":
-        feasible = lambda p: p.cost <= query.budget
-        objective = lambda p: sum(rewards[v] for v in p.nodes[1:])
-        improves = lambda new, old: new > old
-    elif query.budget_kind == "min_excess":
-        feasible = lambda p: True
-        objective = lambda p: p.regret - sum(rewards[v] for v in p.nodes[1:])
-        improves = lambda new, old: new < old
-    else:
-        raise ValueError(f"unknown budget kind {query.budget_kind!r}")
+    Each step inserts the free client at the position that improves the
+    objective most, trying clients in ascending id and positions from the
+    front (after the root) to the end, and keeping a candidate only when it
+    is strictly better, so the first best move wins.  When no insertion
+    improves, a min_excess search reverses the first segment nodes[i..j]
+    (i, j in lexicographic order) that strictly lowers the regret, then
+    goes back to inserting.  A reversal keeps the reward sum, so under a
+    regret or length budget it can never strictly improve, and that scan is
+    skipped.
 
-    path = RootedPath.trivial(inst)
-    value = objective(path)
-    changed = True
-    while changed:
-        changed = False
-        free = [v for v in inst.clients if v not in path.node_set]
-        best = None
-        for v in sorted(free):
-            for pos in range(1, len(path.nodes) + 1):
-                cand_nodes = path.nodes[:pos] + (v,) + path.nodes[pos:]
-                cand = RootedPath.build(inst, cand_nodes)
-                if not feasible(cand):
-                    continue
-                cand_val = objective(cand)
-                if improves(cand_val, value) and (best is None or improves(cand_val, best[0])):
-                    best = (cand_val, cand)
+    Moves are scored by integer deltas, not by rebuilding the path:
+    rewards are scaled by the lcm of their denominators, and the search
+    tracks the path's cost, its scaled reward sum and its scaled objective
+    (the reward sum, or regret·den − reward sum for min_excess).  Inserting
+    v between a and b adds d[a][v] + d[v][b] − d[a][b]; appending adds
+    d[end][v].  Reversing nodes[i..j] after a and before b adds
+    d[a][nodes[j]] − d[a][nodes[i]] + d[nodes[i]][b] − d[nodes[j]][b]
+    (the last two terms only when b exists), since the metric is
+    symmetric.  The path is built once, at the end, and SolverError is
+    raised unless its cost, regret, value and budget agree with the
+    tracked ones; a nontrivial result satisfies the budget exactly, and
+    the trivial path (value 0) is returned when nothing else is feasible.
+
+    Rewards must be nonnegative (ValueError).  Used when the client count
+    exceeds the exact threshold; the caller must then report the LP as
+    unverified.
+    """
+    kind, budget = query.budget_kind, query.budget
+    clients = inst.clients
+    nums, den = _scaled_rewards(clients, query.rewards)
+    if kind not in ("regret", "length", "min_excess"):
+        raise ValueError(f"unknown budget kind {kind!r}")
+    excess = kind == "min_excess"
+    reward = dict(zip(clients, nums))
+    dist, D = inst.dist, inst.root_dist
+
+    nodes = [inst.root]
+    on_path = {inst.root}
+    cost = gain = value = 0
+    while True:
+        end = nodes[-1]
+        regret = cost - D[end]
+        slack = budget - (regret if kind == "regret" else cost)
+        links = [(a, b, dist[a][b]) for a, b in zip(nodes, nodes[1:])]
+        best = None             # (v, position, added cost)
+        best_value = value
+        for v in clients:
+            if v in on_path:
+                continue
+            rv = reward[v]
+            # Under a budget every position of v scores gain + rv, so only
+            # the first feasible one can be kept.
+            if not excess and gain + rv <= best_value:
+                continue
+            row = dist[v]
+            deltas = _insertion_deltas(row, links)
+            if excess:
+                if deltas:
+                    delta = min(deltas)
+                    cand = (regret + delta) * den - gain - rv
+                    if cand < best_value:
+                        best_value = cand
+                        best = (v, deltas.index(delta) + 1, delta)
+                cand = (cost + row[end] - D[v]) * den - gain - rv
+                if cand < best_value:
+                    best_value, best = cand, (v, len(nodes), row[end])
+                continue
+            k = next((k for k, delta in enumerate(deltas) if delta <= slack),
+                     None)
+            if k is not None:
+                best_value, best = gain + rv, (v, k + 1, deltas[k])
+            elif row[end] <= (budget - cost + D[v] if kind == "regret"
+                              else slack):
+                best_value, best = gain + rv, (v, len(nodes), row[end])
         if best is not None:
-            value, path = best[0], best[1]
-            changed = True
+            v, pos, delta = best
+            nodes.insert(pos, v)
+            on_path.add(v)
+            cost += delta
+            gain += reward[v]
+            value = best_value
             continue
-        # 2-opt: reverse an internal segment if it helps.
-        nodes = path.nodes
-        for i in range(1, len(nodes) - 1):
-            for j in range(i + 1, len(nodes)):
-                cand_nodes = nodes[:i] + tuple(reversed(nodes[i:j + 1])) + nodes[j + 1:]
-                cand = RootedPath.build(inst, cand_nodes)
-                if not feasible(cand):
-                    continue
-                cand_val = objective(cand)
-                if improves(cand_val, value):
-                    value, path = cand_val, cand
-                    changed = True
-                    break
-            if changed:
-                break
-    return PricedPath(path, Fraction(value))
+        if not excess:
+            break
+        move = _first_reversal(dist, D, nodes)
+        if move is None:
+            break
+        i, j, delta = move
+        nodes[i:j + 1] = nodes[j:i - 1:-1]
+        cost += delta
+        value = (cost - D[nodes[-1]]) * den - gain
+
+    path = RootedPath.build(inst, nodes)
+    within = path.regret if kind == "regret" else path.cost
+    objective = sum(reward[v] for v in path.nodes[1:])
+    if excess:
+        objective = path.regret * den - objective
+    if (path.cost != cost or path.regret != cost - D[nodes[-1]]
+            or objective != value
+            or not (excess or path.is_trivial or within <= budget)):
+        raise SolverError(
+            f"heuristic pricing tracked cost {cost} and value {value}, but "
+            f"built {path.nodes} with cost {path.cost}, regret "
+            f"{path.regret} and value {objective}")
+    return PricedPath(path, Fraction(value, den))

@@ -358,7 +358,8 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
         paths.extend(got)
     covered = set().union(*(p.node_set for p in paths))
     assert covered >= set(inst.clients)
-    diagnostics.update(lp_value=float(sol.value), support_weight=float(kstar),
+    diagnostics.update(lp_value=float(sol.value), lp_certified=sol.certified,
+                       support_weight=float(kstar),
                        parts=part_info, path_count=len(paths))
     return paths
 

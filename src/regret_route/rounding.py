@@ -428,6 +428,7 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
     ws = build_forest(ctx)
     diag: dict = {
         "lp_value": float(sol.value),
+        "lp_certified": sol.certified,
         "forest_cost": ws.forest_cost,
         "tours_cost": ws.tours_cost,
         "components": len(ws.components),
@@ -490,7 +491,8 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
         return []
     if R == 0:
         paths = zero_regret_cover(inst, inst.clients)
-        diagnostics.update(lp_value=float(sol.value), path_count=len(paths),
+        diagnostics.update(lp_value=float(sol.value),
+                           lp_certified=sol.certified, path_count=len(paths),
                            max_regret=0, total_regret=0)
         return paths
     delta = Fraction(threshold) if threshold is not None else default_threshold()

@@ -9,6 +9,7 @@ from regret_route.core import (
     InvalidInstanceError,
     MalformedPathError,
     RootedPath,
+    SolverError,
     classify_edges,
     expand_merged,
     farthest_node,
@@ -126,6 +127,30 @@ def test_rooted_path_build_rejections():
         RootedPath.build(inst, [0, 1, 1])
     with pytest.raises(MalformedPathError):
         RootedPath.build(inst, [0, 9])
+
+
+def test_prefix_regret_check_survives_optimized_python(src_env):
+    # Off-metric distances (d(0,2) > d(0,1) + d(1,2)) give a negative
+    # prefix regret; the check must refuse it even with asserts compiled out.
+    import subprocess
+    import sys
+    bad = [[0, 1, 10], [1, 0, 1], [10, 1, 0]]
+    inst = Instance.from_matrix(bad, validate=False)
+    with pytest.raises(SolverError, match="prefix regrets"):
+        RootedPath.build(inst, [0, 1, 2])
+    script = (
+        "from regret_route.core import Instance, RootedPath, SolverError\n"
+        "assert False, 'asserts are live'\n"
+        f"inst = Instance.from_matrix({bad!r}, validate=False)\n"
+        "try:\n"
+        "    RootedPath.build(inst, [0, 1, 2])\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ("SolverError: prefix regrets [0, 0, -8] of "
+                                  "(0, 1, 2) are not nonnegative and "
+                                  "nondecreasing")
 
 
 def test_prefix_regret_monotone_and_visit_cost():

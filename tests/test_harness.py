@@ -20,7 +20,8 @@ from regret_route.harness import (
     run_suite,
     verify,
 )
-from regret_route.pricing import OracleUnavailableError
+from regret_route.pricing import (DEFAULT_EXACT_THRESHOLD,
+                                  OracleUnavailableError)
 
 
 # --- generators -------------------------------------------------------------
@@ -267,9 +268,10 @@ def test_run_job_report_shape():
     report = run_job(job, timings=True)
     for key in ("id", "solver", "n", "params", "count", "total_regret",
                 "max_regret", "max_length", "ok", "failures", "lp_value",
-                "bound_checks", "oracle", "ratio", "wall_ms"):
+                "lp_certified", "bound_checks", "oracle", "ratio", "wall_ms"):
         assert key in report, key
     assert report["ok"] and not report["failures"]
+    assert report["lp_certified"] is True
     assert report["count"] >= report["oracle"] >= 1
     assert type(report["oracle"]) is int
     assert report["ratio"] == round(report["count"] / report["oracle"], 6)
@@ -294,6 +296,19 @@ def test_run_suite_deterministic_and_thread_invariant():
     assert len(first.splitlines()) == 28
     for line in first.splitlines():
         assert json.loads(line)["ok"]
+
+
+def test_heuristic_suite_deterministic():
+    # Every instance is above the exact threshold, so each LP is priced by
+    # the heuristic and reported uncertified.
+    first = reports_to_jsonl(run_suite("heuristic", seed=1))
+    assert reports_to_jsonl(run_suite("heuristic", seed=1)) == first
+    reports = [json.loads(line) for line in first.splitlines()]
+    assert len(reports) == 9
+    assert {r["solver"] for r in reports} == {"rvrp", "krvrp", "dvrp-lp"}
+    for r in reports:
+        assert r["ok"] and r["n"] - 1 > DEFAULT_EXACT_THRESHOLD
+        assert r["lp_certified"] is False
 
 
 def test_run_suite_unknown_name():

@@ -7,8 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import heuristic_reference
 import hk_reference
-from regret_route.core import INF, Instance, RootedPath, metric_from_edges
+from regret_route import pricing
+from regret_route.core import (INF, Instance, RootedPath, SolverError,
+                               induced_instance, metric_from_edges)
 from regret_route.harness import gen_euclidean, gen_random_metric
 from regret_route.pricing import (
     DEFAULT_EXACT_THRESHOLD,
@@ -314,3 +317,117 @@ def test_heuristic_pricing_feasible_and_counted():
     assert res.value <= len(inst.clients)
     assert exact.value >= heuristic_pricing(inst, PricingQuery(
         rewards=rewards, budget_kind="regret", budget=5)).value
+
+
+# --- heuristic pricing vs. the path-rebuilding reference ---------------------
+
+KINDS = ("regret", "length", "min_excess")
+
+
+def _heuristic_queries(rng, inst):
+    """Reward maps and budgets that reach every branch of the search."""
+    clients = list(inst.clients)
+    maxd = max(inst.root_dist)
+    den = rng.choice((1, 1, 2, 3, 7, 9))
+    tied = Fraction(rng.randint(1, 4))
+    for kind in KINDS:
+        rewards = {}
+        for v in clients:
+            draw = rng.random()
+            if draw < 0.1:
+                continue                       # missing: reward 0
+            if draw < 0.2:
+                rewards[v] = Fraction(0)
+            elif den == 1 and draw < 0.6:
+                rewards[v] = tied              # ties between clients
+            else:
+                rewards[v] = Fraction(rng.randint(0, 6 * den), den)
+        if kind == "min_excess" and rng.random() < 0.5:
+            scale = rng.choice((4, 16, 64))   # long paths pay off
+            rewards = {v: r * scale for v, r in rewards.items()}
+        budget = rng.choice((0, -1, 1, maxd // 4, maxd // 2, maxd, 3 * maxd))
+        yield PricingQuery(rewards=rewards, budget_kind=kind, budget=budget)
+
+
+def _assert_same_heuristic(inst, query):
+    want = heuristic_reference.heuristic_pricing(inst, query)
+    got = heuristic_pricing(inst, query)
+    assert got.path.nodes == want.path.nodes, query
+    assert got.value == want.value, query
+    assert type(got.value) is Fraction
+
+
+def test_heuristic_matches_reference():
+    rng = random.Random(4)
+    instances = [Instance.from_matrix([[0]]), line_instance(),
+                 line_instance((0, 2, 2, 5, 5))]
+    for trial in range(120):
+        m = 1 + trial % 12
+        gen = gen_euclidean if trial % 3 else gen_random_metric
+        if trial % 4 == 3:
+            big = gen(m + 6, 500 + trial)
+            inst, _ = induced_instance(big, rng.sample(list(big.clients), m))
+        else:
+            inst = gen(m + 1, 500 + trial)
+        instances.append(inst)
+    for inst in instances:
+        for query in _heuristic_queries(rng, inst):
+            _assert_same_heuristic(inst, query)
+    for seed in (1, 2):
+        for gen in (gen_euclidean, gen_random_metric):
+            inst = gen(25, seed)
+            for query in _heuristic_queries(rng, inst):
+                _assert_same_heuristic(inst, query)
+    # Rewards that pay for detours make 2-opt reverse segments, the path's
+    # tail included.
+    for trial in range(300):
+        inst = (gen_euclidean if trial % 2 else gen_random_metric)(
+            3 + trial % 10, 900 + trial)
+        scale = rng.choice((1, 4, 16))
+        rewards = {v: Fraction(rng.randint(0, 30 * scale), rng.randint(1, 3))
+                   for v in inst.clients}
+        _assert_same_heuristic(inst, PricingQuery(
+            rewards=rewards, budget_kind="min_excess"))
+
+
+def test_heuristic_rejects_unknown_kind_and_negative_rewards():
+    inst = random_instance(5, 3)
+    query = PricingQuery(rewards={1: Fraction(1)}, budget_kind="volume")
+    for fn in (heuristic_pricing, heuristic_reference.heuristic_pricing):
+        with pytest.raises(ValueError):
+            fn(inst, query)
+    # One rule for every pricer: LP duals are never negative.
+    rewards = {1: Fraction(2), 2: Fraction(-1, 3)}
+    for kind in KINDS:
+        with pytest.raises(ValueError):
+            heuristic_pricing(inst, PricingQuery(
+                rewards=rewards, budget_kind=kind, budget=50))
+    with pytest.raises(ValueError):
+        exact_min_excess_pricing(inst, rewards)
+
+
+def test_heuristic_min_excess_value_and_exact_bound():
+    rng = random.Random(11)
+    for seed in range(12):
+        inst = (gen_euclidean if seed % 2 else gen_random_metric)(
+            3 + seed % 8, 40 + seed)
+        for _ in range(3):
+            rewards = {v: Fraction(rng.randint(0, 40), rng.randint(1, 3))
+                       for v in inst.clients}
+            res = heuristic_pricing(inst, PricingQuery(
+                rewards=rewards, budget_kind="min_excess"))
+            gain = sum((rewards[v] for v in res.path.nodes[1:]), Fraction(0))
+            assert res.value == res.path.regret - gain <= 0
+            assert res.value >= exact_min_excess_pricing(inst, rewards).value
+
+
+def test_heuristic_refuses_a_bad_insertion_delta(monkeypatch):
+    inst = random_instance(8, 7)
+    rewards = {v: Fraction(1) for v in inst.clients}
+    query = PricingQuery(rewards=rewards, budget_kind="length", budget=10**6)
+    assert heuristic_pricing(inst, query).value == len(inst.clients)
+    deltas = pricing._insertion_deltas
+    monkeypatch.setattr(pricing, "_insertion_deltas",
+                        lambda row, links: [d - 1 for d in deltas(row, links)])
+    with pytest.raises(SolverError, match="tracked cost"):
+        heuristic_pricing(inst, query)
