@@ -1,110 +1,12 @@
 """Regret-bounded vehicle routing: configuration-LP solvers with
 constant-factor rounding, distance-cap and per-node-bound reductions,
 and a validation harness (generators, brute-force oracles, verifier).
+
+The package re-exports nothing; import from the modules.  The entry
+points are ``regret_route.harness.run_solver`` (every solver by name,
+from the ``SOLVERS`` table), ``regret_route.harness.verify``, the
+generators and ``brute_force_*`` oracles beside them, the solvers in
+``regret_route.reductions`` and the command line in ``regret_route.cli``.
 """
 
-from .core import (
-    InfeasibleError,
-    Instance,
-    InvalidInstanceError,
-    MalformedPathError,
-    RegretRouteError,
-    RootedPath,
-    SolverError,
-    classify_edges,
-    metric_from_edges,
-    normalize_instance,
-    path_regret,
-    regret_distance,
-    solution_from_dict,
-    solution_to_dict,
-    split_by_regret,
-    zero_regret_cover,
-)
-from .pricing import HKTable, OracleUnavailableError
-from .lp import (
-    FractionalSolution,
-    column_generation,
-    preprocess_fractional,
-    solve_dvrp_lp,
-    solve_minsum_lp,
-    solve_restricted_master,
-    solve_rvrp_lp,
-)
-from .rounding import default_threshold, round_minsum, round_rvrp
-from .reductions import (
-    solve_dvrp_dp,
-    solve_dvrp_lp_round,
-    solve_krvrp_minmax,
-    solve_multiplicative,
-    solve_nonuniform,
-    solve_rvrp,
-)
-from .harness import (
-    brute_force_dvrp,
-    brute_force_krvrp,
-    brute_force_lp,
-    brute_force_rvrp,
-    gen_euclidean,
-    gen_ladder,
-    gen_line,
-    gen_random_metric,
-    reports_to_jsonl,
-    run_job,
-    run_solver,
-    run_suite,
-    verify,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FractionalSolution",
-    "HKTable",
-    "InfeasibleError",
-    "Instance",
-    "InvalidInstanceError",
-    "MalformedPathError",
-    "OracleUnavailableError",
-    "RegretRouteError",
-    "RootedPath",
-    "SolverError",
-    "brute_force_dvrp",
-    "brute_force_krvrp",
-    "brute_force_lp",
-    "brute_force_rvrp",
-    "classify_edges",
-    "column_generation",
-    "default_threshold",
-    "gen_euclidean",
-    "gen_ladder",
-    "gen_line",
-    "gen_random_metric",
-    "metric_from_edges",
-    "normalize_instance",
-    "path_regret",
-    "preprocess_fractional",
-    "regret_distance",
-    "reports_to_jsonl",
-    "round_minsum",
-    "round_rvrp",
-    "run_job",
-    "run_solver",
-    "run_suite",
-    "solution_from_dict",
-    "solution_to_dict",
-    "solve_dvrp_dp",
-    "solve_dvrp_lp",
-    "solve_dvrp_lp_round",
-    "solve_krvrp_minmax",
-    "solve_minsum_lp",
-    "solve_multiplicative",
-    "solve_nonuniform",
-    "solve_restricted_master",
-    "solve_rvrp",
-    "solve_rvrp_lp",
-    "split_by_regret",
-    "verify",
-    "zero_regret_cover",
-    "__version__",
-]

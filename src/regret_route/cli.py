@@ -16,14 +16,12 @@ from typing import Optional
 
 from .core import (Instance, RegretRouteError, solution_from_dict,
                    solution_to_dict)
-from .harness import (SUITES, brute_force_dvrp, brute_force_krvrp,
-                      brute_force_lp, brute_force_rvrp, gen_euclidean,
-                      gen_ladder, gen_line, gen_random_metric,
-                      reports_to_jsonl, run_solver, run_suite, verify)
+from .harness import (ORACLES, SOLVERS, SUITES, VERIFY_MODES,
+                      brute_force_lp, gen_euclidean, gen_ladder, gen_line,
+                      gen_random_metric, reports_to_jsonl, run_solver,
+                      run_suite, verify)
 from .harness import LP_ORACLE_LIMIT, ORACLE_LIMIT
 from .pricing import DEFAULT_EXACT_THRESHOLD
-
-SOLVERS = ("rvrp", "dvrp-dp", "dvrp-lp", "mult", "nonuniform", "krvrp")
 
 
 def _jsonable(obj):
@@ -62,6 +60,14 @@ def _load_bounds(arg: str) -> dict:
     return {int(v): b for v, b in raw.items()}
 
 
+def _flag(args: argparse.Namespace, what: str, key: str):
+    """The value of --key, without which `what` cannot run."""
+    value = getattr(args, key)
+    if value is None:
+        raise SystemExit(f"error: {what} requires --{key}")
+    return _load_bounds(value) if key == "bounds" else value
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "ladder":
         inst = gen_ladder(args.height, args.copies)
@@ -76,23 +82,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_params(args: argparse.Namespace) -> dict:
-    need = {"rvrp": "regret", "dvrp-dp": "dist", "dvrp-lp": "dist",
-            "mult": "ratio", "nonuniform": "bounds", "krvrp": "k"}
-    key = need[args.solver]
-    value = getattr(args, key)
-    if value is None:
-        raise SystemExit(f"error: solver {args.solver!r} requires --{key}")
-    params = {key: _load_bounds(value) if key == "bounds" else value}
-    if args.solver == "rvrp" and args.threshold is not None:
-        params["threshold"] = args.threshold
-    params["exact_threshold"] = args.exact_threshold
-    return params
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = Instance.from_dict(_read_json(args.instance))
-    params = _solve_params(args)
+    key = SOLVERS[args.solver][0]
+    params = {key: _flag(args, f"solver {args.solver!r}", key)}
+    if args.threshold is not None:
+        params["threshold"] = args.threshold
+    params["exact_threshold"] = args.exact_threshold
     diag: dict = {}
     paths = run_solver(args.solver, inst, params, diagnostics=diag)
     stats = {"solver": args.solver,
@@ -106,13 +102,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = Instance.from_dict(_read_json(args.instance))
-    if args.kind == "rvrp":
-        value = brute_force_rvrp(inst, args.regret, limit=args.limit)
-    elif args.kind == "dvrp":
-        value = brute_force_dvrp(inst, args.dist, limit=args.limit)
-    elif args.kind == "krvrp":
-        value = brute_force_krvrp(inst, args.k, limit=args.limit)
-    else:
+    if args.kind == "lp":
         if (args.regret is None) == (args.dist is None):
             raise SystemExit(
                 "error: oracle lp takes exactly one of --regret / --dist")
@@ -120,6 +110,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         bound = args.regret if kind == "regret" else args.dist
         limit = args.limit if args.limit != ORACLE_LIMIT else LP_ORACLE_LIMIT
         value = brute_force_lp(inst, bound, kind=kind, limit=limit)
+    else:
+        oracle, key, _ = ORACLES[args.kind]
+        value = oracle(inst, _flag(args, f"oracle {args.kind}", key),
+                       limit=args.limit)
     _write_json({"oracle": args.kind, "value": value}, args.out)
     return 0
 
@@ -127,24 +121,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = Instance.from_dict(_read_json(args.instance))
     paths = solution_from_dict(_read_json(args.solution))
-    params: dict = {}
-    if args.mode == "rvrp":
-        if args.regret is None:
-            raise SystemExit("error: mode rvrp requires --regret")
-        params["regret"] = args.regret
-    elif args.mode == "dvrp":
-        if args.dist is None:
-            raise SystemExit("error: mode dvrp requires --dist")
-        params["dist"] = args.dist
-    elif args.mode == "multiplicative":
-        if args.ratio is None:
-            raise SystemExit("error: mode multiplicative requires --ratio")
-        params["ratio"] = args.ratio
-    else:
-        if args.bounds is None:
-            raise SystemExit("error: mode nonuniform requires --bounds")
-        params["bounds"] = _load_bounds(args.bounds)
-    report = verify(inst, paths, args.mode, params)
+    key = VERIFY_MODES[args.mode][0]
+    report = verify(inst, paths, args.mode,
+                    {key: _flag(args, f"mode {args.mode}", key)})
     _write_json(report, args.out)
     return 0 if report["ok"] else 2
 
@@ -185,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="run a solver on an instance")
-    solve.add_argument("solver", choices=SOLVERS)
+    solve.add_argument("solver", choices=list(SOLVERS))
     solve.add_argument("--instance", required=True,
                        help="instance JSON file ('-' for stdin)")
     solve.add_argument("--regret", type=int, help="additive regret bound")
@@ -195,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-node regret bounds: JSON object or file")
     solve.add_argument("--k", type=int, help="path budget")
     solve.add_argument("--threshold",
-                       help="rounding split threshold in (0,1), e.g. 1/3")
+                       help="rvrp rounding split threshold in (0,1), e.g. 1/3")
     solve.add_argument("--exact-threshold", type=int,
                        default=DEFAULT_EXACT_THRESHOLD,
                        help="largest client count priced exactly")
@@ -204,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser(
         "oracle", help="exact optimum by exhaustion (small instances)")
-    oracle.add_argument("kind", choices=("rvrp", "dvrp", "krvrp", "lp"))
+    oracle.add_argument("kind", choices=[*ORACLES, "lp"])
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--regret", type=int)
     oracle.add_argument("--dist", type=int)
@@ -217,8 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="re-check a solution file")
     ver.add_argument("--instance", required=True)
     ver.add_argument("--solution", required=True)
-    ver.add_argument("--mode", required=True,
-                     choices=("rvrp", "dvrp", "multiplicative", "nonuniform"))
+    ver.add_argument("--mode", required=True, choices=list(VERIFY_MODES))
     ver.add_argument("--regret", type=int)
     ver.add_argument("--dist", type=int)
     ver.add_argument("--ratio")

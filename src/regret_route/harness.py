@@ -15,12 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import reductions
 from .core import (Instance, RootedPath, InfeasibleError, _as_int,
                    metric_from_edges)
 from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable,
                       OracleUnavailableError)
-from .reductions import (solve_dvrp_dp, solve_dvrp_lp_round, solve_krvrp_minmax,
-                         solve_multiplicative, solve_nonuniform, solve_rvrp)
 
 ORACLE_LIMIT = 12
 LP_ORACLE_LIMIT = 9
@@ -250,7 +249,55 @@ def brute_force_lp(inst: Instance, bound: int, kind: str = "regret",
     return float(res.fun)
 
 
+# Oracle kind -> (the brute-force optimum, its parameter, which is also its
+# CLI flag; the report field a solver's output is measured by against it).
+ORACLES = {"rvrp": (brute_force_rvrp, "regret", "count"),
+           "dvrp": (brute_force_dvrp, "dist", "count"),
+           "krvrp": (brute_force_krvrp, "k", "max_regret")}
+
+
 # --- verifier ---------------------------------------------------------------
+
+def _length_check(inst: Instance, visits: Mapping, lengths: Mapping,
+                  cap) -> List[dict]:
+    cap = _as_int(cap)
+    return [{"kind": "length", "path": idx,
+             "detail": f"length {cost} exceeds {cap}"}
+            for idx, cost in sorted(lengths.items()) if cost > cap]
+
+
+def _visit_time_check(inst: Instance, visits: Mapping, lengths: Mapping,
+                      ratio) -> List[dict]:
+    ratio, D = Fraction(ratio), inst.root_dist
+    return [{"kind": "visit_time", "node": v,
+             "detail": f"first visit {min(t)} exceeds {ratio} * {D[v]}"}
+            for v, t in sorted(visits.items()) if min(t) > ratio * D[v]]
+
+
+def _node_regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
+                       bounds) -> List[dict]:
+    bound = {int(v): _as_int(b) for v, b in bounds.items()}
+    D = inst.root_dist
+    return [{"kind": "regret", "node": v,
+             "detail": f"best regret {min(t) - D[v]} exceeds "
+                       f"{bound.get(v, 0)}"}
+            for v, t in sorted(visits.items())
+            if min(t) - D[v] > bound.get(v, 0)]
+
+
+def _regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
+                  R) -> List[dict]:
+    R = _as_int(R)
+    return _node_regret_check(inst, visits, lengths, dict.fromkeys(visits, R))
+
+
+# Verify mode -> (its parameter, which is also its CLI flag; the check of
+# first-visit times per node and lengths per path against that parameter).
+VERIFY_MODES = {"rvrp": ("regret", _regret_check),
+                "dvrp": ("dist", _length_check),
+                "multiplicative": ("ratio", _visit_time_check),
+                "nonuniform": ("bounds", _node_regret_check)}
+
 
 def verify(inst: Instance, paths: Iterable, mode: str,
            params: Optional[Mapping] = None) -> dict:
@@ -261,8 +308,9 @@ def verify(inst: Instance, paths: Iterable, mode: str,
     coverage, and the per-mode guarantee; failures become report entries
     rather than exceptions.
     """
-    if mode not in ("rvrp", "dvrp", "multiplicative", "nonuniform"):
+    if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
+    key, check = VERIFY_MODES[mode]
     params = dict(params or {})
     failures: List[dict] = []
     D, dist = inst.root_dist, inst.dist
@@ -295,38 +343,7 @@ def verify(inst: Instance, paths: Iterable, mode: str,
         failures.append({"kind": "coverage", "node": v,
                          "detail": "client not visited by any path"})
 
-    if mode == "rvrp":
-        R = _as_int(params["regret"])
-        for v, times in sorted(visits.items()):
-            reg = min(times) - D[v]
-            if reg > R:
-                failures.append({"kind": "regret", "node": v,
-                                 "detail": f"best regret {reg} exceeds {R}"})
-    elif mode == "dvrp":
-        cap = _as_int(params["dist"])
-        for idx, cost in sorted(lengths.items()):
-            if cost > cap:
-                failures.append({"kind": "length", "path": idx,
-                                 "detail": f"length {cost} exceeds {cap}"})
-    elif mode == "multiplicative":
-        ratio = Fraction(params["ratio"])
-        for v, times in sorted(visits.items()):
-            if min(times) > ratio * D[v]:
-                failures.append(
-                    {"kind": "visit_time", "node": v,
-                     "detail": f"first visit {min(times)} exceeds "
-                               f"{ratio} * {D[v]}"})
-    elif mode == "nonuniform":
-        bounds = {int(v): _as_int(b) for v, b in params["bounds"].items()}
-        for v, times in sorted(visits.items()):
-            if v == inst.root:
-                continue
-            reg = min(times) - D[v]
-            if reg > bounds.get(v, 0):
-                failures.append(
-                    {"kind": "regret", "node": v,
-                     "detail": f"best regret {reg} exceeds "
-                               f"{bounds.get(v, 0)}"})
+    failures.extend(check(inst, visits, lengths, params[key]))
 
     regs = [min(t) - D[v] for v, t in visits.items()]
     stats = {"paths": len(seqs), "covered": len(visits),
@@ -340,66 +357,62 @@ def verify(inst: Instance, paths: Iterable, mode: str,
 
 # --- experiment runner ------------------------------------------------------
 
+# Solver -> (its budget parameter, which is also its CLI flag; the name of
+# the reductions function that runs it, looked up on every call so that a
+# wrapper bound to the module global sees the call; its verify mode, None
+# for a k-path cover, verified at the worst regret it produced; its oracle
+# kind, None when there is no brute-force oracle).
+SOLVERS = {
+    "rvrp": ("regret", "solve_rvrp", "rvrp", "rvrp"),
+    "dvrp-dp": ("dist", "solve_dvrp_dp", "dvrp", "dvrp"),
+    "dvrp-lp": ("dist", "solve_dvrp_lp_round", "dvrp", "dvrp"),
+    "mult": ("ratio", "solve_multiplicative", "multiplicative", None),
+    "nonuniform": ("bounds", "solve_nonuniform", "nonuniform", None),
+    "krvrp": ("k", "solve_krvrp_minmax", None, "krvrp"),
+}
+
+
+def _solver(name: str) -> tuple:
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}")
+    return SOLVERS[name]
+
+
 def run_solver(solver: str, inst: Instance, params: Mapping,
                diagnostics: Optional[dict] = None) -> List[RootedPath]:
-    """Dispatch a named solver; the same table drives the CLI."""
-    if diagnostics is None:
-        diagnostics = {}
-    exact = params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
-    if solver == "rvrp":
-        threshold = params.get("threshold")
-        return solve_rvrp(inst, params["regret"],
-                          threshold=Fraction(threshold) if threshold else None,
-                          exact_threshold=exact, diagnostics=diagnostics)
-    if solver == "dvrp-dp":
-        return solve_dvrp_dp(inst, params["dist"], exact_threshold=exact,
-                             diagnostics=diagnostics)
-    if solver == "dvrp-lp":
-        return solve_dvrp_lp_round(inst, params["dist"], exact_threshold=exact,
-                                   diagnostics=diagnostics)
-    if solver == "mult":
-        return solve_multiplicative(inst, Fraction(params["ratio"]),
-                                    exact_threshold=exact,
-                                    diagnostics=diagnostics)
-    if solver == "nonuniform":
-        bounds = {int(v): _as_int(b) for v, b in params["bounds"].items()}
-        return solve_nonuniform(inst, bounds, exact_threshold=exact,
-                                diagnostics=diagnostics)
-    if solver == "krvrp":
-        paths, _ = solve_krvrp_minmax(inst, params["k"], exact_threshold=exact,
-                                      diagnostics=diagnostics)
-        return paths
-    raise ValueError(f"unknown solver {solver!r}")
+    """Run a named solver from SOLVERS; the CLI reads the same table."""
+    key, name, _, _ = _solver(solver)
+    kwargs = {"diagnostics": {} if diagnostics is None else diagnostics,
+              "exact_threshold": params.get("exact_threshold",
+                                            DEFAULT_EXACT_THRESHOLD)}
+    if params.get("threshold"):     # the rounding split of solve_rvrp
+        kwargs["threshold"] = Fraction(params["threshold"])
+    paths = getattr(reductions, name)(inst, params[key], **kwargs)
+    # solve_krvrp_minmax also returns the worst regret of its paths
+    return paths[0] if isinstance(paths, tuple) else paths
 
 
 def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]
                  ) -> Tuple[str, dict]:
-    if solver == "rvrp":
-        return "rvrp", {"regret": params["regret"]}
-    if solver in ("dvrp-dp", "dvrp-lp"):
-        return "dvrp", {"dist": params["dist"]}
-    if solver == "mult":
-        return "multiplicative", {"ratio": params["ratio"]}
-    if solver == "nonuniform":
-        return "nonuniform", {"bounds": params["bounds"]}
-    # k-path covers carry no per-node budget; audit coverage and recompute
-    # regrets by verifying against the worst regret actually produced.
-    worst = max((p.regret for p in paths), default=0)
-    return "rvrp", {"regret": worst}
+    mode = _solver(solver)[2]
+    if mode is None:
+        # k-path covers carry no per-node budget; audit coverage and
+        # recompute regrets by verifying against the worst regret produced.
+        return "rvrp", {"regret": max((p.regret for p in paths), default=0)}
+    key = VERIFY_MODES[mode][0]
+    return mode, {key: params[key]}
 
 
 def _oracle_value(solver: str, inst: Instance, params: Mapping
                   ) -> Optional[int]:
+    kind = _solver(solver)[3]
+    if kind is None:
+        return None
+    oracle, key, _ = ORACLES[kind]
     try:
-        if solver == "rvrp":
-            return brute_force_rvrp(inst, params["regret"])
-        if solver in ("dvrp-dp", "dvrp-lp"):
-            return brute_force_dvrp(inst, params["dist"])
-        if solver == "krvrp":
-            return brute_force_krvrp(inst, params["k"])
+        return oracle(inst, params[key])
     except OracleUnavailableError:
         return None
-    return None
 
 
 def run_job(job: Mapping, timings: bool = False) -> dict:
@@ -443,8 +456,7 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
         opt = _oracle_value(job["solver"], inst, params)
         if opt is not None:
             report["oracle"] = opt
-            measured = (report["max_regret"] if job["solver"] == "krvrp"
-                        else report["count"])
+            measured = report[ORACLES[SOLVERS[job["solver"]][3]][2]]
             report["ratio"] = (None if opt == 0 else
                                round(measured / opt, 6))
     if timings:

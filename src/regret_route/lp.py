@@ -121,8 +121,7 @@ def _greedy_hamiltonian(inst: Instance) -> RootedPath:
     return RootedPath.build(inst, seq)
 
 
-def _seed_columns(inst: Instance, objective: str,
-                  column_bound: Optional[Tuple[str, int]],
+def _seed_columns(inst: Instance,
                   count_cap: Optional[int]) -> List[RootedPath]:
     seeds = [RootedPath.build(inst, [inst.root, v]) for v in inst.clients]
     if count_cap is not None and count_cap < len(seeds):
@@ -184,7 +183,7 @@ def column_generation(inst: Instance, objective: str,
     master = CoveringMaster(clients, budget=count_cap)
     columns: List[RootedPath] = []
     seen = set()
-    for p in _seed_columns(inst, objective, column_bound, count_cap):
+    for p in _seed_columns(inst, count_cap):
         if p.nodes not in seen:
             seen.add(p.nodes)
             columns.append(p)
@@ -242,8 +241,8 @@ def solve_rvrp_lp(inst: Instance, R: int,
 
 
 def solve_dvrp_lp(inst: Instance, D: int,
-                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                  hk_table: Optional[HKTable] = None) -> FractionalSolution:
+                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD
+                  ) -> FractionalSolution:
     """Fractional minimum number of length-<=D rooted paths covering all."""
     D = _as_int(D)
     far = [v for v in inst.clients if inst.root_dist[v] > D]
@@ -251,20 +250,18 @@ def solve_dvrp_lp(inst: Instance, D: int,
         raise InfeasibleError(
             f"nodes {far} lie beyond distance {D} from the root", nodes=far)
     return column_generation(inst, "count", column_bound=("length", D),
-                             exact_threshold=exact_threshold,
-                             hk_table=hk_table)
+                             exact_threshold=exact_threshold)
 
 
 def solve_minsum_lp(inst: Instance, k: int,
-                    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                    hk_table: Optional[HKTable] = None) -> FractionalSolution:
+                    exact_threshold: int = DEFAULT_EXACT_THRESHOLD
+                    ) -> FractionalSolution:
     """Fractional minimum total regret using at most k rooted paths."""
     k = _as_int(k)
     if k < 1:
         raise ValueError("path budget must be at least 1")
     return column_generation(inst, "regret", count_cap=k,
-                             exact_threshold=exact_threshold,
-                             hk_table=hk_table)
+                             exact_threshold=exact_threshold)
 
 
 def solve_restricted_master(inst: Instance, columns: Sequence[RootedPath],

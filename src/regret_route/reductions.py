@@ -49,16 +49,14 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
 
 
 def _cover_subset(inst: Instance, nodes: Sequence[int], bound: int,
-                  exact_threshold: int,
-                  hk_table: Optional[HKTable] = None) -> List[RootedPath]:
+                  exact_threshold: int) -> List[RootedPath]:
     """solve_rvrp on the sub-instance induced by nodes, mapped back.
 
     The induced metric is a restriction of the original, so mapped paths
     keep their cost and regret verbatim.
     """
     sub, ids = induced_instance(inst, nodes)
-    sub_paths = solve_rvrp(sub, bound, exact_threshold=exact_threshold,
-                           hk_table=hk_table)
+    sub_paths = solve_rvrp(sub, bound, exact_threshold=exact_threshold)
     return [RootedPath.build(inst, [ids[v] for v in p.nodes])
             for p in sub_paths]
 
@@ -374,10 +372,12 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
     Clients are grouped by the power-of-two class of their bound; class i
     (2^(i-1) <= bound < 2^i) is covered by an additive solve at 2^(i-1),
     which is never above any member's bound.  Zero-bound clients get the
-    exact zero-regret cover.
+    exact zero-regret cover.  Bounds may be keyed by node id or, as in
+    JSON, by its decimal string.
     """
     if diagnostics is None:
         diagnostics = {}
+    bounds = {int(v): b for v, b in bounds.items()}
     classes: Dict[int, List[int]] = {}
     for v in inst.clients:
         if v not in bounds:

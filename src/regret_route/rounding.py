@@ -478,7 +478,8 @@ def _bound_check(diag: dict, name: str, actual, bound, ge: bool = False) -> None
     actual, bound = Fraction(actual), Fraction(bound)
     ok = actual >= bound if ge else actual <= bound
     checks[name] = {"actual": float(actual), "bound": float(bound), "ok": ok}
-    assert ok, f"{name}: {actual} vs {bound}"
+    if not ok:
+        raise SolverError(f"{name}: {actual} vs {bound}")
 
 
 def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,

@@ -70,6 +70,16 @@ def test_missing_required_param_exits_nonzero(tmp_path):
         run_cli("solve", "rvrp", "--instance", inst)     # no --regret
     with pytest.raises(SystemExit):
         run_cli("solve", "bogus", "--instance", inst)    # unknown solver
+    for kind, flag in (("rvrp", "regret"), ("dvrp", "dist"), ("krvrp", "k")):
+        with pytest.raises(SystemExit,
+                           match=f"^error: oracle {kind} requires --{flag}$"):
+            run_cli("oracle", kind, "--instance", inst)
+    sol = tmp_path / "sol.json"
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
+                   "--out", sol) == 0
+    with pytest.raises(SystemExit, match="^error: mode dvrp requires --dist$"):
+        run_cli("verify", "--instance", inst, "--solution", sol,
+                "--mode", "dvrp")
 
 
 def test_every_solver_round_trips(tmp_path):

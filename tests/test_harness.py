@@ -7,6 +7,10 @@ import pytest
 
 from regret_route.core import InfeasibleError, Instance, normalize_instance
 from regret_route.harness import (
+    ORACLES,
+    SOLVERS,
+    _oracle_value,
+    _verify_mode,
     brute_force_dvrp,
     brute_force_krvrp,
     brute_force_lp,
@@ -17,6 +21,7 @@ from regret_route.harness import (
     gen_random_metric,
     reports_to_jsonl,
     run_job,
+    run_solver,
     run_suite,
     verify,
 )
@@ -285,6 +290,52 @@ def test_run_job_without_oracle_or_timings():
     assert report["ok"]
     assert "oracle" not in report and "wall_ms" not in report
     assert report["params"] == {"ratio": "3/2"}
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_solver_table_row(solver):
+    # Each row runs, verifies under its own mode and has an oracle exactly
+    # when the table names one; the oracle bounds the field it measures.
+    inst = gen_euclidean(7, 4)
+    assert len(inst.clients) == 6
+    maxd = max(inst.root_dist)
+    key = SOLVERS[solver][0]
+    params = {key: {"regret": maxd // 2, "dist": maxd + maxd // 2,
+                    "ratio": "3/2", "k": 2,
+                    "bounds": {v: v % 3 for v in inst.clients}}[key]}
+    paths = run_solver(solver, inst, params)
+    mode, vparams = _verify_mode(solver, params, paths)
+    assert verify(inst, paths, mode, vparams)["ok"]
+    opt = _oracle_value(solver, inst, params)
+    assert (opt is not None) == (solver in ("rvrp", "dvrp-dp", "dvrp-lp",
+                                            "krvrp"))
+    if opt is not None:
+        measured = {"count": len(paths),
+                    "max_regret": max(p.regret for p in paths)}
+        assert measured[ORACLES[SOLVERS[solver][3]][2]] >= opt
+
+
+def test_unknown_solver_is_refused():
+    inst = gen_line([0, 1, 2])
+    with pytest.raises(ValueError, match="unknown solver"):
+        run_solver("bogus", inst, {"regret": 1})
+    with pytest.raises(ValueError, match="unknown solver"):
+        _verify_mode("bogus", {"regret": 1}, [])
+
+
+def test_run_solver_looks_the_solver_up_at_call_time(monkeypatch):
+    # Tracers wrap a solver by rebinding its module global; run_solver must
+    # call whatever that global holds now, not a function saved earlier.
+    from regret_route import reductions
+    solve, calls = reductions.solve_rvrp, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "solve_rvrp", counting)
+    assert run_solver("rvrp", gen_line([0, 1, 2, 4]), {"regret": 1})
+    assert calls == [1]
 
 
 def test_run_suite_deterministic_and_thread_invariant():

@@ -217,3 +217,28 @@ def test_rounded_count_vs_integral_optimum():
         paths = round_rvrp(inst, R, sol)
         opt = brute_force_rvrp(inst, R)
         assert len(paths) <= factor * opt + 1
+
+
+def test_bound_check_survives_optimized_python(src_env):
+    # A forest stage that breaks its cost bound must stop the rounding even
+    # with asserts compiled out, after recording the failed check.
+    import subprocess
+    import sys
+    script = (
+        "import dataclasses\n"
+        "from regret_route import rounding\n"
+        "from regret_route.core import SolverError\n"
+        "from regret_route.harness import gen_ladder\n"
+        "from regret_route.lp import solve_rvrp_lp\n"
+        "assert False, 'asserts are live'\n"
+        "build = rounding.build_forest\n"
+        "rounding.build_forest = lambda ctx: dataclasses.replace(\n"
+        "    build(ctx), forest_cost=10 ** 6)\n"
+        "inst = gen_ladder(2)\n"
+        "try:\n"
+        "    rounding.round_rvrp(inst, 1, solve_rvrp_lp(inst, 1))\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', str(exc).split(':')[0])\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "SolverError: forest_cost_vs_regret_mass"
