@@ -84,7 +84,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = Instance.from_dict(_read_json(args.instance))
-    key = SOLVERS[args.solver][0]
+    key = SOLVERS[args.solver].param
     params = {key: _flag(args, f"solver {args.solver!r}", key)}
     if args.threshold is not None:
         params["threshold"] = args.threshold

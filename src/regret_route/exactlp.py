@@ -8,19 +8,30 @@ TOMS 27(3), 2001): it keeps det = |det B| and the integer matrix
 adj = det * B^-1, with the basic values scaled by det. A pivot on element p
 of the entering column alpha = adj * a_e maps row i != r to
 (p * adj_i - alpha_i * adj_r) // det, an exact division, leaves row r as it
-is and sets det to p. Duals come out as det * y = c_B * adj, and every test
-(reduced-cost sign, ratio comparison) is an integer cross-multiplication.
+is and sets det to p. Every test (reduced-cost sign, ratio comparison) is an
+integer cross-multiplication.
+
+The scaled duals Y = det * y are kept across pivots by the same exact
+division: entering column e on row r with scaled reduced cost
+D = det * c_e - Y * a_e maps Y to (p * Y + D * adj_r) // det, negated with
+the rows when p < 0. Y is computed afresh as c_B * adj only where the cost
+vector changes (phase 1 starts, the artificials have been driven out) and
+once per solve for the certificate.
 
 Solves can be resumed after new columns arrive, which is what column
-generation needs. Each solve checks an optimality certificate against the
-original columns, not the maintained inverse, and only then converts the
-primal and dual values to Fractions.
+generation needs: a new column leaves the basis, and so Y, as it is. Each
+solve checks an optimality certificate against the original columns, not
+the maintained inverse, and refuses a maintained Y that differs from
+c_B * adj. The solution keeps the integers; its Fraction views are built
+when they are read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import SolverError
@@ -33,11 +44,52 @@ Integral = Union[int, Fraction]          # a Fraction must have denominator 1
 
 @dataclass
 class MasterSolution:
-    value: Fraction
-    weights: List[Fraction]          # one per structural column, in add order
-    duals: Dict[int, Fraction]       # coverage dual per client id
-    budget_dual: Optional[Fraction]  # None when there is no budget row
+    """One optimal basic solution of the restricted master, kept as the
+    integers it was solved in. value, weights, duals and budget_dual are
+    its Fraction views, built when first read."""
+
+    det: int                         # |det B| > 0
+    y: List[int]                     # det * dual per row, budget row last
+    scaled_value: int                # det * value
+    scaled_weights: Dict[int, int]   # det * weight per basic structural column
+    columns: int                     # structural columns, basic or not
+    client_rows: List[int]           # client id per coverage row
     pivots: int
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(self.scaled_value, self.det)
+
+    @cached_property
+    def weights(self) -> List[Fraction]:
+        """One per structural column, in add order."""
+        out = [ZERO] * self.columns
+        for idx, x in self.scaled_weights.items():
+            out[idx] = Fraction(x, self.det)
+        return out
+
+    @cached_property
+    def duals(self) -> Dict[int, Fraction]:
+        """Coverage dual per client id."""
+        return {v: Fraction(yv, self.det)
+                for v, yv in zip(self.client_rows, self.y)}
+
+    @cached_property
+    def budget_dual(self) -> Optional[Fraction]:
+        """None when there is no budget row."""
+        if len(self.y) == len(self.client_rows):
+            return None
+        return Fraction(-self.y[-1], self.det)
+
+    @cached_property
+    def coverage_duals(self) -> Tuple[List[int], int]:
+        """The coverage duals as (nums, den) in client-row order, in lowest
+        common terms: with g = gcd(det, y over the coverage rows), nums[i] =
+        y[i] // g and den = det // g, the lcm of the reduced denominators of
+        y[i] / det. All zero (or no clients) gives den = 1."""
+        ys = self.y[:len(self.client_rows)]
+        g = math.gcd(self.det, *ys)
+        return [yv // g for yv in ys], self.det // g
 
 
 def _integral(x: Integral, what: str) -> int:
@@ -67,7 +119,6 @@ class CoveringMaster:
         self._cols: List[Column] = []
         self._costs: List[int] = []
         self._artificial: List[bool] = []
-        self._structural: List[int] = []
         self._basis: List[int] = []
         self._in_basis: Dict[int, int] = {}
         self._phase1_done = False
@@ -86,11 +137,15 @@ class CoveringMaster:
             self._basis.append(slack)
         for r, j in enumerate(self._basis):
             self._in_basis[j] = r
+        # Structural columns follow the slack, surplus and artificial ones.
+        self._first_structural = len(self._cols)
         # The starting basis is the identity: det = 1, adj = I, xb = b.
         self._det = 1
         self._adj: List[List[int]] = [[int(i == j) for j in range(self.m)]
                                       for i in range(self.m)]
         self._xb: List[int] = list(self.b)
+        # det * y for the cost vector being optimised; set when a phase starts.
+        self._y: List[int] = []
 
     def _new_var(self, col: Column, cost: int, artificial: bool = False) -> int:
         self._cols.append(col)
@@ -105,8 +160,7 @@ class CoveringMaster:
         if self.budget_row is not None:
             rows.add(self.budget_row)
         j = self._new_var(tuple((i, 1) for i in sorted(rows)), cost)
-        self._structural.append(j)
-        return len(self._structural) - 1
+        return j - self._first_structural
 
     # -- simplex machinery -------------------------------------------------
 
@@ -124,10 +178,13 @@ class CoveringMaster:
         col = self._cols[j]
         return [sum(row[i] * a for i, a in col) for row in self._adj]
 
-    def _pivot(self, r: int, j: int, alpha: List[int]) -> None:
+    def _pivot(self, r: int, j: int, alpha: List[int], reduced: int) -> None:
+        """Enter column j on row r; alpha = det * B^-1 * a_j and reduced is
+        its scaled reduced cost det * c_j - Y * a_j."""
         det, p = self._det, alpha[r]
         adj, xb = self._adj, self._xb
         arow, xr = adj[r], xb[r]
+        y = [(p * yi + reduced * a) // det for yi, a in zip(self._y, arow)]
         for i in range(self.m):
             if i == r:
                 continue
@@ -143,8 +200,10 @@ class CoveringMaster:
             # negative element; flip every row so det stays positive.
             self._adj = [[-x for x in row] for row in adj]
             self._xb = [-x for x in xb]
+            y = [-x for x in y]
             p = -p
         self._det = p
+        self._y = y
         old = self._basis[r]
         del self._in_basis[old]
         self._basis[r] = j
@@ -158,14 +217,14 @@ class CoveringMaster:
             it += 1
             if it > cap:
                 raise SolverError("simplex iteration cap exceeded")
-            y = self._duals_for(costs)
-            det = self._det
-            entering = -1
+            y, det = self._y, self._det
+            entering = reduced = -1
             for j, col in enumerate(self._cols):
                 if not allow[j] or j in self._in_basis:
                     continue
                 # Bland: the first column with negative reduced cost.
-                if det * costs[j] < sum(y[i] * a for i, a in col):
+                reduced = det * costs[j] - sum(y[i] * a for i, a in col)
+                if reduced < 0:
                     entering = j
                     break
             if entering < 0:
@@ -184,9 +243,9 @@ class CoveringMaster:
                         leave = r
             if leave < 0:
                 raise SolverError("unbounded master LP")
-            self._pivot(leave, entering, alpha)
+            self._pivot(leave, entering, alpha, reduced)
 
-    def _drive_out_artificials(self) -> None:
+    def _drive_out_artificials(self, costs: List[int]) -> None:
         for r in range(self.m):
             j = self._basis[r]
             if not self._artificial[j]:
@@ -199,7 +258,9 @@ class CoveringMaster:
                     continue
                 alpha = self._alpha(cand)
                 if alpha[r] != 0:
-                    self._pivot(r, cand, alpha)
+                    reduced = self._det * costs[cand] - sum(
+                        self._y[i] * a for i, a in self._cols[cand])
+                    self._pivot(r, cand, alpha, reduced)
                     swapped = True
                     break
             if not swapped:
@@ -210,11 +271,13 @@ class CoveringMaster:
         if not self._phase1_done:
             phase1 = [int(self._artificial[j]) for j in range(n)]
             allow = [True] * n
+            self._y = self._duals_for(phase1)
             self._optimize(phase1, allow)
             if sum(phase1[j] * self._xb[r] for r, j in enumerate(self._basis)):
                 raise SolverError("master LP infeasible")
-            self._drive_out_artificials()
+            self._drive_out_artificials(phase1)
             self._phase1_done = True
+            self._y = self._duals_for(self._costs)
         allow = [not self._artificial[j] for j in range(len(self._cols))]
         self._optimize(self._costs, allow)
         return self._extract()
@@ -252,17 +315,12 @@ class CoveringMaster:
     def _extract(self) -> MasterSolution:
         y = self._duals_for(self._costs)
         self._certify(y)
-        det, xb = self._det, self._xb
-        weights = [ZERO] * len(self._structural)
-        for idx, j in enumerate(self._structural):
-            r = self._in_basis.get(j)
-            if r is not None:
-                weights[idx] = Fraction(xb[r], det)
-        value = Fraction(sum(self._costs[j] * xb[r]
-                             for r, j in enumerate(self._basis)), det)
-        duals = {v: Fraction(y[i], det) for i, v in enumerate(self.client_rows)}
-        bd = None
-        if self.budget_row is not None:
-            bd = Fraction(-y[self.budget_row], det)
-        return MasterSolution(value=value, weights=weights, duals=duals,
-                              budget_dual=bd, pivots=self.pivots)
+        if y != self._y:
+            raise SolverError("maintained duals differ from c_B * adj")
+        first, xb = self._first_structural, self._xb
+        weights = {j - first: xb[r] for r, j in enumerate(self._basis)
+                   if j >= first}
+        value = sum(self._costs[j] * x for j, x in zip(self._basis, xb))
+        return MasterSolution(self._det, y, value, weights,
+                              len(self._cols) - first, self.client_rows,
+                              self.pivots)

@@ -13,7 +13,8 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import reductions
 from .core import (Instance, RootedPath, InfeasibleError, _as_int,
@@ -312,6 +313,9 @@ def verify(inst: Instance, paths: Iterable, mode: str,
         raise ValueError(f"unknown verification mode {mode!r}")
     key, check = VERIFY_MODES[mode]
     params = dict(params or {})
+    if params.get(key) is None:
+        raise ValueError(f"verification mode {mode!r} requires the "
+                         f"{key!r} parameter")
     failures: List[dict] = []
     D, dist = inst.root_dist, inst.dist
 
@@ -357,22 +361,30 @@ def verify(inst: Instance, paths: Iterable, mode: str,
 
 # --- experiment runner ------------------------------------------------------
 
-# Solver -> (its budget parameter, which is also its CLI flag; the name of
-# the reductions function that runs it, looked up on every call so that a
-# wrapper bound to the module global sees the call; its verify mode, None
-# for a k-path cover, verified at the worst regret it produced; its oracle
-# kind, None when there is no brute-force oracle).
+class Solver(NamedTuple):
+    param: str              # the budget parameter, also the CLI flag
+    function: str           # the reductions function that runs it, looked
+                            # up on every call so that a wrapper bound to the
+                            # module global sees the call
+    verify_mode: Optional[str]  # None for a k-path cover, verified at the
+                                # worst regret it produced
+    oracle: Optional[str]   # the oracle kind; None without a brute force
+    threshold: bool         # takes a rounding split threshold
+
+
 SOLVERS = {
-    "rvrp": ("regret", "solve_rvrp", "rvrp", "rvrp"),
-    "dvrp-dp": ("dist", "solve_dvrp_dp", "dvrp", "dvrp"),
-    "dvrp-lp": ("dist", "solve_dvrp_lp_round", "dvrp", "dvrp"),
-    "mult": ("ratio", "solve_multiplicative", "multiplicative", None),
-    "nonuniform": ("bounds", "solve_nonuniform", "nonuniform", None),
-    "krvrp": ("k", "solve_krvrp_minmax", None, "krvrp"),
+    "rvrp": Solver("regret", "solve_rvrp", "rvrp", "rvrp", True),
+    "dvrp-dp": Solver("dist", "solve_dvrp_dp", "dvrp", "dvrp", False),
+    "dvrp-lp": Solver("dist", "solve_dvrp_lp_round", "dvrp", "dvrp", False),
+    "mult": Solver("ratio", "solve_multiplicative", "multiplicative", None,
+                   False),
+    "nonuniform": Solver("bounds", "solve_nonuniform", "nonuniform", None,
+                         False),
+    "krvrp": Solver("k", "solve_krvrp_minmax", None, "krvrp", False),
 }
 
 
-def _solver(name: str) -> tuple:
+def _solver(name: str) -> Solver:
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}")
     return SOLVERS[name]
@@ -380,21 +392,28 @@ def _solver(name: str) -> tuple:
 
 def run_solver(solver: str, inst: Instance, params: Mapping,
                diagnostics: Optional[dict] = None) -> List[RootedPath]:
-    """Run a named solver from SOLVERS; the CLI reads the same table."""
-    key, name, _, _ = _solver(solver)
+    """Run a named solver from SOLVERS; the CLI reads the same table.
+
+    A rounding threshold is refused (ValueError) by a solver whose row
+    says it takes none."""
+    row = _solver(solver)
     kwargs = {"diagnostics": {} if diagnostics is None else diagnostics,
               "exact_threshold": params.get("exact_threshold",
                                             DEFAULT_EXACT_THRESHOLD)}
-    if params.get("threshold"):     # the rounding split of solve_rvrp
-        kwargs["threshold"] = Fraction(params["threshold"])
-    paths = getattr(reductions, name)(inst, params[key], **kwargs)
+    threshold = params.get("threshold")
+    if threshold is not None and not row.threshold:
+        raise ValueError(f"solver {solver!r} takes no rounding threshold")
+    if threshold:
+        kwargs["threshold"] = Fraction(threshold)
+    paths = getattr(reductions, row.function)(inst, params[row.param],
+                                              **kwargs)
     # solve_krvrp_minmax also returns the worst regret of its paths
     return paths[0] if isinstance(paths, tuple) else paths
 
 
 def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]
                  ) -> Tuple[str, dict]:
-    mode = _solver(solver)[2]
+    mode = _solver(solver).verify_mode
     if mode is None:
         # k-path covers carry no per-node budget; audit coverage and
         # recompute regrets by verifying against the worst regret produced.
@@ -405,7 +424,7 @@ def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]
 
 def _oracle_value(solver: str, inst: Instance, params: Mapping
                   ) -> Optional[int]:
-    kind = _solver(solver)[3]
+    kind = _solver(solver).oracle
     if kind is None:
         return None
     oracle, key, _ = ORACLES[kind]
@@ -419,8 +438,10 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     """Execute one (instance, solver) pair into a report dictionary.
 
     Report keys: id, solver, n, params, count, total_regret, max_regret,
-    max_length, lp_value and lp_certified (when the solver produced an LP;
-    certified is false when pricing was heuristic), oracle (exact
+    max_length, lp_value, lp_certified, lp_rounds and lp_pivots (when the
+    solver produced an LP; certified is false when pricing was heuristic;
+    rounds and pivots are the column-generation rounds and the master's
+    simplex pivots), oracle (exact
     optimum when the instance is small enough, plus the solver/oracle
     ratio), bound_checks (forwarded from the solver diagnostics), ok.
     """
@@ -450,13 +471,15 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     if "lp_value" in diag:
         report["lp_value"] = diag["lp_value"]
         report["lp_certified"] = diag["lp_certified"]
+        report["lp_rounds"] = diag["lp_rounds"]
+        report["lp_pivots"] = diag["lp_pivots"]
     if "bound_checks" in diag:
         report["bound_checks"] = diag["bound_checks"]
     if job.get("oracle"):
         opt = _oracle_value(job["solver"], inst, params)
         if opt is not None:
             report["oracle"] = opt
-            measured = report[ORACLES[SOLVERS[job["solver"]][3]][2]]
+            measured = report[ORACLES[SOLVERS[job["solver"]].oracle][2]]
             report["ratio"] = (None if opt == 0 else
                                round(measured / opt, 6))
     if timings:

@@ -7,10 +7,12 @@ Three LP shapes share one driver:
 * minimize total path regret with a cap on the number of paths, columns
   unrestricted.
 
-Every shape covers all clients fractionally. Masters are solved exactly over
-rationals; pricing is exact (dynamic program) up to a client-count threshold
-and falls back to a local-search heuristic above it, in which case the result
-is flagged as uncertified.
+Every shape covers all clients fractionally. Masters are solved exactly in
+integers scaled by the basis determinant, and their coverage duals reach the
+pricing oracle as integers over one common denominator. Pricing is exact
+(dynamic program) up to a client-count threshold and falls back to a
+local-search heuristic above it, in which case the result is flagged as
+uncertified.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .core import (Instance, InfeasibleError, RootedPath, SolverError, _as_int,
                    farthest_node, preprocess_path_pair)
 from .exactlp import CoveringMaster, MasterSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable, OracleUnavailableError,
-                      PricingQuery, exact_length_budget, exact_min_excess_pricing,
-                      exact_orienteering, heuristic_pricing)
+                      PricingQuery, ScaledRewards, exact_length_budget,
+                      exact_min_excess_pricing, exact_orienteering,
+                      heuristic_pricing)
 
 ZERO = Fraction(0)
 
@@ -138,7 +141,7 @@ def _empty_solution(inst: Instance, objective: str,
                               certified=True)
 
 
-def _price(inst: Instance, duals: Dict[int, Fraction], z: Fraction,
+def _price(inst: Instance, rewards: ScaledRewards, z: Fraction,
            objective: str, column_bound: Optional[Tuple[str, int]],
            exact: bool, table: Optional[HKTable],
            threshold: int) -> Tuple[RootedPath, Fraction, bool]:
@@ -147,17 +150,17 @@ def _price(inst: Instance, duals: Dict[int, Fraction], z: Fraction,
         kind, limit = column_bound
         if exact:
             fn = exact_orienteering if kind == "regret" else exact_length_budget
-            res = fn(inst, duals, limit, table=table, threshold=threshold)
+            res = fn(inst, rewards, limit, table=table, threshold=threshold)
         else:
             res = heuristic_pricing(inst, PricingQuery(
-                rewards=dict(duals), budget_kind=kind, budget=limit))
+                rewards=rewards, budget_kind=kind, budget=limit))
         return res.path, res.value, res.value > 1
     if exact:
-        res = exact_min_excess_pricing(inst, duals, table=table,
+        res = exact_min_excess_pricing(inst, rewards, table=table,
                                        threshold=threshold)
     else:
         res = heuristic_pricing(inst, PricingQuery(
-            rewards=dict(duals), budget_kind="min_excess"))
+            rewards=rewards, budget_kind="min_excess"))
     return res.path, res.value, res.value < -z
 
 
@@ -203,7 +206,7 @@ def column_generation(inst: Instance, objective: str,
         prev_value = sol.value
         z = sol.budget_dual if sol.budget_dual is not None else ZERO
         path, pricing_value, improving = _price(
-            inst, sol.duals, z, objective, column_bound, exact, table,
+            inst, sol.coverage_duals, z, objective, column_bound, exact, table,
             exact_threshold)
         trace.append({"round": rounds, "value": float(sol.value),
                       "pricing": float(pricing_value),
@@ -262,18 +265,6 @@ def solve_minsum_lp(inst: Instance, k: int,
         raise ValueError("path budget must be at least 1")
     return column_generation(inst, "regret", count_cap=k,
                              exact_threshold=exact_threshold)
-
-
-def solve_restricted_master(inst: Instance, columns: Sequence[RootedPath],
-                            objective: str = "count",
-                            count_cap: Optional[int] = None) -> MasterSolution:
-    """Exact optimum of the covering LP restricted to the given columns."""
-    if objective not in ("count", "regret"):
-        raise ValueError(f"unknown objective {objective!r}")
-    master = CoveringMaster(list(inst.clients), budget=count_cap)
-    for p in columns:
-        master.add_column(p.nodes[1:], _column_cost(p, objective))
-    return master.solve()
 
 
 def preprocess_fractional(sol: FractionalSolution) -> FractionalSolution:

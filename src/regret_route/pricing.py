@@ -3,8 +3,10 @@
 The exact oracles answer argmax/argmin queries over all simple rooted paths
 by scanning a Held-Karp table: HK[S][t] is the cheapest rooted path visiting
 exactly client set S and ending at t. One table serves every budget kind, so
-it is built once per instance and shared. Rewards are exact rationals; all
-comparisons are integer comparisons after clearing denominators.
+it is built once per instance and shared. Rewards arrive as integers over one
+common denominator, (nums, den) with nums in the order of inst.clients, which
+is how the covering master hands over its duals; every comparison is an
+integer comparison and only the returned value is a Fraction.
 
 The table and the scans are numpy arrays, filled one popcount layer at a
 time. Fixed-width integers wrap where Python integers grow, so every dtype
@@ -56,6 +58,10 @@ def check_exact_threshold(threshold: int) -> None:
             f"{TABLE_BUDGET_BYTES >> 20} MiB budget")
 
 
+# Per-client rewards nums[i] / den, nums in the order of inst.clients.
+ScaledRewards = Tuple[Sequence[int], int]
+
+
 @dataclass(frozen=True)
 class PricingQuery:
     """One pricing call: per-client rewards plus a budget kind.
@@ -65,7 +71,7 @@ class PricingQuery:
     reward).
     """
 
-    rewards: Mapping[int, Fraction]
+    rewards: ScaledRewards
     budget_kind: str
     budget: int = 0
 
@@ -181,12 +187,28 @@ class HKTable:
 
 def _scaled_rewards(clients: Sequence[int],
                     rewards: Mapping[int, Fraction]) -> Tuple[List[int], int]:
-    """Clear denominators: returns per-client integer rewards and the scale."""
+    """Fraction rewards by client id as ScaledRewards, over the lcm of
+    their denominators; a missing client gets 0."""
     fr = [Fraction(rewards.get(v, 0)) for v in clients]
     if any(f < 0 for f in fr):
         raise ValueError("rewards must be nonnegative")
     den = math.lcm(*(f.denominator for f in fr)) if fr else 1
     return [int(f * den) for f in fr], den
+
+
+def _checked_rewards(rewards: ScaledRewards,
+                     clients: Sequence[int]) -> Tuple[List[int], int]:
+    """nums as a list and den, or ValueError unless there is one
+    nonnegative integer per client over a positive integer den."""
+    nums, den = rewards
+    nums = list(nums)
+    if len(nums) != len(clients):
+        raise ValueError(f"{len(nums)} rewards for {len(clients)} clients")
+    if type(den) is not int or den < 1:
+        raise ValueError(f"reward denominator {den!r} is not a positive int")
+    if any(type(x) is not int or x < 0 for x in nums):
+        raise ValueError("rewards must be nonnegative integers")
+    return nums, den
 
 
 def _reward_sums(nums: List[int], np):
@@ -205,7 +227,7 @@ def _table(inst: Instance, table: Optional[HKTable], threshold: int) -> HKTable:
     return HKTable(inst, threshold=threshold)
 
 
-def _max_reward_scan(inst: Instance, rewards: Mapping[int, Fraction],
+def _max_reward_scan(inst: Instance, rewards: ScaledRewards,
                      budget: int, kind: str, table: Optional[HKTable],
                      threshold: int) -> PricedPath:
     """Max-reward rooted path whose regret or length is at most budget."""
@@ -214,7 +236,7 @@ def _max_reward_scan(inst: Instance, rewards: Mapping[int, Fraction],
     t = _table(inst, table, threshold)
     import numpy as np
 
-    nums, den = _scaled_rewards(t.clients, rewards)
+    nums, den = _checked_rewards(rewards, t.clients)
     sums = _reward_sums(nums, np)
     values = t.min_regret if kind == "regret" else t.min_length
     feasible = np.flatnonzero(values <= budget)
@@ -230,7 +252,7 @@ def _max_reward_scan(inst: Instance, rewards: Mapping[int, Fraction],
     return PricedPath(t.path_for(mask, end), Fraction(best, den))
 
 
-def exact_orienteering(inst: Instance, rewards: Mapping[int, Fraction], budget: int,
+def exact_orienteering(inst: Instance, rewards: ScaledRewards, budget: int,
                        table: Optional[HKTable] = None,
                        threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
     """Max-reward rooted path with regret at most budget; exact.
@@ -241,14 +263,14 @@ def exact_orienteering(inst: Instance, rewards: Mapping[int, Fraction], budget: 
     return _max_reward_scan(inst, rewards, budget, "regret", table, threshold)
 
 
-def exact_length_budget(inst: Instance, rewards: Mapping[int, Fraction], budget: int,
+def exact_length_budget(inst: Instance, rewards: ScaledRewards, budget: int,
                         table: Optional[HKTable] = None,
                         threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
     """Max-reward rooted path with total length at most budget; exact."""
     return _max_reward_scan(inst, rewards, budget, "length", table, threshold)
 
 
-def exact_min_excess_pricing(inst: Instance, rewards: Mapping[int, Fraction],
+def exact_min_excess_pricing(inst: Instance, rewards: ScaledRewards,
                              table: Optional[HKTable] = None,
                              threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
     """Minimize regret(P) - reward(P) over rooted paths; exact.
@@ -260,7 +282,7 @@ def exact_min_excess_pricing(inst: Instance, rewards: Mapping[int, Fraction],
     t = _table(inst, table, threshold)
     import numpy as np
 
-    nums, den = _scaled_rewards(t.clients, rewards)
+    nums, den = _checked_rewards(rewards, t.clients)
     sums = _reward_sums(nums, np)[1:]
     regret = t.min_regret[1:]           # the empty mask is the trivial path
     if not len(regret):
@@ -317,10 +339,10 @@ def heuristic_pricing(inst: Instance, query: PricingQuery) -> PricedPath:
     regret or length budget it can never strictly improve, and that scan is
     skipped.
 
-    Moves are scored by integer deltas, not by rebuilding the path:
-    rewards are scaled by the lcm of their denominators, and the search
-    tracks the path's cost, its scaled reward sum and its scaled objective
-    (the reward sum, or regret·den − reward sum for min_excess).  Inserting
+    Moves are scored by integer deltas, not by rebuilding the path: the
+    search tracks the path's cost, its scaled reward sum and its scaled
+    objective (the reward sum, or regret·den − reward sum for min_excess),
+    all in the query's integer rewards.  Inserting
     v between a and b adds d[a][v] + d[v][b] − d[a][b]; appending adds
     d[end][v].  Reversing nodes[i..j] after a and before b adds
     d[a][nodes[j]] − d[a][nodes[i]] + d[nodes[i]][b] − d[nodes[j]][b]
@@ -330,13 +352,13 @@ def heuristic_pricing(inst: Instance, query: PricingQuery) -> PricedPath:
     tracked ones; a nontrivial result satisfies the budget exactly, and
     the trivial path (value 0) is returned when nothing else is feasible.
 
-    Rewards must be nonnegative (ValueError).  Used when the client count
-    exceeds the exact threshold; the caller must then report the LP as
-    unverified.
+    Rewards must be nonnegative integers over a positive den
+    (ValueError).  Used when the client count exceeds the exact threshold;
+    the caller must then report the LP as unverified.
     """
     kind, budget = query.budget_kind, query.budget
     clients = inst.clients
-    nums, den = _scaled_rewards(clients, query.rewards)
+    nums, den = _checked_rewards(query.rewards, clients)
     if kind not in ("regret", "length", "min_excess"):
         raise ValueError(f"unknown budget kind {kind!r}")
     excess = kind == "min_excess"

@@ -7,7 +7,6 @@ doubling DP or an LP partition, per-node bounds via regret classes, and
 k-path covers via the count-capped LP.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -16,7 +15,7 @@ from .core import (Instance, RootedPath, InfeasibleError, _as_int,
                    induced_instance, zero_regret_cover)
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
-from .pricing import HKTable, OracleUnavailableError
+from .pricing import HKTable
 from .rounding import round_minsum, round_rvrp
 
 
@@ -357,6 +356,7 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
     covered = set().union(*(p.node_set for p in paths))
     assert covered >= set(inst.clients)
     diagnostics.update(lp_value=float(sol.value), lp_certified=sol.certified,
+                       lp_rounds=sol.rounds, lp_pivots=sol.pivots,
                        support_weight=float(kstar),
                        parts=part_info, path_count=len(paths))
     return paths

@@ -12,7 +12,7 @@ value and serves both the count-bounded and the regret-sum solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -429,6 +429,8 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
     diag: dict = {
         "lp_value": float(sol.value),
         "lp_certified": sol.certified,
+        "lp_rounds": sol.rounds,
+        "lp_pivots": sol.pivots,
         "forest_cost": ws.forest_cost,
         "tours_cost": ws.tours_cost,
         "components": len(ws.components),
@@ -493,7 +495,8 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
     if R == 0:
         paths = zero_regret_cover(inst, inst.clients)
         diagnostics.update(lp_value=float(sol.value),
-                           lp_certified=sol.certified, path_count=len(paths),
+                           lp_certified=sol.certified, lp_rounds=sol.rounds,
+                           lp_pivots=sol.pivots, path_count=len(paths),
                            max_regret=0, total_regret=0)
         return paths
     delta = Fraction(threshold) if threshold is not None else default_threshold()

@@ -3,15 +3,26 @@
 This is the dense two-phase simplex over ``fractions.Fraction`` that
 ``regret_route.exactlp.CoveringMaster`` replaced with integer-preserving
 updates.  Both use Bland's entering rule and the same (ratio, basis index)
-leaving tie-break, so the tests require every ``MasterSolution`` field,
-the cumulative pivot count included, to agree exactly.
+leaving tie-break, so the tests require every field of its
+``MasterSolution`` to agree exactly with the Fraction views of the integer
+master's, the cumulative pivot count included.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from regret_route.core import SolverError
-from regret_route.exactlp import MasterSolution
+
+
+@dataclass
+class MasterSolution:
+    value: Fraction
+    weights: List[Fraction]          # one per structural column, in add order
+    duals: Dict[int, Fraction]       # coverage dual per client id
+    budget_dual: Optional[Fraction]  # None when there is no budget row
+    pivots: int
+
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

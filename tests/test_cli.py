@@ -61,6 +61,11 @@ def test_solve_errors_exit_one(tmp_path, capsys):
     assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
                    "--exact-threshold", "40") == 1
     assert "budget" in capsys.readouterr().err
+    # a rounding threshold passed to a solver that rounds nothing
+    assert run_cli("solve", "mult", "--instance", inst, "--ratio", "3/2",
+                   "--threshold", "1/3") == 1
+    assert ("error: solver 'mult' takes no rounding threshold"
+            in capsys.readouterr().err)
 
 
 def test_missing_required_param_exits_nonzero(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from master_reference import ReferenceMaster
 from regret_route.core import SolverError
 from regret_route.exactlp import CoveringMaster
+from regret_route.pricing import _scaled_rewards
 
 
 def test_single_column_cover():
@@ -143,6 +144,13 @@ def _random_script(rng):
     return clients, budget, batches
 
 
+def _fields(res):
+    """A solution's Fraction views, or an error type as it is."""
+    if isinstance(res, type):
+        return res
+    return res.value, res.weights, res.duals, res.budget_dual, res.pivots
+
+
 def _run(cls, clients, budget, batches):
     out = []
     try:
@@ -163,8 +171,9 @@ def test_matches_fraction_reference_on_randoms():
         clients, budget, batches = _random_script(rng)
         got = _run(CoveringMaster, clients, budget, batches)
         want = _run(ReferenceMaster, clients, budget, batches)
-        assert got == want, (clients, budget, batches)
-        for res in got:
+        assert ([_fields(r) for r in got] == [_fields(r) for r in want]), (
+            clients, budget, batches)
+        for res, ref in zip(got, want):
             if isinstance(res, type):
                 kinds.add(res.__name__)
                 continue
@@ -172,6 +181,14 @@ def test_matches_fraction_reference_on_randoms():
             assert type(res.value) is Fraction
             assert all(type(w) is Fraction for w in res.weights)
             assert all(type(y) is Fraction for y in res.duals.values())
+            # The integer duals are det times the reference's, and the
+            # rewards handed to the pricers are those duals over the lcm of
+            # their denominators.
+            assert res.y[:len(clients)] == [res.det * ref.duals[v]
+                                            for v in clients]
+            if budget is not None:
+                assert res.y[-1] == -res.det * ref.budget_dual
+            assert res.coverage_duals == _scaled_rewards(clients, ref.duals)
     # the seed reaches both shapes and the infeasible outcomes
     assert kinds == {"budget", "plain", "SolverError"}
 
@@ -180,23 +197,32 @@ def test_negative_pivot_driving_out_an_artificial():
     # One client under a budget of 1 and one zero-cost column: phase 1 ends
     # with the artificial basic at zero, and the surplus column replaces it
     # on a pivot element of -1.
-    elements = []
+    # The maintained det * y is negated with the rows and still equals
+    # c_B * adj for the phase 1 costs afterwards.
+    elements, exact = [], []
     pivot = CoveringMaster._pivot
+    drive_out = CoveringMaster._drive_out_artificials
 
-    def spy(self, r, j, alpha):
+    def spy(self, r, j, alpha, reduced):
         elements.append(alpha[r])
-        pivot(self, r, j, alpha)
+        pivot(self, r, j, alpha, reduced)
+
+    def checked_drive_out(self, costs):
+        drive_out(self, costs)
+        exact.append(self._y == self._duals_for(costs))
 
     master = CoveringMaster([1], budget=1)
     master._pivot = spy.__get__(master)
+    master._drive_out_artificials = checked_drive_out.__get__(master)
     master.add_column([1], 0)
     master.add_column([1], 3)
     got = master.solve()
     assert min(elements) < 0
+    assert exact == [True]
     ref = ReferenceMaster([1], budget=Fraction(1))
     ref.add_column([1], Fraction(0))
     ref.add_column([1], Fraction(3))
-    assert got == ref.solve()
+    assert _fields(got) == _fields(ref.solve())
     assert got.value == 0 and got.weights == [1, 0]
     assert master._det > 0
 
@@ -217,9 +243,10 @@ def test_integral_fractions_and_floats_accepted():
     assert sol.value == 3 and sol.budget_dual == 0
 
 
-@pytest.mark.parametrize("corrupt", ["xb", "adj", "det"])
+@pytest.mark.parametrize("corrupt", ["xb", "adj", "det", "y"])
 def test_certificate_checks_original_columns(corrupt):
-    # A damaged inverse or basic vector must not reach a MasterSolution.
+    # A damaged inverse, basic vector or maintained det * y must not reach
+    # a MasterSolution.
     master = CoveringMaster([1, 2, 3], budget=2)
     for covered, cost in (([1, 2], 1), ([2, 3], 1), ([1, 3], 1), ([3], 0)):
         master.add_column(covered, cost)
@@ -228,6 +255,8 @@ def test_certificate_checks_original_columns(corrupt):
         master._xb[0] += 1
     elif corrupt == "adj":
         master._adj[0] = [x + 1 for x in master._adj[0]]
+    elif corrupt == "y":
+        master._y[0] += 1
     else:
         master._det += 1
     with pytest.raises(SolverError):

@@ -25,6 +25,7 @@ from regret_route.harness import (
     run_suite,
     verify,
 )
+from regret_route.lp import solve_rvrp_lp
 from regret_route.pricing import (DEFAULT_EXACT_THRESHOLD,
                                   OracleUnavailableError)
 
@@ -255,6 +256,16 @@ def test_verify_flags_each_failure_kind():
         verify(inst, [[0, 1]], "walks", {})
 
 
+@pytest.mark.parametrize("mode, key", [("rvrp", "regret"), ("dvrp", "dist"),
+                                       ("multiplicative", "ratio"),
+                                       ("nonuniform", "bounds")])
+def test_verify_without_its_parameter_is_refused(mode, key):
+    inst = gen_line([0, 1])
+    for params in (None, {}, {key: None}):
+        with pytest.raises(ValueError, match=f"{mode!r} requires the {key!r}"):
+            verify(inst, [[0, 1]], mode, params)
+
+
 def test_verify_recomputes_from_the_matrix():
     inst = gen_line([0, 1, 2])
     report = verify(inst, [(0, 1), (0, 2)], "rvrp", {"regret": 0})
@@ -273,10 +284,14 @@ def test_run_job_report_shape():
     report = run_job(job, timings=True)
     for key in ("id", "solver", "n", "params", "count", "total_regret",
                 "max_regret", "max_length", "ok", "failures", "lp_value",
-                "lp_certified", "bound_checks", "oracle", "ratio", "wall_ms"):
+                "lp_certified", "lp_rounds", "lp_pivots", "bound_checks",
+                "oracle", "ratio", "wall_ms"):
         assert key in report, key
     assert report["ok"] and not report["failures"]
     assert report["lp_certified"] is True
+    lp = solve_rvrp_lp(inst, 1)
+    assert (report["lp_rounds"], report["lp_pivots"]) == (lp.rounds, lp.pivots)
+    assert lp.rounds >= 1 and lp.pivots >= 1
     assert report["count"] >= report["oracle"] >= 1
     assert type(report["oracle"]) is int
     assert report["ratio"] == round(report["count"] / report["oracle"], 6)
@@ -313,6 +328,20 @@ def test_solver_table_row(solver):
         measured = {"count": len(paths),
                     "max_regret": max(p.regret for p in paths)}
         assert measured[ORACLES[SOLVERS[solver][3]][2]] >= opt
+
+
+def test_rounding_threshold_only_where_the_row_takes_one():
+    inst = gen_line([0, 1, 2])
+    assert [name for name, row in SOLVERS.items() if row.threshold] == ["rvrp"]
+    assert run_solver("rvrp", inst, {"regret": 1, "threshold": "1/3"})
+    for name, row in SOLVERS.items():
+        if row.threshold:
+            continue
+        params = {row.param: {"regret": 1, "dist": 4, "ratio": "3/2",
+                              "k": 2, "bounds": {1: 1, 2: 1}}[row.param],
+                  "threshold": "1/3"}
+        with pytest.raises(ValueError, match="takes no rounding threshold"):
+            run_solver(name, inst, params)
 
 
 def test_unknown_solver_is_refused():

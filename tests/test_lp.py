@@ -7,13 +7,13 @@ import pytest
 
 from regret_route.core import (InfeasibleError, Instance, RootedPath,
                                SolverError)
+from regret_route.exactlp import CoveringMaster
 from regret_route.harness import (brute_force_lp, brute_force_rvrp,
                                   gen_euclidean, gen_ladder, gen_line,
                                   gen_random_metric)
 from regret_route.lp import (FractionalSolution, column_generation,
                              preprocess_fractional, solve_dvrp_lp,
-                             solve_minsum_lp, solve_restricted_master,
-                             solve_rvrp_lp)
+                             solve_minsum_lp, solve_rvrp_lp)
 
 
 def test_fractional_solution_bookkeeping():
@@ -116,7 +116,10 @@ def test_restricted_master_on_fixed_columns():
     cols = [RootedPath.build(inst, [0, 1]),
             RootedPath.build(inst, [0, 2]),
             RootedPath.build(inst, [0, 1, 2])]
-    sol = solve_restricted_master(inst, cols, objective="count")
+    master = CoveringMaster(list(inst.clients))
+    for p in cols:
+        master.add_column(p.nodes[1:], 1)
+    sol = master.solve()
     assert sol.value == 1
     assert sum(sol.weights) == 1
     # the combined column carries everything; duals certify it
@@ -199,3 +202,29 @@ def test_pivot_count_reaches_solution(monkeypatch):
     sol = solve_rvrp_lp(gen_ladder(3), 1)
     assert sol.rounds == len(seen) > 1
     assert sol.pivots == seen[-1] > 0
+
+
+def test_duals_are_recomputed_once_per_solve(monkeypatch):
+    # det * y is kept across pivots: c_B * adj is computed when each phase
+    # starts and once per solve for the certificate, never per pivot.
+    from regret_route import exactlp
+    calls = {"duals": 0, "solves": 0}
+    duals_for = exactlp.CoveringMaster._duals_for
+    solve = exactlp.CoveringMaster.solve
+
+    def counting_duals(self, costs):
+        calls["duals"] += 1
+        return duals_for(self, costs)
+
+    def counting_solve(self):
+        calls["solves"] += 1
+        return solve(self)
+
+    monkeypatch.setattr(exactlp.CoveringMaster, "_duals_for", counting_duals)
+    monkeypatch.setattr(exactlp.CoveringMaster, "solve", counting_solve)
+    inst = gen_euclidean(21, 5)
+    assert len(inst.clients) == 20
+    sol = solve_rvrp_lp(inst, max(inst.root_dist) // 4)
+    assert sol.rounds == calls["solves"] > 1
+    assert sol.pivots > 2 * calls["solves"]
+    assert calls["duals"] <= calls["solves"] + 2

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,16 @@ from regret_route.pricing import (
     exact_orienteering,
     heuristic_pricing,
 )
+
+
+def ints(inst, rewards):
+    """Fraction rewards by client id in the pricers' integer form."""
+    return pricing._scaled_rewards(list(inst.clients), rewards)
+
+
+# The path-rebuilding reference reads Fraction rewards by client id.
+FractionQuery = namedtuple("FractionQuery", "rewards budget_kind budget",
+                           defaults=(0,))
 
 
 def line_instance(positions=(0, 1, 2, 4)):
@@ -108,11 +119,11 @@ def assert_same_table(table, ref):
 
 def assert_same_pricing(inst, table, ref, rewards, budget):
     pairs = [
-        (exact_orienteering(inst, rewards, budget, table=table),
+        (exact_orienteering(inst, ints(inst, rewards), budget, table=table),
          hk_reference.orienteering(ref, rewards, budget)),
-        (exact_length_budget(inst, rewards, budget, table=table),
+        (exact_length_budget(inst, ints(inst, rewards), budget, table=table),
          hk_reference.length_budget(ref, rewards, budget)),
-        (exact_min_excess_pricing(inst, rewards, table=table),
+        (exact_min_excess_pricing(inst, ints(inst, rewards), table=table),
          hk_reference.min_excess(ref, rewards)),
     ]
     for got, want in pairs:
@@ -204,7 +215,8 @@ def test_edges_beyond_int64_keep_exact_python_costs():
                for row, ref_row in zip(cost, ref.cost)
                for c, r in zip(row, ref_row))
     rewards = {v: Fraction(v * factor, 3) for v in base.clients}
-    got = exact_min_excess_pricing(table.inst, rewards, table=table)
+    got = exact_min_excess_pricing(table.inst, ints(table.inst, rewards),
+                                   table=table)
     want = hk_reference.min_excess(ref, {v: Fraction(v, 3)
                                          for v in base.clients})
     assert got.path.nodes == want.path.nodes
@@ -214,22 +226,27 @@ def test_edges_beyond_int64_keep_exact_python_costs():
 def test_orienteering_collects_reachable_rewards():
     inst = line_instance()
     rewards = {v: Fraction(1) for v in inst.clients}
-    res = exact_orienteering(inst, rewards, budget=0)
+    res = exact_orienteering(inst, ints(inst, rewards), budget=0)
     assert res.value == 3                      # the whole line has regret 0
     assert res.path.nodes == (0, 1, 2, 3)
-    res = exact_orienteering(inst, {1: Fraction(5)}, budget=0)
+    res = exact_orienteering(inst, ([5, 0, 0], 1), budget=0)
     assert res.value == 5
     assert res.path.nodes == (0, 1)            # fewer nodes win ties
 
 
 def test_orienteering_zero_rewards_and_validation():
     inst = line_instance()
-    res = exact_orienteering(inst, {}, budget=3)
+    res = exact_orienteering(inst, ([0, 0, 0], 1), budget=3)
     assert res.path.is_trivial and res.value == 0
+    # one nonnegative int per client over a positive int den
+    for bad in (([-1, 0, 0], 1), ([0, 0], 1), ([0, 0, 0], 0),
+                ([0.5, 0, 0], 1), ([0, 0, 0], 1.0)):
+        with pytest.raises(ValueError):
+            exact_orienteering(inst, bad, budget=1)
     with pytest.raises(ValueError):
-        exact_orienteering(inst, {1: Fraction(-1)}, budget=1)
+        exact_orienteering(inst, ([0, 0, 0], 1), budget=-1)
     with pytest.raises(ValueError):
-        exact_orienteering(inst, {}, budget=-1)
+        pricing._scaled_rewards(inst.clients, {1: Fraction(-1)})
 
 
 def test_orienteering_against_enumeration():
@@ -240,7 +257,7 @@ def test_orienteering_against_enumeration():
         rewards = {v: Fraction(rng.randint(0, 5), rng.randint(1, 3))
                    for v in clients}
         budget = rng.randint(0, 25)
-        res = exact_orienteering(inst, rewards, budget)
+        res = exact_orienteering(inst, ints(inst, rewards), budget)
         assert res.path.regret <= budget
         assert res.value == sum(
             (rewards[v] for v in res.path.nodes[1:]), Fraction(0))
@@ -260,6 +277,7 @@ def test_orienteering_against_enumeration():
 def test_length_budget_pricing():
     inst = line_instance()
     rewards = {v: Fraction(1) for v in inst.clients}
+    rewards = ints(inst, rewards)
     assert exact_length_budget(inst, rewards, budget=4).value == 3
     assert exact_length_budget(inst, rewards, budget=2).value == 2
     assert exact_length_budget(inst, rewards, budget=0).value == 0
@@ -269,11 +287,11 @@ def test_min_excess_pricing():
     inst = line_instance()
     # high rewards make the full zero-regret sweep strictly profitable
     rewards = {v: Fraction(2) for v in inst.clients}
-    res = exact_min_excess_pricing(inst, rewards)
+    res = exact_min_excess_pricing(inst, ints(inst, rewards))
     assert res.value == -6
     assert res.path.nodes == (0, 1, 2, 3)
     # no rewards: the empty path is optimal
-    res = exact_min_excess_pricing(inst, {})
+    res = exact_min_excess_pricing(inst, ([0, 0, 0], 1))
     assert res.path.is_trivial and res.value == 0
 
 
@@ -283,7 +301,7 @@ def test_min_excess_against_enumeration():
     clients = list(inst.clients)
     for trial in range(10):
         rewards = {v: Fraction(rng.randint(0, 6), 2) for v in clients}
-        res = exact_min_excess_pricing(inst, rewards)
+        res = exact_min_excess_pricing(inst, ints(inst, rewards))
         best = Fraction(0)
         for r in range(1, len(clients) + 1):
             for combo in itertools.combinations(clients, r):
@@ -297,7 +315,7 @@ def test_min_excess_against_enumeration():
 def test_shared_table_reuse():
     inst = random_instance(6, 5)
     table = HKTable(inst)
-    rewards = {v: Fraction(1) for v in inst.clients}
+    rewards = ints(inst, {v: Fraction(1) for v in inst.clients})
     a = exact_orienteering(inst, rewards, 10, table=table)
     b = exact_orienteering(inst, rewards, 10)
     assert a.path.nodes == b.path.nodes and a.value == b.value
@@ -305,7 +323,7 @@ def test_shared_table_reuse():
 
 def test_heuristic_pricing_feasible_and_counted():
     inst = random_instance(8, 7)
-    rewards = {v: Fraction(1) for v in inst.clients}
+    rewards = ints(inst, {v: Fraction(1) for v in inst.clients})
     res = heuristic_pricing(inst, PricingQuery(
         rewards=rewards, budget_kind="regret", budget=5))
     assert res.path.regret <= 5
@@ -346,12 +364,13 @@ def _heuristic_queries(rng, inst):
             scale = rng.choice((4, 16, 64))   # long paths pay off
             rewards = {v: r * scale for v, r in rewards.items()}
         budget = rng.choice((0, -1, 1, maxd // 4, maxd // 2, maxd, 3 * maxd))
-        yield PricingQuery(rewards=rewards, budget_kind=kind, budget=budget)
+        yield FractionQuery(rewards=rewards, budget_kind=kind, budget=budget)
 
 
 def _assert_same_heuristic(inst, query):
     want = heuristic_reference.heuristic_pricing(inst, query)
-    got = heuristic_pricing(inst, query)
+    got = heuristic_pricing(inst, PricingQuery(
+        ints(inst, query.rewards), query.budget_kind, query.budget))
     assert got.path.nodes == want.path.nodes, query
     assert got.value == want.value, query
     assert type(got.value) is Fraction
@@ -386,24 +405,30 @@ def test_heuristic_matches_reference():
         scale = rng.choice((1, 4, 16))
         rewards = {v: Fraction(rng.randint(0, 30 * scale), rng.randint(1, 3))
                    for v in inst.clients}
-        _assert_same_heuristic(inst, PricingQuery(
+        _assert_same_heuristic(inst, FractionQuery(
             rewards=rewards, budget_kind="min_excess"))
 
 
 def test_heuristic_rejects_unknown_kind_and_negative_rewards():
     inst = random_instance(5, 3)
-    query = PricingQuery(rewards={1: Fraction(1)}, budget_kind="volume")
-    for fn in (heuristic_pricing, heuristic_reference.heuristic_pricing):
-        with pytest.raises(ValueError):
-            fn(inst, query)
+    with pytest.raises(ValueError):
+        heuristic_pricing(inst, PricingQuery(
+            rewards=([1, 0, 0, 0], 1), budget_kind="volume"))
+    with pytest.raises(ValueError):
+        heuristic_reference.heuristic_pricing(inst, FractionQuery(
+            rewards={1: Fraction(1)}, budget_kind="volume"))
     # One rule for every pricer: LP duals are never negative.
-    rewards = {1: Fraction(2), 2: Fraction(-1, 3)}
+    rewards = ([6, -1, 0, 0], 3)
     for kind in KINDS:
         with pytest.raises(ValueError):
             heuristic_pricing(inst, PricingQuery(
                 rewards=rewards, budget_kind=kind, budget=50))
     with pytest.raises(ValueError):
         exact_min_excess_pricing(inst, rewards)
+    with pytest.raises(ValueError):
+        exact_orienteering(inst, rewards, 50)
+    with pytest.raises(ValueError):
+        exact_length_budget(inst, rewards, 50)
 
 
 def test_heuristic_min_excess_value_and_exact_bound():
@@ -414,16 +439,17 @@ def test_heuristic_min_excess_value_and_exact_bound():
         for _ in range(3):
             rewards = {v: Fraction(rng.randint(0, 40), rng.randint(1, 3))
                        for v in inst.clients}
+            scaled = ints(inst, rewards)
             res = heuristic_pricing(inst, PricingQuery(
-                rewards=rewards, budget_kind="min_excess"))
+                rewards=scaled, budget_kind="min_excess"))
             gain = sum((rewards[v] for v in res.path.nodes[1:]), Fraction(0))
             assert res.value == res.path.regret - gain <= 0
-            assert res.value >= exact_min_excess_pricing(inst, rewards).value
+            assert res.value >= exact_min_excess_pricing(inst, scaled).value
 
 
 def test_heuristic_refuses_a_bad_insertion_delta(monkeypatch):
     inst = random_instance(8, 7)
-    rewards = {v: Fraction(1) for v in inst.clients}
+    rewards = ([1] * len(inst.clients), 1)
     query = PricingQuery(rewards=rewards, budget_kind="length", budget=10**6)
     assert heuristic_pricing(inst, query).value == len(inst.clients)
     deltas = pricing._insertion_deltas
