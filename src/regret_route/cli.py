@@ -108,12 +108,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 "error: oracle lp takes exactly one of --regret / --dist")
         kind = "regret" if args.regret is not None else "length"
         bound = args.regret if kind == "regret" else args.dist
-        limit = args.limit if args.limit != ORACLE_LIMIT else LP_ORACLE_LIMIT
+        limit = LP_ORACLE_LIMIT if args.limit is None else args.limit
         value = brute_force_lp(inst, bound, kind=kind, limit=limit)
     else:
         oracle, key, _ = ORACLES[args.kind]
+        limit = ORACLE_LIMIT if args.limit is None else args.limit
         value = oracle(inst, _flag(args, f"oracle {args.kind}", key),
-                       limit=args.limit)
+                       limit=limit)
     _write_json({"oracle": args.kind, "value": value}, args.out)
     return 0
 
@@ -129,8 +130,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    reports = run_suite(args.suite, seed=args.seed, threads=args.threads,
-                        timings=args.timings)
+    reports = run_suite(args.suite, seed=args.seed, timings=args.timings)
     _write_text(reports_to_jsonl(reports), args.out)
     bad = [r["id"] for r in reports if not r["ok"]]
     if bad:
@@ -188,8 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--regret", type=int)
     oracle.add_argument("--dist", type=int)
     oracle.add_argument("--k", type=int)
-    oracle.add_argument("--limit", type=int, default=ORACLE_LIMIT,
-                        help="largest client count to attempt")
+    oracle.add_argument("--limit", type=int,
+                        help=f"largest client count to attempt (default "
+                             f"{LP_ORACLE_LIMIT} for lp, else {ORACLE_LIMIT})")
     oracle.add_argument("--out", help="output file (default stdout)")
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -207,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a suite to JSON lines")
     bench.add_argument("--suite", required=True, choices=sorted(SUITES))
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default REGRET_ROUTE_THREADS or 1)")
     bench.add_argument("--timings", action="store_true",
                        help="include wall_ms (breaks byte determinism)")
     bench.add_argument("--out", help="output file (default stdout)")

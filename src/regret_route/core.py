@@ -32,6 +32,13 @@ class SolverError(RegretRouteError):
     """Internal failure that theory says should not happen; a bug signal."""
 
 
+def require(cond: bool, msg: str) -> None:
+    """Raise SolverError(msg) unless cond; a certificate ``python -O``
+    keeps, unlike an assert."""
+    if not cond:
+        raise SolverError(msg)
+
+
 def _as_int(x) -> int:
     # Accept ints and integral numpy scalars / floats; reject anything else.
     if isinstance(x, bool):
@@ -171,20 +178,6 @@ def regret_distance(inst: Instance, u: int, v: int) -> int:
     return inst.root_dist[u] + inst.dist[u][v] - inst.root_dist[v]
 
 
-def path_regret(inst: Instance, path) -> int:
-    """Regret of a rooted path, recomputed from its node sequence.
-
-    Accepts a RootedPath or a raw node sequence; malformed sequences raise
-    MalformedPathError. Equals the sum of edge regret lengths and also
-    cost(P) - D_end.
-    """
-    nodes = path.nodes if isinstance(path, RootedPath) else path
-    p = RootedPath.build(inst, nodes)
-    total = sum(regret_distance(inst, u, v) for u, v in zip(p.nodes, p.nodes[1:]))
-    assert total == p.regret
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeColoring:
     """Red/blue labels for the edges of one rooted path.
@@ -215,7 +208,7 @@ def classify_edges(inst: Instance, path: RootedPath) -> EdgeColoring:
     """Label each path edge red or blue via prefix-max / suffix-min of D.
 
     The total cost of red edges is at most 1.5x the path regret; this is
-    asserted on output.
+    checked on output.
     """
     nodes = path.nodes
     D = inst.root_dist
@@ -251,7 +244,8 @@ def classify_edges(inst: Instance, path: RootedPath) -> EdgeColoring:
                             red_intervals=tuple(intervals),
                             span_nodes=span_nodes,
                             _pos={v: i for i, v in enumerate(nodes)})
-    assert 2 * coloring.red_cost(inst) <= 3 * path.regret
+    require(2 * coloring.red_cost(inst) <= 3 * path.regret,
+            f"red edges of {nodes} cost more than 1.5x its regret")
     return coloring
 
 
@@ -281,9 +275,10 @@ def split_by_regret(inst: Instance, path: RootedPath, R: int) -> List[RootedPath
             current.append(v)
     groups.append(current)
     out = [RootedPath.build(inst, g) for g in groups]
-    assert len(out) <= -(-path.regret // R)
-    assert all(p.regret <= R for p in out)
-    assert set().union(*(p.node_set for p in out)) == path.node_set
+    require(len(out) <= -(-path.regret // R), "split made too many paths")
+    require(all(p.regret <= R for p in out), f"split left regret above {R}")
+    require(set().union(*(p.node_set for p in out)) == path.node_set,
+            "split lost nodes")
     return out
 
 
@@ -312,9 +307,12 @@ def preprocess_path_pair(inst: Instance, path: RootedPath) -> Tuple[RootedPath, 
         return first, first
     tail = tuple(reversed(path.nodes[j:]))
     second = RootedPath.build(inst, (inst.root,) + tail)
-    assert first.cost <= path.cost and second.cost <= path.cost
-    assert first.regret <= path.regret and second.regret <= path.regret
-    assert first.end == second.end == v
+    require(max(first.cost, second.cost) <= path.cost,
+            f"preprocessing {path.nodes} raised its cost")
+    require(max(first.regret, second.regret) <= path.regret,
+            f"preprocessing {path.nodes} raised its regret")
+    require(first.end == second.end == v,
+            f"preprocessed paths do not both end at {v}")
     return first, second
 
 
@@ -325,17 +323,23 @@ def shortcut(inst: Instance, path: RootedPath, keep: Iterable[int]) -> RootedPat
         raise ValueError("keep contains nodes not on the path")
     nodes = [path.nodes[0]] + [v for v in path.nodes[1:] if v in keep]
     out = RootedPath.build(inst, nodes)
-    assert out.cost <= path.cost and out.regret <= path.regret
+    require(out.cost <= path.cost and out.regret <= path.regret,
+            f"shortcut of {path.nodes} costs more than the path")
     return out
 
 
 def tight_arcs(inst: Instance) -> List[Tuple[int, int]]:
-    """Arcs (u, v) with D_u + c_uv = D_v; exactly the zero-regret edges."""
+    """Arcs (u, v) with D_u + c_uv = D_v; exactly the zero-regret edges.
+
+    Between co-located clients (c_uv = 0) only the arc from the smaller
+    (D, id) is kept, so the arcs form a DAG; arcs out of the root all stay.
+    """
     D = inst.root_dist
     arcs = []
     for u in range(inst.n):
         for v in inst.clients:
-            if u != v and D[u] + inst.dist[u][v] == D[v]:
+            if (u != v and D[u] + inst.dist[u][v] == D[v] and
+                    (u == inst.root or (D[u], u) < (D[v], v))):
                 arcs.append((u, v))
     return arcs
 
@@ -343,9 +347,9 @@ def tight_arcs(inst: Instance) -> List[Tuple[int, int]]:
 def zero_regret_cover(inst: Instance, targets: Iterable[int]) -> List[RootedPath]:
     """Minimum number of zero-regret rooted paths covering the target nodes.
 
-    A zero-regret path can only use tight arcs, which form a DAG (D strictly
-    increases), so this is a minimum path cover with node lower bounds,
-    solved as a min-cost circulation.
+    A zero-regret path can only use tight arcs, which form a DAG ((D, id)
+    strictly increases), so this is a minimum path cover with node lower
+    bounds, solved as a min-cost circulation.
     """
     from .flows import MinCostCirculation
 
@@ -399,9 +403,11 @@ def zero_regret_cover(inst: Instance, targets: Iterable[int]) -> List[RootedPath
             seq.append(nxt)
             u = nxt
         paths.append(RootedPath.build(inst, seq))
-    assert all(p.regret == 0 for p in paths)
+    require(all(p.regret == 0 for p in paths),
+            "zero-regret cover has a path with positive regret")
     covered = set().union(*(p.node_set for p in paths)) if paths else set()
-    assert covered >= set(targets)
+    require(covered >= set(targets), "zero-regret cover left targets "
+            f"{sorted(set(targets) - covered)} uncovered")
     return paths
 
 
@@ -433,73 +439,6 @@ def _floyd(d: List[List[int]]) -> None:
                 alt = uw + dw[v]
                 if alt < du[v]:
                     du[v] = alt
-
-
-def normalize_instance(dist, root: int = 0, meta: dict | None = None) -> Instance:
-    """Build a normalized Instance from a raw symmetric integer matrix.
-
-    Takes the metric closure, then merges zero-distance node groups onto
-    their smallest member (the root's group keeps the root). The original
-    id -> new id map is recorded in meta["merge_map"] so solutions can be
-    expanded back. Already-metric input with no zero pairs comes through
-    unchanged.
-    """
-    rows = [[_as_int(x) for x in row] for row in dist]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidInstanceError("distance matrix is not square")
-    if not 0 <= root < n:
-        raise InvalidInstanceError(f"root {root} out of range")
-    for u in range(n):
-        if rows[u][u] != 0:
-            raise InvalidInstanceError(f"nonzero diagonal at node {u}")
-        for v in range(n):
-            if rows[u][v] != rows[v][u]:
-                raise InvalidInstanceError(f"asymmetric entry ({u},{v})")
-            if rows[u][v] < 0:
-                raise InvalidInstanceError(f"negative distance ({u},{v})")
-    _floyd(rows)
-
-    # Union zero-distance pairs; group representative is the smallest id,
-    # except the root's group which is represented by the root.
-    rep = list(range(n))
-
-    def find(x: int) -> int:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rows[u][v] == 0:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    rep[max(ru, rv)] = min(ru, rv)
-    groups: Dict[int, List[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    reps = sorted(groups)
-    new_id = {r: i for i, r in enumerate(reps)}
-    merge_map = [new_id[find(v)] for v in range(n)]
-    m = len(reps)
-    new_rows = [[rows[reps[i]][reps[j]] for j in range(m)] for i in range(m)]
-    out_meta = dict(meta or {})
-    if m != n:
-        out_meta["merge_map"] = merge_map
-    return Instance.from_matrix(new_rows, root=merge_map[root], meta=out_meta)
-
-
-def expand_merged(paths: Iterable[Sequence[int]], merge_map: Sequence[int]) -> List[List[int]]:
-    """Map paths over merged ids back to original ids.
-
-    Each merged node expands to its whole zero-distance group (smallest
-    original id first); the groups are co-located so costs are unchanged.
-    """
-    groups: Dict[int, List[int]] = {}
-    for orig, new in enumerate(merge_map):
-        groups.setdefault(new, []).append(orig)
-    return [[orig for v in p for orig in groups[v]] for p in paths]
 
 
 def induced_instance(inst: Instance, keep: Iterable[int]) -> Tuple[Instance, List[int]]:

@@ -8,10 +8,8 @@ matrix, and the experiment runner behind the command line.
 
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -403,7 +401,7 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     threshold = params.get("threshold")
     if threshold is not None and not row.threshold:
         raise ValueError(f"solver {solver!r} takes no rounding threshold")
-    if threshold:
+    if threshold is not None:
         kwargs["threshold"] = Fraction(threshold)
     paths = getattr(reductions, row.function)(inst, params[row.param],
                                               **kwargs)
@@ -572,21 +570,11 @@ SUITES = {"smoke": _suite_smoke, "rvrp": _suite_rvrp, "caps": _suite_caps,
           "heuristic": _suite_heuristic}
 
 
-def run_suite(name: str, seed: int = 0, threads: Optional[int] = None,
-              timings: bool = False) -> List[dict]:
-    """Run a named suite; reports come back in job order regardless of
-    how many workers executed them (REGRET_ROUTE_THREADS caps the pool)."""
+def run_suite(name: str, seed: int = 0, timings: bool = False) -> List[dict]:
+    """Run a named suite; reports come back in job order."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    jobs = SUITES[name](seed)
-    if threads is None:
-        threads = int(os.environ.get("REGRET_ROUTE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda j: run_job(j, timings), jobs))
-    else:
-        reports = [run_job(j, timings) for j in jobs]
-    return reports
+    return [run_job(j, timings) for j in SUITES[name](seed)]
 
 
 def reports_to_jsonl(reports: Iterable[Mapping]) -> str:

@@ -17,17 +17,16 @@ uncertified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (Instance, InfeasibleError, RootedPath, SolverError, _as_int,
                    farthest_node, preprocess_path_pair)
 from .exactlp import CoveringMaster, MasterSolution
-from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable, OracleUnavailableError,
-                      PricingQuery, ScaledRewards, exact_length_budget,
-                      exact_min_excess_pricing, exact_orienteering,
-                      heuristic_pricing)
+from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable, ScaledRewards,
+                      exact_length_budget, exact_min_excess_pricing,
+                      exact_orienteering, heuristic_pricing)
 
 ZERO = Fraction(0)
 
@@ -48,7 +47,6 @@ class FractionalSolution:
     certified: bool
     rounds: int = 0
     pivots: int = 0                      # the master's cumulative pivots
-    trace: List[dict] = field(default_factory=list)
 
     @property
     def total_weight(self) -> Fraction:
@@ -144,24 +142,22 @@ def _empty_solution(inst: Instance, objective: str,
 def _price(inst: Instance, rewards: ScaledRewards, z: Fraction,
            objective: str, column_bound: Optional[Tuple[str, int]],
            exact: bool, table: Optional[HKTable],
-           threshold: int) -> Tuple[RootedPath, Fraction, bool]:
-    """Returns (path, pricing value, improving?)."""
+           threshold: int) -> Tuple[RootedPath, bool]:
+    """Returns (path, improving?)."""
     if column_bound is not None:
         kind, limit = column_bound
         if exact:
             fn = exact_orienteering if kind == "regret" else exact_length_budget
             res = fn(inst, rewards, limit, table=table, threshold=threshold)
         else:
-            res = heuristic_pricing(inst, PricingQuery(
-                rewards=rewards, budget_kind=kind, budget=limit))
-        return res.path, res.value, res.value > 1
+            res = heuristic_pricing(inst, rewards, kind, limit)
+        return res.path, res.value > 1
     if exact:
         res = exact_min_excess_pricing(inst, rewards, table=table,
                                        threshold=threshold)
     else:
-        res = heuristic_pricing(inst, PricingQuery(
-            rewards=rewards, budget_kind="min_excess"))
-    return res.path, res.value, res.value < -z
+        res = heuristic_pricing(inst, rewards, "min_excess")
+    return res.path, res.value < -z
 
 
 def column_generation(inst: Instance, objective: str,
@@ -178,10 +174,7 @@ def column_generation(inst: Instance, objective: str,
     exact = len(clients) <= exact_threshold
     table = hk_table
     if exact and table is None:
-        try:
-            table = HKTable(inst, threshold=exact_threshold)
-        except OracleUnavailableError:
-            exact = False
+        table = HKTable(inst, threshold=exact_threshold)
 
     master = CoveringMaster(clients, budget=count_cap)
     columns: List[RootedPath] = []
@@ -192,7 +185,6 @@ def column_generation(inst: Instance, objective: str,
             columns.append(p)
             master.add_column(p.nodes[1:], _column_cost(p, objective))
 
-    trace: List[dict] = []
     prev_value: Optional[Fraction] = None
     sol: Optional[MasterSolution] = None
     rounds = 0
@@ -205,12 +197,9 @@ def column_generation(inst: Instance, objective: str,
             raise SolverError("restricted master value increased")
         prev_value = sol.value
         z = sol.budget_dual if sol.budget_dual is not None else ZERO
-        path, pricing_value, improving = _price(
+        path, improving = _price(
             inst, sol.coverage_duals, z, objective, column_bound, exact, table,
             exact_threshold)
-        trace.append({"round": rounds, "value": float(sol.value),
-                      "pricing": float(pricing_value),
-                      "columns": len(columns)})
         if not improving:
             break
         if path.nodes in seen:
@@ -226,7 +215,7 @@ def column_generation(inst: Instance, objective: str,
         inst=inst, columns=columns, weights=list(sol.weights),
         value=sol.value, duals=dict(sol.duals), budget_dual=sol.budget_dual,
         objective=objective, column_bound=column_bound, count_cap=count_cap,
-        certified=exact, rounds=rounds, pivots=sol.pivots, trace=trace)
+        certified=exact, rounds=rounds, pivots=sol.pivots)
     result.validate()
     return result
 

@@ -28,10 +28,9 @@ exact threshold) do not pay for it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import Instance, RegretRouteError, RootedPath, SolverError
 
@@ -60,20 +59,6 @@ def check_exact_threshold(threshold: int) -> None:
 
 # Per-client rewards nums[i] / den, nums in the order of inst.clients.
 ScaledRewards = Tuple[Sequence[int], int]
-
-
-@dataclass(frozen=True)
-class PricingQuery:
-    """One pricing call: per-client rewards plus a budget kind.
-
-    budget_kind is "regret" (paths with regret <= budget), "length"
-    (cost <= budget), or "min_excess" (no budget; minimize regret minus
-    reward).
-    """
-
-    rewards: ScaledRewards
-    budget_kind: str
-    budget: int = 0
 
 
 @dataclass(frozen=True)
@@ -183,17 +168,6 @@ class HKTable:
             i = nxt
         seq.append(self.inst.root)
         return RootedPath.build(self.inst, reversed(seq))
-
-
-def _scaled_rewards(clients: Sequence[int],
-                    rewards: Mapping[int, Fraction]) -> Tuple[List[int], int]:
-    """Fraction rewards by client id as ScaledRewards, over the lcm of
-    their denominators; a missing client gets 0."""
-    fr = [Fraction(rewards.get(v, 0)) for v in clients]
-    if any(f < 0 for f in fr):
-        raise ValueError("rewards must be nonnegative")
-    den = math.lcm(*(f.denominator for f in fr)) if fr else 1
-    return [int(f * den) for f in fr], den
 
 
 def _checked_rewards(rewards: ScaledRewards,
@@ -326,8 +300,13 @@ def _first_reversal(dist, D: Sequence[int],
     return None
 
 
-def heuristic_pricing(inst: Instance, query: PricingQuery) -> PricedPath:
-    """Greedy insertion plus 2-opt under the query's budget; no optimality.
+def heuristic_pricing(inst: Instance, rewards: ScaledRewards,
+                      budget_kind: str, budget: int = 0) -> PricedPath:
+    """Greedy insertion plus 2-opt under a budget; no optimality.
+
+    budget_kind is "regret" (paths with regret <= budget), "length"
+    (cost <= budget), or "min_excess" (no budget; minimize regret minus
+    reward).
 
     Each step inserts the free client at the position that improves the
     objective most, trying clients in ascending id and positions from the
@@ -342,7 +321,7 @@ def heuristic_pricing(inst: Instance, query: PricingQuery) -> PricedPath:
     Moves are scored by integer deltas, not by rebuilding the path: the
     search tracks the path's cost, its scaled reward sum and its scaled
     objective (the reward sum, or regret·den − reward sum for min_excess),
-    all in the query's integer rewards.  Inserting
+    all in the integer rewards.  Inserting
     v between a and b adds d[a][v] + d[v][b] − d[a][b]; appending adds
     d[end][v].  Reversing nodes[i..j] after a and before b adds
     d[a][nodes[j]] − d[a][nodes[i]] + d[nodes[i]][b] − d[nodes[j]][b]
@@ -356,9 +335,9 @@ def heuristic_pricing(inst: Instance, query: PricingQuery) -> PricedPath:
     (ValueError).  Used when the client count exceeds the exact threshold;
     the caller must then report the LP as unverified.
     """
-    kind, budget = query.budget_kind, query.budget
+    kind = budget_kind
     clients = inst.clients
-    nums, den = _checked_rewards(query.rewards, clients)
+    nums, den = _checked_rewards(rewards, clients)
     if kind not in ("regret", "length", "min_excess"):
         raise ValueError(f"unknown budget kind {kind!r}")
     excess = kind == "min_excess"

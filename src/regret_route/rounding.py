@@ -94,12 +94,6 @@ class WitnessStructure:
     forest_cost: int
     tours_cost: int
 
-    def witness_component(self, w: int) -> FrozenSet[int]:
-        for ci, node in self.witness.items():
-            if node == w:
-                return self.components[ci]
-        raise KeyError(w)
-
     @property
     def witnesses(self) -> List[int]:
         return sorted(self.witness.values())
@@ -490,6 +484,9 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
     """Round a fractional regret-bounded cover; count <= (2/d+6/(1-d))k*+1."""
     if diagnostics is None:
         diagnostics = {}
+    delta = Fraction(threshold) if threshold is not None else default_threshold()
+    if not 0 < delta < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
     if not inst.clients:
         return []
     if R == 0:
@@ -499,7 +496,6 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
                            lp_pivots=sol.pivots, path_count=len(paths),
                            max_regret=0, total_regret=0)
         return paths
-    delta = Fraction(threshold) if threshold is not None else default_threshold()
     kstar = sol.total_weight
 
     grafted, diag = _pipeline(inst, sol, delta, _ceil(kstar / delta))

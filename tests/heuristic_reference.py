@@ -12,10 +12,10 @@ value from every query.
 from fractions import Fraction
 
 from regret_route.core import RootedPath
-from regret_route.pricing import PricedPath, PricingQuery
+from regret_route.pricing import PricedPath
 
 
-def heuristic_pricing(inst, query: PricingQuery) -> PricedPath:
+def heuristic_pricing(inst, query) -> PricedPath:
     """Greedy insertion plus 2-opt under the query's budget; no optimality.
 
     Any returned path satisfies the budget exactly (integer arithmetic).

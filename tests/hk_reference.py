@@ -89,8 +89,13 @@ def _bits(mask):
     return out
 
 
-def _scaled_rewards(table, rewards):
-    fr = [Fraction(rewards.get(v, 0)) for v in table.clients]
+def scaled_rewards(clients, rewards):
+    """Fraction rewards by client id in the pricers' integer form: nums in
+    the order of clients over the lcm of their denominators; a missing
+    client gets 0."""
+    fr = [Fraction(rewards.get(v, 0)) for v in clients]
+    if any(f < 0 for f in fr):
+        raise ValueError("rewards must be nonnegative")
     den = math.lcm(*(f.denominator for f in fr)) if fr else 1
     return [int(f * den) for f in fr], den
 
@@ -108,7 +113,7 @@ def _pick_best_mask(candidates):
 
 
 def _max_reward(t, rewards, budget, values, end_offset):
-    nums, den = _scaled_rewards(t, rewards)
+    nums, den = scaled_rewards(t.clients, rewards)
     sums = _reward_sums(nums, t.m)
     best = 0
     masks = []
@@ -138,7 +143,7 @@ def length_budget(t, rewards, budget):
 
 
 def min_excess(t, rewards):
-    nums, den = _scaled_rewards(t, rewards)
+    nums, den = scaled_rewards(t.clients, rewards)
     sums = _reward_sums(nums, t.m)
     best = 0
     masks = []

@@ -25,7 +25,7 @@ from regret_route.harness import (
     gen_random_metric,
     verify,
 )
-from regret_route.core import (classify_edges, farthest_node, path_regret,
+from regret_route.core import (classify_edges, farthest_node,
                                preprocess_path_pair, regret_distance,
                                split_by_regret)
 from regret_route.lp import solve_rvrp_lp
@@ -250,7 +250,9 @@ def test_criterion_8_property_suites():
                             regret_distance(inst, u, v)
                             + regret_distance(inst, v, w))
         p = random_rooted_path(inst, case)
-        assert path_regret(inst, p) == p.cost - inst.root_dist[p.end]
+        edges = sum(regret_distance(inst, u, v)
+                    for u, v in zip(p.nodes, p.nodes[1:]))
+        assert edges == p.cost - inst.root_dist[p.end] == p.regret
 
     for case in range(cases):        # red edges are chargeable to regret
         inst = mixed_instance(5 + case % 5, 14_000 + case)

@@ -66,6 +66,12 @@ def test_solve_errors_exit_one(tmp_path, capsys):
                    "--threshold", "1/3") == 1
     assert ("error: solver 'mult' takes no rounding threshold"
             in capsys.readouterr().err)
+    # a rounding threshold outside (0, 1), 0 included
+    for bad in ("0", "1"):
+        assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
+                       "--threshold", bad) == 1
+        assert ("error: threshold must lie strictly between 0 and 1"
+                in capsys.readouterr().err)
 
 
 def test_missing_required_param_exits_nonzero(tmp_path):
@@ -125,13 +131,30 @@ def test_oracle_command(tmp_path, capsys):
                 "--regret", "1", "--dist", "2")
 
 
+def test_oracle_limit_is_the_one_given(tmp_path, capsys):
+    # 10 clients: over the lp enumeration's default of 9, under rvrp's 12
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "euclidean", "--n", "11", "--seed", "3", "--out", inst)
+    assert run_cli("oracle", "lp", "--instance", inst, "--regret", "0") == 1
+    assert "exceed the enumeration threshold 9" in capsys.readouterr().err
+    for limit in ("10", "12"):
+        assert run_cli("oracle", "lp", "--instance", inst, "--regret", "0",
+                       "--limit", limit) == 0
+        assert json.loads(capsys.readouterr().out)["value"] >= 1
+    assert run_cli("oracle", "rvrp", "--instance", inst, "--regret", "0") == 0
+    capsys.readouterr()
+    assert run_cli("oracle", "rvrp", "--instance", inst, "--regret", "0",
+                   "--limit", "9") == 1
+    assert "exceed the exact threshold 9" in capsys.readouterr().err
+
+
 def test_bench_smoke_jsonl(tmp_path):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
     assert run_cli("bench", "--suite", "smoke", "--seed", "1",
                    "--out", out1) == 0
     assert run_cli("bench", "--suite", "smoke", "--seed", "1",
-                   "--threads", "2", "--out", out2) == 0
+                   "--out", out2) == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert len(lines) == 28

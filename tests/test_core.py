@@ -11,12 +11,9 @@ from regret_route.core import (
     RootedPath,
     SolverError,
     classify_edges,
-    expand_merged,
     farthest_node,
     induced_instance,
     metric_from_edges,
-    normalize_instance,
-    path_regret,
     preprocess_path_pair,
     regret_distance,
     shortcut,
@@ -113,8 +110,9 @@ def test_path_regret_identity():
     for _ in range(50):
         perm = rng.sample(range(1, 7), rng.randint(1, 6))
         p = RootedPath.build(inst, [0] + perm)
-        assert path_regret(inst, p) == p.cost - inst.root_dist[p.end]
-        assert path_regret(inst, [0] + perm) == p.regret
+        edges = sum(regret_distance(inst, u, v)
+                    for u, v in zip(p.nodes, p.nodes[1:]))
+        assert edges == p.cost - inst.root_dist[p.end] == p.regret
 
 
 def test_rooted_path_build_rejections():
@@ -303,36 +301,35 @@ def test_zero_regret_cover_minimum_on_randoms():
         assert len(paths) <= len(inst.clients)
 
 
-# --- normalization / serialization ----------------------------------------------
+def test_cover_check_survives_optimized_python(src_env):
+    # A circulation whose flow the peel cannot follow covers nothing; the
+    # coverage check must refuse that even with asserts compiled out.
+    import subprocess
+    import sys
+    script = (
+        "from regret_route import flows\n"
+        "from regret_route.core import Instance, SolverError, "
+        "zero_regret_cover\n"
+        "assert False, 'asserts are live'\n"
+        "flows.MinCostCirculation.flow = lambda self, arc: 0\n"
+        "inst = Instance.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
+        "try:\n"
+        "    print(zero_regret_cover(inst, inst.clients))\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ("SolverError: zero-regret cover left "
+                                  "targets [1, 2] uncovered")
+
+
+# --- closure / serialization ----------------------------------------------
 
 def test_metric_from_edges_closure():
     d = metric_from_edges(3, [(0, 1, 5), (1, 2, 1), (0, 2, 9)])
     assert d[0][2] == 6
     with pytest.raises(InvalidInstanceError):
         metric_from_edges(3, [(0, 1, 5)])
-
-
-def test_normalize_instance_merges_zero_groups():
-    # node 2 sits on top of node 1
-    raw = [[0, 3, 3], [3, 0, 0], [3, 0, 0]]
-    inst = normalize_instance(raw)
-    assert inst.n == 2
-    assert inst.meta["merge_map"] == [0, 1, 1]
-    back = expand_merged([[0, 1]], inst.meta["merge_map"])
-    assert back == [[0, 1, 2]]
-
-
-def test_normalize_instance_identity_when_clean():
-    inst = line_instance()
-    again = normalize_instance(inst.dist)
-    assert again.dist == inst.dist
-    assert "merge_map" not in again.meta
-
-
-def test_normalize_instance_takes_closure():
-    raw = [[0, 5, 1], [5, 0, 1], [1, 1, 0]]   # violates triangle as given
-    inst = normalize_instance(raw)
-    assert inst.dist[0][1] == 2
 
 
 def test_induced_instance_maps_ids():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from hk_reference import scaled_rewards
 from master_reference import ReferenceMaster
 from regret_route.core import SolverError
 from regret_route.exactlp import CoveringMaster
-from regret_route.pricing import _scaled_rewards
 
 
 def test_single_column_cover():
@@ -188,7 +188,7 @@ def test_matches_fraction_reference_on_randoms():
                                             for v in clients]
             if budget is not None:
                 assert res.y[-1] == -res.det * ref.budget_dual
-            assert res.coverage_duals == _scaled_rewards(clients, ref.duals)
+            assert res.coverage_duals == scaled_rewards(clients, ref.duals)
     # the seed reaches both shapes and the infeasible outcomes
     assert kinds == {"budget", "plain", "SolverError"}
 

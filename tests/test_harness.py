@@ -2,10 +2,11 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
-from regret_route.core import InfeasibleError, Instance, normalize_instance
+from regret_route.core import InfeasibleError, Instance
 from regret_route.harness import (
     ORACLES,
     SOLVERS,
@@ -52,8 +53,9 @@ def test_generators_are_clean_metrics():
                     assert d[i][j] == d[j][i] >= 0
                     for k in range(n):
                         assert d[i][j] <= d[i][k] + d[k][j]
-            # already normalized: re-normalizing changes nothing
-            assert normalize_instance(d).dist == d
+            # distinct nodes are never co-located
+            assert all(d[i][j] > 0 for i in range(n) for j in range(n)
+                       if i != j)
 
 
 def test_ladder_meta_carries_canonical_solution():
@@ -307,10 +309,26 @@ def test_run_job_without_oracle_or_timings():
     assert report["params"] == {"ratio": "3/2"}
 
 
+def _colocated(inst, copies, root=0):
+    """inst plus a copy of each node in copies, at distance 0 from it."""
+    ids = list(range(inst.n)) + list(copies)
+    return Instance.from_matrix([[inst.dist[u][v] for v in ids] for u in ids],
+                                root=root)
+
+
+# Co-located clients; in the last instance the root is node 6, a copy of
+# client 1, so a client with a smaller id sits on the root.
+COLOCATED = [Instance.from_matrix([[0, 3, 3], [3, 0, 0], [3, 0, 0]]),
+             _colocated(gen_euclidean(5, 4), [2, 3, 3]),
+             _colocated(gen_random_metric(6, 4), [1, 4], root=6)]
+
+
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_solver_table_row(solver):
     # Each row runs, verifies under its own mode and has an oracle exactly
     # when the table names one; the oracle bounds the field it measures.
+    # On co-located clients every row verifies at its tightest budget, and
+    # the zero-regret covers are as small as the oracle's.
     inst = gen_euclidean(7, 4)
     assert len(inst.clients) == 6
     maxd = max(inst.root_dist)
@@ -328,12 +346,25 @@ def test_solver_table_row(solver):
         measured = {"count": len(paths),
                     "max_regret": max(p.regret for p in paths)}
         assert measured[ORACLES[SOLVERS[solver][3]][2]] >= opt
+    for inst in COLOCATED:
+        params = {key: {"regret": 0, "dist": max(inst.root_dist),
+                        "ratio": 1, "k": 2,
+                        "bounds": dict.fromkeys(inst.clients, 0)}[key]}
+        paths = run_solver(solver, inst, params)
+        mode, vparams = _verify_mode(solver, params, paths)
+        assert verify(inst, paths, mode, vparams)["ok"]
+        if key in ("regret", "ratio", "bounds"):
+            assert len(paths) == brute_force_rvrp(inst, 0)
 
 
 def test_rounding_threshold_only_where_the_row_takes_one():
     inst = gen_line([0, 1, 2])
     assert [name for name, row in SOLVERS.items() if row.threshold] == ["rvrp"]
     assert run_solver("rvrp", inst, {"regret": 1, "threshold": "1/3"})
+    # 0 is a threshold, not a request for the default
+    for bad in (0, "0", Fraction(0), 1, "3/2"):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            run_solver("rvrp", inst, {"regret": 1, "threshold": bad})
     for name, row in SOLVERS.items():
         if row.threshold:
             continue
@@ -367,12 +398,10 @@ def test_run_solver_looks_the_solver_up_at_call_time(monkeypatch):
     assert calls == [1]
 
 
-def test_run_suite_deterministic_and_thread_invariant():
+def test_run_suite_deterministic():
     first = reports_to_jsonl(run_suite("smoke", seed=3))
     second = reports_to_jsonl(run_suite("smoke", seed=3))
     assert first == second
-    threaded = reports_to_jsonl(run_suite("smoke", seed=3, threads=2))
-    assert threaded == first
     assert len(first.splitlines()) == 28
     for line in first.splitlines():
         assert json.loads(line)["ok"]

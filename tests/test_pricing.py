@@ -18,7 +18,6 @@ from regret_route.pricing import (
     DEFAULT_EXACT_THRESHOLD,
     HKTable,
     OracleUnavailableError,
-    PricingQuery,
     check_exact_threshold,
     exact_length_budget,
     exact_min_excess_pricing,
@@ -29,7 +28,7 @@ from regret_route.pricing import (
 
 def ints(inst, rewards):
     """Fraction rewards by client id in the pricers' integer form."""
-    return pricing._scaled_rewards(list(inst.clients), rewards)
+    return hk_reference.scaled_rewards(list(inst.clients), rewards)
 
 
 # The path-rebuilding reference reads Fraction rewards by client id.
@@ -185,7 +184,7 @@ def test_huge_denominators_take_the_object_path(den):
         # Three near-coprime denominators: the scale is about den^3.
         rewards = {v: Fraction(rng.randint(0, 60 * den), den - rng.randint(0, 2))
                    for v in inst.clients}
-        nums, _ = hk_reference._scaled_rewards(ref, rewards)
+        nums, _ = hk_reference.scaled_rewards(ref.clients, rewards)
         assert sum(nums) >= 1 << 62
         for budget in (0, 20, 80, 400):
             assert_same_pricing(inst, table, ref, rewards, budget)
@@ -246,7 +245,7 @@ def test_orienteering_zero_rewards_and_validation():
     with pytest.raises(ValueError):
         exact_orienteering(inst, ([0, 0, 0], 1), budget=-1)
     with pytest.raises(ValueError):
-        pricing._scaled_rewards(inst.clients, {1: Fraction(-1)})
+        hk_reference.scaled_rewards(inst.clients, {1: Fraction(-1)})
 
 
 def test_orienteering_against_enumeration():
@@ -324,17 +323,14 @@ def test_shared_table_reuse():
 def test_heuristic_pricing_feasible_and_counted():
     inst = random_instance(8, 7)
     rewards = ints(inst, {v: Fraction(1) for v in inst.clients})
-    res = heuristic_pricing(inst, PricingQuery(
-        rewards=rewards, budget_kind="regret", budget=5))
+    res = heuristic_pricing(inst, rewards, "regret", 5)
     assert res.path.regret <= 5
     assert res.value == len(res.path.nodes) - 1
-    res = heuristic_pricing(inst, PricingQuery(
-        rewards=rewards, budget_kind="length", budget=20))
+    res = heuristic_pricing(inst, rewards, "length", 20)
     assert res.path.cost <= 20
     exact = exact_orienteering(inst, rewards, 5)
     assert res.value <= len(inst.clients)
-    assert exact.value >= heuristic_pricing(inst, PricingQuery(
-        rewards=rewards, budget_kind="regret", budget=5)).value
+    assert exact.value >= heuristic_pricing(inst, rewards, "regret", 5).value
 
 
 # --- heuristic pricing vs. the path-rebuilding reference ---------------------
@@ -369,8 +365,8 @@ def _heuristic_queries(rng, inst):
 
 def _assert_same_heuristic(inst, query):
     want = heuristic_reference.heuristic_pricing(inst, query)
-    got = heuristic_pricing(inst, PricingQuery(
-        ints(inst, query.rewards), query.budget_kind, query.budget))
+    got = heuristic_pricing(inst, ints(inst, query.rewards),
+                            query.budget_kind, query.budget)
     assert got.path.nodes == want.path.nodes, query
     assert got.value == want.value, query
     assert type(got.value) is Fraction
@@ -412,8 +408,7 @@ def test_heuristic_matches_reference():
 def test_heuristic_rejects_unknown_kind_and_negative_rewards():
     inst = random_instance(5, 3)
     with pytest.raises(ValueError):
-        heuristic_pricing(inst, PricingQuery(
-            rewards=([1, 0, 0, 0], 1), budget_kind="volume"))
+        heuristic_pricing(inst, ([1, 0, 0, 0], 1), "volume")
     with pytest.raises(ValueError):
         heuristic_reference.heuristic_pricing(inst, FractionQuery(
             rewards={1: Fraction(1)}, budget_kind="volume"))
@@ -421,8 +416,7 @@ def test_heuristic_rejects_unknown_kind_and_negative_rewards():
     rewards = ([6, -1, 0, 0], 3)
     for kind in KINDS:
         with pytest.raises(ValueError):
-            heuristic_pricing(inst, PricingQuery(
-                rewards=rewards, budget_kind=kind, budget=50))
+            heuristic_pricing(inst, rewards, kind, 50)
     with pytest.raises(ValueError):
         exact_min_excess_pricing(inst, rewards)
     with pytest.raises(ValueError):
@@ -440,8 +434,7 @@ def test_heuristic_min_excess_value_and_exact_bound():
             rewards = {v: Fraction(rng.randint(0, 40), rng.randint(1, 3))
                        for v in inst.clients}
             scaled = ints(inst, rewards)
-            res = heuristic_pricing(inst, PricingQuery(
-                rewards=scaled, budget_kind="min_excess"))
+            res = heuristic_pricing(inst, scaled, "min_excess")
             gain = sum((rewards[v] for v in res.path.nodes[1:]), Fraction(0))
             assert res.value == res.path.regret - gain <= 0
             assert res.value >= exact_min_excess_pricing(inst, scaled).value
@@ -450,10 +443,10 @@ def test_heuristic_min_excess_value_and_exact_bound():
 def test_heuristic_refuses_a_bad_insertion_delta(monkeypatch):
     inst = random_instance(8, 7)
     rewards = ([1] * len(inst.clients), 1)
-    query = PricingQuery(rewards=rewards, budget_kind="length", budget=10**6)
-    assert heuristic_pricing(inst, query).value == len(inst.clients)
+    query = (rewards, "length", 10**6)
+    assert heuristic_pricing(inst, *query).value == len(inst.clients)
     deltas = pricing._insertion_deltas
     monkeypatch.setattr(pricing, "_insertion_deltas",
                         lambda row, links: [d - 1 for d in deltas(row, links)])
     with pytest.raises(SolverError, match="tracked cost"):
-        heuristic_pricing(inst, query)
+        heuristic_pricing(inst, *query)
