@@ -16,7 +16,7 @@ from .core import (Instance, RootedPath, InfeasibleError, _as_int,
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
 from .pricing import HKTable
-from .rounding import round_minsum, round_rvrp
+from .rounding import check_threshold, round_minsum, round_rvrp
 
 
 def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
@@ -32,6 +32,7 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
     R = _as_int(R)
     if R < 0:
         raise ValueError("regret bound must be nonnegative")
+    threshold = check_threshold(threshold)
     if diagnostics is None:
         diagnostics = {}
     if not inst.clients:

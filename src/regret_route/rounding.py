@@ -11,23 +11,33 @@ value and serves both the count-bounded and the regret-sum solvers.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (EdgeColoring, Instance, RootedPath, SolverError,
-                   classify_edges, shortcut, split_by_regret, zero_regret_cover)
+                   classify_edges, require, shortcut, split_by_regret,
+                   zero_regret_cover)
 from .flows import MinCostCirculation
 from .lp import FractionalSolution
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def default_threshold() -> Fraction:
     """Minimizer of 2/d + 6/(1-d), as an exact rational near (sqrt(3)-1)/2."""
     return (Fraction(math.sqrt(3)) - 1) / 2
+
+
+def check_threshold(threshold=None) -> Fraction:
+    """The rounding threshold as a Fraction (None: the default); ValueError
+    unless it lies strictly between 0 and 1."""
+    delta = default_threshold() if threshold is None else Fraction(threshold)
+    if not 0 < delta < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
+    return delta
 
 
 def _ceil(x: Fraction) -> int:
@@ -36,30 +46,65 @@ def _ceil(x: Fraction) -> int:
 
 @dataclass
 class RoundingContext:
-    """Support paths with their red-interval decompositions and threshold."""
+    """Support paths with their red-interval decompositions and threshold.
+
+    The weights are also kept as ints over one scale, the lcm of the
+    denominators of the support weights and of the threshold: weights[i]
+    is support[i]'s weight times scale, and need is threshold times scale.
+    node_spans[v] lists (red span around v, scaled weight) for each support
+    path through v, which is all the cut requirement reads.
+    """
 
     inst: Instance
     threshold: Fraction
     support: List[Tuple[RootedPath, Fraction]]
     colorings: List[EdgeColoring]
     red_span: List[Dict[int, FrozenSet[int]]]
+    scale: int
+    weights: List[int]
+    need: int
+    node_spans: List[List[Tuple[FrozenSet[int], int]]]
 
     @classmethod
     def build(cls, inst: Instance, sol: FractionalSolution,
               threshold: Fraction) -> "RoundingContext":
-        threshold = Fraction(threshold)
-        if not 0 < threshold < 1:
-            raise ValueError("threshold must lie strictly between 0 and 1")
+        threshold = check_threshold(threshold)
         support = [(p, w) for p, w in sol.support() if not p.is_trivial]
         colorings = [classify_edges(inst, p) for p, _ in support]
         spans = [{v: frozenset(c.red_subpath(v)) for v in p.nodes}
                  for (p, _), c in zip(support, colorings)]
+        scale = math.lcm(threshold.denominator,
+                         *(w.denominator for _, w in support))
+        weights = [w.numerator * (scale // w.denominator) for _, w in support]
+        node_spans: List[List[Tuple[FrozenSet[int], int]]] = \
+            [[] for _ in range(inst.n)]
+        for span, W in zip(spans, weights):
+            for v, red in span.items():
+                node_spans[v].append((red, W))
         return cls(inst=inst, threshold=threshold, support=support,
-                   colorings=colorings, red_span=spans)
+                   colorings=colorings, red_span=spans, scale=scale,
+                   weights=weights,
+                   need=threshold.numerator * (scale // threshold.denominator),
+                   node_spans=node_spans)
+
+    @property
+    def scaled_regret_mass(self) -> int:
+        return sum(p.regret * W for (p, _), W in zip(self.support, self.weights))
 
     @property
     def regret_mass(self) -> Fraction:
-        return sum((Fraction(p.regret) * w for p, w in self.support), ZERO)
+        return Fraction(self.scaled_regret_mass, self.scale)
+
+
+def _covered(ctx: RoundingContext, v: int, S) -> int:
+    """covered_within(ctx, v, S) times ctx.scale, without the checks."""
+    return sum(W for red, W in ctx.node_spans[v] if red <= S)
+
+
+def _active(ctx: RoundingContext, S) -> bool:
+    """Whether S's cut requirement is 1: no node reaches the threshold."""
+    need = ctx.need
+    return all(_covered(ctx, v, S) < need for v in S)
 
 
 def covered_within(ctx: RoundingContext, v: int, S) -> Fraction:
@@ -67,11 +112,7 @@ def covered_within(ctx: RoundingContext, v: int, S) -> Fraction:
     S = frozenset(S)
     if v not in S:
         raise ValueError(f"node {v} is not in the queried set")
-    total = ZERO
-    for (p, w), spans in zip(ctx.support, ctx.red_span):
-        if v in p.node_set and spans[v] <= S:
-            total += w
-    return total
+    return Fraction(_covered(ctx, v, S), ctx.scale)
 
 
 def cut_value(ctx: RoundingContext, S) -> int:
@@ -79,8 +120,7 @@ def cut_value(ctx: RoundingContext, S) -> int:
     S = frozenset(S)
     if not S:
         raise ValueError("empty set has no cut requirement")
-    return 1 if all(covered_within(ctx, v, S) < ctx.threshold for v in S) \
-        else 0
+    return int(_active(ctx, S))
 
 
 @dataclass
@@ -120,7 +160,7 @@ def _closed_tour(inst: Instance, comp: FrozenSet[int],
         for nb in reversed(adj[u]):
             if nb not in seen:
                 stack.append(nb)
-    assert set(order) == set(comp)
+    require(set(order) == set(comp), "tour misses part of its component")
     return tuple(order)
 
 
@@ -139,10 +179,19 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
     edge whose two split sides are both inactive. Every final component is
     inactive, so each non-root component holds a witness node covered to the
     threshold within it.
+
+    The growth is event-driven and exact on ints (Goemans & Williamson,
+    SIAM J. Comput. 24(2), 1995). Time counts in units of 2^-n of a
+    distance: each of the at most n - 1 merges halves the step at most once.
+    Every component pair keeps its best crossing edge by (slack, edge);
+    all nodes of a component grow alike, so that order holds until one of
+    the two merges. A heap holds each growing pair's (2 x tight time,
+    edge), checked against the pair's current best when popped.
     """
     inst = ctx.inst
     n = inst.n
-    delta = ctx.threshold
+    unit = 1 << n
+    dist = inst.dist
 
     parent = list(range(n))
 
@@ -153,45 +202,86 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
         return u
 
     comp_nodes: Dict[int, Set[int]] = {v: {v} for v in range(n)}
-    active: Dict[int, bool] = {v: cut_value(ctx, comp_nodes[v]) == 1
+    active: Dict[int, bool] = {v: _active(ctx, comp_nodes[v])
                                for v in range(n)}
-    grown = [ZERO] * n
-    order: List[Tuple[int, int]] = []
-    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # grown[w] is w's dual at time since[find(w)]; it grows from there
+    # while that component is active.
+    grown = [0] * n
+    since = [0] * n
+    now = 0
 
-    while any(active[r] for r in comp_nodes):
-        best: Optional[Tuple[Fraction, Tuple[int, int]]] = None
-        for u, v in all_edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            growth = int(active[ru]) + int(active[rv])
-            if growth == 0:
-                continue
-            gap = (Fraction(inst.dist[u][v]) - grown[u] - grown[v]) / growth
-            if best is None or (gap, (u, v)) < best:
-                best = (gap, (u, v))
-        assert best is not None, "active component with no crossing edge"
-        step, (u, v) = best
-        assert step >= 0
-        if step > 0:
-            for w in range(n):
-                if active[find(w)]:
-                    grown[w] += step
+    def slack(e: Tuple[int, int]) -> int:
+        u, v = e
+        total = dist[u][v] * unit - grown[u] - grown[v]
+        for w in e:
+            r = find(w)
+            if active[r]:
+                total -= now - since[r]
+        return total
+
+    def tight(ra: int, rb: int, e: Tuple[int, int]) -> Optional[int]:
+        """Twice the time at which e goes tight; None if it never does."""
+        rate = active[ra] + active[rb]
+        if not rate:
+            return None
+        return 2 * now + (2 * slack(e) if rate == 1 else slack(e))
+
+    best: Dict[int, Dict[int, Tuple[int, int]]] = {v: {} for v in range(n)}
+    heap = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            best[u][v] = best[v][u] = (u, v)
+            key = tight(u, v, (u, v))
+            if key is not None:
+                heap.append((key, u, v))
+    heapq.heapify(heap)
+
+    n_active = sum(active.values())
+    order: List[Tuple[int, int]] = []
+    while n_active:
+        require(bool(heap), "active component with no crossing edge")
+        key, u, v = heapq.heappop(heap)
         ru, rv = find(u), find(v)
+        if ru == rv or best[ru][rv] != (u, v) or tight(ru, rv, (u, v)) != key:
+            continue                      # stale: the pair has changed since
+        require(key % 2 == 0 and key >= 2 * now,
+                f"tight time {key}/2 is not a whole unit from {now} on")
+        now = key // 2
+        for r in (ru, rv):
+            if active[r]:
+                for w in comp_nodes[r]:
+                    grown[w] += now - since[r]
         merged = comp_nodes.pop(ru) | comp_nodes.pop(rv)
         parent[rv] = ru
         comp_nodes[ru] = merged
-        del active[rv]
-        active[ru] = cut_value(ctx, merged) == 1
+        n_active -= active.pop(rv) + active[ru]
+        active[ru] = _active(ctx, merged)
+        n_active += active[ru]
+        since[ru] = now
         order.append((u, v))
+
+        # Only pairs that touch the merged component change: each takes the
+        # better of its two old best edges at the current time.
+        near_u, near_v = best.pop(ru), best.pop(rv)
+        del near_u[rv], near_v[ru]
+        for x, e in near_u.items():
+            other = near_v[x]
+            if (slack(other), other) < (slack(e), e):
+                e = other
+            near_u[x] = e
+            del best[x][rv]
+            best[x][ru] = e
+            key = tight(ru, x, e)
+            if key is not None:
+                heapq.heappush(heap, (key, *e))
+        best[ru] = near_u
 
     # Reverse-delete: drop an edge when both sides it separates are inactive.
     kept = list(order)
     for e in reversed(order):
         trial = [d for d in kept if d != e]
         sides = _split_sides(n, trial, e)
-        if cut_value(ctx, sides[0]) == 0 and cut_value(ctx, sides[1]) == 0:
+        if not _active(ctx, sides[0]) and not _active(ctx, sides[1]):
             kept = trial
 
     comps = _forest_components(n, kept)
@@ -209,27 +299,32 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
     forest_cost = sum(inst.dist[u][v] for u, v in kept)
     tours_cost = 0
     for ci, comp in enumerate(comps):
-        assert cut_value(ctx, comp) == 0, "active component survived"
+        require(not _active(ctx, comp), "active component survived")
         if ci == root_ci:
             anchor = inst.root
         else:
             eligible = [v for v in sorted(comp)
-                        if covered_within(ctx, v, comp) >= delta]
-            assert eligible, "inactive non-root component without a witness"
+                        if _covered(ctx, v, comp) >= ctx.need]
+            require(bool(eligible),
+                    "inactive non-root component without a witness")
             anchor = eligible[0]
             witness[ci] = anchor
         tour = _closed_tour(inst, comp, edges_of[ci], anchor)
         cost = _tour_cost(inst, tour)
-        assert cost <= 2 * sum(inst.dist[u][v] for u, v in edges_of[ci])
+        require(cost <= 2 * sum(inst.dist[u][v] for u, v in edges_of[ci]),
+                f"tour of component {ci} costs more than its doubled tree")
         tours[ci] = tour
         tours_cost += cost
 
-    # Cost certificate: red mass of the support, scaled by the threshold gap.
-    bound = 3 * ctx.regret_mass / (1 - delta)
-    assert forest_cost <= bound, (forest_cost, bound)
+    # Cost certificate: red mass of the support, scaled by the threshold
+    # gap; forest_cost <= 3 * mass / (1 - delta), over ctx.scale.
+    mass = ctx.scaled_regret_mass
+    require(forest_cost * (ctx.scale - ctx.need) <= 3 * mass,
+            f"forest cost {forest_cost} exceeds "
+            f"{Fraction(3 * mass, ctx.scale - ctx.need)}")
 
     return WitnessStructure(forest=kept, components=comps, witness=witness,
-                            tours=tours, threshold=delta,
+                            tours=tours, threshold=ctx.threshold,
                             root_component=root_ci, forest_cost=forest_cost,
                             tours_cost=tours_cost)
 
@@ -239,7 +334,7 @@ def _split_sides(n: int, edges: Sequence[Tuple[int, int]],
     comps = _forest_components(n, edges)
     a = next(c for c in comps if removed[0] in c)
     b = next(c for c in comps if removed[1] in c)
-    assert a != b
+    require(a != b, f"edge {removed} does not split the forest")
     return set(a), set(b)
 
 
@@ -273,9 +368,10 @@ def shortcut_to_witnesses(ctx: RoundingContext, index: int,
     out = shortcut(inst, path, keep)
     D = inst.root_dist
     seq = out.nodes
-    assert all(D[seq[i]] < D[seq[i + 1]] for i in range(1, len(seq) - 1))
-    assert len(seq) == 1 or D[seq[0]] < D[seq[1]]
-    assert out.regret <= path.regret
+    require(all(D[seq[i]] < D[seq[i + 1]] for i in range(len(seq) - 1)),
+            f"shortcut of support path {index} is not monotone in D")
+    require(out.regret <= path.regret,
+            f"shortcut of support path {index} gained regret")
     return out
 
 
@@ -285,13 +381,25 @@ class IntegralFlow:
     value: int
     witnesses: List[int]
     cost: int
+    inflow: Dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.inflow = _heads(self.arcs)
 
     def in_flow(self, v: int) -> int:
-        return sum(f for (a, b), f in self.arcs.items() if b == v)
+        return self.inflow.get(v, 0)
 
 
-def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],
-               witnesses: Sequence[int], threshold: Fraction,
+def _heads(arc_weight: Mapping[Tuple[int, int], int]) -> Dict[int, int]:
+    """Total weight entering each node, in one pass over the arcs."""
+    into: Dict[int, int] = {}
+    for (_, v), f in arc_weight.items():
+        into[v] = into.get(v, 0) + f
+    return into
+
+
+def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], int],
+               witnesses: Sequence[int], threshold: int,
                value_cap: int, cost_factor: int = 1) -> IntegralFlow:
     """Min-regret-cost integral flow of value <= cap entering each witness.
 
@@ -301,14 +409,19 @@ def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],
     by the regret-sum solver the guarantee loosens to three times the scaled
     cost (cost_factor 3), via a convex split of the scaled flow into integral
     flows of which a third of the weight must respect the cap.
+
+    The arc weights and the threshold share one scale (the rounding passes
+    ints over its context's scale). Every check compares the same power
+    of that scale on both sides, so it is exact and the scale cancels.
     """
     wlist = sorted(witnesses)
+    inflow = _heads(arc_weight)
     for w in wlist:
-        inflow = sum(f for (u, v), f in arc_weight.items() if v == w)
-        assert inflow >= threshold, f"witness {w} underfed: {inflow}"
+        require(inflow.get(w, 0) >= threshold,
+                f"witness {w} underfed: {inflow.get(w, 0)}")
     D = inst.root_dist
     for (u, v) in arc_weight:
-        assert D[u] < D[v], f"arc ({u},{v}) does not increase distance"
+        require(D[u] < D[v], f"arc ({u},{v}) does not increase distance")
 
     # Node-split witnesses; close through a collector arc capped at the value.
     idx: Dict[Tuple[int, str], int] = {}
@@ -344,22 +457,26 @@ def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],
     flows = {a: net.flow(aid) for a, aid in arc_ids.items() if net.flow(aid) > 0}
     value = net.flow(close)
     out = IntegralFlow(arcs=flows, value=value, witnesses=wlist, cost=total)
-    assert value <= value_cap
+    require(value <= value_cap, f"flow value {value} exceeds {value_cap}")
     for w in wlist:
-        assert out.in_flow(w) >= 1
-    frac_cost = sum(Fraction(D[u] + inst.dist[u][v] - D[v]) * f
-                    for (u, v), f in arc_weight.items())
-    assert Fraction(total) <= cost_factor * frac_cost / threshold
+        require(out.in_flow(w) >= 1, f"flow misses witness {w}")
+    # total <= cost_factor * support cost / threshold, cross-multiplied
+    support_cost = sum((D[u] + inst.dist[u][v] - D[v]) * f
+                       for (u, v), f in arc_weight.items())
+    require(total * threshold <= cost_factor * support_cost,
+            f"flow cost {total} exceeds {cost_factor} x support cost "
+            f"{support_cost} / threshold {threshold}")
     return out
 
 
 def decompose_flow(inst: Instance, flow: IntegralFlow) -> List[RootedPath]:
     """Peel value-many root-to-end trails; keep each witness on one path."""
     remaining = dict(flow.arcs)
-    ends = {w: flow.in_flow(w) - sum(f for (u, v), f in flow.arcs.items()
-                                     if u == w)
-            for w in flow.witnesses}
-    assert all(e >= 0 for e in ends.values()), "conservation violated"
+    leaving: Dict[int, int] = {}
+    for (u, _), f in flow.arcs.items():
+        leaving[u] = leaving.get(u, 0) + f
+    ends = {w: flow.in_flow(w) - leaving.get(w, 0) for w in flow.witnesses}
+    require(all(e >= 0 for e in ends.values()), "conservation violated")
     D = inst.root_dist
     outs: Dict[int, List[int]] = {}
     for (u, v) in sorted(remaining, key=lambda a: (D[a[1]], a[1])):
@@ -373,14 +490,15 @@ def decompose_flow(inst: Instance, flow: IntegralFlow) -> List[RootedPath]:
             nxt = next((v for v in outs.get(at, ())
                         if remaining.get((at, v), 0) > 0), None)
             if nxt is None:
-                assert ends.get(at, 0) > 0, "trail stranded off a path end"
+                require(ends.get(at, 0) > 0, "trail stranded off a path end")
                 ends[at] -= 1
                 break
             remaining[(at, nxt)] -= 1
             seq.append(nxt)
             at = nxt
         raw.append(seq)
-    assert all(f == 0 for f in remaining.values())
+    require(all(f == 0 for f in remaining.values()),
+            "flow left after peeling every trail")
 
     claimed: Set[int] = set()
     paths = []
@@ -389,7 +507,8 @@ def decompose_flow(inst: Instance, flow: IntegralFlow) -> List[RootedPath]:
         claimed.update(keep)
         if keep:
             paths.append(RootedPath.build(inst, [inst.root] + keep))
-    assert claimed == set(flow.witnesses)
+    require(claimed == set(flow.witnesses),
+            "peeled paths do not cover exactly the witnesses")
     return paths
 
 
@@ -411,7 +530,7 @@ def graft(inst: Instance, paths: Sequence[RootedPath],
     if not paths and len(root_tour) > 1:
         out.append(RootedPath.build(inst, list(root_tour)))
     covered = set().union(*(p.node_set for p in out)) if out else {inst.root}
-    assert covered >= set(inst.clients), "graft left nodes uncovered"
+    require(covered >= set(inst.clients), "graft left nodes uncovered")
     return out
 
 
@@ -437,35 +556,36 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
         diag.update(flow_cost=0, flow_value=0)
         return grafted, diag
 
-    merged: Dict[Tuple[int, ...], Fraction] = {}
-    for i, (_, w) in enumerate(ctx.support):
+    # Shortcut support weights, as ints over ctx.scale.
+    arc_weight: Dict[Tuple[int, int], int] = {}
+    frac_cost = 0
+    for i, W in enumerate(ctx.weights):
         phi = shortcut_to_witnesses(ctx, i, ws)
-        if not phi.is_trivial:
-            merged[phi.nodes] = merged.get(phi.nodes, ZERO) + w
-    arc_weight: Dict[Tuple[int, int], Fraction] = {}
-    frac_cost = ZERO
-    for nodes, w in merged.items():
+        nodes = phi.nodes
         for a, b in zip(nodes, nodes[1:]):
-            arc_weight[(a, b)] = arc_weight.get((a, b), ZERO) + w
-        frac_cost += Fraction(RootedPath.build(inst, list(nodes)).regret) * w
+            arc_weight[(a, b)] = arc_weight.get((a, b), 0) + W
+        frac_cost += phi.regret * W
 
     # every arc climbs in root distance, so the merged support is acyclic
     D = inst.root_dist
-    assert all(a == inst.root or D[a] < D[b] for a, b in arc_weight)
+    require(all(a == inst.root or D[a] < D[b] for a, b in arc_weight),
+            "shortcut support has an arc that does not climb in D")
     diag["support_acyclic"] = True
-    inflow = {wt: sum(w for (_, b), w in arc_weight.items() if b == wt)
-              for wt in ws.witnesses}
-    _bound_check(diag, "witness_inflow", min(inflow.values()), threshold,
-                 ge=True)
+    inflow = _heads(arc_weight)
+    _bound_check(diag, "witness_inflow",
+                 Fraction(min(inflow.get(w, 0) for w in ws.witnesses),
+                          ctx.scale), threshold, ge=True)
 
-    flow = round_flow(inst, arc_weight, ws.witnesses, threshold, value_cap,
+    flow = round_flow(inst, arc_weight, ws.witnesses, ctx.need, value_cap,
                       cost_factor=cost_factor)
     skeleton = decompose_flow(inst, flow)
     grafted = graft(inst, skeleton, ws)
     total = sum(p.regret for p in grafted)
-    assert total <= flow.cost + ws.tours_cost
+    require(total <= flow.cost + ws.tours_cost,
+            f"grafted regret {total} exceeds flow plus tours "
+            f"{flow.cost + ws.tours_cost}")
     diag.update(flow_cost=flow.cost, flow_value=flow.value,
-                support_flow_cost=float(frac_cost))
+                support_flow_cost=float(Fraction(frac_cost, ctx.scale)))
     return grafted, diag
 
 
@@ -484,9 +604,7 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
     """Round a fractional regret-bounded cover; count <= (2/d+6/(1-d))k*+1."""
     if diagnostics is None:
         diagnostics = {}
-    delta = Fraction(threshold) if threshold is not None else default_threshold()
-    if not 0 < delta < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
+    delta = check_threshold(threshold)
     if not inst.clients:
         return []
     if R == 0:
@@ -506,9 +624,10 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
     diagnostics.update(path_count=len(paths),
                        max_regret=max(p.regret for p in paths),
                        total_regret=sum(p.regret for p in paths))
-    assert all(p.regret <= R for p in paths)
+    require(all(p.regret <= R for p in paths),
+            f"a rounded path has regret above {R}")
     covered = set().union(*(p.node_set for p in paths))
-    assert covered >= set(inst.clients)
+    require(covered >= set(inst.clients), "rounded paths miss a client")
     _bound_check(diagnostics, "forest_cost_vs_regret_budget",
                  diag["forest_cost"], 3 * kstar * R / (1 - delta))
     _bound_check(diagnostics, "grafted_regret_vs_support",
@@ -529,7 +648,7 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
         return []
     if k < 1:
         raise ValueError("path budget must be at least 1")
-    assert sol.total_weight <= k, "fractional solution exceeds the path cap"
+    require(sol.total_weight <= k, "fractional solution exceeds the path cap")
     delta = Fraction(3 * k + 1, 3 * k + 2)
     nustar = sol.value if sol.objective == "regret" else None
     if nustar is None:
@@ -540,9 +659,9 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
     diagnostics.update(path_count=len(grafted),
                        max_regret=max((p.regret for p in grafted), default=0),
                        total_regret=sum(p.regret for p in grafted))
-    assert len(grafted) <= k
+    require(len(grafted) <= k, f"{len(grafted)} paths exceed the cap {k}")
     covered = set().union(*(p.node_set for p in grafted)) if grafted else set()
-    assert covered >= set(inst.clients)
+    require(covered >= set(inst.clients), "rounded paths miss a client")
     _bound_check(diagnostics, "total_regret_vs_fractional",
                  sum(p.regret for p in grafted), (4 + 6 * (3 * k + 2)) * nustar)
     return grafted

@@ -66,10 +66,10 @@ def test_solve_errors_exit_one(tmp_path, capsys):
                    "--threshold", "1/3") == 1
     assert ("error: solver 'mult' takes no rounding threshold"
             in capsys.readouterr().err)
-    # a rounding threshold outside (0, 1), 0 included
-    for bad in ("0", "1"):
-        assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
-                       "--threshold", bad) == 1
+    # a rounding threshold outside (0, 1), 0 included, also at R = 0
+    for regret, bad in (("1", "0"), ("1", "1"), ("0", "0")):
+        assert run_cli("solve", "rvrp", "--instance", inst, "--regret",
+                       regret, "--threshold", bad) == 1
         assert ("error: threshold must lie strictly between 0 and 1"
                 in capsys.readouterr().err)
 

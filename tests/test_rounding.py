@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from regret_route.core import RootedPath
+import rounding_reference as reference
+from test_harness import COLOCATED
+from regret_route import rounding
+from regret_route.core import Instance, RootedPath
 from regret_route.harness import (brute_force_rvrp, gen_euclidean, gen_ladder,
                                   gen_line, gen_random_metric)
 from regret_route.lp import (FractionalSolution, solve_minsum_lp,
@@ -242,3 +245,140 @@ def test_bound_check_survives_optimized_python(src_env):
     out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "SolverError: forest_cost_vs_regret_mass"
+
+
+def test_flow_cost_check_survives_optimized_python(src_env):
+    # A witness flow that claims more than its cost bound must stop the
+    # rounding even with asserts compiled out.
+    import subprocess
+    import sys
+    script = (
+        "from regret_route import flows, rounding\n"
+        "from regret_route.core import SolverError\n"
+        "from regret_route.harness import gen_ladder\n"
+        "from regret_route.lp import solve_rvrp_lp\n"
+        "assert False, 'asserts are live'\n"
+        "solve = flows.MinCostCirculation.solve\n"
+        "flows.MinCostCirculation.solve = lambda self: solve(self) + 10 ** 6\n"
+        "inst = gen_ladder(2)\n"
+        "try:\n"
+        "    rounding.round_rvrp(inst, 1, solve_rvrp_lp(inst, 1))\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', *str(exc).split()[:2])\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "SolverError: flow cost"
+
+
+# --- the integer pipeline against the Fraction oracle ---------------------------
+
+def _clock(m, radius=30, step=12):
+    """m clients on a circle around the root, all at the same distance;
+    between clients, ring distance truncated at the diameter."""
+    def d(i, j):
+        if i == j:
+            return 0
+        if 0 in (i, j):
+            return radius
+        ring = min(abs(i - j), m - abs(i - j))
+        return min(ring * step, 2 * radius)
+    return Instance.from_matrix([[d(i, j) for j in range(m + 1)]
+                                 for i in range(m + 1)])
+
+
+def assert_matches_reference(ctx):
+    """The integer forest and cut requirement equal the Fraction oracle's."""
+    ws = build_forest(ctx)
+    assert ws == reference.build_forest(ctx)
+    everything = frozenset(range(ctx.inst.n))
+    for S in ws.components + [everything]:
+        assert cut_value(ctx, S) == reference.cut_value(ctx, S)
+        for v in S:
+            assert covered_within(ctx, v, S) == \
+                reference.covered_within(ctx, v, S)
+    return ws
+
+
+def assert_rounds_like_reference(rounder, inst, *args, **kwargs):
+    """Equal paths and equal diagnostics, every bound_checks entry included."""
+    diag, ref_diag = {}, {}
+    paths = getattr(rounding, rounder)(inst, *args, diagnostics=diag,
+                                       **kwargs)
+    ref_paths = getattr(reference, rounder)(inst, *args,
+                                            diagnostics=ref_diag, **kwargs)
+    assert [p.nodes for p in paths] == [p.nodes for p in ref_paths]
+    assert diag == ref_diag
+    return diag
+
+
+CROSS_CHECK = [
+    ("euclidean", lambda: gen_euclidean(9, 31), 2),
+    ("euclidean", lambda: gen_euclidean(10, 32), 4),
+    ("random", lambda: gen_random_metric(8, 33), 3),
+    ("random", lambda: gen_random_metric(9, 34), 1),
+    ("line", lambda: gen_line([0, 1, 2, 3, 5, 6, 7, 9]), 1),
+    ("line", lambda: gen_line([0, -3, -2, -1, 1, 2, 3, 4]), 2),
+    ("ladder", lambda: gen_ladder(2), 1),
+    ("ladder", lambda: gen_ladder(2, 2), 1),
+] + [("co-located", lambda inst=inst: inst, 3) for inst in COLOCATED]
+
+
+@pytest.mark.parametrize("kind,make,R", CROSS_CHECK,
+                         ids=[f"{k}-{i}" for i, (k, _, _)
+                              in enumerate(CROSS_CHECK)])
+def test_integer_rounding_matches_fraction_oracle(kind, make, R):
+    # Lines and ladders have many equal distances: merges tie and both
+    # sides of a tight edge are often active.
+    inst = make()
+    sol = solve_rvrp_lp(inst, R)
+    for delta in (default_threshold(), Fraction(1, 2)):
+        assert_matches_reference(RoundingContext.build(inst, sol, delta))
+    assert_rounds_like_reference("round_rvrp", inst, R, sol)
+    assert_rounds_like_reference("round_rvrp", inst, R, sol,
+                                 threshold=Fraction(1, 3))
+    k = 2
+    assert_rounds_like_reference("round_minsum", inst, k,
+                                 solve_minsum_lp(inst, k))
+
+
+def test_integer_scaling_large_threshold_denominator():
+    # default_threshold() carries a denominator near 2^53; a Mersenne prime
+    # denominator shares no factor with any support weight.
+    inst = gen_euclidean(9, 36)
+    sol = solve_rvrp_lp(inst, 3)
+    for delta in (default_threshold(),
+                  Fraction(1, 3) + Fraction(1, 2 ** 89 - 1)):
+        ctx = RoundingContext.build(inst, sol, delta)
+        assert delta.denominator > 2 ** 50
+        assert ctx.scale % delta.denominator == 0
+        assert Fraction(ctx.need, ctx.scale) == delta
+        assert_matches_reference(ctx)
+        assert_rounds_like_reference("round_rvrp", inst, 3, sol,
+                                     threshold=delta)
+
+
+def test_integer_scaling_single_support_path():
+    # One zig-zag path of weight 1 covers every client; its red spans
+    # decide every cut alone.
+    inst = gen_line([0, 4, 1, 5, 2, 6, 3])
+    path = RootedPath.build(inst, [0, 2, 1, 4, 3, 6, 5])
+    sol = FractionalSolution.from_columns(inst, [path], [Fraction(1)])
+    ctx = RoundingContext.build(inst, sol, default_threshold())
+    assert len(ctx.support) == 1 and ctx.weights == [ctx.scale]
+    assert_matches_reference(ctx)
+    assert_rounds_like_reference("round_rvrp", inst, path.regret, sol)
+
+
+def test_integer_forest_when_only_the_root_starts_inactive():
+    # Every client sits at the same distance from the root, so every edge
+    # between clients is red and every client starts active: pairs with
+    # the root grow at rate 1, pairs of clients at rate 2, and the first
+    # merge of two clients lands on a half step.
+    inst = _clock(7)
+    sol = solve_rvrp_lp(inst, 24)
+    ctx = RoundingContext.build(inst, sol, default_threshold())
+    inactive = [v for v in range(inst.n) if not cut_value(ctx, {v})]
+    assert inactive == [inst.root]
+    ws = assert_matches_reference(ctx)
+    assert ws.forest
+    assert_rounds_like_reference("round_rvrp", inst, 24, sol)
