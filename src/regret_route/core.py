@@ -39,10 +39,20 @@ def require(cond: bool, msg: str) -> None:
         raise SolverError(msg)
 
 
-def _as_int(x) -> int:
-    # Accept ints and integral numpy scalars / floats; reject anything else.
+def require_cover(paths: Iterable[RootedPath], targets: Iterable[int],
+                  msg: str) -> None:
+    """Raise SolverError unless the paths visit every target; a ``{}`` in
+    msg is filled in with the sorted targets they miss."""
+    missing = set(targets).difference(*(p.node_set for p in paths))
+    if missing:
+        raise SolverError(msg.format(sorted(missing)))
+
+
+def _as_int(x, what: str = "distance entry") -> int:
+    # Accept ints and integral numpy scalars / floats; reject anything else,
+    # naming what x is.
     if isinstance(x, bool):
-        raise InvalidInstanceError("boolean distance entry")
+        raise InvalidInstanceError(f"boolean {what}")
     if isinstance(x, int):
         return x
     try:
@@ -50,7 +60,7 @@ def _as_int(x) -> int:
             return int(x)
     except (TypeError, ValueError):
         pass
-    raise InvalidInstanceError(f"non-integer distance entry {x!r}")
+    raise InvalidInstanceError(f"non-integer {what}: {x!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,8 +287,7 @@ def split_by_regret(inst: Instance, path: RootedPath, R: int) -> List[RootedPath
     out = [RootedPath.build(inst, g) for g in groups]
     require(len(out) <= -(-path.regret // R), "split made too many paths")
     require(all(p.regret <= R for p in out), f"split left regret above {R}")
-    require(set().union(*(p.node_set for p in out)) == path.node_set,
-            "split lost nodes")
+    require_cover(out, path.nodes, "split lost nodes")
     return out
 
 
@@ -326,6 +335,17 @@ def shortcut(inst: Instance, path: RootedPath, keep: Iterable[int]) -> RootedPat
     require(out.cost <= path.cost and out.regret <= path.regret,
             f"shortcut of {path.nodes} costs more than the path")
     return out
+
+
+def check_cap(inst: Instance, cap) -> int:
+    """The distance cap as an int; InfeasibleError naming the clients
+    farther than it from the root, which no capped path can reach."""
+    cap = _as_int(cap, "distance cap")
+    far = [v for v in inst.clients if inst.root_dist[v] > cap]
+    if far:
+        raise InfeasibleError(
+            f"nodes {far} lie beyond distance {cap} from the root", nodes=far)
+    return cap
 
 
 def tight_arcs(inst: Instance) -> List[Tuple[int, int]]:
@@ -405,9 +425,7 @@ def zero_regret_cover(inst: Instance, targets: Iterable[int]) -> List[RootedPath
         paths.append(RootedPath.build(inst, seq))
     require(all(p.regret == 0 for p in paths),
             "zero-regret cover has a path with positive regret")
-    covered = set().union(*(p.node_set for p in paths)) if paths else set()
-    require(covered >= set(targets), "zero-regret cover left targets "
-            f"{sorted(set(targets) - covered)} uncovered")
+    require_cover(paths, targets, "zero-regret cover left targets {} uncovered")
     return paths
 
 

@@ -117,7 +117,6 @@ class MinCostCirculation:
             pushed += bottleneck
         self._cap = cap
         self._solved = True
-        self._cost = total_cost
         return total_cost
 
     def flow(self, arc_id: int) -> int:
@@ -126,9 +125,3 @@ class MinCostCirculation:
         u, v, lower, capacity, w = self._arcs[arc_id]
         rid = self._residual_id[arc_id]
         return lower + (capacity - lower - self._cap[rid])
-
-    @property
-    def cost(self) -> int:
-        if not self._solved:
-            raise SolverError("solve() has not run")
-        return self._cost

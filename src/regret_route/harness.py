@@ -15,8 +15,9 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import reductions
-from .core import (Instance, RootedPath, InfeasibleError, _as_int,
+from .core import (Instance, RootedPath, InfeasibleError, _as_int, check_cap,
                    metric_from_edges)
+from .lp import FractionalSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable,
                       OracleUnavailableError)
 
@@ -113,13 +114,23 @@ def gen_line(positions: Sequence[int]) -> Instance:
 
 # --- brute-force oracles ----------------------------------------------------
 
-def _cover_count(m: int, feasible: Sequence[bool]) -> int:
-    """Fewest feasible subsets covering all m clients.
+def _optima(inst: Instance, limit: int, attr: str) -> List[int]:
+    """HKTable.min_regret or .min_length without the empty mask: the least
+    regret or length of a rooted path through exactly each client set."""
+    if not inst.clients:
+        return []
+    return getattr(HKTable(inst, threshold=limit), attr).tolist()[1:]
+
+
+def _cover_count(optima: Sequence[int], bound: int) -> int:
+    """Fewest client sets with optima at most bound that cover every client.
 
     Feasible families here are subset-closed (dropping a node from a path
     and shortcutting never raises regret or length), so partitioning is as
     good as covering and the classic submask DP applies.
     """
+    feasible = [False] + [x <= bound for x in optima]
+    m = len(optima).bit_length()
     full = (1 << m) - 1
     best = [0] + [m + 1] * full
     for mask in range(1, full + 1):
@@ -139,48 +150,31 @@ def _cover_count(m: int, feasible: Sequence[bool]) -> int:
 def brute_force_rvrp(inst: Instance, R: int,
                      limit: int = ORACLE_LIMIT) -> int:
     """Exact minimum number of regret-<=R rooted paths covering all clients."""
-    R = _as_int(R)
+    R = _as_int(R, "regret bound")
     if R < 0:
         raise ValueError("regret bound must be nonnegative")
-    m = len(inst.clients)
-    if m == 0:
-        return 0
-    regrets = HKTable(inst, threshold=limit).min_regret.tolist()
-    return _cover_count(m, [False] + [r <= R for r in regrets[1:]])
+    return _cover_count(_optima(inst, limit, "min_regret"), R)
 
 
 def brute_force_dvrp(inst: Instance, cap: int,
                      limit: int = ORACLE_LIMIT) -> int:
     """Exact minimum number of length-<=cap rooted paths covering all."""
-    cap = _as_int(cap)
-    far = [v for v in inst.clients if inst.root_dist[v] > cap]
-    if far:
-        raise InfeasibleError(
-            f"nodes {far} lie beyond distance {cap} from the root",
-            nodes=far)
-    m = len(inst.clients)
-    if m == 0:
-        return 0
-    lengths = HKTable(inst, threshold=limit).min_length.tolist()
-    return _cover_count(m, [False] + [c <= cap for c in lengths[1:]])
+    cap = check_cap(inst, cap)
+    return _cover_count(_optima(inst, limit, "min_length"), cap)
 
 
 def brute_force_krvrp(inst: Instance, k: int,
                       limit: int = ORACLE_LIMIT) -> int:
     """Exact minimum over <=k-path covers of the maximum path regret."""
-    k = _as_int(k)
+    k = _as_int(k, "path budget")
     if k < 1:
         raise ValueError("path budget must be at least 1")
-    m = len(inst.clients)
-    if m == 0:
-        return 0
-    regrets = HKTable(inst, threshold=limit).min_regret.tolist()[1:]
-    values = sorted(set(regrets))
+    regrets = _optima(inst, limit, "min_regret")
+    values = sorted(set(regrets)) or [0]
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        feasible = [False] + [r <= values[mid] for r in regrets]
-        if _cover_count(m, feasible) <= k:
+        if _cover_count(regrets, values[mid]) <= k:
             hi = mid
         else:
             lo = mid + 1
@@ -259,7 +253,7 @@ ORACLES = {"rvrp": (brute_force_rvrp, "regret", "count"),
 
 def _length_check(inst: Instance, visits: Mapping, lengths: Mapping,
                   cap) -> List[dict]:
-    cap = _as_int(cap)
+    cap = _as_int(cap, "distance cap")
     return [{"kind": "length", "path": idx,
              "detail": f"length {cost} exceeds {cap}"}
             for idx, cost in sorted(lengths.items()) if cost > cap]
@@ -275,7 +269,8 @@ def _visit_time_check(inst: Instance, visits: Mapping, lengths: Mapping,
 
 def _node_regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
                        bounds) -> List[dict]:
-    bound = {int(v): _as_int(b) for v, b in bounds.items()}
+    bound = {int(v): _as_int(b, f"regret bound of node {v}")
+             for v, b in bounds.items()}
     D = inst.root_dist
     return [{"kind": "regret", "node": v,
              "detail": f"best regret {min(t) - D[v]} exceeds "
@@ -286,7 +281,7 @@ def _node_regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
 
 def _regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
                   R) -> List[dict]:
-    R = _as_int(R)
+    R = _as_int(R, "regret bound")
     return _node_regret_check(inst, visits, lengths, dict.fromkeys(visits, R))
 
 
@@ -466,11 +461,8 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
         "ok": check["ok"],
         "failures": check["failures"],
     }
-    if "lp_value" in diag:
-        report["lp_value"] = diag["lp_value"]
-        report["lp_certified"] = diag["lp_certified"]
-        report["lp_rounds"] = diag["lp_rounds"]
-        report["lp_pivots"] = diag["lp_pivots"]
+    report.update((key, diag[key]) for key in FractionalSolution.REPORT_KEYS
+                  if key in diag)
     if "bound_checks" in diag:
         report["bound_checks"] = diag["bound_checks"]
     if job.get("oracle"):

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from .core import (Instance, InfeasibleError, RootedPath, SolverError, _as_int,
+from .core import (Instance, RootedPath, SolverError, _as_int, check_cap,
                    farthest_node, preprocess_path_pair)
 from .exactlp import CoveringMaster, MasterSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable, ScaledRewards,
@@ -39,14 +39,21 @@ class FractionalSolution:
     columns: List[RootedPath]
     weights: List[Fraction]
     value: Fraction
-    duals: Dict[int, Fraction]
-    budget_dual: Optional[Fraction]
     objective: str                       # "count" or "regret"
     column_bound: Optional[Tuple[str, int]]  # ("regret", R) or ("length", D)
     count_cap: Optional[int]
     certified: bool
     rounds: int = 0
     pivots: int = 0                      # the master's cumulative pivots
+
+    # The fields report() gives diagnostics and bench reports.
+    REPORT_KEYS: ClassVar[Tuple[str, ...]] = (
+        "lp_value", "lp_certified", "lp_rounds", "lp_pivots")
+
+    def report(self) -> dict:
+        """The value, whether pricing was exact, the rounds and the pivots."""
+        return dict(zip(self.REPORT_KEYS, (float(self.value), self.certified,
+                                           self.rounds, self.pivots)))
 
     @property
     def total_weight(self) -> Fraction:
@@ -97,10 +104,9 @@ class FractionalSolution:
                      certified: bool = False) -> "FractionalSolution":
         cols = list(columns)
         ws = [Fraction(w) for w in weights]
-        sol = cls(inst=inst, columns=cols, weights=ws, value=ZERO, duals={},
-                  budget_dual=None, objective=objective,
-                  column_bound=column_bound, count_cap=count_cap,
-                  certified=certified)
+        sol = cls(inst=inst, columns=cols, weights=ws, value=ZERO,
+                  objective=objective, column_bound=column_bound,
+                  count_cap=count_cap, certified=certified)
         sol.value = sol._objective_value()
         return sol
 
@@ -130,31 +136,20 @@ def _seed_columns(inst: Instance,
     return seeds
 
 
-def _empty_solution(inst: Instance, objective: str,
-                    column_bound: Optional[Tuple[str, int]],
-                    count_cap: Optional[int]) -> FractionalSolution:
-    return FractionalSolution(inst=inst, columns=[], weights=[], value=ZERO,
-                              duals={}, budget_dual=None, objective=objective,
-                              column_bound=column_bound, count_cap=count_cap,
-                              certified=True)
-
-
 def _price(inst: Instance, rewards: ScaledRewards, z: Fraction,
            objective: str, column_bound: Optional[Tuple[str, int]],
-           exact: bool, table: Optional[HKTable],
-           threshold: int) -> Tuple[RootedPath, bool]:
-    """Returns (path, improving?)."""
+           table: Optional[HKTable]) -> Tuple[RootedPath, bool]:
+    """Returns (path, improving?); prices exactly when there is a table."""
     if column_bound is not None:
         kind, limit = column_bound
-        if exact:
+        if table is not None:
             fn = exact_orienteering if kind == "regret" else exact_length_budget
-            res = fn(inst, rewards, limit, table=table, threshold=threshold)
+            res = fn(table, rewards, limit)
         else:
             res = heuristic_pricing(inst, rewards, kind, limit)
         return res.path, res.value > 1
-    if exact:
-        res = exact_min_excess_pricing(inst, rewards, table=table,
-                                       threshold=threshold)
+    if table is not None:
+        res = exact_min_excess_pricing(table, rewards)
     else:
         res = heuristic_pricing(inst, rewards, "min_excess")
     return res.path, res.value < -z
@@ -169,10 +164,11 @@ def column_generation(inst: Instance, objective: str,
         raise ValueError(f"unknown objective {objective!r}")
     clients = list(inst.clients)
     if not clients:
-        return _empty_solution(inst, objective, column_bound, count_cap)
+        return FractionalSolution.from_columns(
+            inst, [], [], objective, column_bound, count_cap, certified=True)
 
     exact = len(clients) <= exact_threshold
-    table = hk_table
+    table = hk_table if exact else None
     if exact and table is None:
         table = HKTable(inst, threshold=exact_threshold)
 
@@ -198,8 +194,7 @@ def column_generation(inst: Instance, objective: str,
         prev_value = sol.value
         z = sol.budget_dual if sol.budget_dual is not None else ZERO
         path, improving = _price(
-            inst, sol.coverage_duals, z, objective, column_bound, exact, table,
-            exact_threshold)
+            inst, sol.coverage_duals, z, objective, column_bound, table)
         if not improving:
             break
         if path.nodes in seen:
@@ -213,9 +208,8 @@ def column_generation(inst: Instance, objective: str,
 
     result = FractionalSolution(
         inst=inst, columns=columns, weights=list(sol.weights),
-        value=sol.value, duals=dict(sol.duals), budget_dual=sol.budget_dual,
-        objective=objective, column_bound=column_bound, count_cap=count_cap,
-        certified=exact, rounds=rounds, pivots=sol.pivots)
+        value=sol.value, objective=objective, column_bound=column_bound,
+        count_cap=count_cap, certified=exact, rounds=rounds, pivots=sol.pivots)
     result.validate()
     return result
 
@@ -224,7 +218,7 @@ def solve_rvrp_lp(inst: Instance, R: int,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                   hk_table: Optional[HKTable] = None) -> FractionalSolution:
     """Fractional minimum number of regret-<=R rooted paths covering all."""
-    R = _as_int(R)
+    R = _as_int(R, "regret bound")
     if R < 0:
         raise ValueError("regret bound must be nonnegative")
     return column_generation(inst, "count", column_bound=("regret", R),
@@ -236,11 +230,7 @@ def solve_dvrp_lp(inst: Instance, D: int,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                   ) -> FractionalSolution:
     """Fractional minimum number of length-<=D rooted paths covering all."""
-    D = _as_int(D)
-    far = [v for v in inst.clients if inst.root_dist[v] > D]
-    if far:
-        raise InfeasibleError(
-            f"nodes {far} lie beyond distance {D} from the root", nodes=far)
+    D = check_cap(inst, D)
     return column_generation(inst, "count", column_bound=("length", D),
                              exact_threshold=exact_threshold)
 
@@ -249,7 +239,7 @@ def solve_minsum_lp(inst: Instance, k: int,
                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                     ) -> FractionalSolution:
     """Fractional minimum total regret using at most k rooted paths."""
-    k = _as_int(k)
+    k = _as_int(k, "path budget")
     if k < 1:
         raise ValueError("path budget must be at least 1")
     return column_generation(inst, "regret", count_cap=k,

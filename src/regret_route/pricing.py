@@ -195,19 +195,12 @@ def _pick_best_mask(table: HKTable, masks) -> int:
     return int(masks[table.popcount[masks].argmin()])
 
 
-def _table(inst: Instance, table: Optional[HKTable], threshold: int) -> HKTable:
-    if table is not None:
-        return table
-    return HKTable(inst, threshold=threshold)
-
-
-def _max_reward_scan(inst: Instance, rewards: ScaledRewards,
-                     budget: int, kind: str, table: Optional[HKTable],
-                     threshold: int) -> PricedPath:
+def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
+                     kind: str) -> PricedPath:
     """Max-reward rooted path whose regret or length is at most budget."""
     if budget < 0:
         raise ValueError(f"negative {kind} budget")
-    t = _table(inst, table, threshold)
+    inst = t.inst
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
@@ -226,47 +219,47 @@ def _max_reward_scan(inst: Instance, rewards: ScaledRewards,
     return PricedPath(t.path_for(mask, end), Fraction(best, den))
 
 
-def exact_orienteering(inst: Instance, rewards: ScaledRewards, budget: int,
-                       table: Optional[HKTable] = None,
-                       threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
-    """Max-reward rooted path with regret at most budget; exact.
+def exact_orienteering(table: HKTable, rewards: ScaledRewards,
+                       budget: int) -> PricedPath:
+    """Max-reward rooted path of the table's instance with regret at most
+    budget; exact.
 
     Ties are broken toward fewer nodes, then a fixed canonical order. With
     all-zero rewards this is the trivial path at reward 0.
     """
-    return _max_reward_scan(inst, rewards, budget, "regret", table, threshold)
+    return _max_reward_scan(table, rewards, budget, "regret")
 
 
-def exact_length_budget(inst: Instance, rewards: ScaledRewards, budget: int,
-                        table: Optional[HKTable] = None,
-                        threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
-    """Max-reward rooted path with total length at most budget; exact."""
-    return _max_reward_scan(inst, rewards, budget, "length", table, threshold)
+def exact_length_budget(table: HKTable, rewards: ScaledRewards,
+                        budget: int) -> PricedPath:
+    """Max-reward rooted path of the table's instance with total length at
+    most budget; exact."""
+    return _max_reward_scan(table, rewards, budget, "length")
 
 
-def exact_min_excess_pricing(inst: Instance, rewards: ScaledRewards,
-                             table: Optional[HKTable] = None,
-                             threshold: int = DEFAULT_EXACT_THRESHOLD) -> PricedPath:
-    """Minimize regret(P) - reward(P) over rooted paths; exact.
+def exact_min_excess_pricing(table: HKTable,
+                             rewards: ScaledRewards) -> PricedPath:
+    """Minimize regret(P) - reward(P) over rooted paths of the table's
+    instance; exact.
 
     The empty path (value 0) is always a candidate, so the result never has
     positive value. Under a budget row whose dual is z >= 0, callers admit
     the column when value < -z. Ties go to fewer nodes, then canonical.
     """
-    t = _table(inst, table, threshold)
+    t = table
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
     sums = _reward_sums(nums, np)[1:]
     regret = t.min_regret[1:]           # the empty mask is the trivial path
     if not len(regret):
-        return PricedPath(RootedPath.trivial(inst), Fraction(0))
+        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
     top = max(-int(regret.min()), int(regret.max()), 1) * den + sum(nums)
     dtype = _sum_dtype(top, np)
     excess = regret.astype(dtype) * den - sums.astype(dtype)
     best = int(excess.min())
     if best >= 0:
-        return PricedPath(RootedPath.trivial(inst), Fraction(0))
+        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
     mask = _pick_best_mask(t, np.flatnonzero(excess == best) + 1)
     return PricedPath(t.path_for(mask, int(t.regret_end[mask])),
                       Fraction(best, den))

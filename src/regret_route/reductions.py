@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import (Instance, RootedPath, InfeasibleError, _as_int,
-                   induced_instance, zero_regret_cover)
+from .core import (Instance, RootedPath, _as_int, check_cap, induced_instance,
+                   require, require_cover, zero_regret_cover)
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
 from .pricing import HKTable
@@ -29,15 +29,13 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
     goes through the configuration LP and the rounding pipeline, so the
     number of paths is within a constant factor of the fractional optimum.
     """
-    R = _as_int(R)
+    R = _as_int(R, "regret bound")
     if R < 0:
         raise ValueError("regret bound must be nonnegative")
     threshold = check_threshold(threshold)
     if diagnostics is None:
         diagnostics = {}
-    if not inst.clients:
-        return []
-    if R == 0:
+    if R == 0 or not inst.clients:
         paths = zero_regret_cover(inst, inst.clients)
         diagnostics.update(path_count=len(paths), max_regret=0,
                            total_regret=0)
@@ -91,10 +89,10 @@ def solve_multiplicative(inst: Instance, ratio,
         raise ValueError("multiplicative bound must be at least 1")
     if diagnostics is None:
         diagnostics = {}
-    if not inst.clients:
-        return []
     if ratio == 1:
-        return zero_regret_cover(inst, inst.clients)
+        walks = zero_regret_cover(inst, inst.clients)
+        diagnostics.update(path_count=len(walks))
+        return walks
     delta_m = ratio - 1
 
     D = inst.root_dist
@@ -131,16 +129,16 @@ def solve_multiplicative(inst: Instance, ratio,
         head = RootedPath.build(inst, [inst.root] + zero_clients + list(rest))
         walks = [head] + walks[1:]
 
-    covered = set()
+    seen = set()
     for w in walks:
         for idx, v in enumerate(w.nodes):
-            if v in covered or v == inst.root:
+            if v in seen or v == inst.root:
                 continue
-            covered.add(v)
+            seen.add(v)
             # exact rational check of the headline guarantee
-            assert w.visit_cost(idx, inst) <= ratio * D[v], \
-                f"node {v} visited too late"
-    assert covered == set(inst.clients)
+            require(w.visit_cost(idx, inst) <= ratio * D[v],
+                    f"node {v} visited too late")
+    require_cover(walks, inst.clients, "walks miss clients {}")
     diagnostics.update(rings=ring_info, chain_period=period,
                        path_count=len(walks))
     return walks
@@ -197,14 +195,6 @@ def _prune_redundant(paths: List[RootedPath]) -> List[RootedPath]:
     return kept
 
 
-def _check_cap(inst: Instance, cap: int) -> None:
-    far = [v for v in inst.clients if inst.root_dist[v] > cap]
-    if far:
-        raise InfeasibleError(
-            f"nodes {far} lie beyond distance {cap} from the root",
-            nodes=far)
-
-
 def dvrp_dp_state(inst: Instance, cap: int,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                   ) -> DvrpDpState:
@@ -218,8 +208,7 @@ def dvrp_dp_state(inst: Instance, cap: int,
     cut: their visit cost is at most 2^k + D_v <= cap), and recurses on
     S_k for the rest.
     """
-    cap = _as_int(cap)
-    _check_cap(inst, cap)
+    cap = check_cap(inst, cap)
     D = inst.root_dist
     clients = set(inst.clients)
     min_d = min((D[v] for v in clients), default=0)
@@ -227,7 +216,7 @@ def dvrp_dp_state(inst: Instance, cap: int,
 
     S = [sorted(v for v in clients if cap - D[v] < 2 ** i)
          for i in range(M + 1)]
-    assert not S or set(S[M]) == clients
+    require(set(S[M]) == clients, f"S[{M}] is not every client")
 
     base = zero_regret_cover(inst, S[0])
     F = [len(base)]
@@ -255,10 +244,11 @@ def dvrp_dp_state(inst: Instance, cap: int,
         F.append(count)
         P.append(merged)
         choice.append(k)
-        assert len(merged) <= count
-        assert all(p.cost <= cap for p in merged)
-        covered = set().union(*(p.node_set for p in merged)) if merged else set()
-        assert covered >= set(S[i])
+        require(len(merged) <= count,
+                f"{len(merged)} paths at level {i} exceed F = {count}")
+        require(all(p.cost <= cap for p in merged),
+                f"a path at level {i} is longer than the cap {cap}")
+        require_cover(merged, S[i], f"level {i} leaves nodes {{}} uncovered")
     return DvrpDpState(cap=cap, M=M, S=S, F=F, P=P, choice=choice)
 
 
@@ -269,7 +259,8 @@ def solve_dvrp_dp(inst: Instance, cap: int,
     if diagnostics is None:
         diagnostics = {}
     if not inst.clients:
-        _check_cap(inst, _as_int(cap))
+        check_cap(inst, cap)
+        diagnostics.update(path_count=0)
         return []
     state = dvrp_dp_state(inst, cap, exact_threshold=exact_threshold)
     diagnostics.update(
@@ -297,11 +288,11 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
     below 3k*.  Each part is then an additive solve at bound
     cap - D_center, so every output path obeys the cap.
     """
-    cap = _as_int(cap)
+    cap = check_cap(inst, cap)
     if diagnostics is None:
         diagnostics = {}
     if not inst.clients:
-        _check_cap(inst, cap)
+        diagnostics.update(path_count=0)
         return []
     sol = solve_dvrp_lp(inst, cap, exact_threshold=exact_threshold)
     star = preprocess_fractional(sol)
@@ -339,26 +330,28 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
         # closed parts leak no cut-mass, so the center keeps this much
         end_mass = sum((w for _, w in ends.get(center, [])), Fraction(0))
         slack = 1 - Fraction(len(parts)) * cut
-        assert end_mass > slack or (not parts and end_mass >= slack)
+        require(end_mass > slack or (not parts and end_mass >= slack),
+                f"center {center} keeps end mass {end_mass}, not above "
+                f"{slack}")
         members = zone(center)
-        assert center in members
-        assert all(D[u] <= D[center] for u in members)
+        require(center in members, f"center {center} left its own part")
+        require(all(D[u] <= D[center] for u in members),
+                f"part of center {center} has a farther member")
         unassigned -= set(members)
         parts.append((center, members))
         part_info.append({"center": center, "size": len(members),
                           "bound": cap - D[center]})
-    assert len(parts) < 3 * kstar
+    require(len(parts) < 3 * kstar,
+            f"{len(parts)} parts reach 3k* = {3 * kstar}")
 
     paths: List[RootedPath] = []
     for center, members in parts:
         got = _cover_subset(inst, members, cap - D[center], exact_threshold)
-        assert all(p.cost <= cap for p in got)
+        require(all(p.cost <= cap for p in got),
+                f"a path of center {center}'s part is longer than {cap}")
         paths.extend(got)
-    covered = set().union(*(p.node_set for p in paths))
-    assert covered >= set(inst.clients)
-    diagnostics.update(lp_value=float(sol.value), lp_certified=sol.certified,
-                       lp_rounds=sol.rounds, lp_pivots=sol.pivots,
-                       support_weight=float(kstar),
+    require_cover(paths, inst.clients, "parts leave clients {} uncovered")
+    diagnostics.update(**sol.report(), support_weight=float(kstar),
                        parts=part_info, path_count=len(paths))
     return paths
 
@@ -383,7 +376,7 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
     for v in inst.clients:
         if v not in bounds:
             raise ValueError(f"missing regret bound for node {v}")
-        b = _as_int(bounds[v])
+        b = _as_int(bounds[v], f"regret bound of node {v}")
         if b < 0:
             raise ValueError(f"negative regret bound for node {v}")
         classes.setdefault(b.bit_length(), []).append(v)
@@ -400,8 +393,8 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
                            "paths": len(got)})
         paths.extend(got)
 
-    covered = set().union(*(p.node_set for p in paths)) if paths else set()
-    assert covered >= set(inst.clients)
+    require_cover(paths, inst.clients, "regret classes leave clients {} "
+                  "uncovered")
     diagnostics.update(classes=class_info, path_count=len(paths))
     return paths
 
@@ -418,16 +411,14 @@ def solve_krvrp_minmax(inst: Instance, k: int,
     within an O(k) factor of the best achievable by k paths, which makes
     the max readout an O(k^2) answer for the min-max question.
     """
-    k = _as_int(k)
+    k = _as_int(k, "path budget")
     if k < 1:
         raise ValueError("path budget must be at least 1")
     if diagnostics is None:
         diagnostics = {}
     if not inst.clients:
+        diagnostics.update(path_count=0, max_regret=0, total_regret=0)
         return [], 0
     sol = solve_minsum_lp(inst, k, exact_threshold=exact_threshold)
     paths = round_minsum(inst, k, sol, diagnostics=diagnostics)
-    worst = max((p.regret for p in paths), default=0)
-    diagnostics.update(max_regret=worst,
-                       total_regret=sum(p.regret for p in paths))
-    return paths, worst
+    return paths, max(p.regret for p in paths)

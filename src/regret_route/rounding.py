@@ -15,11 +15,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .core import (EdgeColoring, Instance, RootedPath, SolverError,
-                   classify_edges, require, shortcut, split_by_regret,
-                   zero_regret_cover)
+from .core import (Instance, RootedPath, SolverError, classify_edges, require,
+                   require_cover, shortcut, split_by_regret)
 from .flows import MinCostCirculation
 from .lp import FractionalSolution
 
@@ -58,7 +58,6 @@ class RoundingContext:
     inst: Instance
     threshold: Fraction
     support: List[Tuple[RootedPath, Fraction]]
-    colorings: List[EdgeColoring]
     red_span: List[Dict[int, FrozenSet[int]]]
     scale: int
     weights: List[int]
@@ -82,8 +81,7 @@ class RoundingContext:
             for v, red in span.items():
                 node_spans[v].append((red, W))
         return cls(inst=inst, threshold=threshold, support=support,
-                   colorings=colorings, red_span=spans, scale=scale,
-                   weights=weights,
+                   red_span=spans, scale=scale, weights=weights,
                    need=threshold.numerator * (scale // threshold.denominator),
                    node_spans=node_spans)
 
@@ -194,13 +192,7 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
     dist = inst.dist
 
     parent = list(range(n))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
+    find = partial(_find, parent)
     comp_nodes: Dict[int, Set[int]] = {v: {v} for v in range(n)}
     active: Dict[int, bool] = {v: _active(ctx, comp_nodes[v])
                                for v in range(n)}
@@ -338,15 +330,17 @@ def _split_sides(n: int, edges: Sequence[Tuple[int, int]],
     return set(a), set(b)
 
 
+def _find(parent: List[int], u: int) -> int:
+    """Union-find root of u, halving the path on the way."""
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u
+
+
 def _forest_components(n: int, edges: Sequence[Tuple[int, int]]) -> List[FrozenSet[int]]:
     parent = list(range(n))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
+    find = partial(_find, parent)
     for u, v in edges:
         parent[find(u)] = find(v)
     groups: Dict[int, Set[int]] = {}
@@ -529,8 +523,7 @@ def graft(inst: Instance, paths: Sequence[RootedPath],
         out.append(RootedPath.build(inst, seq))
     if not paths and len(root_tour) > 1:
         out.append(RootedPath.build(inst, list(root_tour)))
-    covered = set().union(*(p.node_set for p in out)) if out else {inst.root}
-    require(covered >= set(inst.clients), "graft left nodes uncovered")
+    require_cover(out, inst.clients, "graft left nodes uncovered")
     return out
 
 
@@ -540,10 +533,7 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
     ctx = RoundingContext.build(inst, sol, threshold)
     ws = build_forest(ctx)
     diag: dict = {
-        "lp_value": float(sol.value),
-        "lp_certified": sol.certified,
-        "lp_rounds": sol.rounds,
-        "lp_pivots": sol.pivots,
+        **sol.report(),
         "forest_cost": ws.forest_cost,
         "tours_cost": ws.tours_cost,
         "components": len(ws.components),
@@ -601,19 +591,15 @@ def _bound_check(diag: dict, name: str, actual, bound, ge: bool = False) -> None
 def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
                threshold: Optional[Fraction] = None,
                diagnostics: Optional[dict] = None) -> List[RootedPath]:
-    """Round a fractional regret-bounded cover; count <= (2/d+6/(1-d))k*+1."""
+    """Round a fractional regret-bounded cover; count <= (2/d+6/(1-d))k*+1.
+    R < 1 is refused (ValueError): solve_rvrp covers R = 0 without an LP."""
+    if R < 1:
+        raise ValueError(f"rounding needs R of at least 1, got {R}")
     if diagnostics is None:
         diagnostics = {}
     delta = check_threshold(threshold)
     if not inst.clients:
         return []
-    if R == 0:
-        paths = zero_regret_cover(inst, inst.clients)
-        diagnostics.update(lp_value=float(sol.value),
-                           lp_certified=sol.certified, lp_rounds=sol.rounds,
-                           lp_pivots=sol.pivots, path_count=len(paths),
-                           max_regret=0, total_regret=0)
-        return paths
     kstar = sol.total_weight
 
     grafted, diag = _pipeline(inst, sol, delta, _ceil(kstar / delta))
@@ -626,8 +612,7 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
                        total_regret=sum(p.regret for p in paths))
     require(all(p.regret <= R for p in paths),
             f"a rounded path has regret above {R}")
-    covered = set().union(*(p.node_set for p in paths))
-    require(covered >= set(inst.clients), "rounded paths miss a client")
+    require_cover(paths, inst.clients, "rounded paths miss a client")
     _bound_check(diagnostics, "forest_cost_vs_regret_budget",
                  diag["forest_cost"], 3 * kstar * R / (1 - delta))
     _bound_check(diagnostics, "grafted_regret_vs_support",
@@ -660,8 +645,7 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
                        max_regret=max((p.regret for p in grafted), default=0),
                        total_regret=sum(p.regret for p in grafted))
     require(len(grafted) <= k, f"{len(grafted)} paths exceed the cap {k}")
-    covered = set().union(*(p.node_set for p in grafted)) if grafted else set()
-    require(covered >= set(inst.clients), "rounded paths miss a client")
+    require_cover(grafted, inst.clients, "rounded paths miss a client")
     _bound_check(diagnostics, "total_regret_vs_fractional",
                  sum(p.regret for p in grafted), (4 + 6 * (3 * k + 2)) * nustar)
     return grafted

@@ -74,6 +74,22 @@ def test_solve_errors_exit_one(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+def test_non_integer_bound_is_named(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run_cli("gen", "line", "--positions", "0,1,5", "--out", inst)
+    assert run_cli("solve", "nonuniform", "--instance", inst,
+                   "--bounds", '{"1": 2.5, "2": 1}') == 1
+    assert capsys.readouterr().err == ("error: non-integer regret bound of "
+                                       "node 1: 2.5\n")
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
+                   "--out", sol) == 0
+    assert run_cli("verify", "--instance", inst, "--solution", sol,
+                   "--mode", "nonuniform", "--bounds", '{"2": 0.5}') == 1
+    assert capsys.readouterr().err == ("error: non-integer regret bound of "
+                                       "node 2: 0.5\n")
+
+
 def test_missing_required_param_exits_nonzero(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli("gen", "line", "--positions", "0,1,2", "--out", inst)

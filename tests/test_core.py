@@ -1,9 +1,12 @@
 """Instance validation, path arithmetic, and path-surgery primitives."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import regret_route
 from regret_route.core import (
     Instance,
     InvalidInstanceError,
@@ -321,6 +324,18 @@ def test_cover_check_survives_optimized_python(src_env):
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ("SolverError: zero-regret cover left "
                                   "targets [1, 2] uncovered")
+
+
+def test_no_bare_asserts_in_the_package():
+    # Certificates must survive ``python -O``, which strips every assert:
+    # the package checks with core.require and typed errors instead.
+    package = Path(regret_route.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # --- closure / serialization ----------------------------------------------

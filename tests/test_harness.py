@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from regret_route.core import InfeasibleError, Instance
+from regret_route.core import InfeasibleError, Instance, InvalidInstanceError
 from regret_route.harness import (
     ORACLES,
     SOLVERS,
@@ -355,6 +355,34 @@ def test_solver_table_row(solver):
         assert verify(inst, paths, mode, vparams)["ok"]
         if key in ("regret", "ratio", "bounds"):
             assert len(paths) == brute_force_rvrp(inst, 0)
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_every_return_reports_path_count(solver):
+    # On an instance without clients, at the zero budgets that skip the LP
+    # (R = 0, ratio 1, all-zero bounds) and through the LP alike.
+    line = gen_line([0, 1, 2, 4])
+    key = SOLVERS[solver].param
+    values = {"regret": [0, 2], "dist": [4, 6], "ratio": [1, "3/2"],
+              "k": [1, 2], "bounds": [dict.fromkeys(line.clients, 0),
+                                      {1: 1, 2: 2, 3: 0}]}[key]
+    for inst in (Instance.from_matrix([[0]]), line):
+        for value in values:
+            diag: dict = {}
+            paths = run_solver(solver, inst, {key: value}, diagnostics=diag)
+            assert diag["path_count"] == len(paths), (inst.n, value)
+
+
+def test_non_integer_parameters_are_named():
+    inst = gen_line([0, 1, 2, 4])
+    for solver, value, name in (
+            ("rvrp", 2.5, "regret bound"), ("dvrp-dp", 6.5, "distance cap"),
+            ("dvrp-lp", 6.5, "distance cap"), ("krvrp", 1.5, "path budget"),
+            ("nonuniform", {1: 1, 2: 2.5, 3: 1}, "regret bound of node 2"),
+            ("krvrp", True, "path budget")):
+        with pytest.raises(InvalidInstanceError,
+                           match=f"^(non-integer|boolean) {name}"):
+            run_solver(solver, inst, {SOLVERS[solver].param: value})
 
 
 def test_rounding_threshold_only_where_the_row_takes_one():

@@ -118,11 +118,11 @@ def assert_same_table(table, ref):
 
 def assert_same_pricing(inst, table, ref, rewards, budget):
     pairs = [
-        (exact_orienteering(inst, ints(inst, rewards), budget, table=table),
+        (exact_orienteering(table, ints(inst, rewards), budget),
          hk_reference.orienteering(ref, rewards, budget)),
-        (exact_length_budget(inst, ints(inst, rewards), budget, table=table),
+        (exact_length_budget(table, ints(inst, rewards), budget),
          hk_reference.length_budget(ref, rewards, budget)),
-        (exact_min_excess_pricing(inst, ints(inst, rewards), table=table),
+        (exact_min_excess_pricing(table, ints(inst, rewards)),
          hk_reference.min_excess(ref, rewards)),
     ]
     for got, want in pairs:
@@ -214,8 +214,7 @@ def test_edges_beyond_int64_keep_exact_python_costs():
                for row, ref_row in zip(cost, ref.cost)
                for c, r in zip(row, ref_row))
     rewards = {v: Fraction(v * factor, 3) for v in base.clients}
-    got = exact_min_excess_pricing(table.inst, ints(table.inst, rewards),
-                                   table=table)
+    got = exact_min_excess_pricing(table, ints(table.inst, rewards))
     want = hk_reference.min_excess(ref, {v: Fraction(v, 3)
                                          for v in base.clients})
     assert got.path.nodes == want.path.nodes
@@ -224,39 +223,42 @@ def test_edges_beyond_int64_keep_exact_python_costs():
 
 def test_orienteering_collects_reachable_rewards():
     inst = line_instance()
+    table = HKTable(inst)
     rewards = {v: Fraction(1) for v in inst.clients}
-    res = exact_orienteering(inst, ints(inst, rewards), budget=0)
+    res = exact_orienteering(table, ints(inst, rewards), budget=0)
     assert res.value == 3                      # the whole line has regret 0
     assert res.path.nodes == (0, 1, 2, 3)
-    res = exact_orienteering(inst, ([5, 0, 0], 1), budget=0)
+    res = exact_orienteering(table, ([5, 0, 0], 1), budget=0)
     assert res.value == 5
     assert res.path.nodes == (0, 1)            # fewer nodes win ties
 
 
 def test_orienteering_zero_rewards_and_validation():
     inst = line_instance()
-    res = exact_orienteering(inst, ([0, 0, 0], 1), budget=3)
+    table = HKTable(inst)
+    res = exact_orienteering(table, ([0, 0, 0], 1), budget=3)
     assert res.path.is_trivial and res.value == 0
     # one nonnegative int per client over a positive int den
     for bad in (([-1, 0, 0], 1), ([0, 0], 1), ([0, 0, 0], 0),
                 ([0.5, 0, 0], 1), ([0, 0, 0], 1.0)):
         with pytest.raises(ValueError):
-            exact_orienteering(inst, bad, budget=1)
+            exact_orienteering(table, bad, budget=1)
     with pytest.raises(ValueError):
-        exact_orienteering(inst, ([0, 0, 0], 1), budget=-1)
+        exact_orienteering(table, ([0, 0, 0], 1), budget=-1)
     with pytest.raises(ValueError):
         hk_reference.scaled_rewards(inst.clients, {1: Fraction(-1)})
 
 
 def test_orienteering_against_enumeration():
     inst = random_instance(6, 23)
+    table = HKTable(inst)
     rng = random.Random(2)
     clients = list(inst.clients)
     for trial in range(12):
         rewards = {v: Fraction(rng.randint(0, 5), rng.randint(1, 3))
                    for v in clients}
         budget = rng.randint(0, 25)
-        res = exact_orienteering(inst, ints(inst, rewards), budget)
+        res = exact_orienteering(table, ints(inst, rewards), budget)
         assert res.path.regret <= budget
         assert res.value == sum(
             (rewards[v] for v in res.path.nodes[1:]), Fraction(0))
@@ -277,30 +279,33 @@ def test_length_budget_pricing():
     inst = line_instance()
     rewards = {v: Fraction(1) for v in inst.clients}
     rewards = ints(inst, rewards)
-    assert exact_length_budget(inst, rewards, budget=4).value == 3
-    assert exact_length_budget(inst, rewards, budget=2).value == 2
-    assert exact_length_budget(inst, rewards, budget=0).value == 0
+    table = HKTable(inst)
+    assert exact_length_budget(table, rewards, budget=4).value == 3
+    assert exact_length_budget(table, rewards, budget=2).value == 2
+    assert exact_length_budget(table, rewards, budget=0).value == 0
 
 
 def test_min_excess_pricing():
     inst = line_instance()
     # high rewards make the full zero-regret sweep strictly profitable
     rewards = {v: Fraction(2) for v in inst.clients}
-    res = exact_min_excess_pricing(inst, ints(inst, rewards))
+    table = HKTable(inst)
+    res = exact_min_excess_pricing(table, ints(inst, rewards))
     assert res.value == -6
     assert res.path.nodes == (0, 1, 2, 3)
     # no rewards: the empty path is optimal
-    res = exact_min_excess_pricing(inst, ([0, 0, 0], 1))
+    res = exact_min_excess_pricing(table, ([0, 0, 0], 1))
     assert res.path.is_trivial and res.value == 0
 
 
 def test_min_excess_against_enumeration():
     inst = random_instance(5, 31)
+    table = HKTable(inst)
     rng = random.Random(4)
     clients = list(inst.clients)
     for trial in range(10):
         rewards = {v: Fraction(rng.randint(0, 6), 2) for v in clients}
-        res = exact_min_excess_pricing(inst, ints(inst, rewards))
+        res = exact_min_excess_pricing(table, ints(inst, rewards))
         best = Fraction(0)
         for r in range(1, len(clients) + 1):
             for combo in itertools.combinations(clients, r):
@@ -311,15 +316,6 @@ def test_min_excess_against_enumeration():
         assert res.value == best
 
 
-def test_shared_table_reuse():
-    inst = random_instance(6, 5)
-    table = HKTable(inst)
-    rewards = ints(inst, {v: Fraction(1) for v in inst.clients})
-    a = exact_orienteering(inst, rewards, 10, table=table)
-    b = exact_orienteering(inst, rewards, 10)
-    assert a.path.nodes == b.path.nodes and a.value == b.value
-
-
 def test_heuristic_pricing_feasible_and_counted():
     inst = random_instance(8, 7)
     rewards = ints(inst, {v: Fraction(1) for v in inst.clients})
@@ -328,7 +324,7 @@ def test_heuristic_pricing_feasible_and_counted():
     assert res.value == len(res.path.nodes) - 1
     res = heuristic_pricing(inst, rewards, "length", 20)
     assert res.path.cost <= 20
-    exact = exact_orienteering(inst, rewards, 5)
+    exact = exact_orienteering(HKTable(inst), rewards, 5)
     assert res.value <= len(inst.clients)
     assert exact.value >= heuristic_pricing(inst, rewards, "regret", 5).value
 
@@ -417,12 +413,13 @@ def test_heuristic_rejects_unknown_kind_and_negative_rewards():
     for kind in KINDS:
         with pytest.raises(ValueError):
             heuristic_pricing(inst, rewards, kind, 50)
+    table = HKTable(inst)
     with pytest.raises(ValueError):
-        exact_min_excess_pricing(inst, rewards)
+        exact_min_excess_pricing(table, rewards)
     with pytest.raises(ValueError):
-        exact_orienteering(inst, rewards, 50)
+        exact_orienteering(table, rewards, 50)
     with pytest.raises(ValueError):
-        exact_length_budget(inst, rewards, 50)
+        exact_length_budget(table, rewards, 50)
 
 
 def test_heuristic_min_excess_value_and_exact_bound():
@@ -437,7 +434,8 @@ def test_heuristic_min_excess_value_and_exact_bound():
             res = heuristic_pricing(inst, scaled, "min_excess")
             gain = sum((rewards[v] for v in res.path.nodes[1:]), Fraction(0))
             assert res.value == res.path.regret - gain <= 0
-            assert res.value >= exact_min_excess_pricing(inst, scaled).value
+            assert res.value >= exact_min_excess_pricing(HKTable(inst),
+                                                         scaled).value
 
 
 def test_heuristic_refuses_a_bad_insertion_delta(monkeypatch):

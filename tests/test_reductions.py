@@ -129,6 +129,56 @@ def test_multiplicative_chaining_kicks_in():
     assert report["ok"], report["failures"]
 
 
+def test_visit_time_check_survives_optimized_python(src_env):
+    # A ring cover that walks out to the far end first visits the nearer
+    # clients too late; the check must refuse it even with asserts compiled
+    # out.
+    import subprocess
+    import sys
+    script = (
+        "from regret_route import reductions\n"
+        "from regret_route.core import RootedPath, SolverError\n"
+        "from regret_route.harness import gen_line\n"
+        "assert False, 'asserts are live'\n"
+        "reductions._cover_subset = lambda inst, nodes, bound, et: [\n"
+        "    RootedPath.build(inst, [inst.root, *sorted(nodes)[::-1]])]\n"
+        "try:\n"
+        "    reductions.solve_multiplicative(gen_line([0, 4, 5, 6, 7]),\n"
+        "                                    '5/4')\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "SolverError: node 3 visited too late"
+
+
+@pytest.mark.parametrize("solver, param, message", [
+    ("dvrp-dp", 9, "level 1 leaves nodes [3] uncovered"),
+    ("nonuniform", {1: 1, 2: 1, 3: 4},
+     "regret classes leave clients [1, 2, 3] uncovered"),
+], ids=["dvrp-dp", "nonuniform"])
+def test_reduction_cover_check_survives_optimized_python(
+        src_env, solver, param, message):
+    # Sub-solves that cover nothing must stop the reduction even with
+    # asserts compiled out.
+    import subprocess
+    import sys
+    script = (
+        "from regret_route import harness, reductions\n"
+        "from regret_route.core import SolverError\n"
+        "assert False, 'asserts are live'\n"
+        "reductions.solve_rvrp = lambda *args, **kwargs: []\n"
+        "inst = harness.gen_line([0, 1, 2, 8])\n"
+        "key = harness.SOLVERS[" f"{solver!r}" "].param\n"
+        "try:\n"
+        f"    harness.run_solver({solver!r}, inst, {{key: {param!r}}})\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == f"SolverError: {message}"
+
+
 # --- distance caps ---------------------------------------------------------------
 
 def test_dvrp_dp_line_single_path():

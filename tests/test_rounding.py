@@ -152,11 +152,16 @@ def test_round_rvrp_ladder_bounds():
     assert len(paths) <= factor * float(sol.value) + 1 + 1e-9
 
 
-def test_round_rvrp_zero_regret_delegates():
+def test_round_rvrp_refuses_zero_regret():
+    # solve_rvrp answers R = 0 without an LP; the rounding refuses R < 1
+    # before it reads the fractional solution or the threshold.
     inst = gen_line([0, 1, 2])
+    for R in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            round_rvrp(inst, R, None, threshold=2)
     sol = solve_rvrp_lp(inst, 0)
-    paths = round_rvrp(inst, 0, sol)
-    assert len(paths) == 1 and paths[0].regret == 0
+    with pytest.raises(ValueError, match="at least 1"):
+        round_rvrp(inst, 0, sol)
 
 
 def test_round_rvrp_custom_threshold():
