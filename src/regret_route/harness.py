@@ -18,8 +18,8 @@ from . import reductions
 from .core import (Instance, RootedPath, InfeasibleError, _as_int, check_cap,
                    metric_from_edges)
 from .lp import FractionalSolution
-from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable,
-                      OracleUnavailableError)
+from .pricing import (DEFAULT_EXACT_THRESHOLD, OracleUnavailableError,
+                      check_exact_threshold, table_for)
 
 ORACLE_LIMIT = 12
 LP_ORACLE_LIMIT = 9
@@ -116,10 +116,11 @@ def gen_line(positions: Sequence[int]) -> Instance:
 
 def _optima(inst: Instance, limit: int, attr: str) -> List[int]:
     """HKTable.min_regret or .min_length without the empty mask: the least
-    regret or length of a rooted path through exactly each client set."""
+    regret or length of a rooted path through exactly each client set.
+    The table is pricing's, so right after a solve of inst it is reused."""
     if not inst.clients:
         return []
-    return getattr(HKTable(inst, threshold=limit), attr).tolist()[1:]
+    return getattr(table_for(inst, limit), attr).tolist()[1:]
 
 
 def _cover_count(optima: Sequence[int], bound: int) -> int:
@@ -388,11 +389,13 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     """Run a named solver from SOLVERS; the CLI reads the same table.
 
     A rounding threshold is refused (ValueError) by a solver whose row
-    says it takes none."""
+    says it takes none, and an exact threshold over the table memory
+    budget by every solver, before any work."""
     row = _solver(solver)
+    exact_threshold = params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
+    check_exact_threshold(exact_threshold)
     kwargs = {"diagnostics": {} if diagnostics is None else diagnostics,
-              "exact_threshold": params.get("exact_threshold",
-                                            DEFAULT_EXACT_THRESHOLD)}
+              "exact_threshold": exact_threshold}
     threshold = params.get("threshold")
     if threshold is not None and not row.threshold:
         raise ValueError(f"solver {solver!r} takes no rounding threshold")

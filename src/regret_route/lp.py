@@ -26,7 +26,7 @@ from .core import (Instance, RootedPath, SolverError, _as_int, check_cap,
 from .exactlp import CoveringMaster, MasterSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable, ScaledRewards,
                       exact_length_budget, exact_min_excess_pricing,
-                      exact_orienteering, heuristic_pricing)
+                      exact_orienteering, heuristic_pricing, table_for)
 
 ZERO = Fraction(0)
 
@@ -158,8 +158,8 @@ def _price(inst: Instance, rewards: ScaledRewards, z: Fraction,
 def column_generation(inst: Instance, objective: str,
                       column_bound: Optional[Tuple[str, int]] = None,
                       count_cap: Optional[int] = None,
-                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                      hk_table: Optional[HKTable] = None) -> FractionalSolution:
+                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD
+                      ) -> FractionalSolution:
     if objective not in ("count", "regret"):
         raise ValueError(f"unknown objective {objective!r}")
     clients = list(inst.clients)
@@ -168,9 +168,7 @@ def column_generation(inst: Instance, objective: str,
             inst, [], [], objective, column_bound, count_cap, certified=True)
 
     exact = len(clients) <= exact_threshold
-    table = hk_table if exact else None
-    if exact and table is None:
-        table = HKTable(inst, threshold=exact_threshold)
+    table = table_for(inst, exact_threshold) if exact else None
 
     master = CoveringMaster(clients, budget=count_cap)
     columns: List[RootedPath] = []
@@ -215,15 +213,14 @@ def column_generation(inst: Instance, objective: str,
 
 
 def solve_rvrp_lp(inst: Instance, R: int,
-                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                  hk_table: Optional[HKTable] = None) -> FractionalSolution:
+                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD
+                  ) -> FractionalSolution:
     """Fractional minimum number of regret-<=R rooted paths covering all."""
     R = _as_int(R, "regret bound")
     if R < 0:
         raise ValueError("regret bound must be nonnegative")
     return column_generation(inst, "count", column_bound=("regret", R),
-                             exact_threshold=exact_threshold,
-                             hk_table=hk_table)
+                             exact_threshold=exact_threshold)
 
 
 def solve_dvrp_lp(inst: Instance, D: int,

@@ -3,10 +3,12 @@
 The exact oracles answer argmax/argmin queries over all simple rooted paths
 by scanning a Held-Karp table: HK[S][t] is the cheapest rooted path visiting
 exactly client set S and ending at t. One table serves every budget kind, so
-it is built once per instance and shared. Rewards arrive as integers over one
-common denominator, (nums, den) with nums in the order of inst.clients, which
-is how the covering master hands over its duals; every comparison is an
-integer comparison and only the returned value is a Fraction.
+it is built once per instance and shared: every request goes through
+table_for, which keeps the last table it built. Rewards arrive as integers
+over one common denominator, (nums, den) with nums in the order of
+inst.clients, which is how the covering master hands over its duals; every
+comparison is an integer comparison and only the returned value is a
+Fraction.
 
 The table and the scans are numpy arrays, filled one popcount layer at a
 time. Fixed-width integers wrap where Python integers grow, so every dtype
@@ -24,6 +26,17 @@ never depend on the dtype. numpy is imported inside the table constructor,
 after the size check: it costs about as much time and memory as the rest of
 start-up, and runs that never build a table (every instance above the
 exact threshold) do not pay for it.
+
+table_for holds exactly one table, in module state. Its key is the
+instance's (root, dist), captured when the table is built, so an equal but
+distinct Instance (induced_instance on every client of a root-0 instance,
+Instance.from_matrix on the same matrix) is served the same table, and
+successive solves of one instance (rvrp and krvrp, a reduction's repeated
+sub-solves, the brute-force oracle after the solve) build it once. A
+request for another instance drops the held table before it builds the new
+one, so two tables are never alive at once through the memo. The entry has
+no size, switch or reset: the program is single-threaded and the slot is
+not locked.
 """
 
 from __future__ import annotations
@@ -42,6 +55,12 @@ TABLE_BUDGET_BYTES = 256 << 20
 
 class OracleUnavailableError(RegretRouteError):
     """The instance exceeds the exact oracle's size threshold."""
+
+
+def _check_size(m: int, threshold: int) -> None:
+    if m > threshold:
+        raise OracleUnavailableError(
+            f"{m} clients exceed the exact threshold {threshold}")
 
 
 def check_exact_threshold(threshold: int) -> None:
@@ -105,9 +124,7 @@ class HKTable:
         self.inst = inst
         self.clients = list(inst.clients)
         m = len(self.clients)
-        if m > threshold:
-            raise OracleUnavailableError(
-                f"{m} clients exceed the exact threshold {threshold}")
+        _check_size(m, threshold)
         self.m = m
         import numpy as np
 
@@ -168,6 +185,28 @@ class HKTable:
             i = nxt
         seq.append(self.inst.root)
         return RootedPath.build(self.inst, reversed(seq))
+
+
+# The table table_for built last, with its instance's (root, dist).
+_held: Optional[Tuple[tuple, HKTable]] = None
+
+
+def table_for(inst: Instance,
+              threshold: int = DEFAULT_EXACT_THRESHOLD) -> HKTable:
+    """The Held-Karp table of inst, built only when the held table belongs
+    to a different metric.
+
+    The threshold is checked on every call, hit or miss: ValueError over
+    the memory budget, OracleUnavailableError when inst has more clients.
+    """
+    global _held
+    check_exact_threshold(threshold)
+    _check_size(inst.n - 1, threshold)
+    key = (inst.root, inst.dist)
+    if _held is None or _held[0] != key:
+        _held = None            # drop the old table before building
+        _held = (key, HKTable(inst, threshold))
+    return _held[1]
 
 
 def _checked_rewards(rewards: ScaledRewards,

@@ -15,13 +15,11 @@ from .core import (Instance, RootedPath, _as_int, check_cap, induced_instance,
                    require, require_cover, zero_regret_cover)
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
-from .pricing import HKTable
 from .rounding import check_threshold, round_minsum, round_rvrp
 
 
 def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
                exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-               hk_table: Optional[HKTable] = None,
                diagnostics: Optional[dict] = None) -> List[RootedPath]:
     """Cover all clients with rooted paths of regret at most R.
 
@@ -40,8 +38,7 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
         diagnostics.update(path_count=len(paths), max_regret=0,
                            total_regret=0)
         return paths
-    sol = solve_rvrp_lp(inst, R, exact_threshold=exact_threshold,
-                        hk_table=hk_table)
+    sol = solve_rvrp_lp(inst, R, exact_threshold=exact_threshold)
     return round_rvrp(inst, R, sol, threshold=threshold,
                       diagnostics=diagnostics)
 
@@ -223,15 +220,19 @@ def dvrp_dp_state(inst: Instance, cap: int,
     P = [base]
     choice: List[Optional[int]] = [None]
     for i in range(1, M + 1):
+        if not S[i]:
+            # S is nested, so every lower level is empty too: F[k] = 0 for
+            # all k < i, and k = 0 wins with no paths.
+            F.append(0)
+            P.append([])
+            choice.append(0)
+            continue
         sub, ids = induced_instance(inst, S[i])
-        table = None
-        if len(sub.clients) <= exact_threshold:
-            table = HKTable(sub, threshold=exact_threshold)
         best = None
         for k in range(i):
+            # the k-loop's solves of sub share one table, held by pricing
             sub_paths = solve_rvrp(sub, 2 ** k,
-                                   exact_threshold=exact_threshold,
-                                   hk_table=table)
+                                   exact_threshold=exact_threshold)
             cand = len(sub_paths) + F[k]
             if best is None or cand < best[0]:
                 best = (cand, k, sub_paths)

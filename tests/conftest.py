@@ -16,3 +16,26 @@ def src_env():
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
         os.pathsep) if p]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+@pytest.fixture
+def empty_table_memo(monkeypatch):
+    """Clear the Held-Karp table pricing holds, so a test that counts
+    table builds does not depend on what earlier tests solved."""
+    from regret_route import pricing
+    monkeypatch.setattr(pricing, "_held", None)
+
+
+@pytest.fixture
+def hk_builds(monkeypatch, empty_table_memo):
+    """The instances HKTable is constructed for, in order, from an empty
+    memo on."""
+    from regret_route.pricing import HKTable
+    init, built = HKTable.__init__, []
+
+    def counting(self, inst, *args, **kwargs):
+        built.append(inst)
+        init(self, inst, *args, **kwargs)
+
+    monkeypatch.setattr(HKTable, "__init__", counting)
+    return built

@@ -90,6 +90,24 @@ def test_non_integer_bound_is_named(tmp_path, capsys):
                                        "node 2: 0.5\n")
 
 
+def test_exact_threshold_is_checked_before_any_solve(tmp_path, capsys):
+    # R = 0 builds no table; the threshold over the memory budget is
+    # refused all the same.
+    inst = tmp_path / "e6.json"
+    out = tmp_path / "sol.json"
+    run_cli("gen", "euclidean", "--n", "7", "--seed", "1", "--out", inst)
+    for regret in ("0", "20"):
+        assert run_cli("solve", "rvrp", "--instance", inst, "--regret",
+                       regret, "--exact-threshold", "99", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact threshold 99 needs a 99-client "
+                              "table of about ")
+        assert err.endswith(" MiB, over the 256 MiB budget\n")
+        assert not out.exists()
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "0",
+                   "--exact-threshold", "20", "--out", out) == 0
+
+
 def test_missing_required_param_exits_nonzero(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli("gen", "line", "--positions", "0,1,2", "--out", inst)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from regret_route.pricing import (
     exact_min_excess_pricing,
     exact_orienteering,
     heuristic_pricing,
+    table_for,
 )
 
 
@@ -96,6 +98,78 @@ def test_threshold_over_memory_budget_is_refused():
         check_exact_threshold(40)
     with pytest.raises(ValueError):
         HKTable(line_instance(), threshold=40)
+
+
+# --- the one held table -------------------------------------------------------
+
+def test_rvrp_then_krvrp_build_one_table(hk_builds):
+    from regret_route.reductions import solve_krvrp_minmax, solve_rvrp
+    inst = gen_euclidean(10, 5)
+    solve_rvrp(inst, max(inst.root_dist) // 2)
+    solve_krvrp_minmax(inst, 2)
+    assert hk_builds == [inst]
+
+
+def test_equal_instance_hits_and_another_drops_the_old_table_first(
+        hk_builds, monkeypatch):
+    inst = gen_euclidean(8, 3)
+    held = weakref.ref(table_for(inst))
+    # Instance compares by identity; the key is the metric and the root.
+    copy = Instance.from_matrix([list(row) for row in inst.dist])
+    induced, _ = induced_instance(inst, inst.clients)
+    assert table_for(copy) is held() and table_for(induced) is held()
+    assert hk_builds == [inst]
+
+    dead_at_build = []
+    counting = HKTable.__init__
+
+    def watching(self, *args, **kwargs):
+        dead_at_build.append(held() is None)
+        counting(self, *args, **kwargs)
+
+    monkeypatch.setattr(HKTable, "__init__", watching)
+    rerooted = Instance.from_matrix(inst.dist, root=1)
+    assert table_for(rerooted).inst is rerooted
+    assert dead_at_build == [True] and len(hk_builds) == 2
+    assert table_for(gen_euclidean(8, 4)) is not None
+    assert dead_at_build == [True, True] and len(hk_builds) == 3
+
+
+def test_a_hit_still_checks_the_threshold(hk_builds):
+    from regret_route.harness import brute_force_rvrp
+    from regret_route.reductions import solve_rvrp
+    inst = gen_euclidean(15, 2)                     # 14 clients
+    R = max(inst.root_dist) // 2
+    solve_rvrp(inst, R)
+    held = table_for(inst)
+    with pytest.raises(ValueError, match="budget"):
+        table_for(inst, 21)
+    with pytest.raises(OracleUnavailableError):
+        table_for(inst, 13)
+    with pytest.raises(OracleUnavailableError):
+        brute_force_rvrp(inst, R)                   # _optima at limit 12
+    # a refused request keeps the held table
+    assert table_for(inst) is held and hk_builds == [inst]
+
+
+def test_oracle_and_next_solver_reuse_the_table(hk_builds):
+    from regret_route.harness import run_job
+    from regret_route.reductions import solve_dvrp_dp, solve_dvrp_lp_round
+    inst = gen_euclidean(9, 8)
+    report = run_job({"id": "reuse", "solver": "rvrp", "instance": inst,
+                      "params": {"regret": max(inst.root_dist) // 2},
+                      "oracle": True})
+    assert report["oracle"] is not None and hk_builds == [inst]
+    # dvrp-dp's top level solves an induced copy of every client (after
+    # its lower levels evicted inst's table), which dvrp-lp then prices on
+    def full_builds():
+        return sum(len(t.clients) == len(inst.clients) for t in hk_builds)
+
+    cap = max(inst.root_dist) + 20
+    solve_dvrp_dp(inst, cap)
+    assert full_builds() == 2
+    solve_dvrp_lp_round(inst, cap)
+    assert full_builds() == 2
 
 
 # --- vectorised table vs. the pure-Python reference -------------------------

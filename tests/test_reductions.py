@@ -213,6 +213,29 @@ def test_dvrp_dp_state_trace():
         assert all(p.cost <= cap for p in level_paths)
 
 
+def test_dvrp_dp_skips_empty_levels(monkeypatch):
+    # The cap lies 192 past the nearest client, so levels 0-6 hold no
+    # client; the chain is the one the k-loop computed for them.
+    from regret_route import reductions
+    solve, sizes = reductions.solve_rvrp, []
+
+    def spy(sub, *args, **kwargs):
+        sizes.append(len(sub.clients))
+        return solve(sub, *args, **kwargs)
+
+    monkeypatch.setattr(reductions, "solve_rvrp", spy)
+    inst = gen_euclidean(8, 4)
+    diag = {}
+    paths = solve_dvrp_dp(inst, 199, diagnostics=diag)
+    assert diag["level_sizes"] == [0, 0, 0, 0, 0, 0, 0, 2, 7]
+    assert [(c["i"], c["k"], c["count"]) for c in diag["chain"]] == [
+        (0, None, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0),
+        (6, 0, 0), (7, 6, 1), (8, 5, 2)]
+    assert [p.nodes for p in paths] == [(0, 6, 2, 7), (0, 1, 5, 4, 3)]
+    # only the two nonempty levels are sub-solved, once per scale k < i
+    assert sizes == [2] * 7 + [7] * 8
+
+
 def test_dvrp_dp_ratio_on_randoms():
     for seed in range(6):
         inst = gen_random_metric(7, 1100 + seed)
