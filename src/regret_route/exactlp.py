@@ -8,8 +8,10 @@ TOMS 27(3), 2001): it keeps det = |det B| and the integer matrix
 adj = det * B^-1, with the basic values scaled by det. A pivot on element p
 of the entering column alpha = adj * a_e maps row i != r to
 (p * adj_i - alpha_i * adj_r) // det, an exact division, leaves row r as it
-is and sets det to p. Every test (reduced-cost sign, ratio comparison) is an
-integer cross-multiplication.
+is and sets det to p. When p = det an entry keeps its value in every column
+where adj_r is zero, so only the columns where it is nonzero are recomputed.
+Every test (reduced-cost sign, ratio comparison) is an integer
+cross-multiplication.
 
 The scaled duals Y = det * y are kept across pivots by the same exact
 division: entering column e on row r with scaled reduced cost
@@ -18,12 +20,20 @@ the rows when p < 0. Y is computed afresh as c_B * adj only where the cost
 vector changes (phase 1 starts, the artificials have been driven out) and
 once per solve for the certificate.
 
+Every column's nonzeros share one sign: +1 on structural, slack and
+artificial columns, -1 on surplus columns. A column is stored as its sorted
+row tuple and that sign, so a price Y * a_j, an entry of adj * a_j and an
+entry of c_B * adj are each one C-level sum over map or zip.
+
 Solves can be resumed after new columns arrive, which is what column
-generation needs: a new column leaves the basis, and so Y, as it is. Each
-solve checks an optimality certificate against the original columns, not
-the maintained inverse, and refuses a maintained Y that differs from
-c_B * adj. The solution keeps the integers; its Fraction views are built
-when they are read.
+generation needs: a new column leaves the basis, and so Y, as it is. At the
+last optimum every older column had a nonnegative reduced cost under that
+same Y, so a resumed solve starts its first Bland scan at the first column
+added since and enters the column a full scan would. Each solve checks an
+optimality certificate against the original columns, not the maintained
+inverse, and refuses a maintained Y that differs from c_B * adj. The
+solution keeps the integers; its Fraction views are built when they are
+read.
 """
 
 from __future__ import annotations
@@ -32,13 +42,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import gt, itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import SolverError
 
 ZERO = Fraction(0)
 
-Column = Tuple[Tuple[int, int], ...]     # (row, coefficient) pairs
+Rows = Tuple[int, ...]                   # a column's nonzero rows, sorted
 Integral = Union[int, Fraction]          # a Fraction must have denominator 1
 
 
@@ -116,29 +128,37 @@ class CoveringMaster:
                 raise ValueError("negative budget")
             self.b.append(_integral(budget, "budget"))
 
-        self._cols: List[Column] = []
+        self._rows: List[Rows] = []
+        self._signs: List[int] = []
         self._costs: List[int] = []
         self._artificial: List[bool] = []
+        # The index ranges Bland's rule may enter from, None for "to the
+        # end": every column in phase 1, all but the artificials from
+        # phase 2 on.
+        self._eligible: List[Tuple[int, Optional[int]]] = [(0, None)]
         self._basis: List[int] = []
         self._in_basis: Dict[int, int] = {}
         self._phase1_done = False
+        # Columns present at the last optimum; Y has not moved since.
+        self._priced = 0
         self.pivots = 0
 
         # Surplus per coverage row, slack for the budget row.
         for i in range(len(self.client_rows)):
-            self._new_var(((i, -1),), 0)
+            self._new_var((i,), -1, 0)
         if self.budget_row is not None:
-            slack = self._new_var(((self.budget_row, 1),), 0)
+            slack = self._new_var((self.budget_row,), 1, 0)
         # Artificials give the initial feasible basis on coverage rows.
+        self._first_artificial = len(self._rows)
         for i in range(len(self.client_rows)):
-            a = self._new_var(((i, 1),), 0, artificial=True)
+            a = self._new_var((i,), 1, 0, artificial=True)
             self._basis.append(a)
         if self.budget_row is not None:
             self._basis.append(slack)
         for r, j in enumerate(self._basis):
             self._in_basis[j] = r
         # Structural columns follow the slack, surplus and artificial ones.
-        self._first_structural = len(self._cols)
+        self._first_structural = len(self._rows)
         # The starting basis is the identity: det = 1, adj = I, xb = b.
         self._det = 1
         self._adj: List[List[int]] = [[int(i == j) for j in range(self.m)]
@@ -147,11 +167,13 @@ class CoveringMaster:
         # det * y for the cost vector being optimised; set when a phase starts.
         self._y: List[int] = []
 
-    def _new_var(self, col: Column, cost: int, artificial: bool = False) -> int:
-        self._cols.append(col)
+    def _new_var(self, rows: Rows, sign: int, cost: int,
+                 artificial: bool = False) -> int:
+        self._rows.append(rows)
+        self._signs.append(sign)
         self._costs.append(cost)
         self._artificial.append(artificial)
-        return len(self._cols) - 1
+        return len(self._rows) - 1
 
     def add_column(self, covered: Sequence[int], cost: Integral) -> int:
         """Add one structural column; returns its index in add order."""
@@ -159,24 +181,32 @@ class CoveringMaster:
         rows = {self.row_of[v] for v in covered}
         if self.budget_row is not None:
             rows.add(self.budget_row)
-        j = self._new_var(tuple((i, 1) for i in sorted(rows)), cost)
+        j = self._new_var(tuple(sorted(rows)), 1, cost)
         return j - self._first_structural
 
     # -- simplex machinery -------------------------------------------------
 
     def _duals_for(self, costs: List[int]) -> List[int]:
         """det * y = c_B * adj."""
-        y = [0] * self.m
-        for r, j in enumerate(self._basis):
-            cj = costs[j]
-            if cj:
-                y = [yi + cj * a for yi, a in zip(y, self._adj[r])]
-        return y
+        priced = [(costs[j], row) for j, row in zip(self._basis, self._adj)
+                  if costs[j]]
+        if not priced:
+            return [0] * self.m
+        c_b, rows = zip(*priced)
+        return [sum(map(mul, c_b, col)) for col in zip(*rows)]
+
+    def _price(self, j: int, y: List[int]) -> int:
+        """y * a_j."""
+        return self._signs[j] * sum(map(y.__getitem__, self._rows[j]))
 
     def _alpha(self, j: int) -> List[int]:
         """det * B^-1 * a_j."""
-        col = self._cols[j]
-        return [sum(row[i] * a for i, a in col) for row in self._adj]
+        rows = self._rows[j]
+        if len(rows) == 1:
+            alpha = list(map(itemgetter(rows[0]), self._adj))
+        else:
+            alpha = list(map(sum, map(itemgetter(*rows), self._adj)))
+        return alpha if self._signs[j] > 0 else [-a for a in alpha]
 
     def _pivot(self, r: int, j: int, alpha: List[int], reduced: int) -> None:
         """Enter column j on row r; alpha = det * B^-1 * a_j and reduced is
@@ -184,17 +214,32 @@ class CoveringMaster:
         det, p = self._det, alpha[r]
         adj, xb = self._adj, self._xb
         arow, xr = adj[r], xb[r]
-        y = [(p * yi + reduced * a) // det for yi, a in zip(self._y, arow)]
-        for i in range(self.m):
-            if i == r:
-                continue
-            ai = alpha[i]
-            if ai:
-                adj[i] = [(p * x - ai * z) // det for x, z in zip(adj[i], arow)]
-                xb[i] = (p * xb[i] - ai * xr) // det
-            elif p != det:
-                adj[i] = [p * x // det for x in adj[i]]
-                xb[i] = p * xb[i] // det
+        if p == det:
+            # Only the columns where row r is nonzero change, in Y too.
+            nonzero = [(k, z) for k, z in enumerate(arow) if z]
+            y = list(self._y)
+            for k, z in nonzero:
+                y[k] = (p * y[k] + reduced * z) // det
+            for i, ai in enumerate(alpha):
+                if ai and i != r:
+                    row = adj[i]
+                    for k, z in nonzero:
+                        row[k] = (p * row[k] - ai * z) // det
+                    xb[i] = (p * xb[i] - ai * xr) // det
+        else:
+            y = [(p * yi + reduced * a) // det
+                 for yi, a in zip(self._y, arow)]
+            for i in range(self.m):
+                if i == r:
+                    continue
+                ai = alpha[i]
+                if ai:
+                    adj[i] = [(p * x - ai * z) // det
+                              for x, z in zip(adj[i], arow)]
+                    xb[i] = (p * xb[i] - ai * xr) // det
+                else:
+                    adj[i] = [p * x // det for x in adj[i]]
+                    xb[i] = p * xb[i] // det
         if p < 0:
             # Only an artificial driven out on a degenerate row pivots on a
             # negative element; flip every row so det stays positive.
@@ -210,25 +255,35 @@ class CoveringMaster:
         self._in_basis[j] = r
         self.pivots += 1
 
-    def _optimize(self, costs: List[int], allow: List[bool]) -> None:
-        cap = 2000 + 200 * len(self._cols)
+    def _entering(self, costs: List[int], start: int) -> Tuple[int, int]:
+        """Bland's rule: the first eligible nonbasic column from start on
+        with a negative scaled reduced cost det * c_j - Y * a_j, and that
+        cost; (-1, 0) when there is none."""
+        rows, signs, in_basis = self._rows, self._signs, self._in_basis
+        yget, det = self._y.__getitem__, self._det
+        for lo, hi in self._eligible:
+            for j in range(max(lo, start), len(rows) if hi is None else hi):
+                if j in in_basis:
+                    continue
+                reduced = det * costs[j] - signs[j] * sum(map(yget, rows[j]))
+                if reduced < 0:
+                    return j, reduced
+        return -1, 0
+
+    def _optimize(self, costs: List[int], start: int = 0) -> None:
+        """Bland's rule from the current basis. The first scan begins at
+        column start; every column before it must have a nonnegative
+        reduced cost under the current Y."""
+        cap = 2000 + 200 * len(self._rows)
         it = 0
         while True:
             it += 1
             if it > cap:
                 raise SolverError("simplex iteration cap exceeded")
-            y, det = self._y, self._det
-            entering = reduced = -1
-            for j, col in enumerate(self._cols):
-                if not allow[j] or j in self._in_basis:
-                    continue
-                # Bland: the first column with negative reduced cost.
-                reduced = det * costs[j] - sum(y[i] * a for i, a in col)
-                if reduced < 0:
-                    entering = j
-                    break
+            entering, reduced = self._entering(costs, start)
             if entering < 0:
                 return
+            start = 0
             alpha = self._alpha(entering)
             xb, basis = self._xb, self._basis
             leave = -1
@@ -252,35 +307,34 @@ class CoveringMaster:
                 continue
             if self._xb[r] != 0:
                 raise SolverError("master LP infeasible")
-            swapped = False
-            for cand in range(len(self._cols)):
-                if self._artificial[cand] or cand in self._in_basis:
+            arow = self._adj[r]
+            for cand, rows in enumerate(self._rows):
+                if (self._artificial[cand] or cand in self._in_basis
+                        or not sum(map(arow.__getitem__, rows))):
                     continue
-                alpha = self._alpha(cand)
-                if alpha[r] != 0:
-                    reduced = self._det * costs[cand] - sum(
-                        self._y[i] * a for i, a in self._cols[cand])
-                    self._pivot(r, cand, alpha, reduced)
-                    swapped = True
-                    break
-            if not swapped:
+                reduced = self._det * costs[cand] - self._price(cand, self._y)
+                self._pivot(r, cand, self._alpha(cand), reduced)
+                break
+            else:
                 raise SolverError("could not remove artificial from basis")
 
     def solve(self) -> MasterSolution:
-        n = len(self._cols)
+        start, self._priced = self._priced, 0
         if not self._phase1_done:
-            phase1 = [int(self._artificial[j]) for j in range(n)]
-            allow = [True] * n
+            phase1 = [int(a) for a in self._artificial]
             self._y = self._duals_for(phase1)
-            self._optimize(phase1, allow)
+            self._optimize(phase1)
             if sum(phase1[j] * self._xb[r] for r, j in enumerate(self._basis)):
                 raise SolverError("master LP infeasible")
             self._drive_out_artificials(phase1)
             self._phase1_done = True
+            self._eligible = [(0, self._first_artificial),
+                              (self._first_structural, None)]
             self._y = self._duals_for(self._costs)
-        allow = [not self._artificial[j] for j in range(len(self._cols))]
-        self._optimize(self._costs, allow)
-        return self._extract()
+        self._optimize(self._costs, start)
+        sol = self._extract()
+        self._priced = len(self._rows)
+        return sol
 
     def _certify(self, y: List[int]) -> None:
         """Optimality certificate on the original columns, all scaled by det:
@@ -296,17 +350,20 @@ class CoveringMaster:
         for r, j in enumerate(self._basis):
             if self._artificial[j]:
                 raise SolverError("artificial left in the basis")
-            for i, a in self._cols[j]:
-                lhs[i] += a * xb[r]
+            x = self._signs[j] * xb[r]
+            for i in self._rows[j]:
+                lhs[i] += x
         if lhs != [det * bi for bi in self.b]:
             raise SolverError("basic values do not satisfy the rows")
-        for j, col in enumerate(self._cols):
-            if self._artificial[j]:
-                continue
-            price = sum(y[i] * a for i, a in col)
-            cost = det * self._costs[j]
-            if price > cost or (j in self._in_basis and price != cost):
+        yget = y.__getitem__
+        for lo, hi in ((0, self._first_artificial),
+                       (self._first_structural, len(self._rows))):
+            prices = map(mul, self._signs[lo:hi],
+                         map(sum, map(map, repeat(yget), self._rows[lo:hi])))
+            if any(map(gt, prices, map(mul, repeat(det), self._costs[lo:hi]))):
                 raise SolverError("optimality certificate failed")
+        if any(self._price(j, y) != det * self._costs[j] for j in self._basis):
+            raise SolverError("optimality certificate failed")
         if any(y[i] < 0 for i in range(len(self.client_rows))):
             raise SolverError("negative coverage dual")
         if self.budget_row is not None and y[self.budget_row] > 0:
@@ -320,7 +377,7 @@ class CoveringMaster:
         first, xb = self._first_structural, self._xb
         weights = {j - first: xb[r] for r, j in enumerate(self._basis)
                    if j >= first}
-        value = sum(self._costs[j] * x for j, x in zip(self._basis, xb))
+        value = sum(map(mul, map(self._costs.__getitem__, self._basis), xb))
         return MasterSolution(self._det, y, value, weights,
-                              len(self._cols) - first, self.client_rows,
+                              len(self._rows) - first, self.client_rows,
                               self.pivots)

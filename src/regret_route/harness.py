@@ -434,10 +434,11 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     """Execute one (instance, solver) pair into a report dictionary.
 
     Report keys: id, solver, n, params, count, total_regret, max_regret,
-    max_length, lp_value, lp_certified, lp_rounds and lp_pivots (when the
-    solver produced an LP; certified is false when pricing was heuristic;
-    rounds and pivots are the column-generation rounds and the master's
-    simplex pivots), oracle (exact
+    max_length, lp_value, lp_certified, lp_rounds, lp_pivots and
+    lp_columns (when the solver produced an LP; certified is false when
+    pricing was heuristic; rounds, pivots and columns are the
+    column-generation rounds, the master's simplex pivots and the columns
+    it ended with), oracle (exact
     optimum when the instance is small enough, plus the solver/oracle
     ratio), bound_checks (forwarded from the solver diagnostics), ok.
     """

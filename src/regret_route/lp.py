@@ -48,20 +48,29 @@ class FractionalSolution:
 
     # The fields report() gives diagnostics and bench reports.
     REPORT_KEYS: ClassVar[Tuple[str, ...]] = (
-        "lp_value", "lp_certified", "lp_rounds", "lp_pivots")
+        "lp_value", "lp_certified", "lp_rounds", "lp_pivots", "lp_columns")
 
     def report(self) -> dict:
-        """The value, whether pricing was exact, the rounds and the pivots."""
+        """The value, whether pricing was exact, the rounds, the pivots and
+        the number of columns."""
         return dict(zip(self.REPORT_KEYS, (float(self.value), self.certified,
-                                           self.rounds, self.pivots)))
+                                           self.rounds, self.pivots,
+                                           len(self.columns))))
 
     @property
     def total_weight(self) -> Fraction:
         return sum(self.weights, ZERO)
 
     def coverage(self, v: int) -> Fraction:
-        return sum((w for p, w in zip(self.columns, self.weights)
-                    if v in p.node_set), ZERO)
+        return self._coverage_by_node().get(v, ZERO)
+
+    def _coverage_by_node(self) -> Dict[int, Fraction]:
+        """The weight on each node, summed over the support."""
+        cover: Dict[int, Fraction] = {}
+        for p, w in self.support():
+            for v in p.node_set:
+                cover[v] = cover.get(v, ZERO) + w
+        return cover
 
     def support(self) -> List[Tuple[RootedPath, Fraction]]:
         return [(p, w) for p, w in zip(self.columns, self.weights) if w > 0]
@@ -74,8 +83,9 @@ class FractionalSolution:
                               f"{len(self.weights)} weights")
         if any(w < 0 for w in self.weights):
             raise SolverError("negative column weight")
+        cover = self._coverage_by_node()
         for v in self.inst.clients:
-            if self.coverage(v) < 1:
+            if cover.get(v, ZERO) < 1:
                 raise SolverError(f"client {v} under-covered")
         if self.column_bound is not None:
             kind, limit = self.column_bound
@@ -182,9 +192,12 @@ def column_generation(inst: Instance, objective: str,
     prev_value: Optional[Fraction] = None
     sol: Optional[MasterSolution] = None
     rounds = 0
+    # Fixed from the seed columns: each round adds a column, so a bound on
+    # the current count would grow faster than the rounds.
+    cap = max(200, 10 * inst.n * len(columns))
     while True:
         rounds += 1
-        if rounds > max(200, 10 * inst.n * len(columns)):
+        if rounds > cap:
             raise SolverError("column generation exceeded its round cap")
         sol = master.solve()
         if prev_value is not None and sol.value > prev_value:

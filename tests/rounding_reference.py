@@ -224,6 +224,7 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
         "lp_certified": sol.certified,
         "lp_rounds": sol.rounds,
         "lp_pivots": sol.pivots,
+        "lp_columns": len(sol.columns),
         "forest_cost": ws.forest_cost,
         "tours_cost": ws.tours_cost,
         "components": len(ws.components),
@@ -283,7 +284,8 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
         paths = zero_regret_cover(inst, inst.clients)
         diagnostics.update(lp_value=float(sol.value),
                            lp_certified=sol.certified, lp_rounds=sol.rounds,
-                           lp_pivots=sol.pivots, path_count=len(paths),
+                           lp_pivots=sol.pivots,
+                           lp_columns=len(sol.columns), path_count=len(paths),
                            max_regret=0, total_regret=0)
         return paths
     kstar = sol.total_weight

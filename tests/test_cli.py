@@ -211,12 +211,16 @@ def test_module_entry_point(tmp_path, src_env):
 def test_no_numpy_import_without_a_table(src_env):
     # numpy is loaded only to build a Held-Karp table; above the exact
     # threshold nothing builds one, so start-up time and memory stay lean.
+    # krvrp there runs the master with its budget row and the min-excess
+    # heuristic pricer.
     code = (
         "import sys\n"
         "import regret_route, regret_route.cli, regret_route.harness\n"
         "from regret_route.harness import gen_euclidean, run_solver\n"
         "inst = gen_euclidean(21, 1)\n"
         "assert run_solver('rvrp', inst, {'regret': max(inst.root_dist) // 4})\n"
+        "inst = gen_euclidean(22, 1)\n"
+        "assert run_solver('krvrp', inst, {'k': 3})\n"
         "print('numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=src_env)

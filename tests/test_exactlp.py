@@ -10,6 +10,8 @@ from hk_reference import scaled_rewards
 from master_reference import ReferenceMaster
 from regret_route.core import SolverError
 from regret_route.exactlp import CoveringMaster
+from regret_route.harness import gen_euclidean
+from regret_route.lp import solve_minsum_lp, solve_rvrp_lp
 
 
 def test_single_column_cover():
@@ -191,6 +193,89 @@ def test_matches_fraction_reference_on_randoms():
             assert res.coverage_duals == scaled_rewards(clients, ref.duals)
     # the seed reaches both shapes and the infeasible outcomes
     assert kinds == {"budget", "plain", "SolverError"}
+
+
+def _recorded_script(monkeypatch, solve_lp):
+    """The master calls column generation makes, as (clients, budget,
+    batches): each batch of added columns is followed by a solve."""
+    from regret_route import lp
+    scripts = []
+
+    class Recorder(CoveringMaster):
+        def __init__(self, client_rows, budget=None):
+            super().__init__(client_rows, budget)
+            scripts.append((list(client_rows), budget, [[]]))
+
+        def add_column(self, covered, cost):
+            scripts[-1][2][-1].append((list(covered), cost))
+            return super().add_column(covered, cost)
+
+        def solve(self):
+            scripts[-1][2].append([])
+            return super().solve()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "CoveringMaster", Recorder)
+        solve_lp()
+    (clients, budget, batches), = scripts
+    assert batches[-1] == []
+    return clients, budget, batches[:-1]
+
+
+@pytest.mark.parametrize("nodes", [17, 21, 25])
+@pytest.mark.parametrize("shape", ["rvrp", "krvrp"])
+def test_matches_fraction_reference_on_column_generation(monkeypatch, shape,
+                                                         nodes):
+    # Column generation's own scripts at the sizes the benchmark solves:
+    # 16 clients price exactly, 20 and 24 heuristically; the krvrp min-sum
+    # LP carries the budget row.
+    inst = gen_euclidean(nodes, 1)
+    if shape == "rvrp":
+        lp_run = lambda: solve_rvrp_lp(inst, max(inst.root_dist) // 2)
+    else:
+        lp_run = lambda: solve_minsum_lp(inst, 3)
+    clients, budget, batches = _recorded_script(monkeypatch, lp_run)
+    assert len(clients) == nodes - 1 and len(batches) > 1
+    assert (budget is not None) == (shape == "krvrp")
+    got = _run(CoveringMaster, clients, budget, batches)
+    want = _run(ReferenceMaster, clients, budget, batches)
+    assert [_fields(r) for r in got] == [_fields(r) for r in want]
+    assert len(batches) >= 28 and got[-1].pivots > 2 * len(batches)
+
+
+def test_resumed_solve_enters_new_columns_first():
+    # After an optimum every column prices nonnegative, so a resumed solve
+    # begins its scan at the columns added since.
+    master = CoveringMaster([1, 2, 3, 4])
+    for covered in ([1], [2], [3], [4], [1, 2]):
+        master.add_column(covered, 1)
+    first = master.solve()
+    entered = []
+    pivot = master._pivot
+
+    def spy(r, j, alpha, reduced):
+        entered.append(j - master._first_structural)
+        pivot(r, j, alpha, reduced)
+
+    master._pivot = spy
+    # Nonnegative reduced cost: no pivot, the same optimum.
+    assert sum(first.duals[v] for v in (3, 4)) <= 2
+    master.add_column([3, 4], 2)
+    second = master.solve()
+    assert entered == [] and second.pivots == first.pivots
+    assert second.value == first.value and second.duals == first.duals
+    assert second.weights == first.weights + [0]
+    # Negative reduced cost: the new column enters first.
+    assert sum(first.duals[v] for v in (2, 3, 4)) > 1
+    new = master.add_column([2, 3, 4], 1)
+    third = master.solve()
+    assert entered[0] == new
+    assert third.value < first.value
+    ref = ReferenceMaster([1, 2, 3, 4])
+    for covered, cost in (([1], 1), ([2], 1), ([3], 1), ([4], 1), ([1, 2], 1),
+                          ([3, 4], 2), ([2, 3, 4], 1)):
+        ref.add_column(covered, Fraction(cost))
+    assert _fields(third)[:4] == _fields(ref.solve())[:4]
 
 
 def test_negative_pivot_driving_out_an_artificial():

@@ -286,13 +286,14 @@ def test_run_job_report_shape():
     report = run_job(job, timings=True)
     for key in ("id", "solver", "n", "params", "count", "total_regret",
                 "max_regret", "max_length", "ok", "failures", "lp_value",
-                "lp_certified", "lp_rounds", "lp_pivots", "bound_checks",
-                "oracle", "ratio", "wall_ms"):
+                "lp_certified", "lp_rounds", "lp_pivots", "lp_columns",
+                "bound_checks", "oracle", "ratio", "wall_ms"):
         assert key in report, key
     assert report["ok"] and not report["failures"]
     assert report["lp_certified"] is True
     lp = solve_rvrp_lp(inst, 1)
-    assert (report["lp_rounds"], report["lp_pivots"]) == (lp.rounds, lp.pivots)
+    assert ((report["lp_rounds"], report["lp_pivots"], report["lp_columns"])
+            == (lp.rounds, lp.pivots, len(lp.columns)))
     assert lp.rounds >= 1 and lp.pivots >= 1
     assert report["count"] >= report["oracle"] >= 1
     assert type(report["oracle"]) is int

@@ -228,3 +228,32 @@ def test_duals_are_recomputed_once_per_solve(monkeypatch):
     assert sol.rounds == calls["solves"] > 1
     assert sol.pivots > 2 * calls["solves"]
     assert calls["duals"] <= calls["solves"] + 2
+
+
+def test_round_cap_fires_on_an_endless_pricer(monkeypatch):
+    # A pricer that proposes a new improving column every round must hit the
+    # round cap, which is fixed from the seed columns. The stub gives up one
+    # call past the cap, so a cap that never fires fails the test instead of
+    # hanging it.
+    from itertools import permutations
+
+    from regret_route import lp
+    inst = gen_euclidean(6, 3)
+    clients = list(inst.clients)
+    assert len(clients) == 5
+    cap = max(200, 10 * inst.n * len(clients))
+    fresh = (RootedPath.build(inst, [inst.root, *seq])
+             for k in range(2, len(clients) + 1)
+             for seq in permutations(clients, k))
+    calls = []
+
+    def endless(*args):
+        calls.append(None)
+        if len(calls) > cap + 1:
+            raise RuntimeError("the round cap did not fire")
+        return next(fresh), True
+
+    monkeypatch.setattr(lp, "_price", endless)
+    with pytest.raises(SolverError, match="round cap"):
+        solve_rvrp_lp(inst, max(inst.root_dist))
+    assert len(calls) == cap
