@@ -438,7 +438,8 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     lp_columns (when the solver produced an LP; certified is false when
     pricing was heuristic; rounds, pivots and columns are the
     column-generation rounds, the master's simplex pivots and the columns
-    it ended with), oracle (exact
+    it ended with), subsolves (the solve_rvrp calls a reduction made on
+    sub-instances; 0 for rvrp and krvrp), oracle (exact
     optimum when the instance is small enough, plus the solver/oracle
     ratio), bound_checks (forwarded from the solver diagnostics), ok.
     """
@@ -467,8 +468,8 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     }
     report.update((key, diag[key]) for key in FractionalSolution.REPORT_KEYS
                   if key in diag)
-    if "bound_checks" in diag:
-        report["bound_checks"] = diag["bound_checks"]
+    report.update((key, diag[key]) for key in ("subsolves", "bound_checks")
+                  if key in diag)
     if job.get("oracle"):
         opt = _oracle_value(job["solver"], inst, params)
         if opt is not None:

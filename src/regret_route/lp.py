@@ -59,15 +59,16 @@ class FractionalSolution:
 
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.weights, ZERO)
+        return _weight_sum(self.support())
 
     def coverage(self, v: int) -> Fraction:
-        return self._coverage_by_node().get(v, ZERO)
+        return self._coverage_by_node(self.support()).get(v, ZERO)
 
-    def _coverage_by_node(self) -> Dict[int, Fraction]:
+    @staticmethod
+    def _coverage_by_node(support) -> Dict[int, Fraction]:
         """The weight on each node, summed over the support."""
         cover: Dict[int, Fraction] = {}
-        for p, w in self.support():
+        for p, w in support:
             for v in p.node_set:
                 cover[v] = cover.get(v, ZERO) + w
         return cover
@@ -83,28 +84,31 @@ class FractionalSolution:
                               f"{len(self.weights)} weights")
         if any(w < 0 for w in self.weights):
             raise SolverError("negative column weight")
-        cover = self._coverage_by_node()
+        support = self.support()
+        cover = self._coverage_by_node(support)
         for v in self.inst.clients:
             if cover.get(v, ZERO) < 1:
                 raise SolverError(f"client {v} under-covered")
         if self.column_bound is not None:
             kind, limit = self.column_bound
-            for p, _ in self.support():
+            for p, _ in support:
                 used = p.regret if kind == "regret" else p.cost
                 if used > limit:
                     raise SolverError(f"column {p.nodes} breaks {kind}<={limit}")
-        if self.count_cap is not None and self.total_weight > self.count_cap:
-            raise SolverError(f"total weight {self.total_weight} exceeds "
-                              f"the count cap {self.count_cap}")
-        expect = self._objective_value()
+        if self.count_cap is not None:
+            total = _weight_sum(support)
+            if total > self.count_cap:
+                raise SolverError(f"total weight {total} exceeds the count "
+                                  f"cap {self.count_cap}")
+        expect = self._objective_value(support)
         if self.value != expect:
             raise SolverError(str((self.value, expect)))
 
-    def _objective_value(self) -> Fraction:
+    def _objective_value(self, support) -> Fraction:
+        """The objective over the support: zero weights add nothing."""
         if self.objective == "count":
-            return self.total_weight
-        return sum((Fraction(p.regret) * w
-                    for p, w in zip(self.columns, self.weights)), ZERO)
+            return _weight_sum(support)
+        return sum((p.regret * w for p, w in support), ZERO)
 
     @classmethod
     def from_columns(cls, inst: Instance, columns: Sequence[RootedPath],
@@ -117,8 +121,12 @@ class FractionalSolution:
         sol = cls(inst=inst, columns=cols, weights=ws, value=ZERO,
                   objective=objective, column_bound=column_bound,
                   count_cap=count_cap, certified=certified)
-        sol.value = sol._objective_value()
+        sol.value = sol._objective_value(sol.support())
         return sol
+
+
+def _weight_sum(support: Sequence[Tuple[RootedPath, Fraction]]) -> Fraction:
+    return sum((w for _, w in support), ZERO)
 
 
 def _column_cost(path: RootedPath, objective: str) -> int:

@@ -17,6 +17,9 @@ is chosen from a bound on the values it must hold:
 * costs are int32 when (m+1)·max_edge < 2^29 and int64 when it is below
   2^61, which leaves room for the sentinel that marks end nodes outside a
   mask; larger metrics fall back to Python integers (dtype=object);
+* the build's packed keys cost << s | end, s = (m-1).bit_length(), are
+  uint16 when ((m+2)·max_edge + 1) << s < 2^16, then int32, int64 and
+  object on the same rule with 2^31 and 2^63 (see HKTable);
 * reward sums are int64 when the scaled total fits 2^62, else object;
 * the min-excess scan bounds max(|min_regret|, 1)·den + Σ rewards the same
   way before it multiplies.
@@ -48,9 +51,13 @@ from typing import List, Optional, Sequence, Tuple
 from .core import Instance, RegretRouteError, RootedPath, SolverError
 
 DEFAULT_EXACT_THRESHOLD = 16
-# Worst-case bytes per (mask, end) cell: an int64 cost and an int8 parent.
-CELL_BYTES = 9
+# Bytes per (mask, end) cell at the build's peak on int64 costs from 16
+# clients up: the cost, the int8 parent, the per-mask folds and the chunk
+# buffers (HKTable).
+CELL_BYTES = 11
 TABLE_BUDGET_BYTES = 256 << 20
+# Bytes of keys per chunk of masks while the table is built.
+CHUNK_BYTES = 64 << 10
 
 
 class OracleUnavailableError(RegretRouteError):
@@ -96,6 +103,18 @@ def _cost_dtype(top: int, np):
     return object, top + 1
 
 
+def _key_dtype(m: int, edge: int, np):
+    """dtype of the build's keys cost << s | end on m clients with edges up
+    to edge, and s. The largest key is the cap (m+1)·edge + 1 plus one more
+    edge, with every low bit set."""
+    s = (m - 1).bit_length()
+    bound = ((m + 2) * edge + 1) << s
+    for dtype, bits in ((np.uint16, 16), (np.int32, 31), (np.int64, 63)):
+        if bound < 1 << bits:
+            return dtype, s
+    return object, s
+
+
 def _sum_dtype(bound: int, np):
     """dtype for integers of absolute value below bound."""
     return np.int64 if bound < 1 << 62 else object
@@ -115,8 +134,24 @@ class HKTable:
     cost[mask, i] is the cheapest cost of a rooted path visiting exactly the
     clients in mask and ending at clients[i] (a sentinel above every real
     cost where i is not in mask); parent pointers reconstruct one canonical
-    optimal path. min_regret/min_length fold out the end node, with the
-    first optimal end in regret_end/length_end (-1 for the empty mask).
+    optimal path: parent[mask, i] is the smallest predecessor end among the
+    cheapest (-1 for a single client or an end outside the mask).
+    min_regret/min_length fold out the end node, with the first optimal end
+    in regret_end/length_end (-1 for the empty mask).
+
+    The build works on packed keys cost << s | end, s bits wide enough for
+    every end index, so that one elementwise minimum yields both the
+    cheapest cost and the smallest end that reaches it. It runs one popcount
+    layer at a time, in chunks of at most CHUNK_BYTES of keys: gather the
+    chunk's rows ends-major, fold them into min_length and min_regret (the
+    regret key adds max(D) - D_i to stay nonnegative), and push every mask
+    to all m ends at once, one np.minimum over the predecessor ends. The
+    table holds the keys themselves while it is built when they fit its
+    dtype, and is split into cost and parent at the end; otherwise it holds
+    costs and parent takes the low bits. The build's peak is about 5.7
+    bytes per cell on int32 costs and 10.2 on int64 at 16 and 18 clients,
+    under CELL_BYTES; on a few clients the fixed chunk buffers weigh more,
+    and object costs are not bounded by it.
     """
 
     def __init__(self, inst: Instance, threshold: int = DEFAULT_EXACT_THRESHOLD):
@@ -131,49 +166,81 @@ class HKTable:
         clients = self.clients
         dist = inst.dist
         D = [inst.root_dist[v] for v in clients]
-        top = (m + 1) * max(map(max, dist))
+        max_d = max(D, default=0)
+        edge = max(map(max, dist))
+        top = (m + 1) * edge
         dtype, sentinel = _cost_dtype(top, np)
+        kdt, s = _key_dtype(m, edge, np)
+        low = (1 << s) - 1
+        # While it is built, the table holds keys cost << s | parent when
+        # they fit its dtype, else costs, with the low bits in parent. An
+        # end outside its mask holds top + 1, above every real cost.
+        packed = np.can_cast(kdt, dtype)
+        shift = s if packed else 0
         size = 1 << m
         self.popcount = _doubling([1] * m, np.uint8, np)
-        cost = np.full((size, m), sentinel, dtype)
-        parent = np.full((size, m), -1, np.int8)
         ends = np.arange(m)
-        cost[1 << ends, ends] = [dist[inst.root][v] for v in clients]
-        step = np.array([[dist[u][v] for v in clients] for u in clients], dtype)
-        # Masks grouped by popcount, ascending within a group.
-        order = np.argsort(self.popcount, kind="stable")
-        starts = np.cumsum(np.bincount(self.popcount, minlength=m + 1))
-        for k in range(1, m):
-            layer = order[starts[k - 1]:starts[k]]
-            rows = cost[layer]
-            for j in range(m):
-                prev = (layer >> j) & 1 == 0
-                cand = rows[prev]
-                cand += step[:, j]
-                # argmin takes the first minimum: the smallest predecessor
-                # end i among the cheapest, the canonical parent.
-                best = cand.argmin(axis=1)
-                nxt = layer[prev] | 1 << j
-                cost[nxt, j] = cand[np.arange(len(best)), best]
-                parent[nxt, j] = best
-        self.cost = cost
-        self.parent = parent
-        # Per-mask optima over the end node: visit the masks that contain
-        # end i as a strided view and keep strict improvements in ascending
-        # i, so the first optimal end wins.
+        cost = np.full((size, m), (top + 1) << shift, dtype)
+        cost[1 << ends, ends] = [dist[inst.root][v] << shift for v in clients]
+        parent = None if packed else np.full((size, m), -1, np.int8)
+        step = np.array([[dist[u][v] << s for v in clients] for u in clients],
+                        kdt)
+        regret_offset = np.array([(max_d - d) << s for d in D], kdt)[:, None]
+        end_bits = ends.astype(kdt)[:, None]
+        cost_bits = np.invert(np.array(low, kdt))
         self.min_regret = np.full(size, sentinel, dtype)
         self.regret_end = np.full(size, -1, np.int8)
         self.min_length = np.full(size, sentinel, dtype)
         self.length_end = np.full(size, -1, np.int8)
-        for i in range(m):
-            c = cost.reshape(-1, 2, 1 << i, m)[:, 1, :, i]
-            for low, end, value in ((self.min_length, self.length_end, c),
-                                    (self.min_regret, self.regret_end,
-                                     c - D[i])):
-                low = low.reshape(-1, 2, 1 << i)[:, 1]
-                better = value < low
-                low[better] = value[better]
-                end.reshape(-1, 2, 1 << i)[:, 1][better] = i
+        chunk = max(1, CHUNK_BYTES // (max(m, 1) * np.dtype(kdt).itemsize))
+        for k in range(1, m + 1):
+            layer = np.flatnonzero(self.popcount == k)
+            for lo in range(0, len(layer), chunk):
+                masks = layer[lo:lo + chunk]
+                # keys[i, c] = cost[masks[c], i] << s | i, ends-major.
+                keys = np.empty((m, len(masks)), kdt)
+                keys[...] = cost[masks].T
+                if packed:
+                    keys &= cost_bits
+                else:
+                    keys <<= s
+                keys |= end_bits
+                # The least key is the cheapest end, and the first of them.
+                best = np.minimum.reduce(keys, axis=0)
+                self.min_length[masks] = best >> s
+                self.length_end[masks] = best & low
+                work = keys + regret_offset
+                best = np.minimum.reduce(work, axis=0)
+                self.min_regret[masks] = (best >> s).astype(dtype) - max_d
+                self.regret_end[masks] = best & low
+                if k == m:
+                    continue
+                # nxt[j, c]: the least key[i, c] + d(i, j) over i, whose low
+                # bits are the parent: the smallest i among the cheapest.
+                nxt = np.add(keys[0], step[0][:, None])
+                for i in range(1, m):
+                    np.add(keys[i], step[i][:, None], out=work)
+                    np.minimum(nxt, work, out=nxt)
+                # Target (masks | 1 << j, j). Where j is in the mask, the xor
+                # sends the write to (mask ^ 1 << j, j) instead, a cell of
+                # an end outside its mask in a layer already read, which is
+                # reset below.
+                cells = (masks ^ (1 << ends)[:, None]) * m + ends[:, None]
+                if packed:
+                    cost.reshape(-1)[cells] = nxt.astype(dtype, copy=False)
+                else:
+                    cost.reshape(-1)[cells] = nxt >> s
+                    parent.reshape(-1)[cells] = nxt & low
+        if packed:
+            parent = np.empty((size, m), np.int8)
+            np.bitwise_and(cost, low, out=parent, casting="unsafe")
+            cost >>= s
+            parent[1 << ends, ends] = -1
+        for j in range(m):
+            cost.reshape(-1, 2, 1 << j, m)[:, 0, :, j] = sentinel
+            parent.reshape(-1, 2, 1 << j, m)[:, 0, :, j] = -1
+        self.cost = cost
+        self.parent = parent
 
     def path_for(self, mask: int, end_index: int) -> RootedPath:
         seq = []
@@ -294,8 +361,13 @@ def exact_min_excess_pricing(table: HKTable,
     if not len(regret):
         return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
     top = max(-int(regret.min()), int(regret.max()), 1) * den + sum(nums)
-    dtype = _sum_dtype(top, np)
-    excess = regret.astype(dtype) * den - sums.astype(dtype)
+    if _sum_dtype(top, np) is object:
+        excess = regret.astype(object) * den - sums.astype(object)
+    else:
+        # One int64 product, then the sums subtracted in place; sums is
+        # int64 too, since sum(nums) < top.
+        excess = np.multiply(regret, den, dtype=np.int64, casting="unsafe")
+        excess -= sums
     best = int(excess.min())
     if best >= 0:
         return PricedPath(RootedPath.trivial(t.inst), Fraction(0))

@@ -33,6 +33,7 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
     threshold = check_threshold(threshold)
     if diagnostics is None:
         diagnostics = {}
+    diagnostics.update(subsolves=0)
     if R == 0 or not inst.clients:
         paths = zero_regret_cover(inst, inst.clients)
         diagnostics.update(path_count=len(paths), max_regret=0,
@@ -88,7 +89,7 @@ def solve_multiplicative(inst: Instance, ratio,
         diagnostics = {}
     if ratio == 1:
         walks = zero_regret_cover(inst, inst.clients)
-        diagnostics.update(path_count=len(walks))
+        diagnostics.update(path_count=len(walks), subsolves=0)
         return walks
     delta_m = ratio - 1
 
@@ -137,7 +138,7 @@ def solve_multiplicative(inst: Instance, ratio,
                     f"node {v} visited too late")
     require_cover(walks, inst.clients, "walks miss clients {}")
     diagnostics.update(rings=ring_info, chain_period=period,
-                       path_count=len(walks))
+                       path_count=len(walks), subsolves=len(covers))
     return walks
 
 
@@ -149,7 +150,8 @@ class DvrpDpState:
 
     S[i] holds the clients within 2^i of the cap (S[M] is everything),
     F[i] the recurrence value, P[i] a cover of S[i] by paths of length at
-    most the cap, and choice[i] the regret exponent picked at index i.
+    most the cap, and choice[i] the regret exponent picked at index i;
+    subsolves counts the solve_rvrp calls on sub-instances.
     """
 
     cap: int
@@ -158,6 +160,7 @@ class DvrpDpState:
     F: List[int]
     P: List[List[RootedPath]]
     choice: List[Optional[int]]
+    subsolves: int
 
 
 def _length_prefix(inst: Instance, path: RootedPath, cap: int) -> RootedPath:
@@ -219,6 +222,7 @@ def dvrp_dp_state(inst: Instance, cap: int,
     F = [len(base)]
     P = [base]
     choice: List[Optional[int]] = [None]
+    subsolves = 0
     for i in range(1, M + 1):
         if not S[i]:
             # S is nested, so every lower level is empty too: F[k] = 0 for
@@ -233,6 +237,7 @@ def dvrp_dp_state(inst: Instance, cap: int,
             # the k-loop's solves of sub share one table, held by pricing
             sub_paths = solve_rvrp(sub, 2 ** k,
                                    exact_threshold=exact_threshold)
+            subsolves += 1
             cand = len(sub_paths) + F[k]
             if best is None or cand < best[0]:
                 best = (cand, k, sub_paths)
@@ -250,7 +255,8 @@ def dvrp_dp_state(inst: Instance, cap: int,
         require(all(p.cost <= cap for p in merged),
                 f"a path at level {i} is longer than the cap {cap}")
         require_cover(merged, S[i], f"level {i} leaves nodes {{}} uncovered")
-    return DvrpDpState(cap=cap, M=M, S=S, F=F, P=P, choice=choice)
+    return DvrpDpState(cap=cap, M=M, S=S, F=F, P=P, choice=choice,
+                       subsolves=subsolves)
 
 
 def solve_dvrp_dp(inst: Instance, cap: int,
@@ -261,7 +267,7 @@ def solve_dvrp_dp(inst: Instance, cap: int,
         diagnostics = {}
     if not inst.clients:
         check_cap(inst, cap)
-        diagnostics.update(path_count=0)
+        diagnostics.update(path_count=0, subsolves=0)
         return []
     state = dvrp_dp_state(inst, cap, exact_threshold=exact_threshold)
     diagnostics.update(
@@ -269,7 +275,7 @@ def solve_dvrp_dp(inst: Instance, cap: int,
         level_sizes=[len(s) for s in state.S],
         chain=[{"i": i, "k": state.choice[i], "count": state.F[i]}
                for i in range(state.M + 1)],
-        path_count=len(state.P[state.M]))
+        path_count=len(state.P[state.M]), subsolves=state.subsolves)
     return state.P[state.M]
 
 
@@ -293,7 +299,7 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
     if diagnostics is None:
         diagnostics = {}
     if not inst.clients:
-        diagnostics.update(path_count=0)
+        diagnostics.update(path_count=0, subsolves=0)
         return []
     sol = solve_dvrp_lp(inst, cap, exact_threshold=exact_threshold)
     star = preprocess_fractional(sol)
@@ -353,7 +359,8 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
         paths.extend(got)
     require_cover(paths, inst.clients, "parts leave clients {} uncovered")
     diagnostics.update(**sol.report(), support_weight=float(kstar),
-                       parts=part_info, path_count=len(paths))
+                       parts=part_info, path_count=len(paths),
+                       subsolves=len(parts))
     return paths
 
 
@@ -384,19 +391,22 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
 
     paths: List[RootedPath] = []
     class_info = []
+    subsolves = 0
     for i, members in sorted(classes.items()):
         bound = 0 if i == 0 else 2 ** (i - 1)
         if i == 0:
             got = zero_regret_cover(inst, members)
         else:
             got = _cover_subset(inst, members, bound, exact_threshold)
+            subsolves += 1
         class_info.append({"bound": bound, "size": len(members),
                            "paths": len(got)})
         paths.extend(got)
 
     require_cover(paths, inst.clients, "regret classes leave clients {} "
                   "uncovered")
-    diagnostics.update(classes=class_info, path_count=len(paths))
+    diagnostics.update(classes=class_info, path_count=len(paths),
+                       subsolves=subsolves)
     return paths
 
 
@@ -417,6 +427,7 @@ def solve_krvrp_minmax(inst: Instance, k: int,
         raise ValueError("path budget must be at least 1")
     if diagnostics is None:
         diagnostics = {}
+    diagnostics.update(subsolves=0)
     if not inst.clients:
         diagnostics.update(path_count=0, max_regret=0, total_regret=0)
         return [], 0

@@ -1,16 +1,20 @@
-"""Pure-Python Held-Karp table and exact pricers: the test oracle.
+"""Held-Karp tables and exact pricers: the test oracles.
 
-These are the plain loops that ``regret_route.pricing`` vectorises.  The
-tests require the vectorised table and pricers to agree with them exactly:
-the same costs, parent pointers, per-mask optima and canonical ends, and
-the same (path, value) from every pricer.
+ReferenceTable and the pricers are the plain loops that
+``regret_route.pricing`` vectorises.  DenseReferenceTable is the numpy
+build that the packed-key build replaced: one argmin per (layer, end).
+The tests require the vectorised table and pricers to agree with them
+exactly: the same costs, parent pointers, per-mask optima and canonical
+ends, and the same (path, value) from every pricer.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from regret_route.core import INF, RootedPath
-from regret_route.pricing import PricedPath
+from regret_route.pricing import PricedPath, _cost_dtype, _doubling
 
 
 class ReferenceTable:
@@ -79,6 +83,56 @@ class ReferenceTable:
             i = nxt
         seq.append(self.inst.root)
         return RootedPath.build(self.inst, reversed(seq))
+
+
+class DenseReferenceTable:
+    """HKTable's arrays, built one (popcount layer, end) pair at a time: the
+    masks of the layer without end j take their rows plus the step to j,
+    and argmin's first minimum is the parent."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.clients = clients = list(inst.clients)
+        m = self.m = len(clients)
+        dist = inst.dist
+        D = [inst.root_dist[v] for v in clients]
+        dtype, sentinel = _cost_dtype((m + 1) * max(map(max, dist)), np)
+        size = 1 << m
+        self.popcount = _doubling([1] * m, np.uint8, np)
+        cost = np.full((size, m), sentinel, dtype)
+        parent = np.full((size, m), -1, np.int8)
+        ends = np.arange(m)
+        cost[1 << ends, ends] = [dist[inst.root][v] for v in clients]
+        step = np.array([[dist[u][v] for v in clients] for u in clients], dtype)
+        order = np.argsort(self.popcount, kind="stable")
+        starts = np.cumsum(np.bincount(self.popcount, minlength=m + 1))
+        for k in range(1, m):
+            layer = order[starts[k - 1]:starts[k]]
+            rows = cost[layer]
+            for j in range(m):
+                prev = (layer >> j) & 1 == 0
+                cand = rows[prev]
+                cand += step[:, j]
+                best = cand.argmin(axis=1)
+                nxt = layer[prev] | 1 << j
+                cost[nxt, j] = cand[np.arange(len(best)), best]
+                parent[nxt, j] = best
+        self.cost = cost
+        self.parent = parent
+        # Strict improvements in ascending end i keep the first optimal end.
+        self.min_regret = np.full(size, sentinel, dtype)
+        self.regret_end = np.full(size, -1, np.int8)
+        self.min_length = np.full(size, sentinel, dtype)
+        self.length_end = np.full(size, -1, np.int8)
+        for i in range(m):
+            c = cost.reshape(-1, 2, 1 << i, m)[:, 1, :, i]
+            for low, end, value in ((self.min_length, self.length_end, c),
+                                    (self.min_regret, self.regret_end,
+                                     c - D[i])):
+                low = low.reshape(-1, 2, 1 << i)[:, 1]
+                better = value < low
+                low[better] = value[better]
+                end.reshape(-1, 2, 1 << i)[:, 1][better] = i
 
 
 def _bits(mask):

@@ -287,10 +287,11 @@ def test_run_job_report_shape():
     for key in ("id", "solver", "n", "params", "count", "total_regret",
                 "max_regret", "max_length", "ok", "failures", "lp_value",
                 "lp_certified", "lp_rounds", "lp_pivots", "lp_columns",
-                "bound_checks", "oracle", "ratio", "wall_ms"):
+                "subsolves", "bound_checks", "oracle", "ratio", "wall_ms"):
         assert key in report, key
     assert report["ok"] and not report["failures"]
     assert report["lp_certified"] is True
+    assert report["subsolves"] == 0           # rvrp reduces to nothing
     lp = solve_rvrp_lp(inst, 1)
     assert ((report["lp_rounds"], report["lp_pivots"], report["lp_columns"])
             == (lp.rounds, lp.pivots, len(lp.columns)))
@@ -425,6 +426,35 @@ def test_run_solver_looks_the_solver_up_at_call_time(monkeypatch):
     monkeypatch.setattr(reductions, "solve_rvrp", counting)
     assert run_solver("rvrp", gen_line([0, 1, 2, 4]), {"regret": 1})
     assert calls == [1]
+
+
+REDUCTION_JOBS = [
+    ("mult", {"ratio": Fraction(3, 2)}),
+    ("dvrp-dp", {"dist": 160}),
+    ("dvrp-lp", {"dist": 160}),
+    ("nonuniform", {"bounds": {v: 7 * v % 20 for v in range(1, 9)}}),
+    ("krvrp", {"k": 2}),
+]
+
+
+@pytest.mark.parametrize("solver, params", REDUCTION_JOBS)
+def test_subsolves_count_the_calls_on_sub_instances(monkeypatch, solver,
+                                                     params):
+    from regret_route import reductions
+    inst = gen_euclidean(9, 21)
+    solve, calls = reductions.solve_rvrp, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "solve_rvrp", counting)
+    report = run_job({"id": "sub", "solver": solver, "instance": inst,
+                      "params": params})
+    assert report["ok"]
+    assert report["subsolves"] == len(calls)
+    assert (len(calls) > 0) == (solver != "krvrp")
+    assert all(sub is not inst for sub in calls)
 
 
 def test_run_suite_deterministic():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 import weakref
 from collections import namedtuple
 from fractions import Fraction
@@ -275,6 +276,71 @@ def test_wide_edges_take_int64_costs():
     assert table.cost.dtype == np.int64
 
 
+TABLE_ARRAYS = ("cost", "parent", "min_regret", "regret_end", "min_length",
+                "length_end", "popcount")
+
+
+def assert_same_arrays(table, ref):
+    for name in TABLE_ARRAYS:
+        got, want = getattr(table, name), getattr(ref, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(got, want), name
+
+
+def test_sixteen_client_tables_match_the_dense_reference():
+    for seed in range(1, 6):
+        inst = gen_euclidean(17, seed)
+        assert_same_arrays(HKTable(inst), hk_reference.DenseReferenceTable(inst))
+    inst = scaled(gen_euclidean(17, 7), 1 << 27)
+    table = HKTable(inst)
+    assert table.cost.dtype == np.int64
+    assert_same_arrays(table, hk_reference.DenseReferenceTable(inst))
+
+
+def edge_metric(m, edge, seed):
+    """m clients, every distance drawn from [edge/2, edge] and the root's
+    last one exactly edge: a metric, since any two sides sum to at least
+    edge."""
+    rng = random.Random(seed)
+    n = m + 1
+    dist = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            dist[u][v] = dist[v][u] = rng.randint((edge + 1) // 2, edge)
+    dist[0][m] = dist[m][0] = edge
+    return Instance.from_matrix(dist)
+
+
+@pytest.mark.parametrize("m", [4, 9])
+def test_key_dtype_tiers_hold_at_their_largest_edge(m):
+    # The build's largest key is the cap (m+1)·edge + 1 plus one more edge,
+    # shifted past s end bits, with those bits set. A key that outgrew its
+    # dtype would wrap silently, so each narrow tier is checked at the
+    # largest edge that still selects it and at the next one.
+    s = (m - 1).bit_length()
+    tiers = (np.uint16, np.int32, np.int64, object)
+    for bits, narrow, wide in zip((16, 31, 63), tiers, tiers[1:]):
+        largest = ((1 << bits - s) - 2) // (m + 2)
+        assert (((m + 2) * largest + 1) << s | (1 << s) - 1) < 1 << bits
+        for edge, want in ((largest, narrow), (largest + 1, wide)):
+            assert pricing._key_dtype(m, edge, np) == (want, s)
+            inst = edge_metric(m, edge, edge)
+            assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
+
+
+@pytest.mark.parametrize("factor, dtype", [(1, np.int32), (1 << 27, np.int64)])
+def test_build_peak_is_within_the_cell_estimate(factor, dtype):
+    inst = scaled(gen_euclidean(17, 7), factor)
+    tracemalloc.start()
+    try:
+        table = HKTable(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.cost.dtype == dtype
+    assert peak <= pricing.CELL_BYTES * (16 << 16)
+
+
 def test_edges_beyond_int64_keep_exact_python_costs():
     base = gen_random_metric(8, 9)
     factor = 1 << 62
@@ -293,6 +359,20 @@ def test_edges_beyond_int64_keep_exact_python_costs():
                                          for v in base.clients})
     assert got.path.nodes == want.path.nodes
     assert got.value == want.value * factor
+
+
+def test_zero_regret_python_costs_take_the_int64_excess_scan():
+    # Clients on a ray from the root: every mask's least regret is 0, so
+    # the min-excess values fit int64 although the costs need Python ints.
+    # The reference reads costs from INF up as unreachable, so it runs on
+    # the unscaled line, whose regrets are the same zeros.
+    base = line_instance((0, 1, 2, 4, 7, 11))
+    table = HKTable(scaled(base, 1 << 62))
+    assert table.cost.dtype == object and not table.min_regret[1:].any()
+    rewards = {v: Fraction(v, 3) for v in base.clients}
+    got = exact_min_excess_pricing(table, ints(base, rewards))
+    want = hk_reference.min_excess(hk_reference.ReferenceTable(base), rewards)
+    assert (got.path.nodes, got.value) == (want.path.nodes, want.value)
 
 
 def test_orienteering_collects_reachable_rewards():
