@@ -92,8 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     diag: dict = {}
     paths = run_solver(args.solver, inst, params, diagnostics=diag)
     stats = {"solver": args.solver,
-             "params": _jsonable({k: str(v) if isinstance(v, Fraction) else v
-                                  for k, v in params.items()}),
+             "params": _jsonable(params),
              "count": len(paths),
              "diagnostics": _jsonable(diag)}
     _write_json(solution_to_dict(inst, paths, stats=stats), args.out)

@@ -369,9 +369,10 @@ def zero_regret_cover(inst: Instance, targets: Iterable[int]) -> List[RootedPath
 
     A zero-regret path can only use tight arcs, which form a DAG ((D, id)
     strictly increases), so this is a minimum path cover with node lower
-    bounds, solved as a min-cost circulation.
+    bounds: flows.min_cost_path_cover over the tight arcs at cost 0, with
+    the targets required, capacity n and one unit of cost per path.
     """
-    from .flows import MinCostCirculation
+    from .flows import min_cost_path_cover
 
     targets = sorted(set(targets) - {inst.root})
     if any(not 0 <= v < inst.n for v in targets):
@@ -379,50 +380,9 @@ def zero_regret_cover(inst: Instance, targets: Iterable[int]) -> List[RootedPath
     if not targets:
         return []
 
-    # Node-split clients: in-node 2v, out-node 2v+1; root and sink on top.
-    net = MinCostCirculation(2 * inst.n + 2)
-    root_out = 2 * inst.root
-    sink = 2 * inst.n
-    source_arc = net.add_arc(sink, root_out, lower=0, cap=inst.n, cost=1)
-    internal = {}
-    for v in inst.clients:
-        lb = 1 if v in set(targets) else 0
-        internal[v] = net.add_arc(2 * v, 2 * v + 1, lower=lb, cap=inst.n, cost=0)
-    hop = {}
-    for u, v in tight_arcs(inst):
-        tail = root_out if u == inst.root else 2 * u + 1
-        hop[(u, v)] = net.add_arc(tail, 2 * v, lower=0, cap=inst.n, cost=0)
-    for v in inst.clients:
-        net.add_arc(2 * v + 1, sink, lower=0, cap=inst.n, cost=0)
-
-    net.solve()
-
-    # Peel paths from the root, always taking the smallest-(D, id) next hop.
-    out_arcs: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
-    flow = {}
-    for (u, v), aid in hop.items():
-        f = net.flow(aid)
-        if f > 0:
-            flow[(u, v)] = f
-            out_arcs.setdefault(u, []).append(((inst.root_dist[v], v), aid))
-    for lst in out_arcs.values():
-        lst.sort()
-    paths = []
-    for _ in range(net.flow(source_arc)):
-        seq = [inst.root]
-        u = inst.root
-        while True:
-            nxt = None
-            for (_, v), _aid in out_arcs.get(u, []):
-                if flow.get((u, v), 0) > 0:
-                    nxt = v
-                    break
-            if nxt is None:
-                break
-            flow[(u, nxt)] -= 1
-            seq.append(nxt)
-            u = nxt
-        paths.append(RootedPath.build(inst, seq))
+    _, trails = min_cost_path_cover(inst, dict.fromkeys(tight_arcs(inst), 0),
+                                    targets, inst.n, 1)
+    paths = [RootedPath.build(inst, t) for t in trails]
     require(all(p.regret == 0 for p in paths),
             "zero-regret cover has a path with positive regret")
     require_cover(paths, targets, "zero-regret cover left targets {} uncovered")

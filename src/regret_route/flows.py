@@ -1,17 +1,23 @@
-"""Integral min-cost circulation with arc lower bounds.
+"""Integral min-cost circulation with arc lower bounds, and the rooted
+path cover built on it.
 
 Lower bounds are folded away by pre-routing them and repairing conservation
 through a super source/sink pair; the remainder is a min-cost max-flow solved
 with successive shortest augmenting paths. All arc costs must be nonnegative,
 so Dijkstra with potentials works from the start. Everything is integer.
+
+``min_cost_path_cover`` is the one network the package builds: root trails
+through a DAG that enter every required node (Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993). The zero-regret cover and the rounding's witness
+flow both call it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .core import SolverError
+from .core import Instance, SolverError, require
 
 
 class MinCostCirculation:
@@ -125,3 +131,62 @@ class MinCostCirculation:
         u, v, lower, capacity, w = self._arcs[arc_id]
         rid = self._residual_id[arc_id]
         return lower + (capacity - lower - self._cap[rid])
+
+
+def min_cost_path_cover(inst: Instance, arcs: Mapping[Tuple[int, int], int],
+                        required: Iterable[int], cap: int, trail_cost: int
+                        ) -> Tuple[int, List[List[int]]]:
+    """Cheapest root trails through the DAG ``arcs`` entering every required
+    node; returns the total cost and the trails as node lists from the root.
+
+    A trail pays the cost of its arcs plus trail_cost, and every arc, node
+    and the number of trails are capped at cap. Each non-root node is split
+    into in and out, joined by an arc with lower bound 1 when the node is
+    required; every out node may end a trail at a collector, which closes
+    back to the root. Nodes are numbered root-out, then in/out per node in
+    ascending order, then the collector; arcs are added sorted, then each
+    node's inner and collector arcs, then the closing arc. SolverError when
+    no such trails exist within the cap.
+
+    Trails are peeled one unit at a time from the root. The next hop is the
+    least (D[v], v) with flow left; a trail ends where no flow leaves, at a
+    node with collector flow left, and all flow is consumed.
+    """
+    root, D = inst.root, inst.root_dist
+    required = set(required)
+    nodes = sorted(required.union(*arcs) - {root})
+    pos = {v: 1 + 2 * i for i, v in enumerate(nodes)}   # in-node; out is +1
+    collector = 1 + 2 * len(nodes)
+    net = MinCostCirculation(collector + 1)
+    arc_ids = {(u, v): net.add_arc(0 if u == root else pos[u] + 1, pos[v],
+                                   lower=0, cap=cap, cost=arcs[(u, v)])
+               for u, v in sorted(arcs)}
+    end_ids = {}
+    for v in nodes:
+        net.add_arc(pos[v], pos[v] + 1, lower=int(v in required), cap=cap,
+                    cost=0)
+        end_ids[v] = net.add_arc(pos[v] + 1, collector, lower=0, cap=cap,
+                                 cost=0)
+    close = net.add_arc(collector, 0, lower=0, cap=cap, cost=trail_cost)
+    cost = net.solve()
+
+    left = {a: f for a, aid in arc_ids.items() if (f := net.flow(aid))}
+    ends = {v: net.flow(aid) for v, aid in end_ids.items()}
+    outs: Dict[int, List[int]] = {}
+    for u, v in sorted(left, key=lambda a: (D[a[1]], a[1])):
+        outs.setdefault(u, []).append(v)
+    trails = []
+    for _ in range(net.flow(close)):
+        trail = [root]
+        while True:
+            u = trail[-1]
+            nxt = next((v for v in outs.get(u, ()) if left[(u, v)]), None)
+            if nxt is None:
+                break
+            left[(u, nxt)] -= 1
+            trail.append(nxt)
+        require(ends.get(trail[-1], 0) > 0, "trail stranded off a path end")
+        ends[trail[-1]] -= 1
+        trails.append(trail)
+    require(not any(left.values()), "flow left after peeling every trail")
+    return cost, trails

@@ -401,10 +401,8 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
         raise ValueError(f"solver {solver!r} takes no rounding threshold")
     if threshold is not None:
         kwargs["threshold"] = Fraction(threshold)
-    paths = getattr(reductions, row.function)(inst, params[row.param],
-                                              **kwargs)
-    # solve_krvrp_minmax also returns the worst regret of its paths
-    return paths[0] if isinstance(paths, tuple) else paths
+    return getattr(reductions, row.function)(inst, params[row.param],
+                                             **kwargs)
 
 
 def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]

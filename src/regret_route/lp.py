@@ -292,9 +292,5 @@ def preprocess_fractional(sol: FractionalSolution) -> FractionalSolution:
     out = FractionalSolution.from_columns(
         inst, order, [acc[p.nodes] for p in order], objective=sol.objective,
         column_bound=sol.column_bound, count_cap=None, certified=False)
-    for p in out.columns:
-        if not (p.is_trivial or p.end == farthest_node(inst, p)):
-            raise SolverError(f"column {p.nodes} does not end at its "
-                              f"farthest node")
     out.validate()
     return out

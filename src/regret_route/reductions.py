@@ -414,13 +414,12 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
 
 def solve_krvrp_minmax(inst: Instance, k: int,
                        exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                       diagnostics: Optional[dict] = None
-                       ) -> Tuple[List[RootedPath], int]:
+                       diagnostics: Optional[dict] = None) -> List[RootedPath]:
     """Cover all clients with at most k rooted paths, small total regret.
 
-    Returns the paths and their maximum end regret.  The total regret is
-    within an O(k) factor of the best achievable by k paths, which makes
-    the max readout an O(k^2) answer for the min-max question.
+    The total regret is within an O(k) factor of the best achievable by k
+    paths, which makes the maximum end regret (diagnostics' max_regret) an
+    O(k^2) answer for the min-max question.
     """
     k = _as_int(k, "path budget")
     if k < 1:
@@ -430,7 +429,6 @@ def solve_krvrp_minmax(inst: Instance, k: int,
     diagnostics.update(subsolves=0)
     if not inst.clients:
         diagnostics.update(path_count=0, max_regret=0, total_regret=0)
-        return [], 0
+        return []
     sol = solve_minsum_lp(inst, k, exact_threshold=exact_threshold)
-    paths = round_minsum(inst, k, sol, diagnostics=diagnostics)
-    return paths, max(p.regret for p in paths)
+    return round_minsum(inst, k, sol, diagnostics=diagnostics)

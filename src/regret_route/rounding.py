@@ -3,24 +3,27 @@
 Pipeline: a cut-requirement function derived from the fractional solution
 drives a primal-dual forest construction; each forest component contributes
 one witness node; support paths are shortcut onto the witnesses, which makes
-the directed support acyclic; an integral min-cost flow covers the witnesses;
-flow paths are peeled off and the remaining nodes are grafted back via
-doubled-tree tours. The threshold parameter trades forest cost against flow
-value and serves both the count-bounded and the regret-sum solvers.
+the directed support acyclic; flows.min_cost_path_cover finds the integral
+min-cost flow entering every witness and peels it into root trails; each
+witness is kept on the first trail that enters it, and the remaining nodes
+are grafted back via doubled-tree tours. The threshold parameter trades
+forest cost against flow value and serves both the count-bounded and the
+regret-sum solvers.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .core import (Instance, RootedPath, SolverError, classify_edges, require,
-                   require_cover, shortcut, split_by_regret)
-from .flows import MinCostCirculation
+from .core import (Instance, RootedPath, SolverError, classify_edges,
+                   regret_distance, require, require_cover, shortcut,
+                   split_by_regret)
+from .flows import min_cost_path_cover
 from .lp import FractionalSolution
 
 ZERO = Fraction(0)
@@ -308,13 +311,6 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
         tours[ci] = tour
         tours_cost += cost
 
-    # Cost certificate: red mass of the support, scaled by the threshold
-    # gap; forest_cost <= 3 * mass / (1 - delta), over ctx.scale.
-    mass = ctx.scaled_regret_mass
-    require(forest_cost * (ctx.scale - ctx.need) <= 3 * mass,
-            f"forest cost {forest_cost} exceeds "
-            f"{Fraction(3 * mass, ctx.scale - ctx.need)}")
-
     return WitnessStructure(forest=kept, components=comps, witness=witness,
                             tours=tours, threshold=ctx.threshold,
                             root_component=root_ci, forest_cost=forest_cost,
@@ -352,36 +348,25 @@ def _forest_components(n: int, edges: Sequence[Tuple[int, int]]) -> List[FrozenS
 def shortcut_to_witnesses(ctx: RoundingContext, index: int,
                           ws: WitnessStructure) -> RootedPath:
     """Shortcut support path #index onto witnesses anchored in their own
-    component; the result visits nodes in strictly increasing root distance."""
-    inst = ctx.inst
+    component; the result climbs in root distance after the root, which
+    _pipeline checks on the merged support."""
     path, _ = ctx.support[index]
     spans = ctx.red_span[index]
     zone = {w: ws.components[ci] for ci, w in ws.witness.items()}
     keep = [w for w in path.nodes[1:]
             if w in zone and spans[w] <= zone[w]]
-    out = shortcut(inst, path, keep)
-    D = inst.root_dist
-    seq = out.nodes
-    require(all(D[seq[i]] < D[seq[i + 1]] for i in range(len(seq) - 1)),
-            f"shortcut of support path {index} is not monotone in D")
-    require(out.regret <= path.regret,
-            f"shortcut of support path {index} gained regret")
-    return out
+    return shortcut(ctx.inst, path, keep)
 
 
 @dataclass
 class IntegralFlow:
-    arcs: Dict[Tuple[int, int], int]   # positive flow per DAG arc
-    value: int
+    trails: List[List[int]]   # root trails, one per unit of flow value
     witnesses: List[int]
     cost: int
-    inflow: Dict[int, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.inflow = _heads(self.arcs)
-
-    def in_flow(self, v: int) -> int:
-        return self.inflow.get(v, 0)
+    @property
+    def value(self) -> int:
+        return len(self.trails)
 
 
 def _heads(arc_weight: Mapping[Tuple[int, int], int]) -> Dict[int, int]:
@@ -395,7 +380,8 @@ def _heads(arc_weight: Mapping[Tuple[int, int], int]) -> Dict[int, int]:
 def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], int],
                witnesses: Sequence[int], threshold: int,
                value_cap: int, cost_factor: int = 1) -> IntegralFlow:
-    """Min-regret-cost integral flow of value <= cap entering each witness.
+    """Min-regret-cost integral flow of value <= cap entering each witness,
+    peeled into root trails.
 
     With a cap of at least ceil(support value / threshold), the support flow
     scaled by 1/threshold certifies feasibility and the integral optimum
@@ -405,58 +391,21 @@ def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], int],
     flows of which a third of the weight must respect the cap.
 
     The arc weights and the threshold share one scale (the rounding passes
-    ints over its context's scale). Every check compares the same power
-    of that scale on both sides, so it is exact and the scale cancels.
+    ints over its context's scale), so the cost check compares the same
+    power of that scale on both sides: it is exact and the scale cancels.
     """
     wlist = sorted(witnesses)
-    inflow = _heads(arc_weight)
-    for w in wlist:
-        require(inflow.get(w, 0) >= threshold,
-                f"witness {w} underfed: {inflow.get(w, 0)}")
-    D = inst.root_dist
-    for (u, v) in arc_weight:
-        require(D[u] < D[v], f"arc ({u},{v}) does not increase distance")
-
-    # Node-split witnesses; close through a collector arc capped at the value.
-    idx: Dict[Tuple[int, str], int] = {}
-
-    def node(v: int, side: str) -> int:
-        key = (v, side)
-        if key not in idx:
-            idx[key] = len(idx)
-        return idx[key]
-
-    root_out = node(inst.root, "out")
-    for w in wlist:
-        node(w, "in"), node(w, "out")
-    collector = node(-1, "sink")
-    net = MinCostCirculation(len(idx))
-    arc_ids = {}
-    for (u, v) in sorted(arc_weight):
-        tail = root_out if u == inst.root else node(u, "out")
-        reg = D[u] + inst.dist[u][v] - D[v]
-        arc_ids[(u, v)] = net.add_arc(tail, node(v, "in"), lower=0,
-                                      cap=value_cap, cost=reg)
-    for w in wlist:
-        net.add_arc(node(w, "in"), node(w, "out"), lower=1, cap=value_cap,
-                    cost=0)
-        net.add_arc(node(w, "out"), collector, lower=0, cap=value_cap, cost=0)
-    close = net.add_arc(collector, root_out, lower=0, cap=value_cap, cost=0)
+    regret = {(u, v): regret_distance(inst, u, v) for u, v in arc_weight}
     try:
-        total = net.solve()
+        total, trails = min_cost_path_cover(inst, regret, wlist, value_cap, 0)
     except SolverError as exc:
         raise SolverError(
-            f"witness flow infeasible at value cap {value_cap}: {exc}") from exc
-
-    flows = {a: net.flow(aid) for a, aid in arc_ids.items() if net.flow(aid) > 0}
-    value = net.flow(close)
-    out = IntegralFlow(arcs=flows, value=value, witnesses=wlist, cost=total)
-    require(value <= value_cap, f"flow value {value} exceeds {value_cap}")
-    for w in wlist:
-        require(out.in_flow(w) >= 1, f"flow misses witness {w}")
+            f"witness flow at value cap {value_cap}: {exc}") from exc
+    out = IntegralFlow(trails=trails, witnesses=wlist, cost=total)
+    require(out.value <= value_cap,
+            f"flow value {out.value} exceeds {value_cap}")
     # total <= cost_factor * support cost / threshold, cross-multiplied
-    support_cost = sum((D[u] + inst.dist[u][v] - D[v]) * f
-                       for (u, v), f in arc_weight.items())
+    support_cost = sum(regret[a] * f for a, f in arc_weight.items())
     require(total * threshold <= cost_factor * support_cost,
             f"flow cost {total} exceeds {cost_factor} x support cost "
             f"{support_cost} / threshold {threshold}")
@@ -464,39 +413,10 @@ def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], int],
 
 
 def decompose_flow(inst: Instance, flow: IntegralFlow) -> List[RootedPath]:
-    """Peel value-many root-to-end trails; keep each witness on one path."""
-    remaining = dict(flow.arcs)
-    leaving: Dict[int, int] = {}
-    for (u, _), f in flow.arcs.items():
-        leaving[u] = leaving.get(u, 0) + f
-    ends = {w: flow.in_flow(w) - leaving.get(w, 0) for w in flow.witnesses}
-    require(all(e >= 0 for e in ends.values()), "conservation violated")
-    D = inst.root_dist
-    outs: Dict[int, List[int]] = {}
-    for (u, v) in sorted(remaining, key=lambda a: (D[a[1]], a[1])):
-        outs.setdefault(u, []).append(v)
-
-    raw: List[List[int]] = []
-    for _ in range(flow.value):
-        seq = [inst.root]
-        at = inst.root
-        while True:
-            nxt = next((v for v in outs.get(at, ())
-                        if remaining.get((at, v), 0) > 0), None)
-            if nxt is None:
-                require(ends.get(at, 0) > 0, "trail stranded off a path end")
-                ends[at] -= 1
-                break
-            remaining[(at, nxt)] -= 1
-            seq.append(nxt)
-            at = nxt
-        raw.append(seq)
-    require(all(f == 0 for f in remaining.values()),
-            "flow left after peeling every trail")
-
+    """Keep each witness on the first trail that enters it."""
     claimed: Set[int] = set()
     paths = []
-    for seq in raw:
+    for seq in flow.trails:
         keep = [v for v in seq[1:] if v not in claimed]
         claimed.update(keep)
         if keep:
@@ -529,7 +449,8 @@ def graft(inst: Instance, paths: Sequence[RootedPath],
 
 def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
               value_cap: int, cost_factor: int = 1) -> Tuple[List[RootedPath], dict]:
-    """Forest -> witnesses -> flow -> peel -> graft; shared by both solvers."""
+    """Forest -> witnesses -> flow and peel -> claim -> graft; shared by
+    both solvers."""
     ctx = RoundingContext.build(inst, sol, threshold)
     ws = build_forest(ctx)
     diag: dict = {
@@ -556,7 +477,8 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
             arc_weight[(a, b)] = arc_weight.get((a, b), 0) + W
         frac_cost += phi.regret * W
 
-    # every arc climbs in root distance, so the merged support is acyclic
+    # every arc climbs in root distance, so the merged support is acyclic;
+    # the one check that the shortcuts are monotone in D
     D = inst.root_dist
     require(all(a == inst.root or D[a] < D[b] for a, b in arc_weight),
             "shortcut support has an arc that does not climb in D")
@@ -610,9 +532,6 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
     diagnostics.update(path_count=len(paths),
                        max_regret=max(p.regret for p in paths),
                        total_regret=sum(p.regret for p in paths))
-    require(all(p.regret <= R for p in paths),
-            f"a rounded path has regret above {R}")
-    require_cover(paths, inst.clients, "rounded paths miss a client")
     _bound_check(diagnostics, "forest_cost_vs_regret_budget",
                  diag["forest_cost"], 3 * kstar * R / (1 - delta))
     _bound_check(diagnostics, "grafted_regret_vs_support",
@@ -645,7 +564,6 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
                        max_regret=max((p.regret for p in grafted), default=0),
                        total_regret=sum(p.regret for p in grafted))
     require(len(grafted) <= k, f"{len(grafted)} paths exceed the cap {k}")
-    require_cover(grafted, inst.clients, "rounded paths miss a client")
     _bound_check(diagnostics, "total_regret_vs_fractional",
                  sum(p.regret for p in grafted), (4 + 6 * (3 * k + 2)) * nustar)
     return grafted

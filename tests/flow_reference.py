@@ -1,0 +1,146 @@
+"""The two node-split networks and trail peels that ``flows.min_cost_path_cover``
+replaced: the test oracle for it.
+
+``zero_regret_cover`` splits every client (in-node 2v, out-node 2v+1) and
+peels whole zero-regret paths.  ``witness_flow`` splits only the witnesses,
+in ``round_flow``'s numbering, and peels value-many root trails that may
+end only where flow leaves for the collector.  Both peels take the least
+(D, id) next hop.  The tests require the routine to return the same
+trails as these.
+"""
+
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+from regret_route.core import (Instance, RootedPath, regret_distance,
+                               tight_arcs)
+from regret_route.flows import MinCostCirculation
+
+
+def zero_regret_cover(inst: Instance, targets) -> List[RootedPath]:
+    """Minimum number of zero-regret rooted paths covering the targets."""
+    targets = sorted(set(targets) - {inst.root})
+    if not targets:
+        return []
+
+    net = MinCostCirculation(2 * inst.n + 2)
+    root_out = 2 * inst.root
+    sink = 2 * inst.n
+    source_arc = net.add_arc(sink, root_out, lower=0, cap=inst.n, cost=1)
+    for v in inst.clients:
+        lb = 1 if v in set(targets) else 0
+        net.add_arc(2 * v, 2 * v + 1, lower=lb, cap=inst.n, cost=0)
+    hop = {}
+    for u, v in tight_arcs(inst):
+        tail = root_out if u == inst.root else 2 * u + 1
+        hop[(u, v)] = net.add_arc(tail, 2 * v, lower=0, cap=inst.n, cost=0)
+    for v in inst.clients:
+        net.add_arc(2 * v + 1, sink, lower=0, cap=inst.n, cost=0)
+
+    net.solve()
+
+    # Peel paths from the root, always taking the smallest-(D, id) next hop.
+    out_arcs: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
+    flow = {}
+    for (u, v), aid in hop.items():
+        f = net.flow(aid)
+        if f > 0:
+            flow[(u, v)] = f
+            out_arcs.setdefault(u, []).append(((inst.root_dist[v], v), aid))
+    for lst in out_arcs.values():
+        lst.sort()
+    paths = []
+    for _ in range(net.flow(source_arc)):
+        seq = [inst.root]
+        u = inst.root
+        while True:
+            nxt = None
+            for (_, v), _aid in out_arcs.get(u, []):
+                if flow.get((u, v), 0) > 0:
+                    nxt = v
+                    break
+            if nxt is None:
+                break
+            flow[(u, nxt)] -= 1
+            seq.append(nxt)
+            u = nxt
+        paths.append(RootedPath.build(inst, seq))
+    assert all(p.regret == 0 for p in paths)
+    assert set(targets) <= set().union(*(p.node_set for p in paths))
+    return paths
+
+
+def witness_flow(inst: Instance, arcs: Sequence[Tuple[int, int]],
+                 witnesses: Sequence[int], value_cap: int
+                 ) -> Tuple[int, Dict[Tuple[int, int], int], int,
+                            List[List[int]]]:
+    """Min-regret-cost flow of value <= value_cap entering every witness.
+
+    Returns the cost, the positive flow per arc, the value and the peeled
+    trails; MinCostCirculation raises SolverError when the lower bounds are
+    infeasible.
+    """
+    wlist = sorted(witnesses)
+    idx: Dict[Tuple[int, str], int] = {}
+
+    def node(v: int, side: str) -> int:
+        key = (v, side)
+        if key not in idx:
+            idx[key] = len(idx)
+        return idx[key]
+
+    root_out = node(inst.root, "out")
+    for w in wlist:
+        node(w, "in"), node(w, "out")
+    collector = node(-1, "sink")
+    net = MinCostCirculation(len(idx))
+    arc_ids = {}
+    for (u, v) in sorted(arcs):
+        tail = root_out if u == inst.root else node(u, "out")
+        arc_ids[(u, v)] = net.add_arc(tail, node(v, "in"), lower=0,
+                                      cap=value_cap,
+                                      cost=regret_distance(inst, u, v))
+    for w in wlist:
+        net.add_arc(node(w, "in"), node(w, "out"), lower=1, cap=value_cap,
+                    cost=0)
+        net.add_arc(node(w, "out"), collector, lower=0, cap=value_cap, cost=0)
+    close = net.add_arc(collector, root_out, lower=0, cap=value_cap, cost=0)
+    total = net.solve()
+    flows = {a: net.flow(aid) for a, aid in arc_ids.items() if net.flow(aid) > 0}
+    value = net.flow(close)
+    return total, flows, value, _peel(inst, flows, wlist, value)
+
+
+def _peel(inst: Instance, flows: Mapping[Tuple[int, int], int],
+          witnesses: Sequence[int], value: int) -> List[List[int]]:
+    """Value-many root trails; each ends where its flow goes to the
+    collector, and together they use up every arc's flow."""
+    remaining = dict(flows)
+    entering: Dict[int, int] = {}
+    leaving: Dict[int, int] = {}
+    for (u, v), f in flows.items():
+        entering[v] = entering.get(v, 0) + f
+        leaving[u] = leaving.get(u, 0) + f
+    ends = {w: entering.get(w, 0) - leaving.get(w, 0) for w in witnesses}
+    assert all(e >= 0 for e in ends.values()), "conservation violated"
+    D = inst.root_dist
+    outs: Dict[int, List[int]] = {}
+    for (u, v) in sorted(remaining, key=lambda a: (D[a[1]], a[1])):
+        outs.setdefault(u, []).append(v)
+
+    raw: List[List[int]] = []
+    for _ in range(value):
+        seq = [inst.root]
+        at = inst.root
+        while True:
+            nxt = next((v for v in outs.get(at, ())
+                        if remaining.get((at, v), 0) > 0), None)
+            if nxt is None:
+                assert ends.get(at, 0) > 0, "trail stranded off a path end"
+                ends[at] -= 1
+                break
+            remaining[(at, nxt)] -= 1
+            seq.append(nxt)
+            at = nxt
+        raw.append(seq)
+    assert all(f == 0 for f in remaining.values())
+    return raw

@@ -12,9 +12,9 @@ and every ``bound_checks`` entry equal in value.
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import flow_reference
 from regret_route.core import (Instance, RootedPath, SolverError,
                                split_by_regret, zero_regret_cover)
-from regret_route.flows import MinCostCirculation
 from regret_route.lp import FractionalSolution
 from regret_route.rounding import (IntegralFlow, RoundingContext,
                                    WitnessStructure, _ceil,
@@ -171,47 +171,19 @@ def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],
     for (u, v) in arc_weight:
         assert D[u] < D[v], f"arc ({u},{v}) does not increase distance"
 
-    # Node-split witnesses; close through a collector arc capped at the value.
-    idx: Dict[Tuple[int, str], int] = {}
-
-    def node(v: int, side: str) -> int:
-        key = (v, side)
-        if key not in idx:
-            idx[key] = len(idx)
-        return idx[key]
-
-    root_out = node(inst.root, "out")
-    for w in wlist:
-        node(w, "in"), node(w, "out")
-    collector = node(-1, "sink")
-    net = MinCostCirculation(len(idx))
-    arc_ids = {}
-    for (u, v) in sorted(arc_weight):
-        tail = root_out if u == inst.root else node(u, "out")
-        reg = D[u] + inst.dist[u][v] - D[v]
-        arc_ids[(u, v)] = net.add_arc(tail, node(v, "in"), lower=0,
-                                      cap=value_cap, cost=reg)
-    for w in wlist:
-        net.add_arc(node(w, "in"), node(w, "out"), lower=1, cap=value_cap,
-                    cost=0)
-        net.add_arc(node(w, "out"), collector, lower=0, cap=value_cap, cost=0)
-    close = net.add_arc(collector, root_out, lower=0, cap=value_cap, cost=0)
     try:
-        total = net.solve()
+        total, flows, value, trails = flow_reference.witness_flow(
+            inst, arc_weight, wlist, value_cap)
     except SolverError as exc:
         raise SolverError(
             f"witness flow infeasible at value cap {value_cap}: {exc}") from exc
-
-    flows = {a: net.flow(aid) for a, aid in arc_ids.items() if net.flow(aid) > 0}
-    value = net.flow(close)
-    out = IntegralFlow(arcs=flows, value=value, witnesses=wlist, cost=total)
     assert value <= value_cap
     for w in wlist:
-        assert out.in_flow(w) >= 1
+        assert sum(f for (_, v), f in flows.items() if v == w) >= 1
     frac_cost = sum(Fraction(D[u] + inst.dist[u][v] - D[v]) * f
                     for (u, v), f in arc_weight.items())
     assert Fraction(total) <= cost_factor * frac_cost / threshold
-    return out
+    return IntegralFlow(trails=trails, witnesses=wlist, cost=total)
 
 
 def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,

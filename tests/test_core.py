@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import flow_reference
 import regret_route
+from regret_route.harness import gen_euclidean, gen_random_metric
 from regret_route.core import (
     Instance,
     InvalidInstanceError,
@@ -302,6 +304,24 @@ def test_zero_regret_cover_minimum_on_randoms():
         covered = set().union(*(p.node_set for p in paths))
         assert covered >= set(inst.clients)
         assert len(paths) <= len(inst.clients)
+
+
+def test_zero_regret_cover_matches_the_two_network_oracle():
+    # Random metrics and points on a coarse grid have many tight arcs, so
+    # paths chain through several clients and the peel order matters.
+    covers = chained = 0
+    for n in range(5, 17):
+        for seed in range(9):
+            for inst in (gen_random_metric(n, seed),
+                         gen_euclidean(n, seed, scale=8)):
+                for targets in (inst.clients, inst.clients[::2]):
+                    paths = zero_regret_cover(inst, targets)
+                    ref = flow_reference.zero_regret_cover(inst, targets)
+                    assert [p.nodes for p in paths] == \
+                        [p.nodes for p in ref], (inst.meta, targets)
+                    covers += 1
+                    chained += len(paths) < len(targets)
+    assert covers >= 400 and chained >= covers // 2
 
 
 def test_cover_check_survives_optimized_python(src_env):

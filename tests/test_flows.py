@@ -1,9 +1,13 @@
-"""Min-cost circulation engine: feasibility, optimality, lower bounds."""
+"""Min-cost circulation engine: feasibility, optimality, lower bounds; and
+the rooted path cover built on it."""
+
+import random
 
 import pytest
 
 from regret_route.core import SolverError
-from regret_route.flows import MinCostCirculation
+from regret_route.flows import MinCostCirculation, min_cost_path_cover
+from regret_route.harness import gen_euclidean
 
 
 def test_simple_cycle_with_lower_bound():
@@ -92,3 +96,106 @@ def test_conservation_on_random_networks():
             balance[u] -= f
             balance[v] += f
         assert balance == [0] * n
+
+
+# --- min_cost_path_cover -----------------------------------------------------
+
+def _root_trails(root, arcs):
+    """Every trail from the root along the DAG's arcs, with its arc cost."""
+    out, stack = [], [((root,), 0)]
+    while stack:
+        trail, cost = stack.pop()
+        for (u, v), c in arcs.items():
+            if u == trail[-1]:
+                out.append((trail + (v,), cost + c))
+                stack.append((trail + (v,), cost + c))
+    return out
+
+
+def _brute_cover(root, arcs, required, cap, trail_cost):
+    """Least cost of at most cap trails entering every required node; None
+    when no such trails exist."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(required))}
+    full = (1 << len(bit)) - 1
+    best = {0: 0}            # mask -> least arc cost, with j trails so far
+    answer = 0 if not bit else None
+    for j in range(1, cap + 1):
+        step = dict(best)
+        for mask, cost in best.items():
+            for trail, c in _root_trails(root, arcs):
+                m = mask
+                for v in trail:
+                    m |= bit.get(v, 0)
+                if cost + c < step.get(m, cost + c + 1):
+                    step[m] = cost + c
+        best = step
+        if full in best:
+            total = best[full] + j * trail_cost
+            answer = total if answer is None else min(answer, total)
+    return answer
+
+
+def _random_dag(rng, inst):
+    """Arcs that climb in (D, id), with random costs; each is kept with
+    probability 1/2, or 3/4 out of the root."""
+    D = inst.root_dist
+    arcs = {}
+    for u in range(inst.n):
+        for v in inst.clients:
+            if u == inst.root and rng.random() < 0.75 or \
+                    (D[u], u) < (D[v], v) and rng.random() < 0.5:
+                arcs[(u, v)] = rng.randint(0, 3)
+    return arcs
+
+
+def test_path_cover_with_trail_cost_one_uses_fewest_trails():
+    rng = random.Random(5)
+    infeasible = 0
+    for seed in range(40):
+        inst = gen_euclidean(6, seed, scale=8)
+        arcs = dict.fromkeys(_random_dag(rng, inst), 0)
+        required = rng.sample(inst.clients, rng.randint(1, 4))
+        fewest = _brute_cover(inst.root, arcs, required, inst.n, 1)
+        if fewest is None:
+            infeasible += 1
+            with pytest.raises(SolverError):
+                min_cost_path_cover(inst, arcs, required, inst.n, 1)
+            continue
+        cost, trails = min_cost_path_cover(inst, arcs, required, inst.n, 1)
+        assert cost == len(trails) == fewest
+        assert all(t[0] == inst.root and len(t) > 1 for t in trails)
+        assert all(a in arcs for t in trails for a in zip(t, t[1:]))
+        assert set(required) <= {v for t in trails for v in t}
+    assert 0 < infeasible < 15
+
+
+def test_path_cover_is_cheapest_within_the_capacity():
+    rng = random.Random(6)
+    for seed in range(40):
+        inst = gen_euclidean(6, seed, scale=8)
+        arcs = _random_dag(rng, inst)
+        required = rng.sample(inst.clients, rng.randint(1, 4))
+        cap = rng.randint(1, 3)
+        best = _brute_cover(inst.root, arcs, required, cap, 0)
+        if best is None:
+            with pytest.raises(SolverError):
+                min_cost_path_cover(inst, arcs, required, cap, 0)
+            continue
+        cost, trails = min_cost_path_cover(inst, arcs, required, cap, 0)
+        assert cost == best == sum(arcs[a] for t in trails
+                                   for a in zip(t, t[1:]))
+        assert len(trails) <= cap
+        assert set(required) <= {v for t in trails for v in t}
+
+
+def test_path_cover_capacity_and_infeasible_lower_bound():
+    # a star: three required leaves need three trails
+    inst = gen_euclidean(4, 1)
+    arcs = {(0, v): 0 for v in inst.clients}
+    with pytest.raises(SolverError):
+        min_cost_path_cover(inst, arcs, inst.clients, 2, 1)
+    cost, trails = min_cost_path_cover(inst, arcs, inst.clients, 3, 1)
+    assert cost == 3 and sorted(trails) == [[0, 1], [0, 2], [0, 3]]
+    # a required node no arc enters admits no cover at any capacity
+    with pytest.raises(SolverError):
+        min_cost_path_cover(inst, {(0, 1): 0}, [1, 2], 5, 0)

@@ -319,17 +319,20 @@ def test_nonuniform_uniform_matches_rvrp_mode():
 
 def test_krvrp_line_budgets():
     inst = gen_line([0, 1, 2])
-    paths, worst = solve_krvrp_minmax(inst, 1)
+    paths = solve_krvrp_minmax(inst, 1)
+    worst = max(p.regret for p in paths)
     assert worst == 0
     assert [p.nodes for p in paths] == [(0, 1, 2)]
-    paths, worst = solve_krvrp_minmax(inst, 2)
+    paths = solve_krvrp_minmax(inst, 2)
+    worst = max(p.regret for p in paths)
     assert worst == 0
     assert len(paths) <= 2
 
 
 def test_krvrp_ladder_two_rails_suffice():
     inst = gen_ladder(2)
-    paths, worst = solve_krvrp_minmax(inst, 3)
+    paths = solve_krvrp_minmax(inst, 3)
+    worst = max(p.regret for p in paths)
     assert worst == 0
     assert len(paths) <= 3
     assert brute_force_krvrp(inst, 3) == 0
@@ -345,7 +348,8 @@ def test_krvrp_worst_vs_oracle():
     for seed in range(5):
         inst = gen_random_metric(6, 1400 + seed)
         k = 1 + seed % 3
-        paths, worst = solve_krvrp_minmax(inst, k)
+        paths = solve_krvrp_minmax(inst, k)
+        worst = max(p.regret for p in paths)
         assert len(paths) <= k
         covered = set().union(*(p.node_set for p in paths))
         assert covered >= set(inst.clients)

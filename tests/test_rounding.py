@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+import flow_reference
 import rounding_reference as reference
+from test_acceptance import mixed_instance
 from test_harness import COLOCATED
 from regret_route import rounding
-from regret_route.core import Instance, RootedPath
+from regret_route.core import Instance, RootedPath, regret_distance
 from regret_route.harness import (brute_force_rvrp, gen_euclidean, gen_ladder,
                                   gen_line, gen_random_metric)
 from regret_route.lp import (FractionalSolution, solve_minsum_lp,
                              solve_rvrp_lp)
+from regret_route.reductions import solve_rvrp
 from regret_route.rounding import (
     IntegralFlow,
     RoundingContext,
@@ -94,6 +97,15 @@ def test_shortcut_to_witnesses_monotone():
         assert phi.regret <= ctx.support[i][0].regret
 
 
+def _trail_arcs(trails):
+    """Units of flow per arc over the trails."""
+    used = {}
+    for t in trails:
+        for a in zip(t, t[1:]):
+            used[a] = used.get(a, 0) + 1
+    return used
+
+
 def test_round_flow_integrality_and_lower_bounds():
     # every non-root node on a shortcut support arc is a witness
     inst = gen_line([0, 1, 2, 4])
@@ -103,10 +115,15 @@ def test_round_flow_integrality_and_lower_bounds():
     witnesses = [1, 2, 3]
     flow = round_flow(inst, arc_weight, witnesses, Fraction(1, 2), value_cap=3)
     assert isinstance(flow, IntegralFlow)
+    used = _trail_arcs(flow.trails)
+    _, arcs, value, _ = flow_reference.witness_flow(inst, arc_weight,
+                                                    witnesses, 3)
+    assert used == arcs                  # integral, on the support arcs
+    assert sum(regret_distance(inst, *a) * f
+               for a, f in used.items()) == flow.cost
     for v in witnesses:
-        assert flow.in_flow(v) >= 1
-    assert flow.value <= 3
-    assert all(f >= 0 for f in flow.arcs.values())
+        assert sum(f for (_, b), f in used.items() if b == v) >= 1
+    assert flow.value == value <= 3
 
 
 def test_decompose_flow_covers_arcs():
@@ -115,14 +132,13 @@ def test_decompose_flow_covers_arcs():
                   (2, 3): Fraction(1)}
     flow = round_flow(inst, arc_weight, [1, 2, 3], Fraction(1, 2),
                       value_cap=2)
+    _, arcs, _, _ = flow_reference.witness_flow(inst, arc_weight, [1, 2, 3], 2)
+    assert _trail_arcs(flow.trails) == arcs
     paths = decompose_flow(inst, flow)
     assert len(paths) == flow.value
-    used = {}
-    for p in paths:
-        for a, b in zip(p.nodes, p.nodes[1:]):
-            used[(a, b)] = used.get((a, b), 0) + 1
-    assert used == flow.arcs
+    assert _trail_arcs([p.nodes for p in paths]) == arcs
     assert sum(p.regret for p in paths) == flow.cost
+    assert set().union(*(p.node_set for p in paths)) >= {1, 2, 3}
 
 
 def test_graft_covers_everything():
@@ -387,3 +403,32 @@ def test_integer_forest_when_only_the_root_starts_inactive():
     ws = assert_matches_reference(ctx)
     assert ws.forest
     assert_rounds_like_reference("round_rvrp", inst, 24, sol)
+
+
+def test_witness_flow_matches_the_oracle_network(monkeypatch):
+    # The networks round_flow solves over criterion 2's batch of 200 rvrp
+    # roundings, and the regret-sum roundings of the cross-check list.
+    calls = []
+    solve = rounding.round_flow
+
+    def recording(inst, arc_weight, witnesses, threshold, value_cap,
+                  **kwargs):
+        flow = solve(inst, arc_weight, witnesses, threshold, value_cap,
+                     **kwargs)
+        calls.append((inst, dict(arc_weight), witnesses, value_cap, flow))
+        return flow
+
+    monkeypatch.setattr(rounding, "round_flow", recording)
+    for i in range(200):
+        inst = mixed_instance(5 + i % 9, 8000 + i)
+        maxd = max(inst.root_dist)
+        solve_rvrp(inst, (1, 2, max(1, maxd // 2), maxd, 2 * maxd)[i % 5])
+    for _, make, _ in CROSS_CHECK:
+        inst = make()
+        round_minsum(inst, 2, solve_minsum_lp(inst, 2))
+    assert len(calls) >= 200
+    for inst, arc_weight, witnesses, value_cap, flow in calls:
+        cost, arcs, value, trails = flow_reference.witness_flow(
+            inst, arc_weight, witnesses, value_cap)
+        assert (flow.cost, flow.value, flow.trails) == (cost, value, trails)
+        assert _trail_arcs(flow.trails) == arcs
