@@ -10,6 +10,16 @@ inst.clients, which is how the covering master hands over its duals; every
 comparison is an integer comparison and only the returned value is a
 Fraction.
 
+A bounded scan (exact_orienteering, exact_length_budget) can only return
+a client set whose least regret or length is within the budget, and that
+set is fixed for the whole LP while the rewards change every round. The
+first scan at a (kind, budget) builds a ScanPlan of those masks in the
+canonical tie order and holds it in the table's one plan slot; a scan at
+another budget replaces it. Each round then sums the rewards over the plan
+only, from two half-width tables, and takes the first maximum. The
+min-excess scan has no budget and reads every mask; its dtype bound on the
+regrets is computed once per table.
+
 The table and the scans are numpy arrays, filled one popcount layer at a
 time. Fixed-width integers wrap where Python integers grow, so every dtype
 is chosen from a bound on the values it must hold:
@@ -124,7 +134,7 @@ def _doubling(values, dtype, np):
     """out[mask] = sum of values[i] over the bits i of mask: m doublings."""
     out = np.zeros(1 << len(values), dtype)
     for i, x in enumerate(values):
-        out[1 << i:2 << i] = out[:1 << i] + x
+        np.add(out[:1 << i], x, out=out[1 << i:2 << i])
     return out
 
 
@@ -137,7 +147,9 @@ class HKTable:
     optimal path: parent[mask, i] is the smallest predecessor end among the
     cheapest (-1 for a single client or an end outside the mask).
     min_regret/min_length fold out the end node, with the first optimal end
-    in regret_end/length_end (-1 for the empty mask).
+    in regret_end/length_end (-1 for the empty mask). regret_bound is
+    max(|min_regret|, 1) over the nonempty masks, the min-excess scan's
+    dtype bound, and plan holds the ScanPlan of the last bounded scan.
 
     The build works on packed keys cost << s | end, s bits wide enough for
     every end index, so that one elementwise minimum yields both the
@@ -241,6 +253,10 @@ class HKTable:
             parent.reshape(-1, 2, 1 << j, m)[:, 0, :, j] = -1
         self.cost = cost
         self.parent = parent
+        regret = self.min_regret[1:]
+        self.regret_bound = max(-int(regret.min()), int(regret.max()),
+                                1) if m else 1
+        self.plan: Optional[ScanPlan] = None
 
     def path_for(self, mask: int, end_index: int) -> RootedPath:
         seq = []
@@ -301,6 +317,48 @@ def _pick_best_mask(table: HKTable, masks) -> int:
     return int(masks[table.popcount[masks].argmin()])
 
 
+class ScanPlan:
+    """The client sets a bounded scan of one table may return at one budget.
+
+    The plan lists every nonempty mask whose least regret (kind "regret")
+    or length (kind "length") is at most budget, in (popcount, mask) order,
+    as two index arrays: low holds each mask's bits below bit half = m // 2
+    and high the bits from it. A scan's reward sums over the plan are then
+    one gather-add of two half tables, 2^half and 2^(m-half) sums, and
+    argmax's first maximum is the canonical pick: most reward, then fewest
+    nodes, then the smallest mask. The indices are intp, numpy's own index
+    type, since a gather converts any other index dtype to a fresh intp
+    copy first.
+    """
+
+    def __init__(self, table: HKTable, kind: str, budget: int):
+        import numpy as np
+
+        self.kind, self.budget = kind, budget
+        values = table.min_regret if kind == "regret" else table.min_length
+        masks = np.flatnonzero(values[1:] <= budget) + 1
+        masks = masks[np.argsort(table.popcount[masks], kind="stable")]
+        self.half = table.m // 2
+        self.low = masks & ((1 << self.half) - 1)
+        self.high = masks >> self.half
+
+    def __len__(self) -> int:
+        return len(self.low)
+
+    def mask(self, index: int) -> int:
+        return int(self.high[index]) << self.half | int(self.low[index])
+
+
+def _plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
+    """The table's plan for (kind, budget), built when the held one is for
+    another budget; the old plan is dropped first."""
+    plan = t.plan
+    if plan is None or plan.kind != kind or plan.budget != budget:
+        t.plan = None
+        t.plan = plan = ScanPlan(t, kind, budget)
+    return plan
+
+
 def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
                      kind: str) -> PricedPath:
     """Max-reward rooted path whose regret or length is at most budget."""
@@ -310,14 +368,17 @@ def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
-    sums = _reward_sums(nums, np)
-    values = t.min_regret if kind == "regret" else t.min_length
-    feasible = np.flatnonzero(values <= budget)
-    reach = sums[feasible]
-    best = int(reach.max()) if len(reach) else 0
+    plan = _plan_for(t, kind, budget)
+    if not len(plan):
+        return PricedPath(RootedPath.trivial(inst), Fraction(0))
+    dtype = _sum_dtype(sum(nums), np)
+    reach = _doubling(nums[:plan.half], dtype, np).take(plan.low)
+    reach += _doubling(nums[plan.half:], dtype, np).take(plan.high)
+    pick = int(reach.argmax())
+    best = int(reach[pick])
     if best <= 0:
         return PricedPath(RootedPath.trivial(inst), Fraction(0))
-    mask = _pick_best_mask(t, feasible[reach == best])
+    mask = plan.mask(pick)
     row = t.cost[mask].tolist()
     D = inst.root_dist
     end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
@@ -360,7 +421,7 @@ def exact_min_excess_pricing(table: HKTable,
     regret = t.min_regret[1:]           # the empty mask is the trivial path
     if not len(regret):
         return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
-    top = max(-int(regret.min()), int(regret.max()), 1) * den + sum(nums)
+    top = t.regret_bound * den + sum(nums)
     if _sum_dtype(top, np) is object:
         excess = regret.astype(object) * den - sums.astype(object)
     else:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (Instance, RootedPath, _as_int, check_cap, induced_instance,
-                   require, require_cover, zero_regret_cover)
+                   regret_distance, require, require_cover, zero_regret_cover)
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
 from .rounding import check_threshold, round_minsum, round_rvrp
@@ -195,6 +195,24 @@ def _prune_redundant(paths: List[RootedPath]) -> List[RootedPath]:
     return kept
 
 
+def cover_lower_bound(inst: Instance, R: int) -> int:
+    """A lower bound on the number of regret-<=R paths covering inst.
+
+    The size of a greedy independent set, taken in (D, id) order, of the
+    graph joining clients u and v when regret_distance(u, v) <= R or
+    regret_distance(v, u) <= R.  If u precedes v on a path P of regret at
+    most R, then D_u + c_uv - D_v <= c_P(v) - D_v <= R, since c_P(u) >= D_u
+    and the regrets of P's prefixes never decrease.  So no path covers two
+    members of the set.
+    """
+    chosen: List[int] = []
+    for v in sorted(inst.clients, key=lambda v: (inst.root_dist[v], v)):
+        if all(regret_distance(inst, u, v) > R and
+               regret_distance(inst, v, u) > R for u in chosen):
+            chosen.append(v)
+    return len(chosen)
+
+
 def dvrp_dp_state(inst: Instance, cap: int,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                   ) -> DvrpDpState:
@@ -203,10 +221,17 @@ def dvrp_dp_state(inst: Instance, cap: int,
     S_i collects the clients v with cap - D_v < 2^i, so covering S_i with
     paths of regret under 2^i is exactly as hard as respecting the cap on
     those nodes.  Index 0 is solved exactly with zero-regret paths; index
-    i > 0 tries every regret scale 2^k (k < i), covers S_i at that scale,
-    keeps the length-cap prefixes (nodes of S_i beyond S_k survive the
+    i > 0 picks the regret scale 2^k (k < i) that minimises F[i] =
+    |cover of S_i at 2^k| + F[k], the smallest such k on a tie, keeps the
+    length-cap prefixes of that cover (nodes of S_i beyond S_k survive the
     cut: their visit cost is at most 2^k + D_v <= cap), and recurses on
     S_k for the rest.
+
+    The scales are tried from k = i - 1 down, and a scale is not solved
+    when cover_lower_bound(S_i, 2^k) + F[k] already exceeds the best count
+    found: every cover of S_i at 2^k, solve_rvrp's included, has at least
+    that many paths, so the scale cannot win.  S, F, P and choice are those
+    of solving every scale; only subsolves is lower.
     """
     cap = check_cap(inst, cap)
     D = inst.root_dist
@@ -233,13 +258,16 @@ def dvrp_dp_state(inst: Instance, cap: int,
             continue
         sub, ids = induced_instance(inst, S[i])
         best = None
-        for k in range(i):
+        for k in range(i - 1, -1, -1):
+            if best is not None and \
+                    cover_lower_bound(sub, 2 ** k) + F[k] > best[0]:
+                continue
             # the k-loop's solves of sub share one table, held by pricing
             sub_paths = solve_rvrp(sub, 2 ** k,
                                    exact_threshold=exact_threshold)
             subsolves += 1
             cand = len(sub_paths) + F[k]
-            if best is None or cand < best[0]:
+            if best is None or cand <= best[0]:
                 best = (cand, k, sub_paths)
         count, k, sub_paths = best
         mapped = [RootedPath.build(inst, [ids[v] for v in p.nodes])

@@ -39,3 +39,18 @@ def hk_builds(monkeypatch, empty_table_memo):
 
     monkeypatch.setattr(HKTable, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def plan_builds(monkeypatch, empty_table_memo):
+    """The (kind, budget) of every ScanPlan built, in order, from an empty
+    memo on."""
+    from regret_route.pricing import ScanPlan
+    init, built = ScanPlan.__init__, []
+
+    def counting(self, table, kind, budget):
+        built.append((kind, budget))
+        init(self, table, kind, budget)
+
+    monkeypatch.setattr(ScanPlan, "__init__", counting)
+    return built

@@ -1,0 +1,54 @@
+"""The doubling DP for distance caps with every regret scale solved: the
+test oracle.
+
+every_scale_state is ``regret_route.reductions.dvrp_dp_state`` before it
+learnt to skip the scales whose lower bound loses: level i > 0 solves S_i
+at every scale 2^k, k = 0, 1, ..., i - 1, and keeps the first least count.
+The tests require the pruned DP to return the same S, F, P and choice.
+"""
+
+from typing import List, Optional
+
+from regret_route.core import (RootedPath, check_cap, induced_instance,
+                               zero_regret_cover)
+from regret_route.reductions import (DvrpDpState, _length_prefix,
+                                     _prune_redundant, solve_rvrp)
+
+
+def every_scale_state(inst, cap) -> DvrpDpState:
+    cap = check_cap(inst, cap)
+    D = inst.root_dist
+    clients = set(inst.clients)
+    min_d = min((D[v] for v in clients), default=0)
+    M = (cap - min_d).bit_length()
+    S = [sorted(v for v in clients if cap - D[v] < 2 ** i)
+         for i in range(M + 1)]
+    base = zero_regret_cover(inst, S[0])
+    F = [len(base)]
+    P = [base]
+    choice: List[Optional[int]] = [None]
+    subsolves = 0
+    for i in range(1, M + 1):
+        if not S[i]:
+            F.append(0)
+            P.append([])
+            choice.append(0)
+            continue
+        sub, ids = induced_instance(inst, S[i])
+        best = None
+        for k in range(i):
+            sub_paths = solve_rvrp(sub, 2 ** k)
+            subsolves += 1
+            cand = len(sub_paths) + F[k]
+            if best is None or cand < best[0]:
+                best = (cand, k, sub_paths)
+        count, k, sub_paths = best
+        mapped = [RootedPath.build(inst, [ids[v] for v in p.nodes])
+                  for p in sub_paths]
+        prefixes = [_length_prefix(inst, p, cap) for p in mapped]
+        F.append(count)
+        P.append(_prune_redundant(
+            list(P[k]) + [p for p in prefixes if not p.is_trivial]))
+        choice.append(k)
+    return DvrpDpState(cap=cap, M=M, S=S, F=F, P=P, choice=choice,
+                       subsolves=subsolves)

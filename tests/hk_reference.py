@@ -3,9 +3,11 @@
 ReferenceTable and the pricers are the plain loops that
 ``regret_route.pricing`` vectorises.  DenseReferenceTable is the numpy
 build that the packed-key build replaced: one argmin per (layer, end).
-The tests require the vectorised table and pricers to agree with them
-exactly: the same costs, parent pointers, per-mask optima and canonical
-ends, and the same (path, value) from every pricer.
+dense_bounded_scan is the numpy bounded scan that the per-budget scan plan
+replaced: every round sums the rewards of all 2^m masks and filters them
+by the budget.  The tests require the vectorised table and pricers to
+agree with them exactly: the same costs, parent pointers, per-mask optima
+and canonical ends, and the same (path, value) from every pricer.
 """
 
 import math
@@ -14,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from regret_route.core import INF, RootedPath
+from regret_route import pricing
 from regret_route.pricing import PricedPath, _cost_dtype, _doubling
 
 
@@ -133,6 +136,26 @@ class DenseReferenceTable:
                 better = value < low
                 low[better] = value[better]
                 end.reshape(-1, 2, 1 << i)[:, 1][better] = i
+
+
+def dense_bounded_scan(t, rewards, budget, kind):
+    """Max-reward rooted path of an HKTable's instance whose regret (kind
+    "regret") or length (kind "length") is at most budget, from the reward
+    sums of every mask."""
+    nums, den = pricing._checked_rewards(rewards, t.clients)
+    sums = pricing._reward_sums(nums, np)
+    values = t.min_regret if kind == "regret" else t.min_length
+    feasible = np.flatnonzero(values <= budget)
+    reach = sums[feasible]
+    best = int(reach.max()) if len(reach) else 0
+    if best <= 0:
+        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
+    mask = pricing._pick_best_mask(t, feasible[reach == best])
+    row = t.cost[mask].tolist()
+    D = t.inst.root_dist
+    end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
+               row[i] - (D[v] if kind == "regret" else 0) <= budget)
+    return PricedPath(t.path_for(mask, end), Fraction(best, den))
 
 
 def _bits(mask):

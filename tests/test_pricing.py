@@ -173,6 +173,24 @@ def test_oracle_and_next_solver_reuse_the_table(hk_builds):
     assert full_builds() == 2
 
 
+def test_one_lp_builds_one_plan_and_a_new_budget_replaces_it(plan_builds):
+    from regret_route.lp import solve_dvrp_lp, solve_rvrp_lp
+    inst = gen_euclidean(11, 3)
+    R = max(inst.root_dist) // 2
+    sol = solve_rvrp_lp(inst, R)
+    assert sol.rounds > 1 and plan_builds == [("regret", R)]
+    plan = table_for(inst).plan
+    solve_rvrp_lp(inst, R)                  # the held plan serves a rerun
+    assert plan_builds == [("regret", R)] and table_for(inst).plan is plan
+    # each run at a new budget builds one plan, which replaces the held one
+    cap = max(inst.root_dist) + 30
+    solve_rvrp_lp(inst, R + 1)
+    solve_dvrp_lp(inst, cap)
+    assert plan_builds == [("regret", R), ("regret", R + 1), ("length", cap)]
+    held = table_for(inst).plan
+    assert (held.kind, held.budget) == ("length", cap)
+
+
 # --- vectorised table vs. the pure-Python reference -------------------------
 
 def reference_layout(table):
@@ -218,6 +236,7 @@ def cross_check(inst, rng, budgets, scale=1):
     table = HKTable(inst)
     ref = hk_reference.ReferenceTable(inst)
     assert_same_table(table, ref)
+    assert table.regret_bound == max([1] + list(map(abs, ref.min_regret[1:])))
     for rewards in reward_draws(inst, rng, scale):
         for budget in budgets:
             assert_same_pricing(inst, table, ref, rewards, budget)
@@ -242,6 +261,47 @@ def test_table_and_pricers_match_reference_on_tied_lines():
     uniform = Instance.from_matrix(
         [[0 if i == j else 1 for j in range(9)] for i in range(9)])
     cross_check(uniform, rng, (0, 1, 3, 8))
+
+
+# --- scan plans vs. the dense bounded scan -----------------------------------
+
+def sparse_draws(m, rng):
+    """Rewards on m clients, at least half of them zero in each draw: random
+    values, one value shared by every nonzero client (every set of a size
+    ties), that value on the lower half of the clients and twice it on the
+    upper half (a set of fewer nodes ties with a smaller mask), and the
+    first two shifted past 2^62 so their sums take the object path."""
+    zero = set(rng.sample(range(m), (m + 1) // 2))
+    tie = rng.randint(1, 40)
+    draws = [[0 if i in zero else rng.randint(1, 40) for i in range(m)],
+             [0 if i in zero else tie for i in range(m)],
+             [0 if i in zero else tie << (2 * i >= m) for i in range(m)]]
+    draws += [[x << 62 for x in nums] for nums in draws[:2]]
+    return [(nums, rng.randint(1, 5)) for nums in draws]
+
+
+def test_scan_plans_match_the_dense_scan_at_every_budget():
+    rng = random.Random(14)
+    for m in (1, 2, 5, 8, 12):
+        for inst in (gen_euclidean(m + 1, 900 + m),
+                     gen_random_metric(m + 1, 950 + m)):
+            table = HKTable(inst)
+            draws = sparse_draws(m, rng)
+            assert [pricing._sum_dtype(sum(nums), np) is object
+                    for nums, _ in draws] == [False] * 3 + [m > 1] * 2
+            for kind, scan in (("regret", exact_orienteering),
+                               ("length", exact_length_budget)):
+                values = (table.min_regret if kind == "regret"
+                          else table.min_length)
+                for budget in range(int(values[1:].max()) + 1):
+                    for rewards in draws:
+                        got = scan(table, rewards, budget)
+                        want = hk_reference.dense_bounded_scan(
+                            table, rewards, budget, kind)
+                        assert (got.path.nodes, got.value) == (
+                            want.path.nodes, want.value)
+                    assert (table.plan.kind, table.plan.budget) == (
+                        kind, budget)
 
 
 def test_sixteen_client_table_matches_reference():

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import dvrp_reference
 from regret_route.core import InfeasibleError, Instance
 from regret_route.harness import (brute_force_dvrp, brute_force_krvrp,
                                   brute_force_rvrp, gen_euclidean, gen_ladder,
                                   gen_line, gen_random_metric, verify)
 from regret_route.reductions import (
+    cover_lower_bound,
     dvrp_dp_state,
     solve_dvrp_dp,
     solve_dvrp_lp_round,
@@ -232,8 +234,42 @@ def test_dvrp_dp_skips_empty_levels(monkeypatch):
         (0, None, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0),
         (6, 0, 0), (7, 6, 1), (8, 5, 2)]
     assert [p.nodes for p in paths] == [(0, 6, 2, 7), (0, 1, 5, 4, 3)]
-    # only the two nonempty levels are sub-solved, once per scale k < i
-    assert sizes == [2] * 7 + [7] * 8
+    # only the two nonempty levels are sub-solved, from k = i - 1 down and
+    # never at a scale whose lower bound loses: level 7 at k = 6 only,
+    # level 8 at k = 7..3
+    assert sizes == [2] + [7] * 5
+
+
+def test_dvrp_dp_matches_the_every_scale_reference():
+    offsets = (0, 1, 3, 8, 20, 45, 64, 100, 128, 160, 192)
+    skipped = 0
+    for idx in range(22):
+        gen = (gen_euclidean, gen_random_metric)[idx % 2]
+        inst = gen(7 + idx % 7, 1300 + idx)
+        cap = max(inst.root_dist) + offsets[idx % len(offsets)]
+        got = dvrp_dp_state(inst, cap)
+        want = dvrp_reference.every_scale_state(inst, cap)
+        assert (got.S, got.F, got.choice) == (want.S, want.F, want.choice)
+        assert [[p.nodes for p in level] for level in got.P] == \
+            [[p.nodes for p in level] for level in want.P]
+        assert got.subsolves <= want.subsolves
+        skipped += want.subsolves - got.subsolves
+    assert skipped > 0
+
+
+def test_cover_lower_bound_is_below_the_optimum():
+    tight = 0
+    for idx in range(8):
+        gen = (gen_euclidean, gen_random_metric)[idx % 2]
+        inst = gen(2 + idx, 1400 + idx)
+        R, opt = 1, None
+        while opt != 1:
+            bound = cover_lower_bound(inst, R)
+            opt = brute_force_rvrp(inst, R)
+            assert 1 <= bound <= opt
+            tight += 1 < bound == opt
+            R *= 2
+    assert tight > 0
 
 
 def test_dvrp_dp_ratio_on_randoms():
