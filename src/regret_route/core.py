@@ -348,6 +348,16 @@ def check_cap(inst: Instance, cap) -> int:
     return cap
 
 
+def node_bounds(inst: Instance, bounds: Mapping) -> Dict[int, int]:
+    """Regret bounds by int node id; ValueError naming non-client keys."""
+    out = {int(v): _as_int(b, f"regret bound of node {v}")
+           for v, b in bounds.items()}
+    stray = sorted(set(out) - set(inst.clients))
+    if stray:
+        raise ValueError(f"regret bounds for non-clients {stray}")
+    return out
+
+
 def tight_arcs(inst: Instance) -> List[Tuple[int, int]]:
     """Arcs (u, v) with D_u + c_uv = D_v; exactly the zero-regret edges.
 

@@ -16,7 +16,7 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
 
 from . import reductions
 from .core import (Instance, RootedPath, InfeasibleError, _as_int, check_cap,
-                   metric_from_edges)
+                   metric_from_edges, node_bounds)
 from .lp import FractionalSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, OracleUnavailableError,
                       check_exact_threshold, table_for)
@@ -270,8 +270,7 @@ def _visit_time_check(inst: Instance, visits: Mapping, lengths: Mapping,
 
 def _node_regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
                        bounds) -> List[dict]:
-    bound = {int(v): _as_int(b, f"regret bound of node {v}")
-             for v, b in bounds.items()}
+    bound = node_bounds(inst, bounds)
     D = inst.root_dist
     return [{"kind": "regret", "node": v,
              "detail": f"best regret {min(t) - D[v]} exceeds "

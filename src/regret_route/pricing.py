@@ -29,7 +29,8 @@ is chosen from a bound on the values it must hold:
   mask; larger metrics fall back to Python integers (dtype=object);
 * the build's packed keys cost << s | end, s = (m-1).bit_length(), are
   uint16 when ((m+2)·max_edge + 1) << s < 2^16, then int32, int64 and
-  object on the same rule with 2^31 and 2^63 (see HKTable);
+  object on the same rule with 2^31 and 2^63, and the table holds them in
+  the wider of the cost and key dtypes until it is split (see HKTable);
 * reward sums are int64 when the scaled total fits 2^62, else object;
 * the min-excess scan bounds max(|min_regret|, 1)·den + Σ rewards the same
   way before it multiplies.
@@ -61,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 from .core import Instance, RegretRouteError, RootedPath, SolverError
 
 DEFAULT_EXACT_THRESHOLD = 16
-# Bytes per (mask, end) cell at the build's peak on int64 costs from 16
+# Bytes per (mask, end) cell at the build's peak on an int64 table from 16
 # clients up: the cost, the int8 parent, the per-mask folds and the chunk
 # buffers (HKTable).
 CELL_BYTES = 11
@@ -146,10 +147,10 @@ class HKTable:
     cost where i is not in mask); parent pointers reconstruct one canonical
     optimal path: parent[mask, i] is the smallest predecessor end among the
     cheapest (-1 for a single client or an end outside the mask).
-    min_regret/min_length fold out the end node, with the first optimal end
-    in regret_end/length_end (-1 for the empty mask). regret_bound is
-    max(|min_regret|, 1) over the nonempty masks, the min-excess scan's
-    dtype bound, and plan holds the ScanPlan of the last bounded scan.
+    min_regret/min_length fold out the end node; end_within finds the end
+    a scan reconstructs from. regret_bound is max(|min_regret|, 1) over the
+    nonempty masks, the min-excess scan's dtype bound, and plan holds the
+    ScanPlan of the last bounded scan.
 
     The build works on packed keys cost << s | end, s bits wide enough for
     every end index, so that one elementwise minimum yields both the
@@ -158,12 +159,12 @@ class HKTable:
     chunk's rows ends-major, fold them into min_length and min_regret (the
     regret key adds max(D) - D_i to stay nonnegative), and push every mask
     to all m ends at once, one np.minimum over the predecessor ends. The
-    table holds the keys themselves while it is built when they fit its
-    dtype, and is split into cost and parent at the end; otherwise it holds
-    costs and parent takes the low bits. The build's peak is about 5.7
-    bytes per cell on int32 costs and 10.2 on int64 at 16 and 18 clients,
-    under CELL_BYTES; on a few clients the fixed chunk buffers weigh more,
-    and object costs are not bounded by it.
+    table holds the keys themselves while it is built, in the wider of the
+    cost and key dtypes (so cost has that dtype too), and is split into
+    cost and parent at the end. The build's peak is about 5.6 bytes per
+    cell on an int32 table and 10.1 on int64 at 16 and 18 clients, under
+    CELL_BYTES; on a few clients the fixed chunk buffers weigh more, and
+    object tables are not bounded by it.
     """
 
     def __init__(self, inst: Instance, threshold: int = DEFAULT_EXACT_THRESHOLD):
@@ -184,26 +185,21 @@ class HKTable:
         dtype, sentinel = _cost_dtype(top, np)
         kdt, s = _key_dtype(m, edge, np)
         low = (1 << s) - 1
-        # While it is built, the table holds keys cost << s | parent when
-        # they fit its dtype, else costs, with the low bits in parent. An
-        # end outside its mask holds top + 1, above every real cost.
-        packed = np.can_cast(kdt, dtype)
-        shift = s if packed else 0
+        # While it is built, the table holds keys cost << s | parent in the
+        # wider of the two dtypes; an end outside its mask holds top + 1.
+        held = np.promote_types(dtype, kdt)
         size = 1 << m
         self.popcount = _doubling([1] * m, np.uint8, np)
         ends = np.arange(m)
-        cost = np.full((size, m), (top + 1) << shift, dtype)
-        cost[1 << ends, ends] = [dist[inst.root][v] << shift for v in clients]
-        parent = None if packed else np.full((size, m), -1, np.int8)
+        cost = np.full((size, m), (top + 1) << s, held)
+        cost[1 << ends, ends] = [dist[inst.root][v] << s for v in clients]
         step = np.array([[dist[u][v] << s for v in clients] for u in clients],
                         kdt)
         regret_offset = np.array([(max_d - d) << s for d in D], kdt)[:, None]
         end_bits = ends.astype(kdt)[:, None]
         cost_bits = np.invert(np.array(low, kdt))
         self.min_regret = np.full(size, sentinel, dtype)
-        self.regret_end = np.full(size, -1, np.int8)
         self.min_length = np.full(size, sentinel, dtype)
-        self.length_end = np.full(size, -1, np.int8)
         chunk = max(1, CHUNK_BYTES // (max(m, 1) * np.dtype(kdt).itemsize))
         for k in range(1, m + 1):
             layer = np.flatnonzero(self.popcount == k)
@@ -212,19 +208,12 @@ class HKTable:
                 # keys[i, c] = cost[masks[c], i] << s | i, ends-major.
                 keys = np.empty((m, len(masks)), kdt)
                 keys[...] = cost[masks].T
-                if packed:
-                    keys &= cost_bits
-                else:
-                    keys <<= s
+                keys &= cost_bits
                 keys |= end_bits
-                # The least key is the cheapest end, and the first of them.
-                best = np.minimum.reduce(keys, axis=0)
-                self.min_length[masks] = best >> s
-                self.length_end[masks] = best & low
+                self.min_length[masks] = np.minimum.reduce(keys, axis=0) >> s
                 work = keys + regret_offset
                 best = np.minimum.reduce(work, axis=0)
                 self.min_regret[masks] = (best >> s).astype(dtype) - max_d
-                self.regret_end[masks] = best & low
                 if k == m:
                     continue
                 # nxt[j, c]: the least key[i, c] + d(i, j) over i, whose low
@@ -238,16 +227,11 @@ class HKTable:
                 # an end outside its mask in a layer already read, which is
                 # reset below.
                 cells = (masks ^ (1 << ends)[:, None]) * m + ends[:, None]
-                if packed:
-                    cost.reshape(-1)[cells] = nxt.astype(dtype, copy=False)
-                else:
-                    cost.reshape(-1)[cells] = nxt >> s
-                    parent.reshape(-1)[cells] = nxt & low
-        if packed:
-            parent = np.empty((size, m), np.int8)
-            np.bitwise_and(cost, low, out=parent, casting="unsafe")
-            cost >>= s
-            parent[1 << ends, ends] = -1
+                cost.reshape(-1)[cells] = nxt.astype(held, copy=False)
+        parent = np.empty((size, m), np.int8)
+        np.bitwise_and(cost, low, out=parent, casting="unsafe")
+        cost >>= s
+        parent[1 << ends, ends] = -1
         for j in range(m):
             cost.reshape(-1, 2, 1 << j, m)[:, 0, :, j] = sentinel
             parent.reshape(-1, 2, 1 << j, m)[:, 0, :, j] = -1
@@ -257,6 +241,14 @@ class HKTable:
         self.regret_bound = max(-int(regret.min()), int(regret.max()),
                                 1) if m else 1
         self.plan: Optional[ScanPlan] = None
+
+    def end_within(self, mask: int, kind: str, limit: int) -> int:
+        """The first end of mask whose cheapest path has regret (kind
+        "regret") or length (kind "length") at most limit."""
+        row = self.cost[mask].tolist()
+        D = self.inst.root_dist
+        return next(i for i, v in enumerate(self.clients) if mask >> i & 1 and
+                    row[i] - (D[v] if kind == "regret" else 0) <= limit)
 
     def path_for(self, mask: int, end_index: int) -> RootedPath:
         seq = []
@@ -379,11 +371,8 @@ def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
     if best <= 0:
         return PricedPath(RootedPath.trivial(inst), Fraction(0))
     mask = plan.mask(pick)
-    row = t.cost[mask].tolist()
-    D = inst.root_dist
-    end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
-               row[i] - (D[v] if kind == "regret" else 0) <= budget)
-    return PricedPath(t.path_for(mask, end), Fraction(best, den))
+    return PricedPath(t.path_for(mask, t.end_within(mask, kind, budget)),
+                      Fraction(best, den))
 
 
 def exact_orienteering(table: HKTable, rewards: ScaledRewards,
@@ -433,8 +422,8 @@ def exact_min_excess_pricing(table: HKTable,
     if best >= 0:
         return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
     mask = _pick_best_mask(t, np.flatnonzero(excess == best) + 1)
-    return PricedPath(t.path_for(mask, int(t.regret_end[mask])),
-                      Fraction(best, den))
+    end = t.end_within(mask, "regret", int(t.min_regret[mask]))
+    return PricedPath(t.path_for(mask, end), Fraction(best, den))
 
 
 def _insertion_deltas(row: Sequence[int], links) -> List[int]:

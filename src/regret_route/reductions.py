@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (Instance, RootedPath, _as_int, check_cap, induced_instance,
-                   regret_distance, require, require_cover, zero_regret_cover)
+                   node_bounds, regret_distance, require, require_cover,
+                   zero_regret_cover)
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
 from .rounding import check_threshold, round_minsum, round_rvrp
@@ -402,20 +403,19 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
     Clients are grouped by the power-of-two class of their bound; class i
     (2^(i-1) <= bound < 2^i) is covered by an additive solve at 2^(i-1),
     which is never above any member's bound.  Zero-bound clients get the
-    exact zero-regret cover.  Bounds may be keyed by node id or, as in
-    JSON, by its decimal string.
+    exact zero-regret cover.  Bounds are keyed by client id or, as in JSON,
+    by its decimal string; any other key is a ValueError.
     """
     if diagnostics is None:
         diagnostics = {}
-    bounds = {int(v): b for v, b in bounds.items()}
+    bounds = node_bounds(inst, bounds)
     classes: Dict[int, List[int]] = {}
     for v in inst.clients:
         if v not in bounds:
             raise ValueError(f"missing regret bound for node {v}")
-        b = _as_int(bounds[v], f"regret bound of node {v}")
-        if b < 0:
+        if bounds[v] < 0:
             raise ValueError(f"negative regret bound for node {v}")
-        classes.setdefault(b.bit_length(), []).append(v)
+        classes.setdefault(bounds[v].bit_length(), []).append(v)
 
     paths: List[RootedPath] = []
     class_info = []

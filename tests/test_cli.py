@@ -90,6 +90,23 @@ def test_non_integer_bound_is_named(tmp_path, capsys):
                                        "node 2: 0.5\n")
 
 
+def test_bound_of_a_non_client_is_named(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run_cli("gen", "euclidean", "--n", "5", "--seed", "1", "--out", inst)
+    good = {str(v): 3 for v in range(1, 5)}
+    stray = json.dumps({**good, "0": 7, "99": 1, "-4": 2})
+    error = "error: regret bounds for non-clients [-4, 0, 99]\n"
+    assert run_cli("solve", "nonuniform", "--instance", inst,
+                   "--bounds", stray) == 1
+    assert capsys.readouterr().err == error
+    assert run_cli("solve", "nonuniform", "--instance", inst,
+                   "--bounds", json.dumps(good), "--out", sol) == 0
+    assert run_cli("verify", "--instance", inst, "--solution", sol,
+                   "--mode", "nonuniform", "--bounds", stray) == 1
+    assert capsys.readouterr().err == error
+
+
 def test_exact_threshold_is_checked_before_any_solve(tmp_path, capsys):
     # R = 0 builds no table; the threshold over the memory budget is
     # refused all the same.

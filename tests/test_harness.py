@@ -1,5 +1,6 @@
 """Generators, exact oracles, the verifier, and the experiment runner."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -370,6 +371,8 @@ def test_every_return_reports_path_count(solver):
                                       {1: 1, 2: 2, 3: 0}]}[key]
     for inst in (Instance.from_matrix([[0]]), line):
         for value in values:
+            if key == "bounds":         # only clients take a bound
+                value = {v: value[v] for v in inst.clients}
             diag: dict = {}
             paths = run_solver(solver, inst, {key: value}, diagnostics=diag)
             assert diag["path_count"] == len(paths), (inst.n, value)
@@ -477,6 +480,24 @@ def test_heuristic_suite_deterministic():
     for r in reports:
         assert r["ok"] and r["n"] - 1 > DEFAULT_EXACT_THRESHOLD
         assert r["lp_certified"] is False
+
+
+# sha256 of each suite's seed-1 JSONL. A change that means to keep bench
+# output byte-identical must leave these alone; one that changes it on
+# purpose updates the digest and explains the difference.
+SUITE_DIGESTS = {
+    "smoke": "c96da90ca1c22f599550321faa97df00b11eb2fa9fffbe70e8641ad36de5a802",
+    "rvrp": "d1c2dd0fdd4ca5d87b8676e2a06e33884b0db2c6e6261ed23367dbe425bdaf66",
+    "caps": "3973769793dfb368cf1b5ae7352a51a6c8a1426092bb5f6eeaf363ccd8088762",
+    "heuristic":
+        "c18bd87fc8c6846f297f3b3e816d40c7b501612aaff15fb12ad710efe8034e72",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
+def test_suite_output_is_pinned(name):
+    text = reports_to_jsonl(run_suite(name, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[name]
 
 
 def test_run_suite_unknown_name():

@@ -79,10 +79,12 @@ def test_table_path_reconstruction():
     table = HKTable(inst)
     full = (1 << 3) - 1
     assert table.min_regret[full] == 0
-    p = table.path_for(full, table.regret_end[full])
+    p = table.path_for(full, table.end_within(
+        full, "regret", table.min_regret[full]))
     assert p.nodes == (0, 1, 2, 3)
     assert p.regret == table.min_regret[full]
-    q = table.path_for(full, table.length_end[full])
+    q = table.path_for(full, table.end_within(
+        full, "length", table.min_length[full]))
     assert q.cost == table.min_length[full]
 
 
@@ -199,14 +201,31 @@ def reference_layout(table):
             for mask, row in enumerate(table.cost.tolist())]
     min_regret = [INF] + table.min_regret.tolist()[1:]
     min_length = [INF] + table.min_length.tolist()[1:]
-    return (cost, table.parent.tolist(), min_regret,
-            table.regret_end.tolist(), min_length, table.length_end.tolist())
+    return cost, table.parent.tolist(), min_regret, min_length
 
 
-def assert_same_table(table, ref):
+def assert_same_ends(table, ref, masks):
+    """end_within at a mask's own least regret or length picks the
+    reference's first optimal end."""
+    for mask in map(int, masks):
+        assert table.end_within(
+            mask, "regret", table.min_regret[mask]) == ref.regret_end[mask]
+        assert table.end_within(
+            mask, "length", table.min_length[mask]) == ref.length_end[mask]
+
+
+def sampled_masks(m, seed):
+    """2000 nonempty masks of m clients, drawn with a fixed seed."""
+    return random.Random(seed).sample(range(1, 1 << m), 2000)
+
+
+def assert_same_table(table, ref, masks=None):
+    """The same arrays as the reference, and the same ends at every
+    nonempty mask, or at masks when given."""
     assert reference_layout(table) == (
-        ref.cost, ref.parent, ref.min_regret, ref.regret_end,
-        ref.min_length, ref.length_end)
+        ref.cost, ref.parent, ref.min_regret, ref.min_length)
+    assert_same_ends(table, ref, range(1, 1 << table.m) if masks is None
+                     else masks)
 
 
 def assert_same_pricing(inst, table, ref, rewards, budget):
@@ -306,7 +325,8 @@ def test_scan_plans_match_the_dense_scan_at_every_budget():
 
 def test_sixteen_client_table_matches_reference():
     inst = gen_euclidean(17, 7)
-    assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
+    assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst),
+                      sampled_masks(16, 7))
 
 
 @pytest.mark.parametrize("den", [(1 << 40) - 87, (1 << 70) - 35])
@@ -336,25 +356,26 @@ def test_wide_edges_take_int64_costs():
     assert table.cost.dtype == np.int64
 
 
-TABLE_ARRAYS = ("cost", "parent", "min_regret", "regret_end", "min_length",
-                "length_end", "popcount")
+TABLE_ARRAYS = ("cost", "parent", "min_regret", "min_length", "popcount")
 
 
-def assert_same_arrays(table, ref):
+def assert_same_arrays(table, ref, seed):
     for name in TABLE_ARRAYS:
         got, want = getattr(table, name), getattr(ref, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert np.array_equal(got, want), name
+    assert_same_ends(table, ref, sampled_masks(table.m, seed))
 
 
 def test_sixteen_client_tables_match_the_dense_reference():
     for seed in range(1, 6):
         inst = gen_euclidean(17, seed)
-        assert_same_arrays(HKTable(inst), hk_reference.DenseReferenceTable(inst))
+        assert_same_arrays(HKTable(inst),
+                           hk_reference.DenseReferenceTable(inst), seed)
     inst = scaled(gen_euclidean(17, 7), 1 << 27)
     table = HKTable(inst)
     assert table.cost.dtype == np.int64
-    assert_same_arrays(table, hk_reference.DenseReferenceTable(inst))
+    assert_same_arrays(table, hk_reference.DenseReferenceTable(inst), 7)
 
 
 def edge_metric(m, edge, seed):
@@ -388,7 +409,8 @@ def test_key_dtype_tiers_hold_at_their_largest_edge(m):
             assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
 
 
-@pytest.mark.parametrize("factor, dtype", [(1, np.int32), (1 << 27, np.int64)])
+@pytest.mark.parametrize("factor, dtype", [(1, np.int32), (1 << 17, np.int64),
+                                           (1 << 27, np.int64)])
 def test_build_peak_is_within_the_cell_estimate(factor, dtype):
     inst = scaled(gen_euclidean(17, 7), factor)
     tracemalloc.start()
@@ -407,8 +429,9 @@ def test_edges_beyond_int64_keep_exact_python_costs():
     table = HKTable(scaled(base, factor))
     ref = hk_reference.ReferenceTable(base)
     assert table.cost.dtype == object
-    cost, parent, min_regret, regret_end, _, _ = reference_layout(table)
-    assert parent == ref.parent and regret_end == ref.regret_end
+    cost, parent, min_regret, _ = reference_layout(table)
+    assert parent == ref.parent
+    assert_same_ends(table, ref, range(1, 1 << table.m))
     assert min_regret[1:] == [r * factor for r in ref.min_regret[1:]]
     assert all(c == (INF if r == INF else r * factor)
                for row, ref_row in zip(cost, ref.cost)

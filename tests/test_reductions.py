@@ -343,6 +343,17 @@ def test_nonuniform_missing_bound_rejected():
         solve_nonuniform(inst, {1: 2, 2: -1})
 
 
+def test_nonuniform_bound_of_a_non_client_rejected():
+    inst = gen_euclidean(5, 1)
+    bounds = {**dict.fromkeys(inst.clients, 3), 0: 7, 99: 1, -4: 2}
+    paths = solve_nonuniform(inst, dict.fromkeys(inst.clients, 3))
+    for call in (lambda: solve_nonuniform(inst, bounds),
+                 lambda: verify(inst, paths, "nonuniform",
+                                {"bounds": bounds})):
+        with pytest.raises(ValueError, match=r"\[-4, 0, 99\]"):
+            call()
+
+
 def test_nonuniform_uniform_matches_rvrp_mode():
     inst = gen_random_metric(6, 1300)
     bounds = {v: 2 for v in inst.clients}
