@@ -4,8 +4,8 @@ Subcommands: ``gen`` writes instance JSON, ``solve`` runs a named solver
 and writes solution JSON, ``oracle`` computes exact small-instance
 optima, ``verify`` re-checks a solution from the distance matrix alone,
 and ``bench`` runs a named suite to JSON lines.  Exit codes: 0 success,
-1 usage or solver error (e.g. infeasible instance), 2 verification or
-bench failures.
+1 usage, input or solver error (e.g. a missing file or an infeasible
+instance), 2 verification or bench failures.
 """
 
 import argparse
@@ -55,8 +55,10 @@ def _write_json(obj, out: Optional[str]) -> None:
 
 
 def _load_bounds(arg: str) -> dict:
-    # inline JSON object or a path to one
-    raw = json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
+    inline = arg.lstrip().startswith(("{", "["))    # else a file path
+    raw = json.loads(arg) if inline else _read_json(arg)
+    if not isinstance(raw, dict):
+        raise ValueError("bounds must be a JSON object of node: bound")
     return {int(v): b for v, b in raw.items()}
 
 
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RegretRouteError, ValueError) as exc:
+    except (RegretRouteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

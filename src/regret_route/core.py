@@ -102,6 +102,9 @@ class Instance:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Instance":
+        if not isinstance(d, Mapping) or "dist" not in d:
+            raise InvalidInstanceError(
+                'an instance is a JSON object with a "dist" matrix')
         return cls.from_matrix(d["dist"], root=int(d.get("root", 0)),
                                meta=d.get("meta") or {})
 
@@ -451,4 +454,6 @@ def solution_to_dict(inst: Instance, paths: Iterable, stats: dict | None = None)
 
 
 def solution_from_dict(d: Mapping) -> List[List[int]]:
+    if not isinstance(d, Mapping) or not isinstance(d.get("paths"), list):
+        raise ValueError('a solution is a JSON object with a "paths" list')
     return [list(map(int, p)) for p in d["paths"]]

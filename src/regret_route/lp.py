@@ -9,24 +9,24 @@ Three LP shapes share one driver:
 
 Every shape covers all clients fractionally. Masters are solved exactly in
 integers scaled by the basis determinant, and their coverage duals reach the
-pricing oracle as integers over one common denominator. Pricing is exact
-(dynamic program) up to a client-count threshold and falls back to a
-local-search heuristic above it, in which case the result is flagged as
-uncertified.
+pricing oracle as integers over one common denominator. Each LP binds its
+oracle once: an exact Held-Karp table scan up to a client-count threshold,
+above it a local-search heuristic whose result is flagged as uncertified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .core import (Instance, RootedPath, SolverError, _as_int, check_cap,
                    farthest_node, preprocess_path_pair)
 from .exactlp import CoveringMaster, MasterSolution
-from .pricing import (DEFAULT_EXACT_THRESHOLD, HKTable, ScaledRewards,
-                      exact_length_budget, exact_min_excess_pricing,
-                      exact_orienteering, heuristic_pricing, table_for)
+from .pricing import (DEFAULT_EXACT_THRESHOLD, exact_length_budget,
+                      exact_min_excess_pricing, exact_orienteering,
+                      heuristic_pricing, table_for)
 
 ZERO = Fraction(0)
 
@@ -154,39 +154,31 @@ def _seed_columns(inst: Instance,
     return seeds
 
 
-def _price(inst: Instance, rewards: ScaledRewards, z: Fraction,
-           objective: str, column_bound: Optional[Tuple[str, int]],
-           table: Optional[HKTable]) -> Tuple[RootedPath, bool]:
-    """Returns (path, improving?); prices exactly when there is a table."""
-    if column_bound is not None:
-        kind, limit = column_bound
-        if table is not None:
-            fn = exact_orienteering if kind == "regret" else exact_length_budget
-            res = fn(table, rewards, limit)
-        else:
-            res = heuristic_pricing(inst, rewards, kind, limit)
-        return res.path, res.value > 1
-    if table is not None:
-        res = exact_min_excess_pricing(table, rewards)
-    else:
-        res = heuristic_pricing(inst, rewards, "min_excess")
-    return res.path, res.value < -z
-
-
-def column_generation(inst: Instance, objective: str,
+def column_generation(inst: Instance,
                       column_bound: Optional[Tuple[str, int]] = None,
                       count_cap: Optional[int] = None,
                       exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                       ) -> FractionalSolution:
-    if objective not in ("count", "regret"):
-        raise ValueError(f"unknown objective {objective!r}")
+    """The fewest paths under column_bound, or without one the least total
+    regret over at most count_cap paths; the pricing oracle is bound once,
+    before the first round."""
+    objective = "regret" if column_bound is None else "count"
     clients = list(inst.clients)
     if not clients:
         return FractionalSolution.from_columns(
             inst, [], [], objective, column_bound, count_cap, certified=True)
 
     exact = len(clients) <= exact_threshold
-    table = table_for(inst, exact_threshold) if exact else None
+    kind, limit = column_bound or ("min_excess", 0)
+    if not exact:
+        price = partial(heuristic_pricing, inst, budget_kind=kind,
+                        budget=limit)
+    elif column_bound is None:
+        price = partial(exact_min_excess_pricing,
+                        table_for(inst, exact_threshold))
+    else:
+        scan = exact_orienteering if kind == "regret" else exact_length_budget
+        price = partial(scan, table_for(inst, exact_threshold), budget=limit)
 
     master = CoveringMaster(clients, budget=count_cap)
     columns: List[RootedPath] = []
@@ -212,10 +204,10 @@ def column_generation(inst: Instance, objective: str,
             raise SolverError("restricted master value increased")
         prev_value = sol.value
         z = sol.budget_dual if sol.budget_dual is not None else ZERO
-        path, improving = _price(
-            inst, sol.coverage_duals, z, objective, column_bound, table)
-        if not improving:
+        res = price(sol.coverage_duals)
+        if not (res.value > 1 if column_bound else res.value < -z):
             break
+        path = res.path
         if path.nodes in seen:
             if exact:
                 raise SolverError(
@@ -240,7 +232,7 @@ def solve_rvrp_lp(inst: Instance, R: int,
     R = _as_int(R, "regret bound")
     if R < 0:
         raise ValueError("regret bound must be nonnegative")
-    return column_generation(inst, "count", column_bound=("regret", R),
+    return column_generation(inst, column_bound=("regret", R),
                              exact_threshold=exact_threshold)
 
 
@@ -249,7 +241,7 @@ def solve_dvrp_lp(inst: Instance, D: int,
                   ) -> FractionalSolution:
     """Fractional minimum number of length-<=D rooted paths covering all."""
     D = check_cap(inst, D)
-    return column_generation(inst, "count", column_bound=("length", D),
+    return column_generation(inst, column_bound=("length", D),
                              exact_threshold=exact_threshold)
 
 
@@ -260,7 +252,7 @@ def solve_minsum_lp(inst: Instance, k: int,
     k = _as_int(k, "path budget")
     if k < 1:
         raise ValueError("path budget must be at least 1")
-    return column_generation(inst, "regret", count_cap=k,
+    return column_generation(inst, count_cap=k,
                              exact_threshold=exact_threshold)
 
 

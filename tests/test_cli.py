@@ -144,6 +144,33 @@ def test_missing_required_param_exits_nonzero(tmp_path):
                 "--mode", "dvrp")
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "rvrp", "--instance", "missing.json", "--regret", "1"),
+    ("oracle", "rvrp", "--instance", "missing.json", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "inst.json", "--regret", "1",
+     "--out", "missing/sol.json"),
+    ("solve", "nonuniform", "--instance", "inst.json", "--bounds", "[1,2]"),
+    ("solve", "nonuniform", "--instance", "inst.json", "--bounds",
+     "list.json"),
+    ("solve", "rvrp", "--instance", "no-dist.json", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "list.json", "--regret", "1"),
+    ("verify", "--instance", "inst.json", "--solution", "no-paths.json",
+     "--mode", "rvrp", "--regret", "1"),
+], ids=["missing-instance", "oracle-missing-instance", "out-in-missing-dir",
+        "inline-bounds-list", "bounds-file-list", "instance-without-dist",
+        "instance-list", "solution-without-paths"])
+def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen", "line", "--positions", "0,1,2", "--out", "inst.json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "no-dist.json").write_text('{"n": 3, "root": 0}')
+    (tmp_path / "no-paths.json").write_text('{"stats": {}}')
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_every_solver_round_trips(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli("gen", "euclidean", "--n", "6", "--seed", "9", "--out", inst)

@@ -358,6 +358,24 @@ def test_no_bare_asserts_in_the_package():
     assert found == []
 
 
+def test_no_unused_imports_in_the_package():
+    # An import no name in its module reads is left over from removed code.
+    package = Path(regret_route.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  for name in [alias.asname or alias.name.split(".")[0]]
+                  if name not in read]
+    assert found == []
+
+
 # --- closure / serialization ----------------------------------------------
 
 def test_metric_from_edges_closure():

@@ -11,9 +11,9 @@ from regret_route.exactlp import CoveringMaster
 from regret_route.harness import (brute_force_lp, brute_force_rvrp,
                                   gen_euclidean, gen_ladder, gen_line,
                                   gen_random_metric)
-from regret_route.lp import (FractionalSolution, column_generation,
-                             preprocess_fractional, solve_dvrp_lp,
-                             solve_minsum_lp, solve_rvrp_lp)
+from regret_route.lp import (FractionalSolution, preprocess_fractional,
+                             solve_dvrp_lp, solve_minsum_lp, solve_rvrp_lp)
+from regret_route.pricing import PricedPath
 
 
 def test_fractional_solution_bookkeeping():
@@ -147,12 +147,6 @@ def test_uncertified_above_exact_threshold():
     assert sol.value >= exact.value
 
 
-def test_column_generation_rejects_bad_objective():
-    inst = gen_line([0, 1])
-    with pytest.raises(ValueError):
-        column_generation(inst, "speed")
-
-
 def test_validate_raises_solver_error():
     inst = gen_line([0, 1, 2])
     cols = [RootedPath.build(inst, [0, 1]), RootedPath.build(inst, [0, 1, 2])]
@@ -247,13 +241,50 @@ def test_round_cap_fires_on_an_endless_pricer(monkeypatch):
              for seq in permutations(clients, k))
     calls = []
 
-    def endless(*args):
+    def endless(*args, **kwargs):
         calls.append(None)
         if len(calls) > cap + 1:
             raise RuntimeError("the round cap did not fire")
-        return next(fresh), True
+        return PricedPath(next(fresh), Fraction(2))
 
-    monkeypatch.setattr(lp, "_price", endless)
+    monkeypatch.setattr(lp, "exact_orienteering", endless)
     with pytest.raises(SolverError, match="round cap"):
         solve_rvrp_lp(inst, max(inst.root_dist))
     assert len(calls) == cap
+
+
+ORACLES = ("exact_orienteering", "exact_length_budget",
+           "exact_min_excess_pricing", "heuristic_pricing")
+
+
+@pytest.mark.parametrize("solve, scan, kind", [
+    (solve_rvrp_lp, "exact_orienteering", "regret"),
+    (solve_dvrp_lp, "exact_length_budget", "length"),
+    (solve_minsum_lp, "exact_min_excess_pricing", "min_excess"),
+])
+@pytest.mark.parametrize("exact", [True, False])
+def test_each_lp_binds_one_oracle(monkeypatch, solve, scan, kind, exact):
+    # The oracle is chosen once per LP and serves every round; the table is
+    # built only for a scan.
+    from regret_route import lp
+    inst = gen_random_metric(8, 3)
+    calls = {name: [] for name in ORACLES}
+    for name in ORACLES:
+        def spy(*args, _name=name, _real=getattr(lp, name), **kwargs):
+            calls[_name].append(kwargs)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(lp, name, spy)
+    tables = []
+    table_for = lp.table_for
+    monkeypatch.setattr(lp, "table_for",
+                        lambda *a: tables.append(a) or table_for(*a))
+    maxd = max(inst.root_dist)
+    arg = {"regret": maxd // 2, "length": 2 * maxd, "min_excess": 2}[kind]
+    sol = solve(inst, arg, **({} if exact else {"exact_threshold": 4}))
+    oracle = scan if exact else "heuristic_pricing"
+    assert [name for name in ORACLES if calls[name]] == [oracle]
+    assert len(calls[oracle]) == sol.rounds > 1
+    if not exact:
+        assert {kw["budget_kind"] for kw in calls[oracle]} == {kind}
+    assert len(tables) == int(exact)
+    assert sol.certified == exact
