@@ -105,8 +105,12 @@ class Instance:
         if not isinstance(d, Mapping) or "dist" not in d:
             raise InvalidInstanceError(
                 'an instance is a JSON object with a "dist" matrix')
+        meta = d.get("meta")
+        if meta is not None and not isinstance(meta, Mapping):
+            raise InvalidInstanceError(
+                f'an instance\'s "meta" is a JSON object, not {meta!r}')
         return cls.from_matrix(d["dist"], root=int(d.get("root", 0)),
-                               meta=d.get("meta") or {})
+                               meta=meta)
 
 
 def _validate_metric(rows: List[Tuple[int, ...]]) -> None:
@@ -454,6 +458,11 @@ def solution_to_dict(inst: Instance, paths: Iterable, stats: dict | None = None)
 
 
 def solution_from_dict(d: Mapping) -> List[List[int]]:
+    """The paths of a solution's JSON form; ValueError unless each is a
+    list of int nodes (a bool is not one)."""
     if not isinstance(d, Mapping) or not isinstance(d.get("paths"), list):
         raise ValueError('a solution is a JSON object with a "paths" list')
-    return [list(map(int, p)) for p in d["paths"]]
+    for p in d["paths"]:
+        if not isinstance(p, list) or any(type(v) is not int for v in p):
+            raise ValueError(f"a path is a list of int nodes, not {p!r}")
+    return [list(p) for p in d["paths"]]

@@ -12,6 +12,12 @@ integers scaled by the basis determinant, and their coverage duals reach the
 pricing oracle as integers over one common denominator. Each LP binds its
 oracle once: an exact Held-Karp table scan up to a client-count threshold,
 above it a local-search heuristic whose result is flagged as uncertified.
+
+Each round solves the master once and prices once. An exact scan returns
+up to eight columns, the most improving first (then fewest nodes, then
+the smallest client mask); the heuristic returns one. The round admits
+them in that order while they pass the admission test and ends column
+generation when it admits none.
 """
 
 from __future__ import annotations
@@ -171,8 +177,9 @@ def column_generation(inst: Instance,
     exact = len(clients) <= exact_threshold
     kind, limit = column_bound or ("min_excess", 0)
     if not exact:
-        price = partial(heuristic_pricing, inst, budget_kind=kind,
-                        budget=limit)
+        heuristic = partial(heuristic_pricing, inst, budget_kind=kind,
+                            budget=limit)
+        price = lambda duals: [heuristic(duals)]
     elif column_bound is None:
         price = partial(exact_min_excess_pricing,
                         table_for(inst, exact_threshold))
@@ -192,8 +199,9 @@ def column_generation(inst: Instance,
     prev_value: Optional[Fraction] = None
     sol: Optional[MasterSolution] = None
     rounds = 0
-    # Fixed from the seed columns: each round adds a column, so a bound on
-    # the current count would grow faster than the rounds.
+    # Fixed from the seed columns: a round adds up to COLUMNS_PER_ROUND
+    # columns, so a bound on the current count would grow faster than the
+    # rounds.
     cap = max(200, 10 * inst.n * len(columns))
     while True:
         rounds += 1
@@ -204,18 +212,22 @@ def column_generation(inst: Instance,
             raise SolverError("restricted master value increased")
         prev_value = sol.value
         z = sol.budget_dual if sol.budget_dual is not None else ZERO
-        res = price(sol.coverage_duals)
-        if not (res.value > 1 if column_bound else res.value < -z):
+        admitted = 0
+        for res in price(sol.coverage_duals):
+            if not (res.value > 1 if column_bound else res.value < -z):
+                break
+            path = res.path
+            if path.nodes in seen:
+                if exact:
+                    raise SolverError("exact pricing re-proposed a column "
+                                      "already in the master")
+                break  # heuristic stalled on a known column
+            seen.add(path.nodes)
+            columns.append(path)
+            master.add_column(path.nodes[1:], _column_cost(path, objective))
+            admitted += 1
+        if not admitted:
             break
-        path = res.path
-        if path.nodes in seen:
-            if exact:
-                raise SolverError(
-                    "exact pricing re-proposed a column already in the master")
-            break  # heuristic stalled on a known column
-        seen.add(path.nodes)
-        columns.append(path)
-        master.add_column(path.nodes[1:], _column_cost(path, objective))
 
     result = FractionalSolution(
         inst=inst, columns=columns, weights=list(sol.weights),

@@ -10,15 +10,23 @@ inst.clients, which is how the covering master hands over its duals; every
 comparison is an integer comparison and only the returned value is a
 Fraction.
 
+Each exact scan returns up to COLUMNS_PER_ROUND = 8 improving columns,
+one per client set, best first: most reward (or least excess), then fewest
+nodes, then the smallest mask. The first is the single best column, and
+when nothing improves the scan returns the trivial path at 0 alone. It
+takes them from its own score array, one first maximum (or minimum) at a
+time, overwriting each pick with 0, so it allocates nothing more.
+
 A bounded scan (exact_orienteering, exact_length_budget) can only return
 a client set whose least regret or length is within the budget, and that
 set is fixed for the whole LP while the rewards change every round. The
 first scan at a (kind, budget) builds a ScanPlan of those masks in the
 canonical tie order and holds it in the table's one plan slot; a scan at
 another budget replaces it. Each round then sums the rewards over the plan
-only, from two half-width tables, and takes the first maximum. The
-min-excess scan has no budget and reads every mask; its dtype bound on the
-regrets is computed once per table.
+only, from two half-width tables, and takes first maxima. The min-excess
+scan has no budget and reads every mask; it folds the popcount into its
+keys so that first minima follow the same order, and its dtype bound on
+the regrets is computed once per table.
 
 The table and the scans are numpy arrays, filled one popcount layer at a
 time. Fixed-width integers wrap where Python integers grow, so every dtype
@@ -32,8 +40,8 @@ is chosen from a bound on the values it must hold:
   object on the same rule with 2^31 and 2^63, and the table holds them in
   the wider of the cost and key dtypes until it is split (see HKTable);
 * reward sums are int64 when the scaled total fits 2^62, else object;
-* the min-excess scan bounds max(|min_regret|, 1)·den + Σ rewards the same
-  way before it multiplies.
+* the min-excess scan bounds (max(|min_regret|, 1)·den + Σ rewards + 1)·
+  (m+1) the same way before it multiplies.
 
 An object array runs the same code with exact Python integers, so results
 never depend on the dtype. numpy is imported inside the table constructor,
@@ -69,6 +77,10 @@ CELL_BYTES = 11
 TABLE_BUDGET_BYTES = 256 << 20
 # Bytes of keys per chunk of masks while the table is built.
 CHUNK_BYTES = 64 << 10
+# The most columns an exact scan returns, the most improving first. Four
+# took more column-generation rounds for a slower solve, sixteen were no
+# faster than eight.
+COLUMNS_PER_ROUND = 8
 
 
 class OracleUnavailableError(RegretRouteError):
@@ -303,10 +315,9 @@ def _reward_sums(nums: List[int], np):
     return _doubling(nums, _sum_dtype(sum(nums), np), np)
 
 
-def _pick_best_mask(table: HKTable, masks) -> int:
-    # Fewer nodes first, then the smallest mask as a canonical order; masks
-    # is ascending and argmin takes the first minimum.
-    return int(masks[table.popcount[masks].argmin()])
+def _nothing(t: HKTable) -> List[PricedPath]:
+    """A scan's answer when no column improves: the trivial path at 0."""
+    return [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
 
 
 class ScanPlan:
@@ -352,78 +363,95 @@ def _plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
 
 
 def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
-                     kind: str) -> PricedPath:
-    """Max-reward rooted path whose regret or length is at most budget."""
+                     kind: str) -> List[PricedPath]:
+    """Up to COLUMNS_PER_ROUND rooted paths of positive reward whose regret
+    or length is at most budget, the most reward first."""
     if budget < 0:
         raise ValueError(f"negative {kind} budget")
-    inst = t.inst
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
     plan = _plan_for(t, kind, budget)
     if not len(plan):
-        return PricedPath(RootedPath.trivial(inst), Fraction(0))
+        return _nothing(t)
     dtype = _sum_dtype(sum(nums), np)
     reach = _doubling(nums[:plan.half], dtype, np).take(plan.low)
     reach += _doubling(nums[plan.half:], dtype, np).take(plan.high)
-    pick = int(reach.argmax())
-    best = int(reach[pick])
-    if best <= 0:
-        return PricedPath(RootedPath.trivial(inst), Fraction(0))
-    mask = plan.mask(pick)
-    return PricedPath(t.path_for(mask, t.end_within(mask, kind, budget)),
-                      Fraction(best, den))
+    columns = []
+    while len(columns) < COLUMNS_PER_ROUND:
+        pick = int(reach.argmax())
+        best = int(reach[pick])
+        if best <= 0:
+            break
+        reach[pick] = 0
+        mask = plan.mask(pick)
+        columns.append(PricedPath(
+            t.path_for(mask, t.end_within(mask, kind, budget)),
+            Fraction(best, den)))
+    return columns or _nothing(t)
 
 
 def exact_orienteering(table: HKTable, rewards: ScaledRewards,
-                       budget: int) -> PricedPath:
-    """Max-reward rooted path of the table's instance with regret at most
-    budget; exact.
+                       budget: int) -> List[PricedPath]:
+    """The max-reward rooted paths of the table's instance with regret at
+    most budget, best first; exact.
 
     Ties are broken toward fewer nodes, then a fixed canonical order. With
-    all-zero rewards this is the trivial path at reward 0.
+    all-zero rewards this is the trivial path at reward 0 alone.
     """
     return _max_reward_scan(table, rewards, budget, "regret")
 
 
 def exact_length_budget(table: HKTable, rewards: ScaledRewards,
-                        budget: int) -> PricedPath:
-    """Max-reward rooted path of the table's instance with total length at
-    most budget; exact."""
+                        budget: int) -> List[PricedPath]:
+    """The max-reward rooted paths of the table's instance with total
+    length at most budget, best first; exact."""
     return _max_reward_scan(table, rewards, budget, "length")
 
 
 def exact_min_excess_pricing(table: HKTable,
-                             rewards: ScaledRewards) -> PricedPath:
-    """Minimize regret(P) - reward(P) over rooted paths of the table's
-    instance; exact.
+                             rewards: ScaledRewards) -> List[PricedPath]:
+    """The rooted paths of the table's instance of least regret(P) -
+    reward(P), up to COLUMNS_PER_ROUND of negative value, best first; exact.
 
-    The empty path (value 0) is always a candidate, so the result never has
-    positive value. Under a budget row whose dual is z >= 0, callers admit
-    the column when value < -z. Ties go to fewer nodes, then canonical.
+    The empty path (value 0) is always a candidate, so no result has
+    positive value, and it is returned alone when nothing is negative.
+    Under a budget row whose dual is z >= 0, callers admit a column when
+    value < -z. Ties go to fewer nodes, then canonical.
     """
     t = table
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
-    sums = _reward_sums(nums, np)[1:]
     regret = t.min_regret[1:]           # the empty mask is the trivial path
     if not len(regret):
-        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
-    top = t.regret_bound * den + sum(nums)
+        return _nothing(t)
+    # key = excess·w + popcount with w = m + 1, so argmin's first minimum is
+    # the canonical pick (least excess, then fewest nodes, then smallest
+    # mask), and key < 0 exactly where excess < 0.
+    w = t.m + 1
+    sums = _reward_sums([x * w for x in nums], np)[1:]
+    top = (t.regret_bound * den + sum(nums) + 1) * w
     if _sum_dtype(top, np) is object:
-        excess = regret.astype(object) * den - sums.astype(object)
+        key = regret.astype(object) * (den * w) - sums.astype(object)
     else:
         # One int64 product, then the sums subtracted in place; sums is
-        # int64 too, since sum(nums) < top.
-        excess = np.multiply(regret, den, dtype=np.int64, casting="unsafe")
-        excess -= sums
-    best = int(excess.min())
-    if best >= 0:
-        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
-    mask = _pick_best_mask(t, np.flatnonzero(excess == best) + 1)
-    end = t.end_within(mask, "regret", int(t.min_regret[mask]))
-    return PricedPath(t.path_for(mask, end), Fraction(best, den))
+        # int64 too, since it is below top.
+        key = np.multiply(regret, den * w, dtype=np.int64, casting="unsafe")
+        key -= sums
+    key += t.popcount[1:]
+    columns = []
+    while len(columns) < COLUMNS_PER_ROUND:
+        pick = int(key.argmin())
+        best = int(key[pick])
+        if best >= 0:
+            break
+        key[pick] = 0
+        mask = pick + 1
+        end = t.end_within(mask, "regret", int(t.min_regret[mask]))
+        columns.append(PricedPath(t.path_for(mask, end),
+                                  Fraction(best // w, den)))
+    return columns or _nothing(t)
 
 
 def _insertion_deltas(row: Sequence[int], links) -> List[int]:

@@ -5,9 +5,10 @@ ReferenceTable and the pricers are the plain loops that
 build that the packed-key build replaced: one argmin per (layer, end).
 dense_bounded_scan is the numpy bounded scan that the per-budget scan plan
 replaced: every round sums the rewards of all 2^m masks and filters them
-by the budget.  The tests require the vectorised table and pricers to
-agree with them exactly: the same costs, parent pointers, per-mask optima
-and canonical ends, and the same (path, value) from every pricer.
+by the budget.  ranking orders every mask the way a scan returns its
+columns.  The tests require the vectorised table and pricers to agree with
+them exactly: the same costs, parent pointers, per-mask optima and
+canonical ends, and the same (path, value) list from every pricer.
 """
 
 import math
@@ -150,7 +151,8 @@ def dense_bounded_scan(t, rewards, budget, kind):
     best = int(reach.max()) if len(reach) else 0
     if best <= 0:
         return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
-    mask = pricing._pick_best_mask(t, feasible[reach == best])
+    ties = feasible[reach == best]
+    mask = int(ties[t.popcount[ties].argmin()])     # fewest nodes, then first
     row = t.cost[mask].tolist()
     D = t.inst.root_dist
     end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
@@ -235,3 +237,36 @@ def min_excess(t, rewards):
     mask = _pick_best_mask(masks)
     return PricedPath(t.path_for(mask, t.regret_end[mask]),
                       Fraction(best, den))
+
+
+def ranking(t, rewards, kind, budget=None):
+    """Every improving column a scan may return, in its order, cut at
+    COLUMNS_PER_ROUND: the masks within budget by (-reward, popcount, mask)
+    with positive reward for kind "regret" or "length", or every mask by
+    (excess, popcount, mask) with negative excess for kind "min_excess"."""
+    nums, den = scaled_rewards(t.clients, rewards)
+    sums = _reward_sums(nums, t.m)
+    D = t.inst.root_dist
+    ranked = []
+    for mask in range(1, 1 << t.m):
+        if kind == "min_excess":
+            key = t.min_regret[mask] * den - sums[mask]
+        elif (t.min_regret if kind == "regret" else t.min_length)[mask] \
+                <= budget:
+            key = -sums[mask]
+        else:
+            continue
+        if key < 0:
+            ranked.append((key, bin(mask).count("1"), mask))
+    ranked.sort()
+    out = []
+    for key, _, mask in ranked[:pricing.COLUMNS_PER_ROUND]:
+        if kind == "min_excess":
+            out.append(PricedPath(t.path_for(mask, t.regret_end[mask]),
+                                  Fraction(key, den)))
+            continue
+        row = t.cost[mask]
+        end = next(i for i in _bits(mask) if row[i] - (
+            D[t.clients[i]] if kind == "regret" else 0) <= budget)
+        out.append(PricedPath(t.path_for(mask, end), Fraction(-key, den)))
+    return out

@@ -156,15 +156,22 @@ def test_missing_required_param_exits_nonzero(tmp_path):
     ("solve", "rvrp", "--instance", "list.json", "--regret", "1"),
     ("verify", "--instance", "inst.json", "--solution", "no-paths.json",
      "--mode", "rvrp", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "meta-list.json", "--regret", "1"),
+    ("verify", "--instance", "inst.json", "--solution", "null-node.json",
+     "--mode", "rvrp", "--regret", "1"),
 ], ids=["missing-instance", "oracle-missing-instance", "out-in-missing-dir",
         "inline-bounds-list", "bounds-file-list", "instance-without-dist",
-        "instance-list", "solution-without-paths"])
+        "instance-list", "solution-without-paths", "instance-meta-list",
+        "solution-null-node"])
 def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     run_cli("gen", "line", "--positions", "0,1,2", "--out", "inst.json")
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "no-dist.json").write_text('{"n": 3, "root": 0}')
     (tmp_path / "no-paths.json").write_text('{"stats": {}}')
+    (tmp_path / "meta-list.json").write_text(
+        '{"dist": [[0, 1], [1, 0]], "meta": [1]}')
+    (tmp_path / "null-node.json").write_text('{"paths": [[0, null]]}')
     capsys.readouterr()
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err

@@ -228,12 +228,16 @@ def test_matches_fraction_reference_on_column_generation(monkeypatch, shape,
                                                          nodes):
     # Column generation's own scripts at the sizes the benchmark solves:
     # 16 clients price exactly, 20 and 24 heuristically; the krvrp min-sum
-    # LP carries the budget row.
-    inst = gen_euclidean(nodes, 1)
+    # LP carries the budget row. An exact scan admits several columns a
+    # round, so at 16 clients another instance, a wider regret bound and a
+    # one-path budget keep the script long: batches of several columns
+    # resume the master, at least 28 times.
+    seed, halves, k = (8, 3, 1) if nodes == 17 else (1, 1, 3)
+    inst = gen_euclidean(nodes, seed)
     if shape == "rvrp":
-        lp_run = lambda: solve_rvrp_lp(inst, max(inst.root_dist) // 2)
+        lp_run = lambda: solve_rvrp_lp(inst, halves * max(inst.root_dist) // 2)
     else:
-        lp_run = lambda: solve_minsum_lp(inst, 3)
+        lp_run = lambda: solve_minsum_lp(inst, k)
     clients, budget, batches = _recorded_script(monkeypatch, lp_run)
     assert len(clients) == nodes - 1 and len(batches) > 1
     assert (budget is not None) == (shape == "krvrp")
@@ -241,6 +245,8 @@ def test_matches_fraction_reference_on_column_generation(monkeypatch, shape,
     want = _run(ReferenceMaster, clients, budget, batches)
     assert [_fields(r) for r in got] == [_fields(r) for r in want]
     assert len(batches) >= 28 and got[-1].pivots > 2 * len(batches)
+    if nodes == 17:     # exact pricing resumes the master on several columns
+        assert max(map(len, batches[1:])) > 1
 
 
 def test_resumed_solve_enters_new_columns_first():

@@ -486,11 +486,11 @@ def test_heuristic_suite_deterministic():
 # output byte-identical must leave these alone; one that changes it on
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
-    "smoke": "c96da90ca1c22f599550321faa97df00b11eb2fa9fffbe70e8641ad36de5a802",
-    "rvrp": "d1c2dd0fdd4ca5d87b8676e2a06e33884b0db2c6e6261ed23367dbe425bdaf66",
-    "caps": "3973769793dfb368cf1b5ae7352a51a6c8a1426092bb5f6eeaf363ccd8088762",
+    "smoke": "d880b985bdf780ee35d754a6eed551887a87d107d7f111151be7a5d551a50272",
+    "rvrp": "0f872643b73bda4aa6076e60058ec64005b875190f6fff10b6760d843a083758",
+    "caps": "8a56fd5a7805c8bb02aff31007579a04b6edbdb2466971657afbd96242d0abd2",
     "heuristic":
-        "c18bd87fc8c6846f297f3b3e816d40c7b501612aaff15fb12ad710efe8034e72",
+        "b3b03425abe79165474e8d9e5f0e3df58c533f86452e5479fdf4cc4557cd99f2",
 }
 
 

@@ -245,7 +245,7 @@ def test_round_cap_fires_on_an_endless_pricer(monkeypatch):
         calls.append(None)
         if len(calls) > cap + 1:
             raise RuntimeError("the round cap did not fire")
-        return PricedPath(next(fresh), Fraction(2))
+        return [PricedPath(next(fresh), Fraction(2))]
 
     monkeypatch.setattr(lp, "exact_orienteering", endless)
     with pytest.raises(SolverError, match="round cap"):
@@ -288,3 +288,28 @@ def test_each_lp_binds_one_oracle(monkeypatch, solve, scan, kind, exact):
         assert {kw["budget_kind"] for kw in calls[oracle]} == {kind}
     assert len(tables) == int(exact)
     assert sol.certified == exact
+
+
+@pytest.mark.parametrize("solve, arg", [
+    (solve_rvrp_lp, lambda maxd: maxd // 2),
+    (solve_dvrp_lp, lambda maxd: 2 * maxd),
+    (solve_minsum_lp, lambda maxd: 2),
+], ids=["rvrp", "dvrp", "minsum"])
+def test_several_columns_per_round_keep_the_lp_value(monkeypatch, solve, arg):
+    # Admitting a scan's improving columns together reaches the one-column
+    # run's optimum in no more rounds. With one column per round every
+    # round but the last admits one, which fixes the seed count; some
+    # round of the default run must admit more than one.
+    from regret_route import pricing
+    for nodes, seed in ((9, 4), (13, 5), (13, 6)):
+        inst = gen_euclidean(nodes, seed)
+        x = arg(max(inst.root_dist))
+        with monkeypatch.context() as patch:
+            patch.setattr(pricing, "COLUMNS_PER_ROUND", 1)
+            one = solve(inst, x)
+        seeds = len(one.columns) - (one.rounds - 1)
+        sol = solve(inst, x)
+        assert sol.certified and one.certified
+        assert sol.value == one.value
+        assert sol.rounds <= one.rounds
+        assert len(sol.columns) - seeds > sol.rounds - 1

@@ -229,17 +229,27 @@ def assert_same_table(table, ref, masks=None):
 
 
 def assert_same_pricing(inst, table, ref, rewards, budget):
-    pairs = [
-        (exact_orienteering(table, ints(inst, rewards), budget),
+    # Each scan returns the reference ranking of the improving columns, or
+    # the trivial path alone when there is none, and its first column is
+    # the reference's single answer.
+    query = ints(inst, rewards)
+    cases = [
+        (exact_orienteering(table, query, budget),
+         hk_reference.ranking(ref, rewards, "regret", budget),
          hk_reference.orienteering(ref, rewards, budget)),
-        (exact_length_budget(table, ints(inst, rewards), budget),
+        (exact_length_budget(table, query, budget),
+         hk_reference.ranking(ref, rewards, "length", budget),
          hk_reference.length_budget(ref, rewards, budget)),
-        (exact_min_excess_pricing(table, ints(inst, rewards)),
+        (exact_min_excess_pricing(table, query),
+         hk_reference.ranking(ref, rewards, "min_excess"),
          hk_reference.min_excess(ref, rewards)),
     ]
-    for got, want in pairs:
-        assert (got.path.nodes, got.value) == (want.path.nodes, want.value)
-        assert type(got.value.numerator) is int
+    for got, ranked, want in cases:
+        assert [(p.path.nodes, p.value) for p in got] == [
+            (p.path.nodes, p.value) for p in ranked or [want]]
+        assert (got[0].path.nodes, got[0].value) == (
+            want.path.nodes, want.value)
+        assert all(type(p.value.numerator) is int for p in got)
 
 
 def reward_draws(inst, rng, scale):
@@ -314,7 +324,7 @@ def test_scan_plans_match_the_dense_scan_at_every_budget():
                           else table.min_length)
                 for budget in range(int(values[1:].max()) + 1):
                     for rewards in draws:
-                        got = scan(table, rewards, budget)
+                        got = scan(table, rewards, budget)[0]
                         want = hk_reference.dense_bounded_scan(
                             table, rewards, budget, kind)
                         assert (got.path.nodes, got.value) == (
@@ -438,10 +448,10 @@ def test_edges_beyond_int64_keep_exact_python_costs():
                for c, r in zip(row, ref_row))
     rewards = {v: Fraction(v * factor, 3) for v in base.clients}
     got = exact_min_excess_pricing(table, ints(table.inst, rewards))
-    want = hk_reference.min_excess(ref, {v: Fraction(v, 3)
-                                         for v in base.clients})
-    assert got.path.nodes == want.path.nodes
-    assert got.value == want.value * factor
+    want = hk_reference.ranking(ref, {v: Fraction(v, 3)
+                                      for v in base.clients}, "min_excess")
+    assert [(p.path.nodes, p.value) for p in got] == [
+        (p.path.nodes, p.value * factor) for p in want]
 
 
 def test_zero_regret_python_costs_take_the_int64_excess_scan():
@@ -453,7 +463,7 @@ def test_zero_regret_python_costs_take_the_int64_excess_scan():
     table = HKTable(scaled(base, 1 << 62))
     assert table.cost.dtype == object and not table.min_regret[1:].any()
     rewards = {v: Fraction(v, 3) for v in base.clients}
-    got = exact_min_excess_pricing(table, ints(base, rewards))
+    got = exact_min_excess_pricing(table, ints(base, rewards))[0]
     want = hk_reference.min_excess(hk_reference.ReferenceTable(base), rewards)
     assert (got.path.nodes, got.value) == (want.path.nodes, want.value)
 
@@ -462,10 +472,10 @@ def test_orienteering_collects_reachable_rewards():
     inst = line_instance()
     table = HKTable(inst)
     rewards = {v: Fraction(1) for v in inst.clients}
-    res = exact_orienteering(table, ints(inst, rewards), budget=0)
+    res = exact_orienteering(table, ints(inst, rewards), budget=0)[0]
     assert res.value == 3                      # the whole line has regret 0
     assert res.path.nodes == (0, 1, 2, 3)
-    res = exact_orienteering(table, ([5, 0, 0], 1), budget=0)
+    res = exact_orienteering(table, ([5, 0, 0], 1), budget=0)[0]
     assert res.value == 5
     assert res.path.nodes == (0, 1)            # fewer nodes win ties
 
@@ -473,7 +483,7 @@ def test_orienteering_collects_reachable_rewards():
 def test_orienteering_zero_rewards_and_validation():
     inst = line_instance()
     table = HKTable(inst)
-    res = exact_orienteering(table, ([0, 0, 0], 1), budget=3)
+    res, = exact_orienteering(table, ([0, 0, 0], 1), budget=3)
     assert res.path.is_trivial and res.value == 0
     # one nonnegative int per client over a positive int den
     for bad in (([-1, 0, 0], 1), ([0, 0], 1), ([0, 0, 0], 0),
@@ -495,7 +505,7 @@ def test_orienteering_against_enumeration():
         rewards = {v: Fraction(rng.randint(0, 5), rng.randint(1, 3))
                    for v in clients}
         budget = rng.randint(0, 25)
-        res = exact_orienteering(table, ints(inst, rewards), budget)
+        res = exact_orienteering(table, ints(inst, rewards), budget)[0]
         assert res.path.regret <= budget
         assert res.value == sum(
             (rewards[v] for v in res.path.nodes[1:]), Fraction(0))
@@ -517,9 +527,9 @@ def test_length_budget_pricing():
     rewards = {v: Fraction(1) for v in inst.clients}
     rewards = ints(inst, rewards)
     table = HKTable(inst)
-    assert exact_length_budget(table, rewards, budget=4).value == 3
-    assert exact_length_budget(table, rewards, budget=2).value == 2
-    assert exact_length_budget(table, rewards, budget=0).value == 0
+    assert exact_length_budget(table, rewards, budget=4)[0].value == 3
+    assert exact_length_budget(table, rewards, budget=2)[0].value == 2
+    assert exact_length_budget(table, rewards, budget=0)[0].value == 0
 
 
 def test_min_excess_pricing():
@@ -527,11 +537,11 @@ def test_min_excess_pricing():
     # high rewards make the full zero-regret sweep strictly profitable
     rewards = {v: Fraction(2) for v in inst.clients}
     table = HKTable(inst)
-    res = exact_min_excess_pricing(table, ints(inst, rewards))
+    res = exact_min_excess_pricing(table, ints(inst, rewards))[0]
     assert res.value == -6
     assert res.path.nodes == (0, 1, 2, 3)
     # no rewards: the empty path is optimal
-    res = exact_min_excess_pricing(table, ([0, 0, 0], 1))
+    res, = exact_min_excess_pricing(table, ([0, 0, 0], 1))
     assert res.path.is_trivial and res.value == 0
 
 
@@ -542,7 +552,7 @@ def test_min_excess_against_enumeration():
     clients = list(inst.clients)
     for trial in range(10):
         rewards = {v: Fraction(rng.randint(0, 6), 2) for v in clients}
-        res = exact_min_excess_pricing(table, ints(inst, rewards))
+        res = exact_min_excess_pricing(table, ints(inst, rewards))[0]
         best = Fraction(0)
         for r in range(1, len(clients) + 1):
             for combo in itertools.combinations(clients, r):
@@ -561,7 +571,7 @@ def test_heuristic_pricing_feasible_and_counted():
     assert res.value == len(res.path.nodes) - 1
     res = heuristic_pricing(inst, rewards, "length", 20)
     assert res.path.cost <= 20
-    exact = exact_orienteering(HKTable(inst), rewards, 5)
+    exact = exact_orienteering(HKTable(inst), rewards, 5)[0]
     assert res.value <= len(inst.clients)
     assert exact.value >= heuristic_pricing(inst, rewards, "regret", 5).value
 
@@ -672,7 +682,7 @@ def test_heuristic_min_excess_value_and_exact_bound():
             gain = sum((rewards[v] for v in res.path.nodes[1:]), Fraction(0))
             assert res.value == res.path.regret - gain <= 0
             assert res.value >= exact_min_excess_pricing(HKTable(inst),
-                                                         scaled).value
+                                                         scaled)[0].value
 
 
 def test_heuristic_refuses_a_bad_insertion_delta(monkeypatch):
