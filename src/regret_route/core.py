@@ -109,8 +109,8 @@ class Instance:
         if meta is not None and not isinstance(meta, Mapping):
             raise InvalidInstanceError(
                 f'an instance\'s "meta" is a JSON object, not {meta!r}')
-        return cls.from_matrix(d["dist"], root=int(d.get("root", 0)),
-                               meta=meta)
+        return cls.from_matrix(d["dist"], meta=meta,
+                               root=_as_int(d.get("root", 0), "root"))
 
 
 def _validate_metric(rows: List[Tuple[int, ...]]) -> None:
@@ -356,12 +356,18 @@ def check_cap(inst: Instance, cap) -> int:
 
 
 def node_bounds(inst: Instance, bounds: Mapping) -> Dict[int, int]:
-    """Regret bounds by int node id; ValueError naming non-client keys."""
+    """Regret bounds by int node id; ValueError naming non-client keys and
+    the first client without a nonnegative bound."""
     out = {int(v): _as_int(b, f"regret bound of node {v}")
            for v, b in bounds.items()}
     stray = sorted(set(out) - set(inst.clients))
     if stray:
         raise ValueError(f"regret bounds for non-clients {stray}")
+    for v in inst.clients:
+        if v not in out:
+            raise ValueError(f"missing regret bound for node {v}")
+        if out[v] < 0:
+            raise ValueError(f"negative regret bound for node {v}")
     return out
 
 

@@ -274,15 +274,15 @@ def _node_regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
     D = inst.root_dist
     return [{"kind": "regret", "node": v,
              "detail": f"best regret {min(t) - D[v]} exceeds "
-                       f"{bound.get(v, 0)}"}
-            for v, t in sorted(visits.items())
-            if min(t) - D[v] > bound.get(v, 0)]
+                       f"{bound[v]}"}
+            for v, t in sorted(visits.items()) if min(t) - D[v] > bound[v]]
 
 
 def _regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
                   R) -> List[dict]:
     R = _as_int(R, "regret bound")
-    return _node_regret_check(inst, visits, lengths, dict.fromkeys(visits, R))
+    return _node_regret_check(inst, visits, lengths,
+                              dict.fromkeys(inst.clients, R))
 
 
 # Verify mode -> (its parameter, which is also its CLI flag; the check of

@@ -12,21 +12,20 @@ Fraction.
 
 Each exact scan returns up to COLUMNS_PER_ROUND = 8 improving columns,
 one per client set, best first: most reward (or least excess), then fewest
-nodes, then the smallest mask. The first is the single best column, and
-when nothing improves the scan returns the trivial path at 0 alone. It
-takes them from its own score array, one first maximum (or minimum) at a
-time, overwriting each pick with 0, so it allocates nothing more.
+nodes, then the smallest mask; when nothing improves, the trivial path at
+0 alone. All three go through one picker, _columns, which takes first
+maxima of the scan's score array, overwriting each pick with 0.
 
 A bounded scan (exact_orienteering, exact_length_budget) can only return
 a client set whose least regret or length is within the budget, and that
 set is fixed for the whole LP while the rewards change every round. The
-first scan at a (kind, budget) builds a ScanPlan of those masks in the
-canonical tie order and holds it in the table's one plan slot; a scan at
-another budget replaces it. Each round then sums the rewards over the plan
-only, from two half-width tables, and takes first maxima. The min-excess
-scan has no budget and reads every mask; it folds the popcount into its
-keys so that first minima follow the same order, and its dtype bound on
-the regrets is computed once per table.
+first scan at a (kind, budget) builds a ScanPlan, one array of those masks
+in (popcount, mask) order, and holds it in the table's one plan slot; a
+scan at another budget replaces it. Each round gathers the plan's entries
+from the table of reward sums over every mask, so a first maximum is the
+canonical pick. The min-excess scan has no budget and scores every mask by
+-(excess·(m+1) + popcount), which folds the tie order into the score; its
+dtype bound on the regrets is computed once per table.
 
 The table and the scans are numpy arrays, filled one popcount layer at a
 time. Fixed-width integers wrap where Python integers grow, so every dtype
@@ -315,23 +314,12 @@ def _reward_sums(nums: List[int], np):
     return _doubling(nums, _sum_dtype(sum(nums), np), np)
 
 
-def _nothing(t: HKTable) -> List[PricedPath]:
-    """A scan's answer when no column improves: the trivial path at 0."""
-    return [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
-
-
 class ScanPlan:
-    """The client sets a bounded scan of one table may return at one budget.
-
-    The plan lists every nonempty mask whose least regret (kind "regret")
-    or length (kind "length") is at most budget, in (popcount, mask) order,
-    as two index arrays: low holds each mask's bits below bit half = m // 2
-    and high the bits from it. A scan's reward sums over the plan are then
-    one gather-add of two half tables, 2^half and 2^(m-half) sums, and
-    argmax's first maximum is the canonical pick: most reward, then fewest
-    nodes, then the smallest mask. The indices are intp, numpy's own index
-    type, since a gather converts any other index dtype to a fresh intp
-    copy first.
+    """The client sets a bounded scan of one table may return at one budget:
+    masks holds every nonempty mask whose least regret (kind "regret") or
+    length (kind "length") is at most budget, in (popcount, mask) order, so
+    that a first maximum is the canonical pick. It is intp, numpy's own
+    index type, since a gather copies any other index dtype to intp first.
     """
 
     def __init__(self, table: HKTable, kind: str, budget: int):
@@ -340,16 +328,7 @@ class ScanPlan:
         self.kind, self.budget = kind, budget
         values = table.min_regret if kind == "regret" else table.min_length
         masks = np.flatnonzero(values[1:] <= budget) + 1
-        masks = masks[np.argsort(table.popcount[masks], kind="stable")]
-        self.half = table.m // 2
-        self.low = masks & ((1 << self.half) - 1)
-        self.high = masks >> self.half
-
-    def __len__(self) -> int:
-        return len(self.low)
-
-    def mask(self, index: int) -> int:
-        return int(self.high[index]) << self.half | int(self.low[index])
+        self.masks = masks[np.argsort(table.popcount[masks], kind="stable")]
 
 
 def _plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
@@ -362,6 +341,25 @@ def _plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
     return plan
 
 
+def _columns(t: HKTable, score, mask_of, end_of,
+             value_of) -> List[PricedPath]:
+    """Up to COLUMNS_PER_ROUND columns from the positive entries of score,
+    one first maximum at a time, each overwritten with 0: entry i is the
+    client set mask_of(i), its path ends at end_of(mask) and its value is
+    value_of(score[i]). With no positive entry, the trivial path at 0."""
+    columns = []
+    while len(score) and len(columns) < COLUMNS_PER_ROUND:
+        pick = int(score.argmax())
+        best = int(score[pick])
+        if best <= 0:
+            break
+        score[pick] = 0
+        mask = mask_of(pick)
+        columns.append(PricedPath(t.path_for(mask, end_of(mask)),
+                                  value_of(best)))
+    return columns or [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
+
+
 def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
                      kind: str) -> List[PricedPath]:
     """Up to COLUMNS_PER_ROUND rooted paths of positive reward whose regret
@@ -371,24 +369,11 @@ def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
-    plan = _plan_for(t, kind, budget)
-    if not len(plan):
-        return _nothing(t)
-    dtype = _sum_dtype(sum(nums), np)
-    reach = _doubling(nums[:plan.half], dtype, np).take(plan.low)
-    reach += _doubling(nums[plan.half:], dtype, np).take(plan.high)
-    columns = []
-    while len(columns) < COLUMNS_PER_ROUND:
-        pick = int(reach.argmax())
-        best = int(reach[pick])
-        if best <= 0:
-            break
-        reach[pick] = 0
-        mask = plan.mask(pick)
-        columns.append(PricedPath(
-            t.path_for(mask, t.end_within(mask, kind, budget)),
-            Fraction(best, den)))
-    return columns or _nothing(t)
+    masks = _plan_for(t, kind, budget).masks
+    return _columns(t, _reward_sums(nums, np).take(masks),
+                    lambda i: int(masks[i]),
+                    lambda mask: t.end_within(mask, kind, budget),
+                    lambda best: Fraction(best, den))
 
 
 def exact_orienteering(table: HKTable, rewards: ScaledRewards,
@@ -424,34 +409,25 @@ def exact_min_excess_pricing(table: HKTable,
 
     nums, den = _checked_rewards(rewards, t.clients)
     regret = t.min_regret[1:]           # the empty mask is the trivial path
-    if not len(regret):
-        return _nothing(t)
-    # key = excess·w + popcount with w = m + 1, so argmin's first minimum is
+    # score = -(excess·w + popcount) with w = m + 1, so the first maximum is
     # the canonical pick (least excess, then fewest nodes, then smallest
-    # mask), and key < 0 exactly where excess < 0.
+    # mask), and score > 0 exactly where excess < 0.
     w = t.m + 1
     sums = _reward_sums([x * w for x in nums], np)[1:]
     top = (t.regret_bound * den + sum(nums) + 1) * w
     if _sum_dtype(top, np) is object:
-        key = regret.astype(object) * (den * w) - sums.astype(object)
+        score = sums.astype(object) - regret.astype(object) * (den * w)
     else:
-        # One int64 product, then the sums subtracted in place; sums is
-        # int64 too, since it is below top.
-        key = np.multiply(regret, den * w, dtype=np.int64, casting="unsafe")
-        key -= sums
-    key += t.popcount[1:]
-    columns = []
-    while len(columns) < COLUMNS_PER_ROUND:
-        pick = int(key.argmin())
-        best = int(key[pick])
-        if best >= 0:
-            break
-        key[pick] = 0
-        mask = pick + 1
-        end = t.end_within(mask, "regret", int(t.min_regret[mask]))
-        columns.append(PricedPath(t.path_for(mask, end),
-                                  Fraction(best // w, den)))
-    return columns or _nothing(t)
+        # One int64 product, then the sums added in place; sums is int64
+        # too, since it is below top.
+        score = np.multiply(regret, -den * w, dtype=np.int64,
+                            casting="unsafe")
+        score += sums
+    score -= t.popcount[1:]
+    return _columns(t, score, lambda i: i + 1,
+                    lambda mask: t.end_within(mask, "regret",
+                                              int(t.min_regret[mask])),
+                    lambda best: Fraction((-best) // w, den))
 
 
 def _insertion_deltas(row: Sequence[int], links) -> List[int]:

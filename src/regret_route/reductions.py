@@ -7,6 +7,7 @@ doubling DP or an LP partition, per-node bounds via regret classes, and
 k-path covers via the count-capped LP.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -176,23 +177,19 @@ def _prune_redundant(paths: List[RootedPath]) -> List[RootedPath]:
     """Drop paths every client of which is covered elsewhere; deterministic.
 
     Shorter node sequences are offered up first, so the survivors are the
-    paths that carry unique coverage.  Never increases the count and never
-    uncovers a node, but routinely removes the overlap the cap recurrence
-    creates between a recursive cover and the fresh prefixes.
+    paths that carry unique coverage.  One pass with a count of covering
+    paths per client suffices: counts only fall, so a path kept earlier
+    stays needed.  Never increases the count and never uncovers a node, but
+    routinely removes the overlap the cap recurrence creates between a
+    recursive cover and the fresh prefixes.
     """
-    kept = sorted(paths, key=lambda p: (len(p.nodes), p.nodes))
-    changed = True
-    while changed:
-        changed = False
-        for idx, p in enumerate(kept):
-            others = set()
-            for j, q in enumerate(kept):
-                if j != idx:
-                    others |= q.node_set
-            if p.node_set - {p.nodes[0]} <= others:
-                kept.pop(idx)
-                changed = True
-                break
+    covers = Counter(v for p in paths for v in p.nodes[1:])
+    kept = []
+    for p in sorted(paths, key=lambda p: (len(p.nodes), p.nodes)):
+        if all(covers[v] > 1 for v in p.nodes[1:]):
+            covers.subtract(p.nodes[1:])
+        else:
+            kept.append(p)
     return kept
 
 
@@ -411,10 +408,6 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
     bounds = node_bounds(inst, bounds)
     classes: Dict[int, List[int]] = {}
     for v in inst.clients:
-        if v not in bounds:
-            raise ValueError(f"missing regret bound for node {v}")
-        if bounds[v] < 0:
-            raise ValueError(f"negative regret bound for node {v}")
         classes.setdefault(bounds[v].bit_length(), []).append(v)
 
     paths: List[RootedPath] = []

@@ -5,14 +5,34 @@ every_scale_state is ``regret_route.reductions.dvrp_dp_state`` before it
 learnt to skip the scales whose lower bound loses: level i > 0 solves S_i
 at every scale 2^k, k = 0, 1, ..., i - 1, and keeps the first least count.
 The tests require the pruned DP to return the same S, F, P and choice.
+
+prune_redundant is ``regret_route.reductions._prune_redundant`` before it
+became one pass with coverage counts: it restarts after every removal and
+rebuilds the union of the other paths for each candidate.
 """
 
 from typing import List, Optional
 
 from regret_route.core import (RootedPath, check_cap, induced_instance,
                                zero_regret_cover)
-from regret_route.reductions import (DvrpDpState, _length_prefix,
-                                     _prune_redundant, solve_rvrp)
+from regret_route.reductions import DvrpDpState, _length_prefix, solve_rvrp
+
+
+def prune_redundant(paths):
+    kept = sorted(paths, key=lambda p: (len(p.nodes), p.nodes))
+    changed = True
+    while changed:
+        changed = False
+        for idx, p in enumerate(kept):
+            others = set()
+            for j, q in enumerate(kept):
+                if j != idx:
+                    others |= q.node_set
+            if p.node_set - {p.nodes[0]} <= others:
+                kept.pop(idx)
+                changed = True
+                break
+    return kept
 
 
 def every_scale_state(inst, cap) -> DvrpDpState:
@@ -47,7 +67,7 @@ def every_scale_state(inst, cap) -> DvrpDpState:
                   for p in sub_paths]
         prefixes = [_length_prefix(inst, p, cap) for p in mapped]
         F.append(count)
-        P.append(_prune_redundant(
+        P.append(prune_redundant(
             list(P[k]) + [p for p in prefixes if not p.is_trivial]))
         choice.append(k)
     return DvrpDpState(cap=cap, M=M, S=S, F=F, P=P, choice=choice,

@@ -107,6 +107,25 @@ def test_bound_of_a_non_client_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == error
 
 
+@pytest.mark.parametrize("bounds, error", [
+    ({"1": 3, "2": 3, "3": 3}, "missing regret bound for node 4"),
+    ({"1": 3, "2": -1, "3": 3, "4": 3}, "negative regret bound for node 2"),
+], ids=["missing", "negative"])
+def test_solve_and_verify_refuse_the_same_bounds(tmp_path, capsys, bounds,
+                                                 error):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run_cli("gen", "euclidean", "--n", "5", "--seed", "1", "--out", inst)
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "3",
+                   "--out", sol) == 0
+    capsys.readouterr()
+    for argv in (("solve", "nonuniform", "--instance", inst),
+                 ("verify", "--instance", inst, "--solution", sol,
+                  "--mode", "nonuniform")):
+        assert run_cli(*argv, "--bounds", json.dumps(bounds)) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_exact_threshold_is_checked_before_any_solve(tmp_path, capsys):
     # R = 0 builds no table; the threshold over the memory budget is
     # refused all the same.
@@ -159,10 +178,14 @@ def test_missing_required_param_exits_nonzero(tmp_path):
     ("solve", "rvrp", "--instance", "meta-list.json", "--regret", "1"),
     ("verify", "--instance", "inst.json", "--solution", "null-node.json",
      "--mode", "rvrp", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "root-null.json", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "root-half.json", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "root-true.json", "--regret", "1"),
 ], ids=["missing-instance", "oracle-missing-instance", "out-in-missing-dir",
         "inline-bounds-list", "bounds-file-list", "instance-without-dist",
         "instance-list", "solution-without-paths", "instance-meta-list",
-        "solution-null-node"])
+        "solution-null-node", "instance-root-null", "instance-root-half",
+        "instance-root-true"])
 def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     run_cli("gen", "line", "--positions", "0,1,2", "--out", "inst.json")
@@ -172,6 +195,9 @@ def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "meta-list.json").write_text(
         '{"dist": [[0, 1], [1, 0]], "meta": [1]}')
     (tmp_path / "null-node.json").write_text('{"paths": [[0, null]]}')
+    for name, root in (("null", "null"), ("half", "1.5"), ("true", "true")):
+        (tmp_path / f"root-{name}.json").write_text(
+            f'{{"dist": [[0, 1], [1, 0]], "root": {root}}}')
     capsys.readouterr()
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err

@@ -315,6 +315,9 @@ def test_scan_plans_match_the_dense_scan_at_every_budget():
         for inst in (gen_euclidean(m + 1, 900 + m),
                      gen_random_metric(m + 1, 950 + m)):
             table = HKTable(inst)
+            ref = hk_reference.ReferenceTable(inst)
+            order = sorted(range(1, 1 << m),
+                           key=lambda mask: (bin(mask).count("1"), mask))
             draws = sparse_draws(m, rng)
             assert [pricing._sum_dtype(sum(nums), np) is object
                     for nums, _ in draws] == [False] * 3 + [m > 1] * 2
@@ -322,6 +325,8 @@ def test_scan_plans_match_the_dense_scan_at_every_budget():
                                ("length", exact_length_budget)):
                 values = (table.min_regret if kind == "regret"
                           else table.min_length)
+                ref_values = (ref.min_regret if kind == "regret"
+                              else ref.min_length)
                 for budget in range(int(values[1:].max()) + 1):
                     for rewards in draws:
                         got = scan(table, rewards, budget)[0]
@@ -331,6 +336,9 @@ def test_scan_plans_match_the_dense_scan_at_every_budget():
                             want.path.nodes, want.value)
                     assert (table.plan.kind, table.plan.budget) == (
                         kind, budget)
+                    assert table.plan.masks.dtype == np.intp
+                    assert table.plan.masks.tolist() == [
+                        mask for mask in order if ref_values[mask] <= budget]
 
 
 def test_sixteen_client_table_matches_reference():

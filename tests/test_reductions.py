@@ -2,16 +2,18 @@
 k-path covers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import dvrp_reference
-from regret_route.core import InfeasibleError, Instance
+from regret_route.core import InfeasibleError, Instance, RootedPath
 from regret_route.harness import (brute_force_dvrp, brute_force_krvrp,
                                   brute_force_rvrp, gen_euclidean, gen_ladder,
                                   gen_line, gen_random_metric, verify)
 from regret_route.reductions import (
+    _prune_redundant,
     cover_lower_bound,
     dvrp_dp_state,
     solve_dvrp_dp,
@@ -182,6 +184,23 @@ def test_reduction_cover_check_survives_optimized_python(
 
 
 # --- distance caps ---------------------------------------------------------------
+
+def test_prune_redundant_matches_the_restarting_loop():
+    rng = random.Random(18)
+    pruned = 0
+    for trial in range(200):
+        inst = gen_euclidean(rng.randint(2, 9), trial)
+        clients = list(inst.clients)
+        paths = []
+        for _ in range(rng.randint(0, 8)):
+            seq = rng.sample(clients, rng.randint(0, len(clients)))
+            paths.append(RootedPath.build(inst, [inst.root] + seq))
+        paths += rng.sample(paths, min(len(paths), rng.randint(0, 2)))
+        got = [p.nodes for p in _prune_redundant(paths)]
+        assert got == [p.nodes for p in dvrp_reference.prune_redundant(paths)]
+        pruned += len(got) < len(paths)
+    assert pruned > 100
+
 
 def test_dvrp_dp_line_single_path():
     inst = gen_line([0, 1, 2])
