@@ -10,11 +10,18 @@ inst.clients, which is how the covering master hands over its duals; every
 comparison is an integer comparison and only the returned value is a
 Fraction.
 
-Each exact scan returns up to COLUMNS_PER_ROUND = 8 improving columns,
-one per client set, best first: most reward (or least excess), then fewest
-nodes, then the smallest mask; when nothing improves, the trivial path at
-0 alone. All three go through one picker, _columns, which takes first
-maxima of the scan's score array, overwriting each pick with 0.
+Each exact scan returns up to COLUMNS_PER_ROUND = 8 columns, one per
+client set, each with its true value. The min-excess scan returns those of
+negative excess, least first. A bounded scan returns those whose reward
+sum is above a floor (0 unless given), largest guide sum first, where the
+guide is a second set of scaled rewards (the rewards themselves unless
+given): column generation guides by a smoothed copy of the duals and sets
+the floor at its admission test. Ties go to fewer nodes, then the smallest
+mask; when nothing qualifies, the trivial path at 0 alone. All three go
+through one picker, _columns, which takes first maxima of the scan's score
+array, overwriting each pick with 0. A bounded scan scores a mask guide
+sum + 1 above the floor and 0 elsewhere, so a mask above the floor whose
+guide sum is 0 is still picked.
 
 A bounded scan (exact_orienteering, exact_length_budget) can only return
 a client set whose least regret or length is within the budget, and that
@@ -38,7 +45,8 @@ is chosen from a bound on the values it must hold:
   uint16 when ((m+2)·max_edge + 1) << s < 2^16, then int32, int64 and
   object on the same rule with 2^31 and 2^63, and the table holds them in
   the wider of the cost and key dtypes until it is split (see HKTable);
-* reward sums are int64 when the scaled total fits 2^62, else object;
+* reward and guide sums are int64 when the scaled total fits 2^62, else
+  object;
 * the min-excess scan bounds (max(|min_regret|, 1)·den + Σ rewards + 1)·
   (m+1) the same way before it multiplies.
 
@@ -76,7 +84,7 @@ CELL_BYTES = 11
 TABLE_BUDGET_BYTES = 256 << 20
 # Bytes of keys per chunk of masks while the table is built.
 CHUNK_BYTES = 64 << 10
-# The most columns an exact scan returns, the most improving first. Four
+# The most columns an exact scan returns. Four
 # took more column-generation rounds for a slower solve, sixteen were no
 # faster than eight.
 COLUMNS_PER_ROUND = 8
@@ -346,52 +354,63 @@ def _columns(t: HKTable, score, mask_of, end_of,
     """Up to COLUMNS_PER_ROUND columns from the positive entries of score,
     one first maximum at a time, each overwritten with 0: entry i is the
     client set mask_of(i), its path ends at end_of(mask) and its value is
-    value_of(score[i]). With no positive entry, the trivial path at 0."""
+    value_of(i). With no positive entry, the trivial path at 0."""
     columns = []
     while len(score) and len(columns) < COLUMNS_PER_ROUND:
         pick = int(score.argmax())
-        best = int(score[pick])
-        if best <= 0:
+        if score[pick] <= 0:
             break
         score[pick] = 0
         mask = mask_of(pick)
         columns.append(PricedPath(t.path_for(mask, end_of(mask)),
-                                  value_of(best)))
+                                  value_of(pick)))
     return columns or [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
 
 
 def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
-                     kind: str) -> List[PricedPath]:
-    """Up to COLUMNS_PER_ROUND rooted paths of positive reward whose regret
-    or length is at most budget, the most reward first."""
+                     kind: str, guide: Optional[ScaledRewards],
+                     floor: int) -> List[PricedPath]:
+    """Up to COLUMNS_PER_ROUND rooted paths whose regret or length is at
+    most budget and whose reward sum, in units of 1/den, is above floor:
+    the largest guide sum first, each with its true reward. The guide is
+    scored as its sum + 1, so a mask above floor whose guide sum is 0 is
+    still picked; guide None scores the rewards themselves."""
     if budget < 0:
         raise ValueError(f"negative {kind} budget")
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
     masks = _plan_for(t, kind, budget).masks
-    return _columns(t, _reward_sums(nums, np).take(masks),
-                    lambda i: int(masks[i]),
+    sums = _reward_sums(nums, np).take(masks)
+    score = (sums if guide is None else _reward_sums(
+        _checked_rewards(guide, t.clients)[0], np).take(masks)) + 1
+    score[sums <= floor] = 0
+    return _columns(t, score, lambda i: int(masks[i]),
                     lambda mask: t.end_within(mask, kind, budget),
-                    lambda best: Fraction(best, den))
+                    lambda i: Fraction(int(sums[i]), den))
 
 
-def exact_orienteering(table: HKTable, rewards: ScaledRewards,
-                       budget: int) -> List[PricedPath]:
-    """The max-reward rooted paths of the table's instance with regret at
-    most budget, best first; exact.
+def exact_orienteering(table: HKTable, rewards: ScaledRewards, budget: int,
+                       guide: Optional[ScaledRewards] = None,
+                       floor: int = 0) -> List[PricedPath]:
+    """The rooted paths of the table's instance with regret at most budget
+    and reward above floor/den, the largest guide sum first (by default the
+    reward itself); exact.
 
     Ties are broken toward fewer nodes, then a fixed canonical order. With
-    all-zero rewards this is the trivial path at reward 0 alone.
+    nothing above floor (all-zero rewards, say) this is the trivial path at
+    reward 0 alone.
     """
-    return _max_reward_scan(table, rewards, budget, "regret")
+    return _max_reward_scan(table, rewards, budget, "regret", guide, floor)
 
 
-def exact_length_budget(table: HKTable, rewards: ScaledRewards,
-                        budget: int) -> List[PricedPath]:
-    """The max-reward rooted paths of the table's instance with total
-    length at most budget, best first; exact."""
-    return _max_reward_scan(table, rewards, budget, "length")
+def exact_length_budget(table: HKTable, rewards: ScaledRewards, budget: int,
+                        guide: Optional[ScaledRewards] = None,
+                        floor: int = 0) -> List[PricedPath]:
+    """The rooted paths of the table's instance with total length at most
+    budget and reward above floor/den, ordered as exact_orienteering's;
+    exact."""
+    return _max_reward_scan(table, rewards, budget, "length", guide, floor)
 
 
 def exact_min_excess_pricing(table: HKTable,
@@ -427,7 +446,8 @@ def exact_min_excess_pricing(table: HKTable,
     return _columns(t, score, lambda i: i + 1,
                     lambda mask: t.end_within(mask, "regret",
                                               int(t.min_regret[mask])),
-                    lambda best: Fraction((-best) // w, den))
+                    lambda i: Fraction(int(regret[i]) * den
+                                       - int(sums[i]) // w, den))
 
 
 def _insertion_deltas(row: Sequence[int], links) -> List[int]:

@@ -6,7 +6,7 @@ build that the packed-key build replaced: one argmin per (layer, end).
 dense_bounded_scan is the numpy bounded scan that the per-budget scan plan
 replaced: every round sums the rewards of all 2^m masks and filters them
 by the budget.  ranking orders every mask the way a scan returns its
-columns.  The tests require the vectorised table and pricers to agree with
+columns, by the rewards or by a guide, above a floor.  The tests require the vectorised table and pricers to agree with
 them exactly: the same costs, parent pointers, per-mask optima and
 canonical ends, and the same (path, value) list from every pricer.
 """
@@ -239,34 +239,39 @@ def min_excess(t, rewards):
                       Fraction(best, den))
 
 
-def ranking(t, rewards, kind, budget=None):
-    """Every improving column a scan may return, in its order, cut at
-    COLUMNS_PER_ROUND: the masks within budget by (-reward, popcount, mask)
-    with positive reward for kind "regret" or "length", or every mask by
-    (excess, popcount, mask) with negative excess for kind "min_excess"."""
+def ranking(t, rewards, kind, budget=None, guide=None, floor=0):
+    """Every column a scan may return, in its order, cut at
+    COLUMNS_PER_ROUND: for kind "regret" or "length" the masks within
+    budget whose reward is above floor, by (-guide sum, popcount, mask),
+    the guide being the rewards unless given; for kind "min_excess" every
+    mask of negative excess by (excess, popcount, mask). Each column comes
+    with its reward (or excess)."""
     nums, den = scaled_rewards(t.clients, rewards)
     sums = _reward_sums(nums, t.m)
+    guide_sums = _reward_sums(
+        scaled_rewards(t.clients, rewards if guide is None else guide)[0],
+        t.m)
     D = t.inst.root_dist
     ranked = []
     for mask in range(1, 1 << t.m):
         if kind == "min_excess":
             key = t.min_regret[mask] * den - sums[mask]
-        elif (t.min_regret if kind == "regret" else t.min_length)[mask] \
-                <= budget:
-            key = -sums[mask]
-        else:
-            continue
-        if key < 0:
-            ranked.append((key, bin(mask).count("1"), mask))
+            if key < 0:
+                ranked.append((key, bin(mask).count("1"), mask))
+        elif ((t.min_regret if kind == "regret" else t.min_length)[mask]
+              <= budget and Fraction(sums[mask], den) > floor):
+            ranked.append((-guide_sums[mask], bin(mask).count("1"), mask))
     ranked.sort()
     out = []
-    for key, _, mask in ranked[:pricing.COLUMNS_PER_ROUND]:
+    for _, _, mask in ranked[:pricing.COLUMNS_PER_ROUND]:
         if kind == "min_excess":
             out.append(PricedPath(t.path_for(mask, t.regret_end[mask]),
-                                  Fraction(key, den)))
+                                  Fraction(t.min_regret[mask] * den
+                                           - sums[mask], den)))
             continue
         row = t.cost[mask]
         end = next(i for i in _bits(mask) if row[i] - (
             D[t.clients[i]] if kind == "regret" else 0) <= budget)
-        out.append(PricedPath(t.path_for(mask, end), Fraction(-key, den)))
+        out.append(PricedPath(t.path_for(mask, end),
+                              Fraction(sums[mask], den)))
     return out

@@ -229,13 +229,18 @@ def test_matches_fraction_reference_on_column_generation(monkeypatch, shape,
     # Column generation's own scripts at the sizes the benchmark solves:
     # 16 clients price exactly, 20 and 24 heuristically; the krvrp min-sum
     # LP carries the budget row. An exact scan admits several columns a
-    # round, so at 16 clients another instance, a wider regret bound and a
-    # one-path budget keep the script long: batches of several columns
-    # resume the master, at least 28 times.
-    seed, halves, k = (8, 3, 1) if nodes == 17 else (1, 1, 3)
+    # round, and the regret LP picks them by smoothed duals, so at 16
+    # clients other instances, a regret bound of 11/4 maxD and a one-path
+    # budget keep the script long: batches of several columns resume the
+    # master, at least 28 times.
+    if nodes == 17:
+        seed, quarters, k = (16 if shape == "rvrp" else 8), 11, 1
+    else:
+        seed, quarters, k = 1, 2, 3
     inst = gen_euclidean(nodes, seed)
     if shape == "rvrp":
-        lp_run = lambda: solve_rvrp_lp(inst, halves * max(inst.root_dist) // 2)
+        lp_run = lambda: solve_rvrp_lp(inst,
+                                       quarters * max(inst.root_dist) // 4)
     else:
         lp_run = lambda: solve_minsum_lp(inst, k)
     clients, budget, batches = _recorded_script(monkeypatch, lp_run)

@@ -487,10 +487,10 @@ def test_heuristic_suite_deterministic():
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
     "smoke": "d880b985bdf780ee35d754a6eed551887a87d107d7f111151be7a5d551a50272",
-    "rvrp": "0f872643b73bda4aa6076e60058ec64005b875190f6fff10b6760d843a083758",
+    "rvrp": "546a6c675f6445e9fa70de79b99423a49d73bc66b161dd29c4eb50ac4e809808",
     "caps": "8a56fd5a7805c8bb02aff31007579a04b6edbdb2466971657afbd96242d0abd2",
     "heuristic":
-        "b3b03425abe79165474e8d9e5f0e3df58c533f86452e5479fdf4cc4557cd99f2",
+        "028dc456fd21395148cdcfebcff2275450dba2dffa6f13a798fadcd39c4e0ecf",
 }
 
 

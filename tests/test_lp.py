@@ -1,10 +1,13 @@
 """Configuration-LP column generation against independent references."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cg_reference
 from regret_route.core import (InfeasibleError, Instance, RootedPath,
                                SolverError)
 from regret_route.exactlp import CoveringMaster
@@ -313,3 +316,57 @@ def test_several_columns_per_round_keep_the_lp_value(monkeypatch, solve, arg):
         assert sol.value == one.value
         assert sol.rounds <= one.rounds
         assert len(sol.columns) - seeds > sol.rounds - 1
+
+
+def assert_matches_reference(sol, inst, column_bound, **kwargs):
+    ref = cg_reference.column_generation(inst, column_bound, **kwargs)
+    assert (sol.value, sol.certified) == (ref.value, ref.certified)
+    return ref
+
+
+def test_guided_count_lps_match_the_unguided_reference():
+    # The regret and length LPs pick columns by a stability center, the
+    # reference by the master's duals; both certify the same optimum. The
+    # round counts must differ somewhere, or the center is not in use.
+    rng = random.Random(7)
+    moved = 0
+    for trial in range(12):
+        n = rng.randint(7, 13)
+        inst = (gen_random_metric(n, 300 + trial) if trial % 2
+                else gen_euclidean(n, 300 + trial))
+        maxd = max(inst.root_dist)
+        for R in (0, maxd // 4, maxd // 2, maxd):
+            sol = solve_rvrp_lp(inst, R)
+            ref = assert_matches_reference(sol, inst, ("regret", R))
+            moved += sol.rounds != ref.rounds
+        for D in (maxd, maxd + maxd // 2, 2 * maxd):
+            sol = solve_dvrp_lp(inst, D)
+            ref = assert_matches_reference(sol, inst, ("length", D))
+            moved += sol.rounds != ref.rounds
+    assert moved
+
+
+def test_fanout_14_count_lps_match_the_unguided_reference(monkeypatch):
+    # Every count LP of one pass over the benchmark's fanout-14 workload at
+    # seed 1: dvrp-dp's sub-solves, dvrp-lp and its parts, mult's rings and
+    # nonuniform's classes.
+    from regret_route import lp
+    from regret_route.harness import run_solver
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    checked = []
+    real = lp.column_generation
+
+    def checking(inst, column_bound=None, **kwargs):
+        sol = real(inst, column_bound, **kwargs)
+        assert column_bound is not None and sol.certified
+        assert_matches_reference(sol, inst, column_bound, **kwargs)
+        checked.append(column_bound[0])
+        return sol
+
+    monkeypatch.setattr(lp, "column_generation", checking)
+    for job in workloads.build("fanout-14", 1):
+        run_solver(job["solver"], job["instance"], job["params"])
+    assert len(checked) > 100 and set(checked) == {"regret", "length"}

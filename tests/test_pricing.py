@@ -292,6 +292,115 @@ def test_table_and_pricers_match_reference_on_tied_lines():
     cross_check(uniform, rng, (0, 1, 3, 8))
 
 
+# --- guided scans ------------------------------------------------------------
+
+def guide_draws(inst, rng, rewards):
+    """Guides for one reward draw: the rewards themselves, all zero (a mask
+    above the floor then scores the + 1 alone), the rewards with a random
+    half of the clients zeroed, random values, and random values with
+    the first client's over 2^63 + 1, so that the others scale past 2^62
+    and their sums take the object path."""
+    clients = list(inst.clients)
+    half = set(rng.sample(clients, len(clients) // 2))
+    return [rewards, {},
+            {v: x for v, x in rewards.items() if v not in half},
+            {v: Fraction(rng.randint(0, 20), rng.randint(1, 4))
+             for v in clients},
+            {v: Fraction(rng.randint(1, 20), (1 << 63) + 1 if v == clients[0]
+                         else 1) for v in clients}]
+
+
+def mask_of(table, path):
+    index = {v: i for i, v in enumerate(table.clients)}
+    return sum(1 << index[v] for v in path.nodes[1:])
+
+
+def priced(columns):
+    return [(p.path.nodes, p.value) for p in columns]
+
+
+def test_guided_scans_match_the_reference_ranking():
+    # A guided scan returns the masks within budget whose true reward is
+    # above floor, by (guide sum, fewest nodes, smallest mask), each at its
+    # true reward; the trivial path alone exactly when no mask clears the
+    # floor; and the rewards as their own guide over floor 0 give the
+    # unguided scan.
+    rng = random.Random(21)
+    cases, dtypes = set(), set()
+    for m in (1, 2, 4, 7, 10):
+        for inst in (gen_euclidean(m + 1, 700 + m),
+                     gen_random_metric(m + 1, 750 + m)):
+            table = HKTable(inst)
+            ref = hk_reference.ReferenceTable(inst)
+            top = max(map(max, inst.dist))
+            lone = [(RootedPath.trivial(inst).nodes, Fraction(0))]
+            for rewards in reward_draws(inst, rng, 1):
+                query = nums, den = ints(inst, rewards)
+                sums = hk_reference._reward_sums(nums, m)
+                for budget, (kind, scan) in itertools.product(
+                        (0, rng.randint(1, top), 3 * top),
+                        (("regret", exact_orienteering),
+                         ("length", exact_length_budget))):
+                    values = (ref.min_regret if kind == "regret"
+                              else ref.min_length)
+                    plain = priced(scan(table, query, budget))
+                    assert priced(scan(table, query, budget, guide=query,
+                                       floor=0)) == plain
+                    assert plain == (priced(hk_reference.ranking(
+                        ref, rewards, kind, budget)) or lone)
+                    for guide in guide_draws(inst, rng, rewards):
+                        floor = rng.choice((0, den, rng.randint(0, sum(nums))))
+                        scaled = ints(inst, guide)
+                        dtypes.add(pricing._sum_dtype(sum(scaled[0]), np))
+                        got = scan(table, query, budget, guide=scaled,
+                                   floor=floor)
+                        want = hk_reference.ranking(
+                            ref, rewards, kind, budget, guide=guide,
+                            floor=Fraction(floor, den))
+                        clears = any(values[mask] <= budget
+                                     and sums[mask] > floor
+                                     for mask in range(1, 1 << m))
+                        assert (priced(got) == lone) == (not clears)
+                        assert priced(got) == (priced(want) or lone)
+                        if not clears:
+                            continue
+                        assert all(p.value * den > floor for p in got)
+                        guide_sums = hk_reference._reward_sums(scaled[0], m)
+                        keys = [(-guide_sums[mask], bin(mask).count("1"),
+                                 mask)
+                                for mask in (mask_of(table, p.path)
+                                             for p in got)]
+                        assert keys == sorted(keys)
+                        cases.add((not any(scaled[0]), floor > 0))
+    # all-zero and other guides returned columns at floor 0 and above, and
+    # guide sums took both the int64 and the object path
+    assert cases == {(True, True), (True, False), (False, True),
+                     (False, False)}
+    assert dtypes == {np.int64, object}
+
+
+def test_a_zero_guide_sum_above_the_floor_is_still_picked():
+    # Clients at 1, 2 and 4 on a line: every client set has regret 0. The
+    # sets of reward above 2 are {1}, {1, 2}, {1, 3} and {1, 2, 3}; under an
+    # all-zero guide they tie and come by fewest nodes, then smallest mask,
+    # each at its true reward.
+    inst = line_instance()
+    table = HKTable(inst)
+    got = exact_orienteering(table, ([3, 1, 1], 1), 0, guide=([0, 0, 0], 1),
+                             floor=2)
+    assert priced(got) == [((0, 1), 3), ((0, 1, 2), 4), ((0, 1, 3), 4),
+                           ((0, 1, 2, 3), 5)]
+    # a guide on client 3 alone puts the sets holding it first
+    got = exact_orienteering(table, ([3, 1, 1], 1), 0, guide=([0, 0, 5], 7),
+                             floor=2)
+    assert priced(got) == [((0, 1, 3), 4), ((0, 1, 2, 3), 5), ((0, 1), 3),
+                           ((0, 1, 2), 4)]
+    # nothing above the floor: the trivial path alone, whatever the guide
+    got, = exact_length_budget(table, ([3, 1, 1], 1), 8, guide=([1, 1, 1], 1),
+                               floor=5)
+    assert got.path.is_trivial and got.value == 0
+
+
 # --- scan plans vs. the dense bounded scan -----------------------------------
 
 def sparse_draws(m, rng):
