@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 INF = 1 << 60
@@ -353,6 +354,57 @@ def check_cap(inst: Instance, cap) -> int:
         raise InfeasibleError(
             f"nodes {far} lie beyond distance {cap} from the root", nodes=far)
     return cap
+
+
+def check_regret(R) -> int:
+    """The additive regret bound as an int; ValueError if negative."""
+    R = _as_int(R, "regret bound")
+    if R < 0:
+        raise ValueError("regret bound must be nonnegative")
+    return R
+
+
+def check_path_budget(k) -> int:
+    """The path budget as an int; ValueError below 1."""
+    k = _as_int(k, "path budget")
+    if k < 1:
+        raise ValueError("path budget must be at least 1")
+    return k
+
+
+def deadlines(inst: Instance, mode: str, param) -> Dict[int, int]:
+    """The latest time each client may be reached, on every path through
+    it, under a verify mode and its parameter: D_v + R for ``rvrp``,
+    D_v + b_v for ``nonuniform``, floor(ratio * D_v) for ``multiplicative``
+    (visit times are ints) and the cap for ``dvrp`` (a path's length is its
+    last visit time).  The parameter is refused as the mode's solver
+    refuses it, but a cap below some D_v is not: those clients are late.
+    """
+    D = inst.root_dist
+    if mode == "rvrp":                  # one bound for every client
+        param = dict.fromkeys(inst.clients, check_regret(param))
+    if mode in ("rvrp", "nonuniform"):
+        return {v: D[v] + b for v, b in node_bounds(inst, param).items()}
+    if mode == "multiplicative":
+        ratio = Fraction(param)
+        if ratio < 1:
+            raise ValueError("multiplicative bound must be at least 1")
+        return {v: int(ratio * D[v]) for v in inst.clients}   # floor: >= 0
+    if mode == "dvrp":
+        return dict.fromkeys(inst.clients, _as_int(param, "distance cap"))
+    raise ValueError(f"unknown verification mode {mode!r}")
+
+
+def require_deadlines(inst: Instance, paths: Sequence[RootedPath],
+                      deadline: Mapping[int, int], cover_msg: str) -> None:
+    """Raise SolverError unless every visit after the root, not only a
+    node's first, meets the node's deadline (a node without one is always
+    late) and every node with one is visited; cover_msg is require_cover's."""
+    for p in paths:
+        for i, v in enumerate(p.nodes[1:], 1):
+            if p.visit_cost(i, inst) > deadline.get(v, -1):
+                raise SolverError(f"node {v} visited too late")
+    require_cover(paths, deadline, cover_msg)
 
 
 def node_bounds(inst: Instance, bounds: Mapping) -> Dict[int, int]:

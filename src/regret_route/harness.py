@@ -16,7 +16,8 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
 
 from . import reductions
 from .core import (Instance, RootedPath, InfeasibleError, _as_int, check_cap,
-                   metric_from_edges, node_bounds)
+                   check_path_budget, check_regret, deadlines,
+                   metric_from_edges)
 from .lp import FractionalSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, OracleUnavailableError,
                       check_exact_threshold, table_for)
@@ -151,9 +152,7 @@ def _cover_count(optima: Sequence[int], bound: int) -> int:
 def brute_force_rvrp(inst: Instance, R: int,
                      limit: int = ORACLE_LIMIT) -> int:
     """Exact minimum number of regret-<=R rooted paths covering all clients."""
-    R = _as_int(R, "regret bound")
-    if R < 0:
-        raise ValueError("regret bound must be nonnegative")
+    R = check_regret(R)
     return _cover_count(_optima(inst, limit, "min_regret"), R)
 
 
@@ -167,9 +166,7 @@ def brute_force_dvrp(inst: Instance, cap: int,
 def brute_force_krvrp(inst: Instance, k: int,
                       limit: int = ORACLE_LIMIT) -> int:
     """Exact minimum over <=k-path covers of the maximum path regret."""
-    k = _as_int(k, "path budget")
-    if k < 1:
-        raise ValueError("path budget must be at least 1")
+    k = check_path_budget(k)
     regrets = _optima(inst, limit, "min_regret")
     values = sorted(set(regrets)) or [0]
     lo, hi = 0, len(values) - 1
@@ -252,45 +249,11 @@ ORACLES = {"rvrp": (brute_force_rvrp, "regret", "count"),
 
 # --- verifier ---------------------------------------------------------------
 
-def _length_check(inst: Instance, visits: Mapping, lengths: Mapping,
-                  cap) -> List[dict]:
-    cap = _as_int(cap, "distance cap")
-    return [{"kind": "length", "path": idx,
-             "detail": f"length {cost} exceeds {cap}"}
-            for idx, cost in sorted(lengths.items()) if cost > cap]
-
-
-def _visit_time_check(inst: Instance, visits: Mapping, lengths: Mapping,
-                      ratio) -> List[dict]:
-    ratio, D = Fraction(ratio), inst.root_dist
-    return [{"kind": "visit_time", "node": v,
-             "detail": f"first visit {min(t)} exceeds {ratio} * {D[v]}"}
-            for v, t in sorted(visits.items()) if min(t) > ratio * D[v]]
-
-
-def _node_regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
-                       bounds) -> List[dict]:
-    bound = node_bounds(inst, bounds)
-    D = inst.root_dist
-    return [{"kind": "regret", "node": v,
-             "detail": f"best regret {min(t) - D[v]} exceeds "
-                       f"{bound[v]}"}
-            for v, t in sorted(visits.items()) if min(t) - D[v] > bound[v]]
-
-
-def _regret_check(inst: Instance, visits: Mapping, lengths: Mapping,
-                  R) -> List[dict]:
-    R = _as_int(R, "regret bound")
-    return _node_regret_check(inst, visits, lengths,
-                              dict.fromkeys(inst.clients, R))
-
-
-# Verify mode -> (its parameter, which is also its CLI flag; the check of
-# first-visit times per node and lengths per path against that parameter).
-VERIFY_MODES = {"rvrp": ("regret", _regret_check),
-                "dvrp": ("dist", _length_check),
-                "multiplicative": ("ratio", _visit_time_check),
-                "nonuniform": ("bounds", _node_regret_check)}
+# Verify mode -> (its parameter, which is also its CLI flag; the kind of a
+# failure to reach a client by the deadline core.deadlines gives it).
+VERIFY_MODES = {"rvrp": ("regret", "regret"), "dvrp": ("dist", "length"),
+                "multiplicative": ("ratio", "visit_time"),
+                "nonuniform": ("bounds", "regret")}
 
 
 def verify(inst: Instance, paths: Iterable, mode: str,
@@ -299,53 +262,60 @@ def verify(inst: Instance, paths: Iterable, mode: str,
 
     Accepts raw node sequences or path objects, trusting neither costs
     nor regrets.  Checks structure (rooted, valid ids, no repeats),
-    coverage, and the per-mode guarantee; failures become report entries
-    rather than exceptions.
+    coverage, and that every visit of a client, not only its first, meets
+    its core.deadlines deadline: a failure per late visit, or under dvrp,
+    where every deadline is the cap, per path too long.  Failures become
+    report entries; a parameter the mode's solver refuses raises there.
     """
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
-    key, check = VERIFY_MODES[mode]
+    key, kind = VERIFY_MODES[mode]
     params = dict(params or {})
     if params.get(key) is None:
         raise ValueError(f"verification mode {mode!r} requires the "
                          f"{key!r} parameter")
+    deadline = deadlines(inst, mode, params[key])
     failures: List[dict] = []
     D, dist = inst.root_dist, inst.dist
 
     seqs = [list(p.nodes) if isinstance(p, RootedPath) else
             [int(v) for v in p] for p in paths]
-    visits: Dict[int, List[int]] = {}
+    seen: Dict[int, int] = {}       # client -> its earliest visit time
     lengths: Dict[int, int] = {}
     for idx, seq in enumerate(seqs):
+        malformed = None
         if not seq or seq[0] != inst.root:
+            malformed = "path does not start at the root"
+        elif any(not 0 <= v < inst.n for v in seq):
+            malformed = "node id out of range"
+        elif len(set(seq)) != len(seq):
+            malformed = "repeated node"
+        if malformed:
             failures.append({"kind": "structure", "path": idx,
-                             "detail": "path does not start at the root"})
+                             "detail": malformed})
             continue
-        if any(not 0 <= v < inst.n for v in seq):
-            failures.append({"kind": "structure", "path": idx,
-                             "detail": "node id out of range"})
-            continue
-        if len(set(seq)) != len(seq):
-            failures.append({"kind": "structure", "path": idx,
-                             "detail": "repeated node"})
-            continue
-        cost = 0
+        cost, path_late = 0, []
         for u, v in zip(seq, seq[1:]):
             cost += dist[u][v]
-            visits.setdefault(v, []).append(cost)
+            seen[v] = min(seen.get(v, cost), cost)
+            if cost > deadline[v]:
+                path_late.append({"kind": kind, "node": v, "detail":
+                                  f"visit {cost} on path {idx} exceeds its "
+                                  f"deadline {deadline[v]}"})
         lengths[idx] = cost
+        if kind == "length" and path_late:
+            # every deadline is the cap, so the last visit is late too
+            path_late = [{"kind": kind, "path": idx, "detail":
+                          f"length {cost} exceeds {deadline[seq[-1]]}"}]
+        failures.extend(path_late)
 
-    missing = sorted(set(inst.clients) - set(visits))
-    for v in missing:
+    for v in sorted(set(inst.clients) - set(seen)):
         failures.append({"kind": "coverage", "node": v,
                          "detail": "client not visited by any path"})
 
-    failures.extend(check(inst, visits, lengths, params[key]))
-
-    regs = [min(t) - D[v] for v, t in visits.items()]
-    stats = {"paths": len(seqs), "covered": len(visits),
+    stats = {"paths": len(seqs), "covered": len(seen),
              "max_length": max(lengths.values(), default=0),
-             "max_regret": max(regs, default=0),
+             "max_regret": max((t - D[v] for v, t in seen.items()), default=0),
              "total_regret": sum(cost - D[seqs[idx][-1]]
                                  for idx, cost in lengths.items())}
     return {"mode": mode, "ok": not failures, "failures": failures,

@@ -37,8 +37,9 @@ from fractions import Fraction
 from functools import partial
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from .core import (Instance, RootedPath, SolverError, _as_int, check_cap,
-                   farthest_node, preprocess_path_pair)
+from .core import (Instance, RootedPath, SolverError, check_cap,
+                   check_path_budget, check_regret, farthest_node,
+                   preprocess_path_pair)
 from .exactlp import CoveringMaster, MasterSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, PricedPath, ScaledRewards,
                       exact_length_budget, exact_min_excess_pricing,
@@ -269,10 +270,7 @@ def solve_rvrp_lp(inst: Instance, R: int,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                   ) -> FractionalSolution:
     """Fractional minimum number of regret-<=R rooted paths covering all."""
-    R = _as_int(R, "regret bound")
-    if R < 0:
-        raise ValueError("regret bound must be nonnegative")
-    return column_generation(inst, column_bound=("regret", R),
+    return column_generation(inst, column_bound=("regret", check_regret(R)),
                              exact_threshold=exact_threshold)
 
 
@@ -280,8 +278,8 @@ def solve_dvrp_lp(inst: Instance, D: int,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                   ) -> FractionalSolution:
     """Fractional minimum number of length-<=D rooted paths covering all."""
-    D = check_cap(inst, D)
-    return column_generation(inst, column_bound=("length", D),
+    return column_generation(inst,
+                             column_bound=("length", check_cap(inst, D)),
                              exact_threshold=exact_threshold)
 
 
@@ -289,10 +287,7 @@ def solve_minsum_lp(inst: Instance, k: int,
                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD
                     ) -> FractionalSolution:
     """Fractional minimum total regret using at most k rooted paths."""
-    k = _as_int(k, "path budget")
-    if k < 1:
-        raise ValueError("path budget must be at least 1")
-    return column_generation(inst, count_cap=k,
+    return column_generation(inst, count_cap=check_path_budget(k),
                              exact_threshold=exact_threshold)
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import (Instance, RootedPath, _as_int, check_cap, induced_instance,
-                   node_bounds, regret_distance, require, require_cover,
+from .core import (Instance, RootedPath, check_cap, check_path_budget,
+                   check_regret, deadlines, induced_instance, node_bounds,
+                   regret_distance, require, require_deadlines,
                    zero_regret_cover)
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
@@ -29,9 +30,7 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
     goes through the configuration LP and the rounding pipeline, so the
     number of paths is within a constant factor of the fractional optimum.
     """
-    R = _as_int(R, "regret bound")
-    if R < 0:
-        raise ValueError("regret bound must be nonnegative")
+    R = check_regret(R)
     threshold = check_threshold(threshold)
     if diagnostics is None:
         diagnostics = {}
@@ -74,7 +73,7 @@ def solve_multiplicative(inst: Instance, ratio,
                          exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                          diagnostics: Optional[dict] = None
                          ) -> List[RootedPath]:
-    """Cover all clients so node v is first visited within ratio * D_v.
+    """Cover all clients so every visit of node v is within ratio * D_v.
 
     Clients are bucketed into distance rings V_i = {2^(i-1) <= D_v < 2^i}.
     Each ring gets an additive solve at bound floor((ratio-1) * 2^(i-2)),
@@ -82,11 +81,11 @@ def solve_multiplicative(inst: Instance, ratio,
     one walk (shortcut past the repeated root, which only hastens visits).
     The chain period M is large enough that earlier segments of a walk are
     geometrically shorter than the ring ahead, keeping every visit within
-    the multiplicative budget; each visit time is asserted exactly.
+    the multiplicative budget; every visit is checked against its deadline
+    floor(ratio * D_v).
     """
     ratio = Fraction(ratio)
-    if ratio < 1:
-        raise ValueError("multiplicative bound must be at least 1")
+    deadline = deadlines(inst, "multiplicative", ratio)
     if diagnostics is None:
         diagnostics = {}
     if ratio == 1:
@@ -129,16 +128,7 @@ def solve_multiplicative(inst: Instance, ratio,
         head = RootedPath.build(inst, [inst.root] + zero_clients + list(rest))
         walks = [head] + walks[1:]
 
-    seen = set()
-    for w in walks:
-        for idx, v in enumerate(w.nodes):
-            if v in seen or v == inst.root:
-                continue
-            seen.add(v)
-            # exact rational check of the headline guarantee
-            require(w.visit_cost(idx, inst) <= ratio * D[v],
-                    f"node {v} visited too late")
-    require_cover(walks, inst.clients, "walks miss clients {}")
+    require_deadlines(inst, walks, deadline, "walks miss clients {}")
     diagnostics.update(rings=ring_info, chain_period=period,
                        path_count=len(walks), subsolves=len(covers))
     return walks
@@ -232,6 +222,7 @@ def dvrp_dp_state(inst: Instance, cap: int,
     of solving every scale; only subsolves is lower.
     """
     cap = check_cap(inst, cap)
+    deadline = deadlines(inst, "dvrp", cap)
     D = inst.root_dist
     clients = set(inst.clients)
     min_d = min((D[v] for v in clients), default=0)
@@ -278,9 +269,8 @@ def dvrp_dp_state(inst: Instance, cap: int,
         choice.append(k)
         require(len(merged) <= count,
                 f"{len(merged)} paths at level {i} exceed F = {count}")
-        require(all(p.cost <= cap for p in merged),
-                f"a path at level {i} is longer than the cap {cap}")
-        require_cover(merged, S[i], f"level {i} leaves nodes {{}} uncovered")
+        require_deadlines(inst, merged, {v: deadline[v] for v in S[i]},
+                          f"level {i} leaves nodes {{}} uncovered")
     return DvrpDpState(cap=cap, M=M, S=S, F=F, P=P, choice=choice,
                        subsolves=subsolves)
 
@@ -291,10 +281,6 @@ def solve_dvrp_dp(inst: Instance, cap: int,
     """Cover all clients with rooted paths of length at most cap (DP route)."""
     if diagnostics is None:
         diagnostics = {}
-    if not inst.clients:
-        check_cap(inst, cap)
-        diagnostics.update(path_count=0, subsolves=0)
-        return []
     state = dvrp_dp_state(inst, cap, exact_threshold=exact_threshold)
     diagnostics.update(
         cap=state.cap, levels=state.M,
@@ -379,11 +365,10 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
 
     paths: List[RootedPath] = []
     for center, members in parts:
-        got = _cover_subset(inst, members, cap - D[center], exact_threshold)
-        require(all(p.cost <= cap for p in got),
-                f"a path of center {center}'s part is longer than {cap}")
-        paths.extend(got)
-    require_cover(paths, inst.clients, "parts leave clients {} uncovered")
+        paths.extend(_cover_subset(inst, members, cap - D[center],
+                                   exact_threshold))
+    require_deadlines(inst, paths, deadlines(inst, "dvrp", cap),
+                      "parts leave clients {} uncovered")
     diagnostics.update(**sol.report(), support_weight=float(kstar),
                        parts=part_info, path_count=len(paths),
                        subsolves=len(parts))
@@ -424,8 +409,8 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
                            "paths": len(got)})
         paths.extend(got)
 
-    require_cover(paths, inst.clients, "regret classes leave clients {} "
-                  "uncovered")
+    require_deadlines(inst, paths, deadlines(inst, "nonuniform", bounds),
+                      "regret classes leave clients {} uncovered")
     diagnostics.update(classes=class_info, path_count=len(paths),
                        subsolves=subsolves)
     return paths
@@ -442,9 +427,7 @@ def solve_krvrp_minmax(inst: Instance, k: int,
     paths, which makes the maximum end regret (diagnostics' max_regret) an
     O(k^2) answer for the min-max question.
     """
-    k = _as_int(k, "path budget")
-    if k < 1:
-        raise ValueError("path budget must be at least 1")
+    k = check_path_budget(k)
     if diagnostics is None:
         diagnostics = {}
     diagnostics.update(subsolves=0)

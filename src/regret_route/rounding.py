@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .core import (Instance, RootedPath, SolverError, classify_edges,
-                   regret_distance, require, require_cover, shortcut,
-                   split_by_regret)
+from .core import (Instance, RootedPath, SolverError, check_path_budget,
+                   classify_edges, regret_distance, require, require_cover,
+                   shortcut, split_by_regret)
 from .flows import min_cost_path_cover
 from .lp import FractionalSolution
 
@@ -550,8 +550,7 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
         diagnostics = {}
     if not inst.clients:
         return []
-    if k < 1:
-        raise ValueError("path budget must be at least 1")
+    k = check_path_budget(k)
     require(sol.total_weight <= k, "fractional solution exceeds the path cap")
     delta = Fraction(3 * k + 1, 3 * k + 2)
     nustar = sol.value if sol.objective == "regret" else None

@@ -126,6 +126,30 @@ def test_solve_and_verify_refuse_the_same_bounds(tmp_path, capsys, bounds,
         assert capsys.readouterr().err == f"error: {error}\n"
 
 
+RATIO_ERROR = "multiplicative bound must be at least 1"
+
+
+@pytest.mark.parametrize("solver, mode, flag, value, error", [
+    ("mult", "multiplicative", "ratio", "1/2", RATIO_ERROR),
+    ("mult", "multiplicative", "ratio", "0", RATIO_ERROR),
+    ("mult", "multiplicative", "ratio", "-3", RATIO_ERROR),
+    ("rvrp", "rvrp", "regret", "-1", "regret bound must be nonnegative"),
+], ids=["ratio-half", "ratio-zero", "ratio-negative", "regret-negative"])
+def test_solve_and_verify_refuse_the_same_parameter(tmp_path, capsys, solver,
+                                                    mode, flag, value, error):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run_cli("gen", "euclidean", "--n", "5", "--seed", "1", "--out", inst)
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "3",
+                   "--out", sol) == 0
+    capsys.readouterr()
+    for argv in (("solve", solver, "--instance", inst),
+                 ("verify", "--instance", inst, "--solution", sol,
+                  "--mode", mode)):
+        assert run_cli(*argv, f"--{flag}", value) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_exact_threshold_is_checked_before_any_solve(tmp_path, capsys):
     # R = 0 builds no table; the threshold over the memory budget is
     # refused all the same.

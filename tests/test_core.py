@@ -15,12 +15,16 @@ from regret_route.core import (
     MalformedPathError,
     RootedPath,
     SolverError,
+    check_path_budget,
+    check_regret,
     classify_edges,
+    deadlines,
     farthest_node,
     induced_instance,
     metric_from_edges,
     preprocess_path_pair,
     regret_distance,
+    require_deadlines,
     shortcut,
     solution_from_dict,
     solution_to_dict,
@@ -344,6 +348,66 @@ def test_cover_check_survives_optimized_python(src_env):
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ("SolverError: zero-regret cover left "
                                   "targets [1, 2] uncovered")
+
+
+# --- deadlines ------------------------------------------------------------------
+
+def test_deadlines_per_mode():
+    # Clients at D = 3 and 4: ratio 3/2 gives floor(4.5) = 4 and 6.
+    inst = line_instance((0, 3, 4))
+    assert deadlines(inst, "rvrp", 2) == {1: 5, 2: 6}
+    assert deadlines(inst, "nonuniform", {1: 0, "2": 7}) == {1: 3, 2: 11}
+    assert deadlines(inst, "multiplicative", "3/2") == {1: 4, 2: 6}
+    assert deadlines(inst, "multiplicative", 1) == {1: 3, 2: 4}
+    # a cap below a client's D is no error here: the client is just late
+    assert deadlines(inst, "dvrp", 3) == {1: 3, 2: 3}
+    assert deadlines(Instance.from_matrix([[0]]), "rvrp", 0) == {}
+
+
+@pytest.mark.parametrize("mode, param, error, message", [
+    ("rvrp", -1, ValueError, "regret bound must be nonnegative"),
+    ("rvrp", 1.5, InvalidInstanceError, "non-integer regret bound"),
+    ("nonuniform", {1: 1}, ValueError, "missing regret bound for node 2"),
+    ("multiplicative", "1/2", ValueError,
+     "multiplicative bound must be at least 1"),
+    ("multiplicative", 0, ValueError,
+     "multiplicative bound must be at least 1"),
+    ("dvrp", 2.5, InvalidInstanceError, "non-integer distance cap"),
+    ("walks", 1, ValueError, "unknown verification mode 'walks'"),
+], ids=["negative-regret", "fractional-regret", "missing-bound",
+        "ratio-half", "ratio-zero", "fractional-cap", "unknown-mode"])
+def test_deadlines_refuse_what_the_solvers_refuse(mode, param, error,
+                                                  message):
+    with pytest.raises(error, match=message):
+        deadlines(line_instance((0, 3, 4)), mode, param)
+
+
+def test_parameter_checks():
+    assert check_regret(0) == 0 and check_regret(4.0) == 4
+    assert check_path_budget(1) == 1
+    with pytest.raises(ValueError, match="^regret bound must be nonneg"):
+        check_regret(-1)
+    with pytest.raises(ValueError, match="^path budget must be at least 1"):
+        check_path_budget(0)
+    with pytest.raises(InvalidInstanceError, match="^boolean path budget"):
+        check_path_budget(True)
+
+
+def test_require_deadlines_checks_every_visit():
+    inst = line_instance()
+    on_time = [RootedPath.build(inst, [0, 1, 2, 3])]
+    deadline = deadlines(inst, "rvrp", 0)
+    require_deadlines(inst, on_time, deadline, "missed {}")
+    # client 1 is on time on the first path and late on the second
+    late = on_time + [RootedPath.build(inst, [0, 2, 1])]
+    with pytest.raises(SolverError, match="^node 1 visited too late$"):
+        require_deadlines(inst, late, deadline, "missed {}")
+    with pytest.raises(SolverError, match=r"^missed \[2, 3\]$"):
+        require_deadlines(inst, [RootedPath.build(inst, [0, 1])], deadline,
+                          "missed {}")
+    # a visit to a node without a deadline is always late
+    with pytest.raises(SolverError, match="^node 3 visited too late$"):
+        require_deadlines(inst, on_time, {1: 1, 2: 2}, "missed {}")
 
 
 def test_no_bare_asserts_in_the_package():

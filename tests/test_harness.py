@@ -3,14 +3,17 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import verify_reference
 from regret_route.core import InfeasibleError, Instance, InvalidInstanceError
 from regret_route.harness import (
     ORACLES,
     SOLVERS,
+    VERIFY_MODES,
     _oracle_value,
     _verify_mode,
     brute_force_dvrp,
@@ -278,6 +281,69 @@ def test_verify_recomputes_from_the_matrix():
     assert report["failures"][0]["kind"] == "regret"
 
 
+@pytest.mark.parametrize("mode, param", [
+    ("rvrp", 0), ("dvrp", 4), ("multiplicative", 1),
+    ("nonuniform", {1: 0, 2: 0, 3: 0})])
+def test_verify_checks_every_visit(mode, param):
+    # Client 1 is reached on time by the first path and late by the second,
+    # which goes out to 3 first.  Every visit must meet the deadline, not
+    # only the first; the old first-visit checks passed this but for dvrp,
+    # where the late visit is the end of an overlong path.
+    inst = gen_line([0, 1, 2, 4])
+    paths = [[0, 1, 2, 3], [0, 3, 1]]
+    params = {VERIFY_MODES[mode][0]: param}
+    assert verify(inst, paths[:1], mode, params)["ok"]
+    report = verify(inst, paths, mode, params)
+    kind = VERIFY_MODES[mode][1]
+    assert [(f["kind"], f.get("node"), f.get("path"))
+            for f in report["failures"]] == \
+        [(kind, None, 1) if mode == "dvrp" else (kind, 1, None)]
+    assert verify_reference.verify(inst, paths, mode, params)["ok"] == \
+        (mode != "dvrp")
+
+
+def _failing(report):
+    return sorted((f["kind"], f.get("node", -1), f.get("path", -1))
+                  for f in report["failures"])
+
+
+def test_verify_agrees_with_the_per_mode_checks():
+    # With each client on at most one path, every visit is a first visit,
+    # so the deadline rule must fail exactly the nodes and paths that the
+    # four per-mode checks failed.
+    rng = random.Random(2113)
+    modes = list(VERIFY_MODES)
+    outcomes = set()
+    for trial in range(400):
+        gen = gen_euclidean if trial % 2 else gen_random_metric
+        inst = gen(rng.randint(2, 10), 7000 + trial)
+        maxd = max(inst.root_dist)
+        left = [v for v in inst.clients if rng.random() < 0.9]
+        rng.shuffle(left)
+        paths = []
+        while left:
+            cut = rng.randint(1, len(left))
+            chunk, left = left[:cut], left[cut:]
+            if rng.random() < 0.5:
+                chunk.sort(key=lambda v: inst.root_dist[v])
+            paths.append([inst.root] + chunk)
+        if paths and rng.random() < 0.1:
+            paths.append(paths[-1][1:])          # not rooted: structure
+        mode = modes[trial % len(modes)]
+        param = {"rvrp": rng.randint(0, maxd),
+                 "dvrp": rng.randint(maxd, 3 * maxd),
+                 "multiplicative": Fraction(rng.randint(8, 32), 8),
+                 "nonuniform": {v: rng.randint(0, maxd)
+                                for v in inst.clients}}[mode]
+        params = {VERIFY_MODES[mode][0]: param}
+        new = verify(inst, paths, mode, params)
+        old = verify_reference.verify(inst, paths, mode, params)
+        assert (new["ok"], _failing(new)) == (old["ok"], _failing(old)), \
+            (trial, mode, param, paths)
+        outcomes.add((mode, new["ok"]))
+    assert outcomes == {(mode, ok) for mode in modes for ok in (True, False)}
+
+
 # --- runner ----------------------------------------------------------------------
 
 def test_run_job_report_shape():
@@ -358,6 +424,16 @@ def test_solver_table_row(solver):
         assert verify(inst, paths, mode, vparams)["ok"]
         if key in ("regret", "ratio", "bounds"):
             assert len(paths) == brute_force_rvrp(inst, 0)
+
+
+def test_each_verified_row_names_a_mode_with_its_parameter():
+    # run_job and the CLI look a row's verify mode up by name and hand it
+    # the row's parameter, so the two tables must agree on it.
+    for name, row in SOLVERS.items():
+        if row.verify_mode is not None:
+            assert VERIFY_MODES[row.verify_mode][0] == row.param, name
+    assert {row.verify_mode for row in SOLVERS.values()} == \
+        {*VERIFY_MODES, None}
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))

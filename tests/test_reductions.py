@@ -156,6 +156,40 @@ def test_visit_time_check_survives_optimized_python(src_env):
     assert out.stdout.strip() == "SolverError: node 3 visited too late"
 
 
+@pytest.mark.parametrize("solver, positions, param, node", [
+    ("mult", [0, 4, 5, 6, 7], "5/4", 3),
+    ("dvrp-dp", [0, 1, 2, 8], 8, 2),
+    ("dvrp-lp", [0, 1, 2, 8], 8, 2),
+    ("nonuniform", [0, 1, 2, 8], {1: 1, 2: 1, 3: 1}, 2),
+], ids=["mult", "dvrp-dp", "dvrp-lp", "nonuniform"])
+def test_reduction_deadline_check_survives_optimized_python(
+        src_env, solver, positions, param, node):
+    # Sub-solves that walk out to their farthest client first reach the
+    # nearer ones after their deadlines; each reduction must refuse that
+    # cover even with asserts compiled out.  dvrp-dp cuts every path at the
+    # cap before its check, so there the cut is switched off as well.
+    import subprocess
+    import sys
+    script = (
+        "from regret_route import harness, reductions\n"
+        "from regret_route.core import RootedPath, SolverError\n"
+        "assert False, 'asserts are live'\n"
+        "def far_first(sub, bound, **kwargs):\n"
+        "    order = sorted(sub.clients, key=lambda v: -sub.root_dist[v])\n"
+        "    return [RootedPath.build(sub, [sub.root, *order])]\n"
+        "reductions.solve_rvrp = far_first\n"
+        "reductions._length_prefix = lambda inst, path, cap: path\n"
+        f"inst = harness.gen_line({positions!r})\n"
+        "key = harness.SOLVERS[" f"{solver!r}" "].param\n"
+        "try:\n"
+        f"    harness.run_solver({solver!r}, inst, {{key: {param!r}}})\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == f"SolverError: node {node} visited too late"
+
+
 @pytest.mark.parametrize("solver, param, message", [
     ("dvrp-dp", 9, "level 1 leaves nodes [3] uncovered"),
     ("nonuniform", {1: 1, 2: 1, 3: 4},
