@@ -38,8 +38,8 @@ def gen_ladder(h: int, c: int = 1) -> Instance:
     weight 1/(2h), totalling 2 - 1/h per ladder, which pins the value of
     the covering LP at regret bound 1.
     """
-    h = _as_int(h)
-    c = _as_int(c)
+    h = _as_int(h, "ladder height")
+    c = _as_int(c, "ladder copies")
     if h < 1 or c < 1:
         raise ValueError("ladder parameters must be at least 1")
     levels = 2 * h - 1
@@ -71,7 +71,7 @@ def gen_euclidean(n: int, seed: int, scale: int = 100) -> Instance:
     Rounding up preserves the triangle inequality (ceil is subadditive)
     and keeps distinct points at positive distance.
     """
-    n = _as_int(n)
+    n = _as_int(n, "node count")
     if n < 2:
         raise ValueError("need at least two nodes")
     if scale < 1:
@@ -91,7 +91,7 @@ def gen_euclidean(n: int, seed: int, scale: int = 100) -> Instance:
 
 def gen_random_metric(n: int, seed: int, max_edge: int = 60) -> Instance:
     """Shortest-path closure of a complete graph with random integer costs."""
-    n = _as_int(n)
+    n = _as_int(n, "node count")
     if n < 2:
         raise ValueError("need at least two nodes")
     rng = random.Random(seed)
@@ -103,7 +103,7 @@ def gen_random_metric(n: int, seed: int, max_edge: int = 60) -> Instance:
 
 def gen_line(positions: Sequence[int]) -> Instance:
     """Nodes on the integer line; node 0 is the root."""
-    pos = [_as_int(p) for p in positions]
+    pos = [_as_int(p, "line position") for p in positions]
     if len(pos) < 2:
         raise ValueError("need at least two nodes")
     if len(set(pos)) != len(pos):
@@ -191,7 +191,7 @@ def brute_force_lp(inst: Instance, bound: int, kind: str = "regret",
     """
     from scipy.optimize import linprog
 
-    bound = _as_int(bound)
+    bound = _as_int(bound, "budget")
     if kind not in ("regret", "length"):
         raise ValueError(f"unknown budget kind {kind!r}")
     if bound < 0:
@@ -357,21 +357,34 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
                diagnostics: Optional[dict] = None) -> List[RootedPath]:
     """Run a named solver from SOLVERS; the CLI reads the same table.
 
-    A rounding threshold is refused (ValueError) by a solver whose row
-    says it takes none, and an exact threshold over the table memory
-    budget by every solver, before any work."""
+    A missing (or None) budget parameter, a rounding threshold given to a
+    solver whose row says it takes none, and an exact threshold over the
+    table memory budget are refused (ValueError) before any work.  This is
+    the one place a cover is summarised: after the solve, diagnostics gets
+    the returned paths' path_count, max_regret, total_regret and
+    max_length, and subsolves (the solve_rvrp calls the solver made on
+    sub-instances) is 0 unless the solver set it."""
     row = _solver(solver)
+    if params.get(row.param) is None:
+        raise ValueError(f"solver {solver!r} requires the {row.param!r} "
+                         f"parameter")
     exact_threshold = params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
     check_exact_threshold(exact_threshold)
-    kwargs = {"diagnostics": {} if diagnostics is None else diagnostics,
-              "exact_threshold": exact_threshold}
+    diag = {} if diagnostics is None else diagnostics
+    kwargs = {"diagnostics": diag, "exact_threshold": exact_threshold}
     threshold = params.get("threshold")
     if threshold is not None and not row.threshold:
         raise ValueError(f"solver {solver!r} takes no rounding threshold")
     if threshold is not None:
         kwargs["threshold"] = Fraction(threshold)
-    return getattr(reductions, row.function)(inst, params[row.param],
-                                             **kwargs)
+    paths = getattr(reductions, row.function)(inst, params[row.param],
+                                              **kwargs)
+    diag.setdefault("subsolves", 0)
+    diag.update(path_count=len(paths),
+                max_regret=max((p.regret for p in paths), default=0),
+                total_regret=sum(p.regret for p in paths),
+                max_length=max((p.cost for p in paths), default=0))
+    return paths
 
 
 def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]
@@ -409,6 +422,7 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     sub-instances; 0 for rvrp and krvrp), oracle (exact
     optimum when the instance is small enough, plus the solver/oracle
     ratio), bound_checks (forwarded from the solver diagnostics), ok.
+    count, the regrets, max_length and subsolves are run_solver's summary.
     """
     inst: Instance = job["instance"]
     params = dict(job["params"])
@@ -426,16 +440,13 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
         "solver": job["solver"],
         "n": inst.n,
         "params": report_params,
-        "count": len(paths),
-        "total_regret": sum(p.regret for p in paths),
-        "max_regret": max((p.regret for p in paths), default=0),
-        "max_length": max((p.cost for p in paths), default=0),
+        "count": diag["path_count"],
         "ok": check["ok"],
         "failures": check["failures"],
     }
-    report.update((key, diag[key]) for key in FractionalSolution.REPORT_KEYS
-                  if key in diag)
-    report.update((key, diag[key]) for key in ("subsolves", "bound_checks")
+    report.update((key, diag[key]) for key in
+                  ("total_regret", "max_regret", "max_length", "subsolves",
+                   "bound_checks", *FractionalSolution.REPORT_KEYS)
                   if key in diag)
     if job.get("oracle"):
         opt = _oracle_value(job["solver"], inst, params)

@@ -32,14 +32,8 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
     """
     R = check_regret(R)
     threshold = check_threshold(threshold)
-    if diagnostics is None:
-        diagnostics = {}
-    diagnostics.update(subsolves=0)
     if R == 0 or not inst.clients:
-        paths = zero_regret_cover(inst, inst.clients)
-        diagnostics.update(path_count=len(paths), max_regret=0,
-                           total_regret=0)
-        return paths
+        return zero_regret_cover(inst, inst.clients)
     sol = solve_rvrp_lp(inst, R, exact_threshold=exact_threshold)
     return round_rvrp(inst, R, sol, threshold=threshold,
                       diagnostics=diagnostics)
@@ -89,9 +83,7 @@ def solve_multiplicative(inst: Instance, ratio,
     if diagnostics is None:
         diagnostics = {}
     if ratio == 1:
-        walks = zero_regret_cover(inst, inst.clients)
-        diagnostics.update(path_count=len(walks), subsolves=0)
-        return walks
+        return zero_regret_cover(inst, inst.clients)
     delta_m = ratio - 1
 
     D = inst.root_dist
@@ -130,7 +122,7 @@ def solve_multiplicative(inst: Instance, ratio,
 
     require_deadlines(inst, walks, deadline, "walks miss clients {}")
     diagnostics.update(rings=ring_info, chain_period=period,
-                       path_count=len(walks), subsolves=len(covers))
+                       subsolves=len(covers))
     return walks
 
 
@@ -287,7 +279,7 @@ def solve_dvrp_dp(inst: Instance, cap: int,
         level_sizes=[len(s) for s in state.S],
         chain=[{"i": i, "k": state.choice[i], "count": state.F[i]}
                for i in range(state.M + 1)],
-        path_count=len(state.P[state.M]), subsolves=state.subsolves)
+        subsolves=state.subsolves)
     return state.P[state.M]
 
 
@@ -311,7 +303,6 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
     if diagnostics is None:
         diagnostics = {}
     if not inst.clients:
-        diagnostics.update(path_count=0, subsolves=0)
         return []
     sol = solve_dvrp_lp(inst, cap, exact_threshold=exact_threshold)
     star = preprocess_fractional(sol)
@@ -370,8 +361,7 @@ def solve_dvrp_lp_round(inst: Instance, cap: int,
     require_deadlines(inst, paths, deadlines(inst, "dvrp", cap),
                       "parts leave clients {} uncovered")
     diagnostics.update(**sol.report(), support_weight=float(kstar),
-                       parts=part_info, path_count=len(paths),
-                       subsolves=len(parts))
+                       parts=part_info, subsolves=len(parts))
     return paths
 
 
@@ -411,8 +401,7 @@ def solve_nonuniform(inst: Instance, bounds: Mapping[int, int],
 
     require_deadlines(inst, paths, deadlines(inst, "nonuniform", bounds),
                       "regret classes leave clients {} uncovered")
-    diagnostics.update(classes=class_info, path_count=len(paths),
-                       subsolves=subsolves)
+    diagnostics.update(classes=class_info, subsolves=subsolves)
     return paths
 
 
@@ -424,15 +413,11 @@ def solve_krvrp_minmax(inst: Instance, k: int,
     """Cover all clients with at most k rooted paths, small total regret.
 
     The total regret is within an O(k) factor of the best achievable by k
-    paths, which makes the maximum end regret (diagnostics' max_regret) an
-    O(k^2) answer for the min-max question.
+    paths, which makes the maximum end regret (the max_regret run_solver
+    reports) an O(k^2) answer for the min-max question.
     """
     k = check_path_budget(k)
-    if diagnostics is None:
-        diagnostics = {}
-    diagnostics.update(subsolves=0)
     if not inst.clients:
-        diagnostics.update(path_count=0, max_regret=0, total_regret=0)
         return []
     sol = solve_minsum_lp(inst, k, exact_threshold=exact_threshold)
     return round_minsum(inst, k, sol, diagnostics=diagnostics)

@@ -529,9 +529,6 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
     for p in grafted:
         paths.extend(split_by_regret(inst, p, R))
     diagnostics.update(diag)
-    diagnostics.update(path_count=len(paths),
-                       max_regret=max(p.regret for p in paths),
-                       total_regret=sum(p.regret for p in paths))
     _bound_check(diagnostics, "forest_cost_vs_regret_budget",
                  diag["forest_cost"], 3 * kstar * R / (1 - delta))
     _bound_check(diagnostics, "grafted_regret_vs_support",
@@ -559,9 +556,6 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
 
     grafted, diag = _pipeline(inst, sol, delta, k, cost_factor=3)
     diagnostics.update(diag)
-    diagnostics.update(path_count=len(grafted),
-                       max_regret=max((p.regret for p in grafted), default=0),
-                       total_regret=sum(p.regret for p in grafted))
     require(len(grafted) <= k, f"{len(grafted)} paths exceed the cap {k}")
     _bound_check(diagnostics, "total_regret_vs_fractional",
                  sum(p.regret for p in grafted), (4 + 6 * (3 * k + 2)) * nustar)

@@ -257,8 +257,7 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
         diagnostics.update(lp_value=float(sol.value),
                            lp_certified=sol.certified, lp_rounds=sol.rounds,
                            lp_pivots=sol.pivots,
-                           lp_columns=len(sol.columns), path_count=len(paths),
-                           max_regret=0, total_regret=0)
+                           lp_columns=len(sol.columns))
         return paths
     kstar = sol.total_weight
 
@@ -267,9 +266,6 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
     for p in grafted:
         paths.extend(split_by_regret(inst, p, R))
     diagnostics.update(diag)
-    diagnostics.update(path_count=len(paths),
-                       max_regret=max(p.regret for p in paths),
-                       total_regret=sum(p.regret for p in paths))
     assert all(p.regret <= R for p in paths)
     covered = set().union(*(p.node_set for p in paths))
     assert covered >= set(inst.clients)
@@ -301,9 +297,6 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
 
     grafted, diag = _pipeline(inst, sol, delta, k, cost_factor=3)
     diagnostics.update(diag)
-    diagnostics.update(path_count=len(grafted),
-                       max_regret=max((p.regret for p in grafted), default=0),
-                       total_regret=sum(p.regret for p in grafted))
     assert len(grafted) <= k
     covered = set().union(*(p.node_set for p in grafted)) if grafted else set()
     assert covered >= set(inst.clients)

@@ -422,6 +422,37 @@ def test_no_bare_asserts_in_the_package():
     assert found == []
 
 
+def test_only_the_harness_summarises_a_cover():
+    # harness.run_solver writes a cover's count and regrets once, from the
+    # paths it returns; a solver reports only what it alone knows.
+    summary = {"path_count", "max_regret", "total_regret"}
+    package = Path(regret_route.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+
+    def names(node):
+        if isinstance(node, ast.keyword):
+            return [node.arg]
+        if isinstance(node, ast.Dict):
+            return [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        if isinstance(node, ast.Subscript) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.slice, ast.Constant):
+            return [node.slice.value]
+        if isinstance(node, ast.Call) and node.args and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "setdefault" and \
+                isinstance(node.args[0], ast.Constant):
+            return [node.args[0].value]
+        return []
+
+    found = [f"{path.name}:{node.lineno} {name}" for path in modules
+             if path.name != "harness.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in names(node) if name in summary]
+    assert found == []
+
+
 def test_no_unused_imports_in_the_package():
     # An import no name in its module reads is left over from removed code.
     package = Path(regret_route.__file__).parent

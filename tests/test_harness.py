@@ -71,6 +71,19 @@ def test_ladder_meta_carries_canonical_solution():
     assert 0 < num <= den
 
 
+@pytest.mark.parametrize("make, args, name", [
+    (gen_ladder, (1.5,), "ladder height"),
+    (gen_ladder, (2, 1.5), "ladder copies"),
+    (gen_euclidean, (4.5, 1), "node count"),
+    (gen_random_metric, (3.5, 1), "node count"),
+    (gen_line, ([0, 1.5],), "line position"),
+    (lambda *a: brute_force_lp(gen_line([0, 1, 2]), *a), (2.5,), "budget"),
+])
+def test_non_integer_generator_arguments_are_named(make, args, name):
+    with pytest.raises(InvalidInstanceError, match=f"^non-integer {name}: "):
+        make(*args)
+
+
 def test_gen_line_rejects_bad_positions():
     with pytest.raises(ValueError):
         gen_line([0])               # need at least one client
@@ -437,9 +450,18 @@ def test_each_verified_row_names_a_mode_with_its_parameter():
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_every_return_reports_path_count(solver):
+def test_every_return_reports_path_count(monkeypatch, solver):
     # On an instance without clients, at the zero budgets that skip the LP
-    # (R = 0, ratio 1, all-zero bounds) and through the LP alike.
+    # (R = 0, ratio 1, all-zero bounds) and through the LP alike, run_solver
+    # summarises the returned paths and counts the sub-instance solves.
+    from regret_route import reductions
+    solve, calls = reductions.solve_rvrp, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "solve_rvrp", counting)
     line = gen_line([0, 1, 2, 4])
     key = SOLVERS[solver].param
     values = {"regret": [0, 2], "dist": [4, 6], "ratio": [1, "3/2"],
@@ -450,8 +472,15 @@ def test_every_return_reports_path_count(solver):
             if key == "bounds":         # only clients take a bound
                 value = {v: value[v] for v in inst.clients}
             diag: dict = {}
+            calls.clear()
             paths = run_solver(solver, inst, {key: value}, diagnostics=diag)
-            assert diag["path_count"] == len(paths), (inst.n, value)
+            regrets = [p.regret for p in paths]
+            want = {"path_count": len(paths),
+                    "max_regret": max(regrets, default=0),
+                    "total_regret": sum(regrets),
+                    "max_length": max((p.cost for p in paths), default=0),
+                    "subsolves": sum(sub is not inst for sub in calls)}
+            assert {k: diag[k] for k in want} == want, (inst.n, value)
 
 
 def test_non_integer_parameters_are_named():
@@ -464,6 +493,20 @@ def test_non_integer_parameters_are_named():
         with pytest.raises(InvalidInstanceError,
                            match=f"^(non-integer|boolean) {name}"):
             run_solver(solver, inst, {SOLVERS[solver].param: value})
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_missing_parameter_is_refused_by_name(solver):
+    # As verify does: a ValueError naming the parameter, not a KeyError.
+    inst = gen_line([0, 1, 2])
+    key = SOLVERS[solver].param
+    message = f"solver {solver!r} requires the {key!r} parameter"
+    for params in ({}, {key: None}, {"threshold": "1/3"}):
+        with pytest.raises(ValueError, match=message):
+            run_solver(solver, inst, params)
+    with pytest.raises(ValueError, match=message):
+        run_job({"id": "t", "solver": solver, "instance": inst,
+                 "params": {}})
 
 
 def test_rounding_threshold_only_where_the_row_takes_one():
