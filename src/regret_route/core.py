@@ -468,7 +468,7 @@ def metric_from_edges(n: int, edges: Iterable[Tuple[int, int, int]]) -> List[Lis
     """Shortest-path closure of a weighted undirected edge list."""
     d = [[0 if i == j else INF for j in range(n)] for i in range(n)]
     for u, v, w in edges:
-        w = _as_int(w)
+        w = _as_int(w, "edge weight")
         if w < 0:
             raise InvalidInstanceError(f"negative edge weight on ({u},{v})")
         if w < d[u][v]:

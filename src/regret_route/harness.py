@@ -72,6 +72,7 @@ def gen_euclidean(n: int, seed: int, scale: int = 100) -> Instance:
     and keeps distinct points at positive distance.
     """
     n = _as_int(n, "node count")
+    scale = _as_int(scale, "scale")
     if n < 2:
         raise ValueError("need at least two nodes")
     if scale < 1:
@@ -92,8 +93,11 @@ def gen_euclidean(n: int, seed: int, scale: int = 100) -> Instance:
 def gen_random_metric(n: int, seed: int, max_edge: int = 60) -> Instance:
     """Shortest-path closure of a complete graph with random integer costs."""
     n = _as_int(n, "node count")
+    max_edge = _as_int(max_edge, "max edge")
     if n < 2:
         raise ValueError("need at least two nodes")
+    if max_edge < 1:
+        raise ValueError("max edge must be positive")
     rng = random.Random(seed)
     edges = [(i, j, rng.randint(1, max_edge))
              for i in range(n) for j in range(i + 1, n)]

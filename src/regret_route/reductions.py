@@ -175,22 +175,64 @@ def _prune_redundant(paths: List[RootedPath]) -> List[RootedPath]:
     return kept
 
 
-def cover_lower_bound(inst: Instance, R: int) -> int:
+def cover_lower_bound(inst: Instance, R: int,
+                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> int:
     """A lower bound on the number of regret-<=R paths covering inst.
 
-    The size of a greedy independent set, taken in (D, id) order, of the
-    graph joining clients u and v when regret_distance(u, v) <= R or
+    Clients u and v are pairable when regret_distance(u, v) <= R or
     regret_distance(v, u) <= R.  If u precedes v on a path P of regret at
     most R, then D_u + c_uv - D_v <= c_P(v) - D_v <= R, since c_P(u) >= D_u
     and the regrets of P's prefixes never decrease.  So no path covers two
-    members of the set.
+    members of a set of pairwise unpairable clients, and every cover has
+    at least as many paths as the set has members.
+
+    The bound is the size of the largest such set when inst has at most
+    exact_threshold clients (a branch and bound seeded with the greedy
+    set), and the size of the greedy set, taken in (D, id) order, above.
     """
-    chosen: List[int] = []
-    for v in sorted(inst.clients, key=lambda v: (inst.root_dist[v], v)):
-        if all(regret_distance(inst, u, v) > R and
-               regret_distance(inst, v, u) > R for u in chosen):
-            chosen.append(v)
-    return len(chosen)
+    order = sorted(inst.clients, key=lambda v: (inst.root_dist[v], v))
+    pairable = [sum(1 << b for b, v in enumerate(order) if b != a and
+                    (regret_distance(inst, u, v) <= R or
+                     regret_distance(inst, v, u) <= R))
+                for a, u in enumerate(order)]
+    chosen = 0
+    for a, mask in enumerate(pairable):
+        if not mask & chosen:
+            chosen |= 1 << a
+    if len(order) > exact_threshold:
+        return chosen.bit_count()
+    return _largest_unpairable(pairable, chosen.bit_count())
+
+
+def _largest_unpairable(pairable: List[int], incumbent: int) -> int:
+    """Size of the largest set of positions no two of which are pairable.
+
+    pairable[a] is the bitmask of the positions pairable with a.  Each
+    node of the search takes the lowest free position a and branches on
+    taking it (dropping its partners) or not; a node with no more free
+    positions than the best size beyond its own is cut, and a free
+    position with no free partner is taken without the second branch.  A
+    search over m positions visits at most 2^(m+1) nodes.  Returns
+    incumbent when no set is larger.
+    """
+    best = incumbent
+
+    def grow(size: int, free: int) -> None:
+        nonlocal best
+        while free:
+            if size + free.bit_count() <= best:
+                return
+            low = free & -free
+            free &= ~low
+            partners = pairable[low.bit_length() - 1] & free
+            if partners:
+                grow(size + 1, free & ~partners)
+            else:
+                size += 1
+        best = max(best, size)
+
+    grow(0, (1 << len(pairable)) - 1)
+    return best
 
 
 def dvrp_dp_state(inst: Instance, cap: int,
@@ -207,11 +249,14 @@ def dvrp_dp_state(inst: Instance, cap: int,
     cut: their visit cost is at most 2^k + D_v <= cap), and recurses on
     S_k for the rest.
 
-    The scales are tried from k = i - 1 down, and a scale is not solved
-    when cover_lower_bound(S_i, 2^k) + F[k] already exceeds the best count
-    found: every cover of S_i at 2^k, solve_rvrp's included, has at least
-    that many paths, so the scale cannot win.  S, F, P and choice are those
-    of solving every scale; only subsolves is lower.
+    Every cover of S_i at 2^k, solve_rvrp's included, has at least
+    cover_lower_bound(S_i, 2^k) paths, so (bound + F[k], k) is never above
+    the (count + F[k], k) that scale k scores.  Each level computes that
+    pair for every k < i first and solves the scales in ascending order of
+    it, keeping the least (count + F[k], k); it stops at the first scale
+    whose pair is above the best score found, since neither it nor any
+    later scale can win.  S, F, P and choice are those of solving every
+    scale; only subsolves is lower.
     """
     cap = check_cap(inst, cap)
     deadline = deadlines(inst, "dvrp", cap)
@@ -238,19 +283,18 @@ def dvrp_dp_state(inst: Instance, cap: int,
             choice.append(0)
             continue
         sub, ids = induced_instance(inst, S[i])
-        best = None
-        for k in range(i - 1, -1, -1):
-            if best is not None and \
-                    cover_lower_bound(sub, 2 ** k) + F[k] > best[0]:
-                continue
-            # the k-loop's solves of sub share one table, held by pricing
-            sub_paths = solve_rvrp(sub, 2 ** k,
-                                   exact_threshold=exact_threshold)
+        lows = sorted((cover_lower_bound(sub, 2 ** k, exact_threshold) + F[k],
+                       k) for k in range(i))
+        best: Optional[Tuple[int, int]] = None
+        for low, k in lows:
+            if best is not None and (low, k) > best:
+                break
+            # the level's solves of sub share one table, held by pricing
+            paths_k = solve_rvrp(sub, 2 ** k, exact_threshold=exact_threshold)
             subsolves += 1
-            cand = len(sub_paths) + F[k]
-            if best is None or cand <= best[0]:
-                best = (cand, k, sub_paths)
-        count, k, sub_paths = best
+            if best is None or (len(paths_k) + F[k], k) < best:
+                best, sub_paths = (len(paths_k) + F[k], k), paths_k
+        count, k = best
         mapped = [RootedPath.build(inst, [ids[v] for v in p.nodes])
                   for p in sub_paths]
         prefixes = [_length_prefix(inst, p, cap) for p in mapped]

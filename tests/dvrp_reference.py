@@ -9,12 +9,16 @@ The tests require the pruned DP to return the same S, F, P and choice.
 prune_redundant is ``regret_route.reductions._prune_redundant`` before it
 became one pass with coverage counts: it restarts after every removal and
 rebuilds the union of the other paths for each candidate.
+
+greedy_cover_bound is ``regret_route.reductions.cover_lower_bound`` before
+it searched for the largest unpairable set: the size of the greedy one,
+taken in (D, id) order.
 """
 
 from typing import List, Optional
 
 from regret_route.core import (RootedPath, check_cap, induced_instance,
-                               zero_regret_cover)
+                               regret_distance, zero_regret_cover)
 from regret_route.reductions import DvrpDpState, _length_prefix, solve_rvrp
 
 
@@ -33,6 +37,15 @@ def prune_redundant(paths):
                 changed = True
                 break
     return kept
+
+
+def greedy_cover_bound(inst, R):
+    chosen: List[int] = []
+    for v in sorted(inst.clients, key=lambda v: (inst.root_dist[v], v)):
+        if all(regret_distance(inst, u, v) > R and
+               regret_distance(inst, v, u) > R for u in chosen):
+            chosen.append(v)
+    return len(chosen)
 
 
 def every_scale_state(inst, cap) -> DvrpDpState:

@@ -478,6 +478,9 @@ def test_metric_from_edges_closure():
     assert d[0][2] == 6
     with pytest.raises(InvalidInstanceError):
         metric_from_edges(3, [(0, 1, 5)])
+    with pytest.raises(InvalidInstanceError,
+                       match=r"^non-integer edge weight: 1\.5$"):
+        metric_from_edges(3, [(0, 1, 1.5), (1, 2, 1), (0, 2, 2)])
 
 
 def test_induced_instance_maps_ids():

@@ -78,10 +78,22 @@ def test_ladder_meta_carries_canonical_solution():
     (gen_random_metric, (3.5, 1), "node count"),
     (gen_line, ([0, 1.5],), "line position"),
     (lambda *a: brute_force_lp(gen_line([0, 1, 2]), *a), (2.5,), "budget"),
+    (gen_euclidean, (5, 1, 2.5), "scale"),
+    (gen_random_metric, (5, 1, 2.5), "max edge"),
 ])
 def test_non_integer_generator_arguments_are_named(make, args, name):
     with pytest.raises(InvalidInstanceError, match=f"^non-integer {name}: "):
         make(*args)
+
+
+def test_generator_ranges_are_checked():
+    for make, arg, message in ((gen_euclidean, {"scale": 0}, "scale"),
+                               (gen_random_metric, {"max_edge": 0},
+                                "max edge")):
+        with pytest.raises(ValueError, match=f"^{message} must be positive"):
+            make(5, 1, **arg)
+    assert gen_random_metric(5, 1, max_edge=4.0).meta["max_edge"] == 4
+    assert type(gen_euclidean(5, 1, scale=8.0).meta["scale"]) is int
 
 
 def test_gen_line_rejects_bad_positions():
@@ -605,9 +617,9 @@ def test_heuristic_suite_deterministic():
 # output byte-identical must leave these alone; one that changes it on
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
-    "smoke": "d880b985bdf780ee35d754a6eed551887a87d107d7f111151be7a5d551a50272",
+    "smoke": "d9af21478fd4c439c4eba049c06cd88bd85aa290cc36ac183e1e58f89fd0fbd3",
     "rvrp": "546a6c675f6445e9fa70de79b99423a49d73bc66b161dd29c4eb50ac4e809808",
-    "caps": "8a56fd5a7805c8bb02aff31007579a04b6edbdb2466971657afbd96242d0abd2",
+    "caps": "0dbbdfd1c56d5d350da687d59ac4d07f6734101be772959d0eeca131e651d95f",
     "heuristic":
         "028dc456fd21395148cdcfebcff2275450dba2dffa6f13a798fadcd39c4e0ecf",
 }

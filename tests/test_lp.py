@@ -348,8 +348,8 @@ def test_guided_count_lps_match_the_unguided_reference():
 
 def test_fanout_14_count_lps_match_the_unguided_reference(monkeypatch):
     # Every count LP of one pass over the benchmark's fanout-14 workload at
-    # seed 1: dvrp-dp's sub-solves, dvrp-lp and its parts, mult's rings and
-    # nonuniform's classes.
+    # seeds 1 and 2: dvrp-dp's sub-solves, dvrp-lp and its parts, mult's
+    # rings and nonuniform's classes.
     from regret_route import lp
     from regret_route.harness import run_solver
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -367,6 +367,7 @@ def test_fanout_14_count_lps_match_the_unguided_reference(monkeypatch):
         return sol
 
     monkeypatch.setattr(lp, "column_generation", checking)
-    for job in workloads.build("fanout-14", 1):
-        run_solver(job["solver"], job["instance"], job["params"])
+    for seed in (1, 2):
+        for job in workloads.build("fanout-14", seed):
+            run_solver(job["solver"], job["instance"], job["params"])
     assert len(checked) > 100 and set(checked) == {"regret", "length"}

@@ -1,6 +1,7 @@
 """Derived solvers: distance caps, multiplicative bounds, per-node bounds,
 k-path covers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import dvrp_reference
-from regret_route.core import InfeasibleError, Instance, RootedPath
+from regret_route.core import (InfeasibleError, Instance, RootedPath,
+                               induced_instance, regret_distance)
 from regret_route.harness import (brute_force_dvrp, brute_force_krvrp,
                                   brute_force_rvrp, gen_euclidean, gen_ladder,
                                   gen_line, gen_random_metric, verify)
@@ -272,11 +274,11 @@ def test_dvrp_dp_skips_empty_levels(monkeypatch):
     # The cap lies 192 past the nearest client, so levels 0-6 hold no
     # client; the chain is the one the k-loop computed for them.
     from regret_route import reductions
-    solve, sizes = reductions.solve_rvrp, []
+    solve, calls = reductions.solve_rvrp, []
 
-    def spy(sub, *args, **kwargs):
-        sizes.append(len(sub.clients))
-        return solve(sub, *args, **kwargs)
+    def spy(sub, R, **kwargs):
+        calls.append((len(sub.clients), R))
+        return solve(sub, R, **kwargs)
 
     monkeypatch.setattr(reductions, "solve_rvrp", spy)
     inst = gen_euclidean(8, 4)
@@ -287,19 +289,46 @@ def test_dvrp_dp_skips_empty_levels(monkeypatch):
         (0, None, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0),
         (6, 0, 0), (7, 6, 1), (8, 5, 2)]
     assert [p.nodes for p in paths] == [(0, 6, 2, 7), (0, 1, 5, 4, 3)]
-    # only the two nonempty levels are sub-solved, from k = i - 1 down and
-    # never at a scale whose lower bound loses: level 7 at k = 6 only,
-    # level 8 at k = 7..3
-    assert sizes == [2] + [7] * 5
+    # only the two nonempty levels are sub-solved, in ascending order of
+    # (lower bound + F[k], k), stopping at the first pair above the best
+    # score: level 7 at k = 6 only (its bound 1 is met), level 8 at k = 6
+    # (bound 1, score 4) and k = 5 (bound 2, score 2), where (2, 7) loses
+    assert calls == [(2, 64), (7, 64), (7, 32)]
+
+
+# (generator, nodes, seed, cap, level): at that level two scales tie on the
+# least count + F[k], and best-first order solves a larger one of them
+# before the smallest, which must still win.
+TIED_SCALES = [
+    (gen_random_metric, 6, 5007, 134, 7),
+    (gen_euclidean, 9, 5010, 297, 8),
+    (gen_euclidean, 7, 5038, 113, 7),
+    (gen_euclidean, 5, 5096, 182, 8),
+]
+
+
+def assert_scales_tie(inst, state, level):
+    sub, _ = induced_instance(inst, state.S[level])
+    scores = [(len(solve_rvrp(sub, 2 ** k)) + state.F[k], k)
+              for k in range(level)]
+    tied = [k for c, k in scores if c == min(scores)[0]]
+    first = min(tied, key=lambda k: (cover_lower_bound(sub, 2 ** k)
+                                     + state.F[k], k))
+    assert len(tied) > 1 and first != tied[0] == state.choice[level]
 
 
 def test_dvrp_dp_matches_the_every_scale_reference():
     offsets = (0, 1, 3, 8, 20, 45, 64, 100, 128, 160, 192)
-    skipped = 0
+    cases = []
     for idx in range(22):
         gen = (gen_euclidean, gen_random_metric)[idx % 2]
         inst = gen(7 + idx % 7, 1300 + idx)
-        cap = max(inst.root_dist) + offsets[idx % len(offsets)]
+        cases.append((inst, max(inst.root_dist) + offsets[idx % len(offsets)],
+                      None))
+    for gen, nodes, seed, cap, level in TIED_SCALES:
+        cases.append((gen(nodes, seed), cap, level))
+    skipped = 0
+    for inst, cap, level in cases:
         got = dvrp_dp_state(inst, cap)
         want = dvrp_reference.every_scale_state(inst, cap)
         assert (got.S, got.F, got.choice) == (want.S, want.F, want.choice)
@@ -307,6 +336,8 @@ def test_dvrp_dp_matches_the_every_scale_reference():
             [[p.nodes for p in level] for level in want.P]
         assert got.subsolves <= want.subsolves
         skipped += want.subsolves - got.subsolves
+        if level is not None:
+            assert_scales_tie(inst, got, level)
     assert skipped > 0
 
 
@@ -323,6 +354,58 @@ def test_cover_lower_bound_is_below_the_optimum():
             tight += 1 < bound == opt
             R *= 2
     assert tight > 0
+
+
+def unpairable(inst, R, members):
+    return all(regret_distance(inst, u, v) > R and
+               regret_distance(inst, v, u) > R
+               for u, v in itertools.combinations(members, 2))
+
+
+def test_cover_lower_bound_is_the_largest_unpairable_set():
+    # Enumerated over every client subset: the bound is the largest set of
+    # pairwise unpairable clients, never below the greedy set, never above
+    # the optimum cover, and above the greedy set somewhere.
+    rng = random.Random(23)
+    above = 0
+    for trial in range(30):
+        gen = (gen_euclidean, gen_random_metric)[trial % 2]
+        inst = gen(rng.randint(2, 10), 1500 + trial)
+        maxd = max(inst.root_dist)
+        for R in sorted({0, 1, maxd // 8, maxd // 4, maxd // 2}):
+            largest = max(len(s) for size in range(len(inst.clients) + 1)
+                          for s in itertools.combinations(inst.clients, size)
+                          if unpairable(inst, R, s))
+            bound = cover_lower_bound(inst, R)
+            greedy = dvrp_reference.greedy_cover_bound(inst, R)
+            assert bound == largest
+            assert greedy <= bound <= brute_force_rvrp(inst, R)
+            above += bound > greedy
+    assert above > 0
+
+
+def test_cover_lower_bound_above_the_threshold_is_greedy(monkeypatch):
+    # Above exact_threshold clients the bound is the greedy set's size and
+    # the search never starts, inside the DP as well.
+    from regret_route import reductions
+    search, sizes = reductions._largest_unpairable, []
+
+    def spy(pairable, incumbent):
+        sizes.append(len(pairable))
+        return search(pairable, incumbent)
+
+    monkeypatch.setattr(reductions, "_largest_unpairable", spy)
+    inst = gen_euclidean(11, 1600)
+    maxd = max(inst.root_dist)
+    for R in (0, maxd // 8, maxd // 4, maxd // 2, maxd):
+        assert cover_lower_bound(inst, R, exact_threshold=9) == \
+            dvrp_reference.greedy_cover_bound(inst, R)
+    assert sizes == []
+    cover_lower_bound(inst, maxd // 4, exact_threshold=10)
+    assert sizes == [10]
+    sizes.clear()
+    dvrp_dp_state(inst, maxd + 20, exact_threshold=6)
+    assert sizes and max(sizes) <= 6
 
 
 def test_dvrp_dp_ratio_on_randoms():
