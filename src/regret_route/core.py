@@ -82,7 +82,11 @@ class Instance:
     @classmethod
     def from_matrix(cls, dist, root: int = 0, meta: dict | None = None,
                     validate: bool = True) -> "Instance":
-        rows = [tuple(_as_int(x) for x in row) for row in dist]
+        try:
+            rows = [tuple(_as_int(x) for x in row) for row in dist]
+        except TypeError:
+            raise InvalidInstanceError(
+                "distance matrix is not a list of rows") from None
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise InvalidInstanceError("distance matrix is not square")
@@ -364,6 +368,15 @@ def check_regret(R) -> int:
     return R
 
 
+def as_fraction(x, what: str) -> Fraction:
+    """x as a Fraction; ValueError, not ZeroDivisionError, on a zero
+    denominator such as "1/0"."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {what} {x!r}") from None
+
+
 def check_path_budget(k) -> int:
     """The path budget as an int; ValueError below 1."""
     k = _as_int(k, "path budget")
@@ -386,7 +399,7 @@ def deadlines(inst: Instance, mode: str, param) -> Dict[int, int]:
     if mode in ("rvrp", "nonuniform"):
         return {v: D[v] + b for v, b in node_bounds(inst, param).items()}
     if mode == "multiplicative":
-        ratio = Fraction(param)
+        ratio = as_fraction(param, "multiplicative bound")
         if ratio < 1:
             raise ValueError("multiplicative bound must be at least 1")
         return {v: int(ratio * D[v]) for v in inst.clients}   # floor: >= 0

@@ -2,28 +2,35 @@
 
 The LPs here have one coverage row per client (>= 1) and at most one budget
 row (sum of column weights <= k). The constraint matrix is 0/+-1 and the
-costs and the budget are integers, so a dense two-phase primal simplex with
-Bland's rule runs on Python ints alone (Bareiss 1968; Azulay & Pique, ACM
-TOMS 27(3), 2001): it keeps det = |det B| and the integer matrix
+costs and the budget are integers, so a dense primal simplex with Bland's
+rule runs on Python ints alone (Bareiss 1968; Azulay & Pique, ACM TOMS
+27(3), 2001): it keeps det = |det B| and the integer matrix
 adj = det * B^-1, with the basic values scaled by det. A pivot on element p
 of the entering column alpha = adj * a_e maps row i != r to
 (p * adj_i - alpha_i * adj_r) // det, an exact division, leaves row r as it
-is and sets det to p. When p = det an entry keeps its value in every column
-where adj_r is zero, so only the columns where it is nonzero are recomputed.
-Every test (reduced-cost sign, ratio comparison) is an integer
-cross-multiplication.
+is and sets det to p; Bland's ratio test only pivots on p > 0. When p = det
+an entry keeps its value in every column where adj_r is zero, so only the
+columns where it is nonzero are recomputed. Every test (reduced-cost sign,
+ratio comparison) is an integer cross-multiplication.
+
+There is one phase, from a feasible crash basis (Bixby, ORSA J. Comput.
+4(3), 1992) of columns the caller added before the first solve, with
+|det B| = 1 so that adj = B^-1: without a budget row, the first column
+covering exactly {v} per client v (adj = I, basic values 1); under a budget
+k, every surplus column and the first column covering every client (basic
+values k - 1, and k on the budget row). Without those columns, or with
+k < 1, the master is refused as infeasible.
 
 The scaled duals Y = det * y are kept across pivots by the same exact
 division: entering column e on row r with scaled reduced cost
-D = det * c_e - Y * a_e maps Y to (p * Y + D * adj_r) // det, negated with
-the rows when p < 0. Y is computed afresh as c_B * adj only where the cost
-vector changes (phase 1 starts, the artificials have been driven out) and
-once per solve for the certificate.
+D = det * c_e - Y * a_e maps Y to (p * Y + D * adj_r) // det. Y is computed
+afresh as c_B * adj only at the start basis and once per solve for the
+certificate.
 
-Every column's nonzeros share one sign: +1 on structural, slack and
-artificial columns, -1 on surplus columns. A column is stored as its sorted
-row tuple and that sign, so a price Y * a_j, an entry of adj * a_j and an
-entry of c_B * adj are each one C-level sum over map or zip.
+Every column's nonzeros share one sign: +1 on structural and slack
+columns, -1 on surplus columns. A column is stored as its sorted row tuple
+and that sign, so a price Y * a_j, an entry of adj * a_j and an entry of
+c_B * adj are each one C-level sum over map or zip.
 
 Solves can be resumed after new columns arrive, which is what column
 generation needs: a new column leaves the basis, and so Y, as it is. At the
@@ -114,7 +121,8 @@ def _integral(x: Integral, what: str) -> int:
 class CoveringMaster:
     """min c.x  s.t.  sum_{columns covering v} x >= 1 per client,
     optionally sum x <= budget, x >= 0. Columns arrive incrementally;
-    costs and the budget must be integral."""
+    costs and the budget must be integral. The columns present at the
+    first solve must include a start basis (see the module docstring)."""
 
     def __init__(self, client_rows: Sequence[int],
                  budget: Optional[Integral] = None):
@@ -131,14 +139,13 @@ class CoveringMaster:
         self._rows: List[Rows] = []
         self._signs: List[int] = []
         self._costs: List[int] = []
-        self._artificial: List[bool] = []
-        # The index ranges Bland's rule may enter from, None for "to the
-        # end": every column in phase 1, all but the artificials from
-        # phase 2 on.
-        self._eligible: List[Tuple[int, Optional[int]]] = [(0, None)]
+        # Set from the start basis by the first solve.
         self._basis: List[int] = []
         self._in_basis: Dict[int, int] = {}
-        self._phase1_done = False
+        self._det = 1
+        self._adj: List[List[int]] = []
+        self._xb: List[int] = []
+        self._y: List[int] = []            # det * y for the costs
         # Columns present at the last optimum; Y has not moved since.
         self._priced = 0
         self.pivots = 0
@@ -147,32 +154,14 @@ class CoveringMaster:
         for i in range(len(self.client_rows)):
             self._new_var((i,), -1, 0)
         if self.budget_row is not None:
-            slack = self._new_var((self.budget_row,), 1, 0)
-        # Artificials give the initial feasible basis on coverage rows.
-        self._first_artificial = len(self._rows)
-        for i in range(len(self.client_rows)):
-            a = self._new_var((i,), 1, 0, artificial=True)
-            self._basis.append(a)
-        if self.budget_row is not None:
-            self._basis.append(slack)
-        for r, j in enumerate(self._basis):
-            self._in_basis[j] = r
-        # Structural columns follow the slack, surplus and artificial ones.
+            self._new_var((self.budget_row,), 1, 0)
+        # Structural columns follow the surplus and slack ones.
         self._first_structural = len(self._rows)
-        # The starting basis is the identity: det = 1, adj = I, xb = b.
-        self._det = 1
-        self._adj: List[List[int]] = [[int(i == j) for j in range(self.m)]
-                                      for i in range(self.m)]
-        self._xb: List[int] = list(self.b)
-        # det * y for the cost vector being optimised; set when a phase starts.
-        self._y: List[int] = []
 
-    def _new_var(self, rows: Rows, sign: int, cost: int,
-                 artificial: bool = False) -> int:
+    def _new_var(self, rows: Rows, sign: int, cost: int) -> int:
         self._rows.append(rows)
         self._signs.append(sign)
         self._costs.append(cost)
-        self._artificial.append(artificial)
         return len(self._rows) - 1
 
     def add_column(self, covered: Sequence[int], cost: Integral) -> int:
@@ -186,6 +175,29 @@ class CoveringMaster:
 
     # -- simplex machinery -------------------------------------------------
 
+    def _start(self) -> None:
+        """The start basis, with det = 1 and adj = B^-1."""
+        n, m = len(self.client_rows), self.m
+        first: Dict[Rows, int] = {}          # the first column per row set
+        for j in range(self._first_structural, len(self._rows)):
+            first.setdefault(self._rows[j], j)
+        adj = [[int(i == c) for c in range(m)] for i in range(m)]
+        if self.budget_row is None:
+            basis = [first.get((i,)) for i in range(n)]
+            xb = [1] * n
+        else:
+            basis = list(range(n)) + [first.get(tuple(range(m)))]
+            for i in range(n):          # surplus row i: e_budget - e_i
+                adj[i][i], adj[i][n] = -1, 1
+            k = self.b[n]
+            xb = [k - 1] * n + [k]
+        if None in basis or min(xb, default=0) < 0:
+            raise SolverError("master LP infeasible")
+        self._basis = basis
+        self._in_basis = {j: r for r, j in enumerate(basis)}
+        self._adj, self._xb = adj, xb
+        self._y = self._duals_for(self._costs)
+
     def _duals_for(self, costs: List[int]) -> List[int]:
         """det * y = c_B * adj."""
         priced = [(costs[j], row) for j, row in zip(self._basis, self._adj)
@@ -194,10 +206,6 @@ class CoveringMaster:
             return [0] * self.m
         c_b, rows = zip(*priced)
         return [sum(map(mul, c_b, col)) for col in zip(*rows)]
-
-    def _price(self, j: int, y: List[int]) -> int:
-        """y * a_j."""
-        return self._signs[j] * sum(map(y.__getitem__, self._rows[j]))
 
     def _alpha(self, j: int) -> List[int]:
         """det * B^-1 * a_j."""
@@ -209,8 +217,9 @@ class CoveringMaster:
         return alpha if self._signs[j] > 0 else [-a for a in alpha]
 
     def _pivot(self, r: int, j: int, alpha: List[int], reduced: int) -> None:
-        """Enter column j on row r; alpha = det * B^-1 * a_j and reduced is
-        its scaled reduced cost det * c_j - Y * a_j."""
+        """Enter column j on row r; alpha = det * B^-1 * a_j, with
+        alpha[r] > 0, and reduced is its scaled reduced cost
+        det * c_j - Y * a_j."""
         det, p = self._det, alpha[r]
         adj, xb = self._adj, self._xb
         arow, xr = adj[r], xb[r]
@@ -240,13 +249,6 @@ class CoveringMaster:
                 else:
                     adj[i] = [p * x // det for x in adj[i]]
                     xb[i] = p * xb[i] // det
-        if p < 0:
-            # Only an artificial driven out on a degenerate row pivots on a
-            # negative element; flip every row so det stays positive.
-            self._adj = [[-x for x in row] for row in adj]
-            self._xb = [-x for x in xb]
-            y = [-x for x in y]
-            p = -p
         self._det = p
         self._y = y
         old = self._basis[r]
@@ -255,22 +257,21 @@ class CoveringMaster:
         self._in_basis[j] = r
         self.pivots += 1
 
-    def _entering(self, costs: List[int], start: int) -> Tuple[int, int]:
-        """Bland's rule: the first eligible nonbasic column from start on
-        with a negative scaled reduced cost det * c_j - Y * a_j, and that
-        cost; (-1, 0) when there is none."""
-        rows, signs, in_basis = self._rows, self._signs, self._in_basis
-        yget, det = self._y.__getitem__, self._det
-        for lo, hi in self._eligible:
-            for j in range(max(lo, start), len(rows) if hi is None else hi):
-                if j in in_basis:
-                    continue
-                reduced = det * costs[j] - signs[j] * sum(map(yget, rows[j]))
-                if reduced < 0:
-                    return j, reduced
+    def _entering(self, start: int) -> Tuple[int, int]:
+        """Bland's rule: the first nonbasic column from start on with a
+        negative scaled reduced cost det * c_j - Y * a_j, and that cost;
+        (-1, 0) when there is none."""
+        rows, signs, costs = self._rows, self._signs, self._costs
+        in_basis, yget, det = self._in_basis, self._y.__getitem__, self._det
+        for j in range(start, len(rows)):
+            if j in in_basis:
+                continue
+            reduced = det * costs[j] - signs[j] * sum(map(yget, rows[j]))
+            if reduced < 0:
+                return j, reduced
         return -1, 0
 
-    def _optimize(self, costs: List[int], start: int = 0) -> None:
+    def _optimize(self, start: int) -> None:
         """Bland's rule from the current basis. The first scan begins at
         column start; every column before it must have a nonnegative
         reduced cost under the current Y."""
@@ -280,7 +281,7 @@ class CoveringMaster:
             it += 1
             if it > cap:
                 raise SolverError("simplex iteration cap exceeded")
-            entering, reduced = self._entering(costs, start)
+            entering, reduced = self._entering(start)
             if entering < 0:
                 return
             start = 0
@@ -300,38 +301,11 @@ class CoveringMaster:
                 raise SolverError("unbounded master LP")
             self._pivot(leave, entering, alpha, reduced)
 
-    def _drive_out_artificials(self, costs: List[int]) -> None:
-        for r in range(self.m):
-            j = self._basis[r]
-            if not self._artificial[j]:
-                continue
-            if self._xb[r] != 0:
-                raise SolverError("master LP infeasible")
-            arow = self._adj[r]
-            for cand, rows in enumerate(self._rows):
-                if (self._artificial[cand] or cand in self._in_basis
-                        or not sum(map(arow.__getitem__, rows))):
-                    continue
-                reduced = self._det * costs[cand] - self._price(cand, self._y)
-                self._pivot(r, cand, self._alpha(cand), reduced)
-                break
-            else:
-                raise SolverError("could not remove artificial from basis")
-
     def solve(self) -> MasterSolution:
+        if not self._basis:
+            self._start()
         start, self._priced = self._priced, 0
-        if not self._phase1_done:
-            phase1 = [int(a) for a in self._artificial]
-            self._y = self._duals_for(phase1)
-            self._optimize(phase1)
-            if sum(phase1[j] * self._xb[r] for r, j in enumerate(self._basis)):
-                raise SolverError("master LP infeasible")
-            self._drive_out_artificials(phase1)
-            self._phase1_done = True
-            self._eligible = [(0, self._first_artificial),
-                              (self._first_structural, None)]
-            self._y = self._duals_for(self._costs)
-        self._optimize(self._costs, start)
+        self._optimize(start)
         sol = self._extract()
         self._priced = len(self._rows)
         return sol
@@ -348,21 +322,16 @@ class CoveringMaster:
             raise SolverError("negative basic value")
         lhs = [0] * self.m
         for r, j in enumerate(self._basis):
-            if self._artificial[j]:
-                raise SolverError("artificial left in the basis")
             x = self._signs[j] * xb[r]
             for i in self._rows[j]:
                 lhs[i] += x
         if lhs != [det * bi for bi in self.b]:
             raise SolverError("basic values do not satisfy the rows")
-        yget = y.__getitem__
-        for lo, hi in ((0, self._first_artificial),
-                       (self._first_structural, len(self._rows))):
-            prices = map(mul, self._signs[lo:hi],
-                         map(sum, map(map, repeat(yget), self._rows[lo:hi])))
-            if any(map(gt, prices, map(mul, repeat(det), self._costs[lo:hi]))):
-                raise SolverError("optimality certificate failed")
-        if any(self._price(j, y) != det * self._costs[j] for j in self._basis):
+        prices = list(map(mul, self._signs, map(sum, map(
+            map, repeat(y.__getitem__), self._rows))))
+        scaled = [det * c for c in self._costs]
+        if (any(map(gt, prices, scaled))
+                or any(prices[j] != scaled[j] for j in self._basis)):
             raise SolverError("optimality certificate failed")
         if any(y[i] < 0 for i in range(len(self.client_rows))):
             raise SolverError("negative coverage dual")

@@ -380,7 +380,7 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     if threshold is not None and not row.threshold:
         raise ValueError(f"solver {solver!r} takes no rounding threshold")
     if threshold is not None:
-        kwargs["threshold"] = Fraction(threshold)
+        kwargs["threshold"] = threshold
     paths = getattr(reductions, row.function)(inst, params[row.param],
                                               **kwargs)
     diag.setdefault("subsolves", 0)

@@ -151,7 +151,7 @@ def _column_cost(path: RootedPath, objective: str) -> int:
 
 
 def _greedy_hamiltonian(inst: Instance) -> RootedPath:
-    # Nearest-neighbour sweep; only used to seed the capped master.
+    # Nearest-neighbour sweep; the capped master's start column.
     seq = [inst.root]
     left = set(inst.clients)
     at = inst.root
@@ -166,7 +166,7 @@ def _greedy_hamiltonian(inst: Instance) -> RootedPath:
 def _seed_columns(inst: Instance,
                   count_cap: Optional[int]) -> List[RootedPath]:
     seeds = [RootedPath.build(inst, [inst.root, v]) for v in inst.clients]
-    if count_cap is not None and count_cap < len(seeds):
+    if count_cap is not None:
         seeds.append(_greedy_hamiltonian(inst))
     return seeds
 

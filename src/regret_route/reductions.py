@@ -30,7 +30,9 @@ def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
     goes through the configuration LP and the rounding pipeline, so the
     number of paths is within a constant factor of the fractional optimum.
     """
-    R = check_regret(R)
+    # No simple path has regret above its length, at most (n - 1) times
+    # the longest edge, so a larger R admits the same columns.
+    R = min(check_regret(R), (inst.n - 1) * max(map(max, inst.dist)))
     threshold = check_threshold(threshold)
     if R == 0 or not inst.clients:
         return zero_regret_cover(inst, inst.clients)
@@ -78,8 +80,8 @@ def solve_multiplicative(inst: Instance, ratio,
     the multiplicative budget; every visit is checked against its deadline
     floor(ratio * D_v).
     """
+    deadline = deadlines(inst, "multiplicative", ratio)   # checks the ratio
     ratio = Fraction(ratio)
-    deadline = deadlines(inst, "multiplicative", ratio)
     if diagnostics is None:
         diagnostics = {}
     if ratio == 1:

@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .core import (Instance, RootedPath, SolverError, check_path_budget,
-                   classify_edges, regret_distance, require, require_cover,
-                   shortcut, split_by_regret)
+from .core import (Instance, RootedPath, SolverError, as_fraction,
+                   check_path_budget, classify_edges, regret_distance,
+                   require, require_cover, shortcut, split_by_regret)
 from .flows import min_cost_path_cover
 from .lp import FractionalSolution
 
@@ -37,7 +37,8 @@ def default_threshold() -> Fraction:
 def check_threshold(threshold=None) -> Fraction:
     """The rounding threshold as a Fraction (None: the default); ValueError
     unless it lies strictly between 0 and 1."""
-    delta = default_threshold() if threshold is None else Fraction(threshold)
+    delta = (default_threshold() if threshold is None
+             else as_fraction(threshold, "threshold"))
     if not 0 < delta < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
     return delta
@@ -130,7 +131,6 @@ class WitnessStructure:
     components: List[FrozenSet[int]]
     witness: Dict[int, int]          # component index -> witness node
     tours: Dict[int, Tuple[int, ...]]  # component index -> closed walk anchor..
-    threshold: Fraction
     root_component: int
     forest_cost: int
     tours_cost: int
@@ -312,9 +312,8 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
         tours_cost += cost
 
     return WitnessStructure(forest=kept, components=comps, witness=witness,
-                            tours=tours, threshold=ctx.threshold,
-                            root_component=root_ci, forest_cost=forest_cost,
-                            tours_cost=tours_cost)
+                            tours=tours, root_component=root_ci,
+                            forest_cost=forest_cost, tours_cost=tours_cost)
 
 
 def _split_sides(n: int, edges: Sequence[Tuple[int, int]],

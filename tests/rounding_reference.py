@@ -146,9 +146,8 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
     assert forest_cost <= bound, (forest_cost, bound)
 
     return WitnessStructure(forest=kept, components=comps, witness=witness,
-                            tours=tours, threshold=delta,
-                            root_component=root_ci, forest_cost=forest_cost,
-                            tours_cost=tours_cost)
+                            tours=tours, root_component=root_ci,
+                            forest_cost=forest_cost, tours_cost=tours_cost)
 
 
 def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],

@@ -72,6 +72,37 @@ def test_solve_errors_exit_one(tmp_path, capsys):
                        regret, "--threshold", bad) == 1
         assert ("error: threshold must lie strictly between 0 and 1"
                 in capsys.readouterr().err)
+    # a zero denominator in a ratio or a threshold
+    sol = tmp_path / "sol.json"
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
+                   "--out", sol) == 0
+    for argv in (("solve", "mult", "--instance", inst, "--ratio", "1/0"),
+                 ("verify", "--instance", inst, "--solution", sol,
+                  "--mode", "multiplicative", "--ratio", "1/0"),
+                 ("solve", "rvrp", "--instance", inst, "--regret", "1",
+                  "--threshold", "1/0")):
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert "error: zero denominator in " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver, flag, mode, value", [
+    ("rvrp", "--regret", "rvrp", "1" + "0" * 320),
+    ("mult", "--ratio", "multiplicative", "1e400"),
+])
+def test_huge_bound_is_capped(tmp_path, solver, flag, mode, value):
+    # No simple path has regret above (n - 1) times the longest edge, so a
+    # larger regret bound is solved as that cap: one path covers every
+    # client. A huge ratio reaches it through its rings' regret bounds.
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run_cli("gen", "euclidean", "--n", "6", "--seed", "9", "--out", inst)
+    assert run_cli("solve", solver, "--instance", inst, flag, value,
+                   "--out", sol) == 0
+    assert run_cli("verify", "--instance", inst, "--solution", sol,
+                   "--mode", mode, flag, value, "--out", tmp_path / "r") == 0
+    if solver == "rvrp":
+        assert len(json.loads(sol.read_text())["paths"]) == 1
 
 
 def test_non_integer_bound_is_named(tmp_path, capsys):
@@ -205,11 +236,13 @@ def test_missing_required_param_exits_nonzero(tmp_path):
     ("solve", "rvrp", "--instance", "root-null.json", "--regret", "1"),
     ("solve", "rvrp", "--instance", "root-half.json", "--regret", "1"),
     ("solve", "rvrp", "--instance", "root-true.json", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "dist-int.json", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "dist-flat.json", "--regret", "1"),
 ], ids=["missing-instance", "oracle-missing-instance", "out-in-missing-dir",
         "inline-bounds-list", "bounds-file-list", "instance-without-dist",
         "instance-list", "solution-without-paths", "instance-meta-list",
         "solution-null-node", "instance-root-null", "instance-root-half",
-        "instance-root-true"])
+        "instance-root-true", "instance-dist-int", "instance-dist-flat"])
 def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     run_cli("gen", "line", "--positions", "0,1,2", "--out", "inst.json")
@@ -219,6 +252,8 @@ def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "meta-list.json").write_text(
         '{"dist": [[0, 1], [1, 0]], "meta": [1]}')
     (tmp_path / "null-node.json").write_text('{"paths": [[0, null]]}')
+    (tmp_path / "dist-int.json").write_text('{"dist": 5}')
+    (tmp_path / "dist-flat.json").write_text('{"dist": [5, 6]}')
     for name, root in (("null", "null"), ("half", "1.5"), ("true", "true")):
         (tmp_path / f"root-{name}.json").write_text(
             f'{{"dist": [[0, 1], [1, 0]], "root": {root}}}')

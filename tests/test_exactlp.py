@@ -16,21 +16,25 @@ from regret_route.lp import solve_minsum_lp, solve_rvrp_lp
 
 def test_single_column_cover():
     master = CoveringMaster([1, 2])
+    master.add_column([1], Fraction(1))
+    master.add_column([2], Fraction(1))
     master.add_column([1, 2], Fraction(1))
     sol = master.solve()
     assert sol.value == 1
-    assert sol.weights == [Fraction(1)]
+    assert sol.weights == [0, 0, Fraction(1)]
 
 
 def test_fractional_optimum_on_overlapping_triples():
     # pairwise covers of {1,2,3}: the classic 3/2 fractional optimum
     master = CoveringMaster([1, 2, 3])
+    for v in (1, 2, 3):
+        master.add_column([v], Fraction(1))
     master.add_column([1, 2], Fraction(1))
     master.add_column([2, 3], Fraction(1))
     master.add_column([1, 3], Fraction(1))
     sol = master.solve()
     assert sol.value == Fraction(3, 2)
-    assert sum(sol.weights) == Fraction(3, 2)
+    assert sol.weights == [0, 0, 0] + [Fraction(1, 2)] * 3
     # duals certify: each client's dual is 1/2, reduced costs nonnegative
     assert sum(sol.duals.values()) == Fraction(3, 2)
     for covered in ([1, 2], [2, 3], [1, 3]):
@@ -75,7 +79,8 @@ def test_budget_row_binds():
 
 
 def test_infeasible_budget_detected():
-    from regret_route.core import SolverError
+    # No column covers both clients, so there is no start basis; the LP is
+    # infeasible too.
     master = CoveringMaster([1, 2], budget=Fraction(1))
     master.add_column([1], Fraction(1))
     master.add_column([2], Fraction(1))
@@ -84,7 +89,6 @@ def test_infeasible_budget_detected():
 
 
 def test_uncoverable_client_detected():
-    from regret_route.core import SolverError
     master = CoveringMaster([1, 2])
     master.add_column([1], Fraction(1))
     with pytest.raises(SolverError):
@@ -92,21 +96,18 @@ def test_uncoverable_client_detected():
 
 
 def test_duals_certify_optimum_on_randoms():
-    import random
     rng = random.Random(6)
     for trial in range(15):
         clients = list(range(1, rng.randint(3, 6)))
         master = CoveringMaster(clients)
-        cols = []
+        # The start columns cost as much as any other column.
+        cols = [([v], Fraction(7)) for v in clients]
         for _ in range(rng.randint(len(clients), 9)):
             size = rng.randint(1, len(clients))
             cols.append((sorted(rng.sample(clients, size)),
                          Fraction(rng.randint(1, 7))))
         for covered, cost in cols:
             master.add_column(covered, cost)
-        covered_union = set().union(*(set(c) for c, _ in cols))
-        if covered_union < set(clients):
-            continue
         sol = master.solve()
         # weak duality at equality: primal value == dual value
         assert sol.value == sum(sol.duals.values())
@@ -120,17 +121,22 @@ def test_duals_certify_optimum_on_randoms():
 
 def _random_script(rng):
     """Client rows, a budget (or None) and batches of columns, each batch
-    followed by a solve, so warm restarts are exercised."""
+    followed by a solve, so warm restarts are exercised. The first batch
+    opens with the start columns: one per client without a budget, one
+    covering every client with one."""
     clients = rng.sample(range(1, 40), rng.randint(1, 7))
     budget = rng.choice([None, None, rng.randint(0, len(clients) + 1)])
     count = rng.random() < 0.5
     coverable = list(clients)
     if rng.random() < 0.15:
-        coverable.remove(rng.choice(clients))      # an uncoverable client
+        coverable.remove(rng.choice(clients))      # only a start column
     lonely = rng.choice(clients) if rng.random() < 0.3 else None
-    seen, batches = [], []
+    starts = [clients] if budget is not None else [[v] for v in clients]
+    seen = [(covered, 1 if count else rng.randint(0, 9))
+            for covered in starts]
+    batches = []
     for _ in range(rng.randint(1, 4)):
-        batch = []
+        batch = [] if batches else list(seen)
         for _ in range(rng.randint(1, 6)):
             if seen and rng.random() < 0.15:
                 batch.append(rng.choice(seen))      # duplicate column
@@ -153,6 +159,53 @@ def _fields(res):
     return res.value, res.weights, res.duals, res.budget_dual, res.pivots
 
 
+def _values(results):
+    """The objective values, or error types as they are."""
+    return [r if isinstance(r, type) else r.value for r in results]
+
+
+def _check_optimal(results, budget, batches):
+    """Each solution is a primal and a dual feasible solution of its
+    restricted master with equal objectives, checked on the Fraction views
+    against the columns added so far."""
+    columns = []
+    for res, batch in zip(results, batches):
+        columns += batch
+        if isinstance(res, type):
+            continue
+        duals, z = res.duals, res.budget_dual or 0
+        for v in duals:
+            assert sum(w for w, (covered, _) in zip(res.weights, columns)
+                       if v in covered) >= 1
+        if budget is not None:
+            assert sum(res.weights) <= budget
+        assert min(duals.values(), default=0) >= 0 and z >= 0
+        for covered, cost in columns:
+            assert sum(duals[v] for v in set(covered)) - z <= cost
+        assert res.value == sum(w * cost for w, (_, cost)
+                                in zip(res.weights, columns))
+        assert res.value == sum(duals.values()) - z * (budget or 0)
+
+
+def _assert_matches_reference(clients, budget, batches):
+    """Without a budget row the reference's phase 1 enters the start
+    columns one per client and ends at the start basis, so every field
+    agrees and the reference pivots once more per client. Under a budget
+    the start bases differ and a degenerate LP may end at another optimal
+    vertex: the values agree and both solutions are optimal."""
+    got = _run(CoveringMaster, clients, budget, batches)
+    want = _run(ReferenceMaster, clients, budget, batches)
+    if budget is None:
+        shifted = [r if isinstance(r, type) else
+                   _fields(r)[:4] + (r.pivots + len(clients),) for r in got]
+        assert shifted == [_fields(r) for r in want]
+    else:
+        assert _values(got) == _values(want)
+        _check_optimal(got, budget, batches)
+        _check_optimal(want, budget, batches)
+    return got, want
+
+
 def _run(cls, clients, budget, batches):
     out = []
     try:
@@ -171,11 +224,8 @@ def test_matches_fraction_reference_on_randoms():
     kinds = set()
     for _ in range(400):
         clients, budget, batches = _random_script(rng)
-        got = _run(CoveringMaster, clients, budget, batches)
-        want = _run(ReferenceMaster, clients, budget, batches)
-        assert ([_fields(r) for r in got] == [_fields(r) for r in want]), (
-            clients, budget, batches)
-        for res, ref in zip(got, want):
+        got, _ = _assert_matches_reference(clients, budget, batches)
+        for res in got:
             if isinstance(res, type):
                 kinds.add(res.__name__)
                 continue
@@ -183,14 +233,14 @@ def test_matches_fraction_reference_on_randoms():
             assert type(res.value) is Fraction
             assert all(type(w) is Fraction for w in res.weights)
             assert all(type(y) is Fraction for y in res.duals.values())
-            # The integer duals are det times the reference's, and the
+            # The integer duals are det times the Fraction duals, and the
             # rewards handed to the pricers are those duals over the lcm of
             # their denominators.
-            assert res.y[:len(clients)] == [res.det * ref.duals[v]
+            assert res.y[:len(clients)] == [res.det * res.duals[v]
                                             for v in clients]
             if budget is not None:
-                assert res.y[-1] == -res.det * ref.budget_dual
-            assert res.coverage_duals == scaled_rewards(clients, ref.duals)
+                assert res.y[-1] == -res.det * res.budget_dual
+            assert res.coverage_duals == scaled_rewards(clients, res.duals)
     # the seed reaches both shapes and the infeasible outcomes
     assert kinds == {"budget", "plain", "SolverError"}
 
@@ -246,9 +296,7 @@ def test_matches_fraction_reference_on_column_generation(monkeypatch, shape,
     clients, budget, batches = _recorded_script(monkeypatch, lp_run)
     assert len(clients) == nodes - 1 and len(batches) > 1
     assert (budget is not None) == (shape == "krvrp")
-    got = _run(CoveringMaster, clients, budget, batches)
-    want = _run(ReferenceMaster, clients, budget, batches)
-    assert [_fields(r) for r in got] == [_fields(r) for r in want]
+    got, _ = _assert_matches_reference(clients, budget, batches)
     assert len(batches) >= 28 and got[-1].pivots > 2 * len(batches)
     if nodes == 17:     # exact pricing resumes the master on several columns
         assert max(map(len, batches[1:])) > 1
@@ -289,38 +337,55 @@ def test_resumed_solve_enters_new_columns_first():
     assert _fields(third)[:4] == _fields(ref.solve())[:4]
 
 
-def test_negative_pivot_driving_out_an_artificial():
-    # One client under a budget of 1 and one zero-cost column: phase 1 ends
-    # with the artificial basic at zero, and the surplus column replaces it
-    # on a pivot element of -1.
-    # The maintained det * y is negated with the rows and still equals
-    # c_B * adj for the phase 1 costs afterwards.
-    elements, exact = [], []
+def test_every_pivot_element_is_positive(monkeypatch):
+    # Bland's ratio test only picks rows with alpha[r] > 0, and no other
+    # pivot is made, so det stays positive without flipping rows.
+    elements = []
     pivot = CoveringMaster._pivot
-    drive_out = CoveringMaster._drive_out_artificials
 
     def spy(self, r, j, alpha, reduced):
         elements.append(alpha[r])
         pivot(self, r, j, alpha, reduced)
 
-    def checked_drive_out(self, costs):
-        drive_out(self, costs)
-        exact.append(self._y == self._duals_for(costs))
+    monkeypatch.setattr(CoveringMaster, "_pivot", spy)
+    rng = random.Random(11)
+    for _ in range(400):
+        _run(CoveringMaster, *_random_script(rng))
+    assert len(elements) > 1000 and min(elements) > 0
 
-    master = CoveringMaster([1], budget=1)
-    master._pivot = spy.__get__(master)
-    master._drive_out_artificials = checked_drive_out.__get__(master)
-    master.add_column([1], 0)
-    master.add_column([1], 3)
-    got = master.solve()
-    assert min(elements) < 0
-    assert exact == [True]
-    ref = ReferenceMaster([1], budget=Fraction(1))
-    ref.add_column([1], Fraction(0))
-    ref.add_column([1], Fraction(3))
-    assert _fields(got) == _fields(ref.solve())
-    assert got.value == 0 and got.weights == [1, 0]
-    assert master._det > 0
+
+def test_missing_singleton_is_refused():
+    # The LP is feasible, but client 2 has no column covering it alone, so
+    # there is no start basis.
+    master = CoveringMaster([1, 2])
+    master.add_column([1], 1)
+    master.add_column([1, 2], 1)
+    with pytest.raises(SolverError, match="infeasible"):
+        master.solve()
+
+
+def test_zero_budget_is_refused():
+    master = CoveringMaster([1, 2], budget=0)
+    master.add_column([1, 2], 1)
+    with pytest.raises(SolverError, match="infeasible"):
+        master.solve()
+
+
+@pytest.mark.parametrize("budget, columns, weights", [
+    (None, (([1, 2], 3), ([3], 1), ([2, 3], 2), ([2], 1), ([1], 1)),
+     [0, 1, 0, 1, 1]),
+    (3, (([1, 2], 1), ([3], 1), ([3, 1, 2], 0)), [0, 0, 3]),
+])
+def test_start_columns_added_late_are_found(budget, columns, weights):
+    # The start columns need not come first nor in row order. Here the
+    # start basis is optimal: no pivot, and under the budget the column
+    # covering every client carries all k.
+    master = CoveringMaster([1, 2, 3], budget=budget)
+    for covered, cost in columns:
+        master.add_column(covered, cost)
+    sol = master.solve()
+    assert sol.pivots == 0 and sol.weights == weights
+    assert sol.value == sum(w * c for w, (_, c) in zip(weights, columns))
 
 
 @pytest.mark.parametrize("budget, cost", [(Fraction(3, 2), 1), (2.5, 1),
@@ -344,7 +409,8 @@ def test_certificate_checks_original_columns(corrupt):
     # A damaged inverse, basic vector or maintained det * y must not reach
     # a MasterSolution.
     master = CoveringMaster([1, 2, 3], budget=2)
-    for covered, cost in (([1, 2], 1), ([2, 3], 1), ([1, 3], 1), ([3], 0)):
+    for covered, cost in (([1, 2, 3], 3), ([1, 2], 1), ([2, 3], 1),
+                          ([1, 3], 1), ([3], 0)):
         master.add_column(covered, cost)
     master.solve()
     if corrupt == "xb":

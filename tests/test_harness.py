@@ -617,11 +617,11 @@ def test_heuristic_suite_deterministic():
 # output byte-identical must leave these alone; one that changes it on
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
-    "smoke": "d9af21478fd4c439c4eba049c06cd88bd85aa290cc36ac183e1e58f89fd0fbd3",
-    "rvrp": "546a6c675f6445e9fa70de79b99423a49d73bc66b161dd29c4eb50ac4e809808",
-    "caps": "0dbbdfd1c56d5d350da687d59ac4d07f6734101be772959d0eeca131e651d95f",
+    "smoke": "72797e2754ecc1465a511a44d246e749ef20f88d60927ff79bb22576f3a74846",
+    "rvrp": "2d1c1900ae0c77e41d43f5c43beece93506c6950fd26846537e1dc548c3c4e3f",
+    "caps": "47edefb6063f6f5ece314e94f6f7d263fd920d67b962d898d665f91f6c7dfcce",
     "heuristic":
-        "028dc456fd21395148cdcfebcff2275450dba2dffa6f13a798fadcd39c4e0ecf",
+        "eba74b237411869041368db2f7b1278d1e0dd55a24b1c34c33f030ad5304de81",
 }
 
 

@@ -202,8 +202,8 @@ def test_pivot_count_reaches_solution(monkeypatch):
 
 
 def test_duals_are_recomputed_once_per_solve(monkeypatch):
-    # det * y is kept across pivots: c_B * adj is computed when each phase
-    # starts and once per solve for the certificate, never per pivot.
+    # det * y is kept across pivots: c_B * adj is computed at the start
+    # basis and once per solve for the certificate, never per pivot.
     from regret_route import exactlp
     calls = {"duals": 0, "solves": 0}
     duals_for = exactlp.CoveringMaster._duals_for
@@ -219,12 +219,12 @@ def test_duals_are_recomputed_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(exactlp.CoveringMaster, "_duals_for", counting_duals)
     monkeypatch.setattr(exactlp.CoveringMaster, "solve", counting_solve)
-    inst = gen_euclidean(21, 5)
+    inst = gen_euclidean(21, 4)
     assert len(inst.clients) == 20
     sol = solve_rvrp_lp(inst, max(inst.root_dist) // 4)
     assert sol.rounds == calls["solves"] > 1
     assert sol.pivots > 2 * calls["solves"]
-    assert calls["duals"] <= calls["solves"] + 2
+    assert calls["duals"] == calls["solves"] + 1
 
 
 def test_round_cap_fires_on_an_endless_pricer(monkeypatch):

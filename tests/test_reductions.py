@@ -27,6 +27,19 @@ from regret_route.reductions import (
 )
 
 
+def test_regret_above_every_path_is_capped():
+    # R past (n - 1) * max edge admits no other column, and is solved as
+    # that cap: the same paths, and bound checks that stay finite floats.
+    inst = gen_euclidean(8, 4)
+    cap = (inst.n - 1) * max(map(max, inst.dist))
+    want = solve_rvrp(inst, cap)
+    diag = {}
+    got = solve_rvrp(inst, 10 ** 320, diagnostics=diag)
+    assert [p.nodes for p in got] == [p.nodes for p in want]
+    checks = diag["bound_checks"].values()
+    assert all(math.isfinite(c["bound"]) for c in checks)
+
+
 def star_instance(n=5):
     return Instance.from_matrix(
         [[0 if i == j else (1 if 0 in (i, j) else 2) for j in range(n)]
