@@ -59,7 +59,7 @@ def _load_bounds(arg: str) -> dict:
     raw = json.loads(arg) if inline else _read_json(arg)
     if not isinstance(raw, dict):
         raise ValueError("bounds must be a JSON object of node: bound")
-    return {int(v): b for v, b in raw.items()}
+    return raw
 
 
 def _flag(args: argparse.Namespace, what: str, key: str):

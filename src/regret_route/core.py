@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, groupby
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 INF = 1 << 60
@@ -50,17 +54,14 @@ def require_cover(paths: Iterable[RootedPath], targets: Iterable[int],
 
 
 def _as_int(x, what: str = "distance entry") -> int:
-    # Accept ints and integral numpy scalars / floats; reject anything else,
-    # naming what x is.
+    # Accept an int (not a bool) or an integral real: a float, numpy scalar
+    # or Fraction. Refuse anything else (a str, a numpy bool), naming x.
     if isinstance(x, bool):
         raise InvalidInstanceError(f"boolean {what}")
     if isinstance(x, int):
         return x
-    try:
-        if float(x).is_integer():
-            return int(x)
-    except (TypeError, ValueError):
-        pass
+    if isinstance(x, numbers.Real) and abs(x) < math.inf and int(x) == x:
+        return int(x)
     raise InvalidInstanceError(f"non-integer {what}: {x!r}")
 
 
@@ -206,19 +207,17 @@ class EdgeColoring:
 
     Edge i (between positions i and i+1) is red iff some node at position
     <= i is at least as far from the root as some node at position >= i+1.
-    red_intervals lists the maximal runs of consecutive red edges as node
-    sequences; every position also knows its (possibly trivial) run.
+    piece maps each node to its maximal red subpath, or to (v,) when no red
+    edge touches v.
     """
 
     path: RootedPath
     edge_is_red: Tuple[bool, ...]
-    red_intervals: Tuple[Tuple[int, ...], ...]
-    span_nodes: Tuple[Tuple[int, ...], ...] = field(repr=False)
-    _pos: Mapping[int, int] = field(repr=False)
+    piece: Mapping[int, Tuple[int, ...]] = field(repr=False)
 
     def red_subpath(self, v: int) -> Tuple[int, ...]:
         """Nodes of the maximal red subpath containing v (maybe just (v,))."""
-        return self.span_nodes[self._pos[v]]
+        return self.piece[v]
 
     def red_cost(self, inst: Instance) -> int:
         nodes = self.path.nodes
@@ -233,39 +232,15 @@ def classify_edges(inst: Instance, path: RootedPath) -> EdgeColoring:
     checked on output.
     """
     nodes = path.nodes
-    D = inst.root_dist
-    m = len(nodes)
-    red = []
-    if m > 1:
-        prefmax = [D[nodes[0]]]
-        for v in nodes[1:]:
-            prefmax.append(max(prefmax[-1], D[v]))
-        sufmin = [0] * m
-        sufmin[-1] = D[nodes[-1]]
-        for i in range(m - 2, -1, -1):
-            sufmin[i] = min(sufmin[i + 1], D[nodes[i]])
-        red = [prefmax[i] >= sufmin[i + 1] for i in range(m - 1)]
-
-    # Group consecutive red edges into maximal runs; every position gets one.
-    span = [(i, i) for i in range(m)]
-    i = 0
-    intervals = []
-    while i < m - 1:
-        if red[i]:
-            j = i
-            while j < m - 1 and red[j]:
-                j += 1
-            intervals.append(tuple(nodes[i:j + 1]))
-            for p in range(i, j + 1):
-                span[p] = (i, j)
-            i = j
-        else:
-            i += 1
-    span_nodes = tuple(tuple(nodes[a:b + 1]) for a, b in span)
-    coloring = EdgeColoring(path=path, edge_is_red=tuple(red),
-                            red_intervals=tuple(intervals),
-                            span_nodes=span_nodes,
-                            _pos={v: i for i, v in enumerate(nodes)})
+    D = [inst.root_dist[v] for v in nodes]
+    prefmax = accumulate(D, max)
+    sufmin = list(accumulate(reversed(D), min))[::-1]
+    red = tuple(a >= b for a, b in zip(prefmax, sufmin[1:]))
+    # Cutting after every blue edge leaves the maximal red subpaths and the
+    # nodes no red edge touches.
+    cuts = [0, *(i + 1 for i, r in enumerate(red) if not r), len(nodes)]
+    piece = {v: nodes[a:b] for a, b in zip(cuts, cuts[1:]) for v in nodes[a:b]}
+    coloring = EdgeColoring(path=path, edge_is_red=red, piece=piece)
     require(2 * coloring.red_cost(inst) <= 3 * path.regret,
             f"red edges of {nodes} cost more than 1.5x its regret")
     return coloring
@@ -274,29 +249,19 @@ def classify_edges(inst: Instance, path: RootedPath) -> EdgeColoring:
 def split_by_regret(inst: Instance, path: RootedPath, R: int) -> List[RootedPath]:
     """Break a path into rooted subpaths of regret at most R.
 
-    Nodes are grouped by which window (ell*R, (ell+1)*R] their prefix regret
-    falls in; each nonempty group becomes a rooted path (the first group is a
-    prefix of the original, later ones are reconnected to the root). Returns
-    at most max(ceil(regret/R), 1) paths whose union covers the input.
+    Nodes are grouped by the window (ell*R, (ell+1)*R] their prefix regret
+    falls in; prefix regrets never fall, so each group is a run of the path
+    and, with the root put in front, a rooted path. Returns at most
+    max(ceil(regret/R), 1) paths whose union covers the input.
     """
     if R <= 0:
         raise ValueError(f"regret bound must be positive, got {R}")
     if path.regret <= R:
         return [path]
-    nodes, prefix = path.nodes, path.prefix_regret
-    groups: List[List[int]] = []
-    window = 0
-    current: List[int] = [nodes[0]]
-    for v, pr in zip(nodes[1:], prefix[1:]):
-        w = 0 if pr <= R else (pr + R - 1) // R - 1
-        if w != window:
-            groups.append(current)
-            current = [inst.root, v]
-            window = w
-        else:
-            current.append(v)
-    groups.append(current)
-    out = [RootedPath.build(inst, g) for g in groups]
+    windows = groupby(zip(path.nodes[1:], path.prefix_regret[1:]),
+                      key=lambda vp: max(-(-vp[1] // R) - 1, 0))
+    out = [RootedPath.build(inst, [inst.root, *(v for v, _ in group)])
+           for _, group in windows]
     require(len(out) <= -(-path.regret // R), "split made too many paths")
     require(all(p.regret <= R for p in out), f"split left regret above {R}")
     require_cover(out, path.nodes, "split lost nodes")
@@ -305,11 +270,7 @@ def split_by_regret(inst: Instance, path: RootedPath, R: int) -> List[RootedPath
 
 def farthest_node(inst: Instance, path: RootedPath) -> int:
     """Farthest-from-root node on the path; ties go to the smallest id."""
-    best = path.nodes[0]
-    for v in path.nodes:
-        if (inst.root_dist[v], -v) > (inst.root_dist[best], -best):
-            best = v
-    return best
+    return max(path.nodes, key=lambda v: (inst.root_dist[v], -v))
 
 
 def preprocess_path_pair(inst: Instance, path: RootedPath) -> Tuple[RootedPath, RootedPath]:
@@ -421,10 +382,19 @@ def require_deadlines(inst: Instance, paths: Sequence[RootedPath],
 
 
 def node_bounds(inst: Instance, bounds: Mapping) -> Dict[int, int]:
-    """Regret bounds by int node id; ValueError naming non-client keys and
-    the first client without a nonnegative bound."""
-    out = {int(v): _as_int(b, f"regret bound of node {v}")
-           for v, b in bounds.items()}
+    """Regret bounds by int node id, keyed by ints (not bools) or decimal
+    strings such as JSON's; ValueError naming a key that is neither, a node
+    two keys name, non-client keys and the first client without a
+    nonnegative bound."""
+    out: Dict[int, int] = {}
+    for key, b in bounds.items():
+        if not (type(key) is int or isinstance(key, str) and
+                re.fullmatch(r"[+-]?[0-9]+", key)):
+            raise ValueError(f"regret bound key {key!r} is not a node id")
+        v = int(key)
+        if v in out:
+            raise ValueError(f"two regret bounds for node {v}")
+        out[v] = _as_int(b, f"regret bound of node {v}")
     stray = sorted(set(out) - set(inst.clients))
     if stray:
         raise ValueError(f"regret bounds for non-clients {stray}")

@@ -362,8 +362,9 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     """Run a named solver from SOLVERS; the CLI reads the same table.
 
     A missing (or None) budget parameter, a rounding threshold given to a
-    solver whose row says it takes none, and an exact threshold over the
-    table memory budget are refused (ValueError) before any work.  This is
+    solver whose row says it takes none, and an exact threshold that is no
+    int or is over the table memory budget are refused before any work
+    (None means the default, as for every parameter).  This is
     the one place a cover is summarised: after the solve, diagnostics gets
     the returned paths' path_count, max_regret, total_regret and
     max_length, and subsolves (the solve_rvrp calls the solver made on
@@ -372,10 +373,10 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     if params.get(row.param) is None:
         raise ValueError(f"solver {solver!r} requires the {row.param!r} "
                          f"parameter")
-    exact_threshold = params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
-    check_exact_threshold(exact_threshold)
+    exact = params.get("exact_threshold")
     diag = {} if diagnostics is None else diagnostics
-    kwargs = {"diagnostics": diag, "exact_threshold": exact_threshold}
+    kwargs = {"diagnostics": diag, "exact_threshold": check_exact_threshold(
+        DEFAULT_EXACT_THRESHOLD if exact is None else exact)}
     threshold = params.get("threshold")
     if threshold is not None and not row.threshold:
         raise ValueError(f"solver {solver!r} takes no rounding threshold")

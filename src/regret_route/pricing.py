@@ -74,7 +74,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Instance, RegretRouteError, RootedPath, SolverError
+from .core import (Instance, RegretRouteError, RootedPath, SolverError,
+                   _as_int)
 
 DEFAULT_EXACT_THRESHOLD = 16
 # Bytes per (mask, end) cell at the build's peak on an int64 table from 16
@@ -100,17 +101,20 @@ def _check_size(m: int, threshold: int) -> None:
             f"{m} clients exceed the exact threshold {threshold}")
 
 
-def check_exact_threshold(threshold: int) -> None:
-    """Reject a threshold whose largest table would exceed the memory budget.
+def check_exact_threshold(threshold) -> int:
+    """The threshold as an int; ValueError when its largest table would
+    exceed the memory budget.
 
     The estimate is 2^m·m cells at CELL_BYTES each; nothing is allocated.
     """
+    threshold = _as_int(threshold, "exact threshold")
     m = max(threshold, 0)
     if (m << m) * CELL_BYTES > TABLE_BUDGET_BYTES:
         raise ValueError(
             f"exact threshold {threshold} needs a {m}-client table of about "
             f"{((m << m) * CELL_BYTES) >> 20} MiB, over the "
             f"{TABLE_BUDGET_BYTES >> 20} MiB budget")
+    return threshold
 
 
 # Per-client rewards nums[i] / den, nums in the order of inst.clients.

@@ -73,9 +73,8 @@ class RoundingContext:
               threshold: Fraction) -> "RoundingContext":
         threshold = check_threshold(threshold)
         support = [(p, w) for p, w in sol.support() if not p.is_trivial]
-        colorings = [classify_edges(inst, p) for p, _ in support]
-        spans = [{v: frozenset(c.red_subpath(v)) for v in p.nodes}
-                 for (p, _), c in zip(support, colorings)]
+        spans = [{v: frozenset(run) for v, run in
+                  classify_edges(inst, p).piece.items()} for p, _ in support]
         scale = math.lcm(threshold.denominator,
                          *(w.denominator for _, w in support))
         weights = [w.numerator * (scale // w.denominator) for _, w in support]

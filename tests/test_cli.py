@@ -141,7 +141,12 @@ def test_bound_of_a_non_client_is_named(tmp_path, capsys):
 @pytest.mark.parametrize("bounds, error", [
     ({"1": 3, "2": 3, "3": 3}, "missing regret bound for node 4"),
     ({"1": 3, "2": -1, "3": 3, "4": 3}, "negative regret bound for node 2"),
-], ids=["missing", "negative"])
+    ({"1": 1, "01": 5, "2": 1, "3": 1, "4": 1},
+     "two regret bounds for node 1"),
+    ({"1": 1, "+1": 5, "2": 1, "3": 1, "4": 1},
+     "two regret bounds for node 1"),
+], ids=["missing", "negative", "two-for-one-leading-zero",
+        "two-for-one-plus-sign"])
 def test_solve_and_verify_refuse_the_same_bounds(tmp_path, capsys, bounds,
                                                  error):
     inst = tmp_path / "inst.json"
@@ -238,11 +243,13 @@ def test_missing_required_param_exits_nonzero(tmp_path):
     ("solve", "rvrp", "--instance", "root-true.json", "--regret", "1"),
     ("solve", "rvrp", "--instance", "dist-int.json", "--regret", "1"),
     ("solve", "rvrp", "--instance", "dist-flat.json", "--regret", "1"),
+    ("solve", "rvrp", "--instance", "dist-str.json", "--regret", "1"),
 ], ids=["missing-instance", "oracle-missing-instance", "out-in-missing-dir",
         "inline-bounds-list", "bounds-file-list", "instance-without-dist",
         "instance-list", "solution-without-paths", "instance-meta-list",
         "solution-null-node", "instance-root-null", "instance-root-half",
-        "instance-root-true", "instance-dist-int", "instance-dist-flat"])
+        "instance-root-true", "instance-dist-int", "instance-dist-flat",
+        "instance-dist-strings"])
 def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     run_cli("gen", "line", "--positions", "0,1,2", "--out", "inst.json")
@@ -254,6 +261,8 @@ def test_bad_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "null-node.json").write_text('{"paths": [[0, null]]}')
     (tmp_path / "dist-int.json").write_text('{"dist": 5}')
     (tmp_path / "dist-flat.json").write_text('{"dist": [5, 6]}')
+    (tmp_path / "dist-str.json").write_text(
+        '{"dist": [["0", " 1"], ["1", "0"]], "root": "0"}')
     for name, root in (("null", "null"), ("half", "1.5"), ("true", "true")):
         (tmp_path / f"root-{name}.json").write_text(
             f'{{"dist": [[0, 1], [1, 0]], "root": {root}}}')

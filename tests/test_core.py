@@ -2,13 +2,17 @@
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flow_reference
+import path_reference
 import regret_route
-from regret_route.harness import gen_euclidean, gen_random_metric
+from regret_route.harness import gen_euclidean, gen_ladder, gen_random_metric
+from test_harness import COLOCATED
 from regret_route.core import (
     Instance,
     InvalidInstanceError,
@@ -78,10 +82,19 @@ def test_from_matrix_rejections():
 
 
 def test_from_matrix_integrality():
-    inst = Instance.from_matrix([[0, 2.0], [2.0, 0]])
-    assert inst.dist[0][1] == 2 and isinstance(inst.dist[0][1], int)
+    for two in (2.0, np.int64(2), np.float32(2), Fraction(4, 2)):
+        inst = Instance.from_matrix([[0, two], [two, 0]])
+        assert inst.dist[0][1] == 2 and type(inst.dist[0][1]) is int
     with pytest.raises(InvalidInstanceError):
         Instance.from_matrix([[0, 1.5], [1.5, 0]])
+    # Strings, bytes and numpy bools are not integers, whatever they spell.
+    for bad in ("1", " 1 ", b"1", np.True_, None, float("inf"),
+                float("nan"), Fraction(3, 2)):
+        with pytest.raises(InvalidInstanceError,
+                           match="^(non-integer|boolean) distance entry"):
+            Instance.from_matrix([[0, bad], [bad, 0]])
+    with pytest.raises(InvalidInstanceError, match="^non-integer root"):
+        Instance.from_dict({"dist": [[0, 1], [1, 0]], "root": "0"})
 
 
 def test_instance_round_trip():
@@ -176,7 +189,7 @@ def test_classify_edges_monotone_path_all_blue():
     inst = line_instance()
     col = classify_edges(inst, RootedPath.build(inst, [0, 1, 2, 3]))
     assert col.edge_is_red == (False, False, False)
-    assert col.red_intervals == ()
+    assert all(col.red_subpath(v) == (v,) for v in range(4))
     assert col.red_cost(inst) == 0
 
 
@@ -186,9 +199,8 @@ def test_classify_edges_backtrack_is_red():
     col = classify_edges(inst, p)
     # prefix max D reaches 2 at node 2 >= D_1, but stays below D_3 = 4
     assert col.edge_is_red == (False, True, False)
-    assert col.red_intervals == ((2, 1),)
-    assert col.red_subpath(1) == (2, 1)
-    assert col.red_subpath(0) == (0,)
+    assert [col.red_subpath(v) for v in p.nodes] == [(0,), (2, 1), (2, 1),
+                                                     (3,)]
     assert 2 * col.red_cost(inst) <= 3 * p.regret
 
 
@@ -232,6 +244,42 @@ def test_split_by_regret_random_contract():
         assert len(pieces) <= max(-(-p.regret // R), 1)
         assert all(q.regret <= R for q in pieces)
         assert set().union(*(q.node_set for q in pieces)) == p.node_set
+
+
+def test_path_cutting_matches_the_reference():
+    # The trivial path, every one-client path and random longer ones on
+    # euclidean, random-metric, ladder and co-located instances: the same
+    # colours, red subpaths, splits at every R in 1..regret+1 and farthest
+    # node as the loops in path_reference.  The one co-located instance at
+    # scale 100 gets fewer paths, since it has about ten times the regret.
+    rng = random.Random(25)
+    insts = [gen_euclidean(n, seed, scale=6) for n, seed in
+             ((5, 1), (8, 2), (10, 3))]
+    insts += [gen_random_metric(n, seed, max_edge=5) for n, seed in
+              ((7, 4), (9, 5))]
+    insts += [gen_ladder(2, 1), gen_ladder(2, 2), *COLOCATED]
+    paths = red_paths = multi_splits = 0
+    for inst in insts:
+        clients = list(inst.clients)
+        seqs = [[]] + [[v] for v in clients] + [
+            rng.sample(clients, rng.randint(2, len(clients)))
+            for _ in range(240 if max(inst.root_dist) < 50 else 40)]
+        for seq in seqs:
+            p = RootedPath.build(inst, [inst.root] + seq)
+            col = classify_edges(inst, p)
+            red, piece = path_reference.classify_edges(inst, p)
+            assert col.edge_is_red == red
+            assert all(col.red_subpath(v) == piece[v] for v in p.nodes)
+            for R in range(1, p.regret + 2):
+                got = split_by_regret(inst, p, R)
+                want = path_reference.split_by_regret(inst, p, R)
+                assert [q.nodes for q in got] == [q.nodes for q in want]
+                multi_splits += len(got) > 1
+            assert farthest_node(inst, p) == \
+                path_reference.farthest_node(inst, p)
+            paths += 1
+            red_paths += any(red)
+    assert paths >= 2000 and red_paths >= 500 and multi_splits >= 1000
 
 
 # --- farthest node / pair split / shortcut -------------------------------------
@@ -373,9 +421,17 @@ def test_deadlines_per_mode():
     ("multiplicative", 0, ValueError,
      "multiplicative bound must be at least 1"),
     ("dvrp", 2.5, InvalidInstanceError, "non-integer distance cap"),
+    ("dvrp", "5", InvalidInstanceError, "non-integer distance cap"),
+    ("rvrp", np.True_, InvalidInstanceError, "non-integer regret bound"),
+    ("nonuniform", {1: 1, 2: b"1"}, InvalidInstanceError,
+     "non-integer regret bound of node 2"),
+    ("nonuniform", {1: 1, "1": 2, 2: 1}, ValueError,
+     "two regret bounds for node 1"),
     ("walks", 1, ValueError, "unknown verification mode 'walks'"),
 ], ids=["negative-regret", "fractional-regret", "missing-bound",
-        "ratio-half", "ratio-zero", "fractional-cap", "unknown-mode"])
+        "ratio-half", "ratio-zero", "fractional-cap", "string-cap",
+        "numpy-bool-regret", "bytes-bound", "two-bounds-one-node",
+        "unknown-mode"])
 def test_deadlines_refuse_what_the_solvers_refuse(mode, param, error,
                                                   message):
     with pytest.raises(error, match=message):
@@ -391,6 +447,10 @@ def test_parameter_checks():
         check_path_budget(0)
     with pytest.raises(InvalidInstanceError, match="^boolean path budget"):
         check_path_budget(True)
+    with pytest.raises(InvalidInstanceError, match="^non-integer path budg"):
+        check_path_budget("2")
+    with pytest.raises(InvalidInstanceError, match="^non-integer regret bou"):
+        check_regret(" 7 ")
 
 
 def test_require_deadlines_checks_every_visit():

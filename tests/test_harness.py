@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import verify_reference
@@ -501,10 +502,38 @@ def test_non_integer_parameters_are_named():
             ("rvrp", 2.5, "regret bound"), ("dvrp-dp", 6.5, "distance cap"),
             ("dvrp-lp", 6.5, "distance cap"), ("krvrp", 1.5, "path budget"),
             ("nonuniform", {1: 1, 2: 2.5, 3: 1}, "regret bound of node 2"),
-            ("krvrp", True, "path budget")):
+            ("krvrp", True, "path budget"), ("rvrp", "2", "regret bound"),
+            ("rvrp", np.True_, "regret bound"),
+            ("nonuniform", {1: 1, 2: "2", 3: 1}, "regret bound of node 2")):
         with pytest.raises(InvalidInstanceError,
                            match=f"^(non-integer|boolean) {name}"):
             run_solver(solver, inst, {SOLVERS[solver].param: value})
+    # A threshold is refused before any work; None is the default.
+    for value in ("16", 16.5, True, np.True_):
+        with pytest.raises(InvalidInstanceError,
+                           match="^(non-integer|boolean) exact threshold"):
+            run_solver("rvrp", inst, {"regret": 10, "exact_threshold": value})
+    assert len(run_solver("rvrp", inst, {"regret": 10,
+                                         "exact_threshold": None})) == 1
+    for value in (2.0, np.int64(2)):
+        assert run_solver("rvrp", inst, {"regret": 10,
+                                         "exact_threshold": value})
+
+
+def test_one_bound_per_node():
+    # Keys are ints or decimal strings; two keys that name one node, or a
+    # key that names none, are refused rather than folded into one bound.
+    inst = gen_line([0, 1, 2, 4])
+    for bounds, message in (
+            ({1: 1, "1": 5, 2: 1, 3: 1}, "two regret bounds for node 1"),
+            ({"2": 1, "02": 5, 1: 1, 3: 1}, "two regret bounds for node 2"),
+            ({1.5: 3, 1: 1, 2: 1, 3: 1}, "regret bound key 1.5 is not"),
+            ({True: 3, 2: 1, 3: 1}, "regret bound key True is not"),
+            ({" 1": 3, 2: 1, 3: 1}, "regret bound key ' 1' is not")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_solver("nonuniform", inst, {"bounds": bounds})
+    assert run_solver("nonuniform", inst,
+                      {"bounds": {"1": 0, "+2": 0, 3: 0}})
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
