@@ -381,6 +381,115 @@ def require_deadlines(inst: Instance, paths: Sequence[RootedPath],
     require_cover(paths, deadline, cover_msg)
 
 
+class _Route:
+    """A path's nodes with its visit times and forward slack: slack[i] is
+    how far every visit from position i on may be delayed and still meet
+    its deadline (INF past the end), so an insertion is tested in O(1)."""
+
+    __slots__ = ("nodes", "time", "slack", "path")
+
+    def __init__(self, nodes: Sequence[int], dist, deadline: Mapping[int, int],
+                 path: RootedPath | None = None):
+        self.nodes = nodes
+        self.path = path                    # the input path, while unchanged
+        self.time = list(accumulate(
+            (dist[u][v] for u, v in zip(nodes, nodes[1:])), initial=0))
+        self.slack = [INF] * (len(nodes) + 1)
+        for i in range(len(nodes) - 1, 0, -1):
+            self.slack[i] = min(deadline.get(nodes[i], -1) - self.time[i],
+                                self.slack[i + 1])
+
+    def best_insertion(self, v: int, due: int, dist_v: Sequence[int]):
+        """(added cost, i) of the cheapest insertion of v after position i
+        that meets v's deadline due and every later one, the first such i
+        on ties; None when there is none."""
+        nodes, time, slack = self.nodes, self.time, self.slack
+        last = len(nodes) - 1
+        best = None
+        for i, a in enumerate(nodes):
+            to_v = dist_v[a]
+            # time[i] + d(a, v) never falls as i grows (triangle inequality)
+            if time[i] + to_v > due:
+                break
+            if i < last:
+                b = nodes[i + 1]
+                added = to_v + dist_v[b] - time[i + 1] + time[i]
+                if added > slack[i + 1]:
+                    continue
+            else:
+                added = to_v
+            if best is None or added < best[0]:
+                best = (added, i)
+        return best
+
+
+def merge_paths(inst: Instance, paths: Sequence[RootedPath],
+                deadline: Mapping[int, int]) -> List[RootedPath]:
+    """Fewer paths for the same deadlines: drop whole paths by inserting
+    their clients into the others (Clarke & Wright's savings merge, tested
+    by forward slack as in Savelsbergh 1992).
+
+    Trivial paths go first.  Candidates are taken in ascending (clients on
+    the path, position) order; each client of the candidate that no other
+    path visits is inserted, in path order, at the cheapest position of
+    another path that keeps every deadline (ties go to the earlier path,
+    then the earlier position).  When every client fits the candidate is
+    dropped and the scan restarts; otherwise the trial is undone.  It stops
+    when no path can be dropped.  Surviving paths keep their input order,
+    and the merged cover is rechecked with require_deadlines, so the count
+    never rises and every deadline still holds.
+    """
+    dist = inst.dist
+    routes = [_Route(p.nodes, dist, deadline, p) for p in paths
+              if not p.is_trivial]
+    visits: Dict[int, int] = {}
+    for r in routes:
+        for v in r.nodes[1:]:
+            visits[v] = visits.get(v, 0) + 1
+    while True:
+        for c in sorted(range(len(routes)),
+                        key=lambda i: (len(routes[i].nodes), i)):
+            changed = _absorb(routes, c, visits, dist, deadline)
+            if changed is not None:
+                break
+        else:
+            break
+        for i, r in changed.items():
+            routes[i] = r
+        for v in routes.pop(c).nodes[1:]:
+            if visits[v] > 1:       # else v moved to the route that took it
+                visits[v] -= 1
+    out = [r.path or RootedPath.build(inst, r.nodes) for r in routes]
+    require_deadlines(inst, out, deadline, "merge left clients {} uncovered")
+    return out
+
+
+def _absorb(routes: List[_Route], c: int, visits: Mapping[int, int], dist,
+            deadline: Mapping[int, int]):
+    """The routes, by index, that take in every client only routes[c]
+    visits, one cheapest insertion at a time; None when one does not fit."""
+    changed: Dict[int, _Route] = {}
+    for v in routes[c].nodes[1:]:
+        if visits[v] > 1:
+            continue
+        due, dist_v = deadline.get(v, -1), dist[v]
+        best = None
+        for j, r in enumerate(routes):
+            if j == c:
+                continue
+            r = changed.get(j, r)
+            found = r.best_insertion(v, due, dist_v)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], j, found[1])
+        if best is None:
+            return None
+        _, j, i = best
+        r = changed.get(j, routes[j])
+        changed[j] = _Route((*r.nodes[:i + 1], v, *r.nodes[i + 1:]), dist,
+                            deadline)
+    return changed
+
+
 def node_bounds(inst: Instance, bounds: Mapping) -> Dict[int, int]:
     """Regret bounds by int node id, keyed by ints (not bools) or decimal
     strings such as JSON's; ValueError naming a key that is neither, a node

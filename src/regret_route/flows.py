@@ -4,7 +4,8 @@ path cover built on it.
 Lower bounds are folded away by pre-routing them and repairing conservation
 through a super source/sink pair; the remainder is a min-cost max-flow solved
 with successive shortest augmenting paths. All arc costs must be nonnegative,
-so Dijkstra with potentials works from the start. Everything is integer.
+so Dijkstra with potentials works from the start; each Dijkstra stops once
+the sink is settled. Everything is integer.
 
 ``min_cost_path_cover`` is the one network the package builds: root trails
 through a DAG that enter every required node (Ahuja, Magnanti & Orlin,
@@ -91,6 +92,8 @@ class MinCostCirculation:
                 d, u = heapq.heappop(heap)
                 if d > dist[u]:
                     continue
+                if u == sink:   # settled: its shortest path is known
+                    break
                 pu = pot[u]
                 for aid in adj[u]:
                     if cap[aid] <= 0:
@@ -101,11 +104,14 @@ class MinCostCirculation:
                         dist[v] = nd
                         prev_arc[v] = aid
                         heapq.heappush(heap, (nd, v))
-            if dist[sink] == INFD:
+            reach = dist[sink]
+            if reach == INFD:
                 raise SolverError("lower bounds are infeasible")
+            # A node settled before the sink advances by its distance, any
+            # other by the sink's; reduced costs stay nonnegative.
             for v in range(size):
-                if dist[v] < INFD:
-                    pot[v] += dist[v]
+                dv = dist[v]
+                pot[v] += dv if dv < reach else reach
             # Bottleneck along the shortest path, then augment.
             bottleneck = need - pushed
             v = sink

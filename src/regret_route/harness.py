@@ -16,7 +16,7 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
 
 from . import reductions
 from .core import (Instance, RootedPath, InfeasibleError, _as_int, check_cap,
-                   check_path_budget, check_regret, deadlines,
+                   check_path_budget, check_regret, deadlines, merge_paths,
                    metric_from_edges)
 from .lp import FractionalSolution
 from .pricing import (DEFAULT_EXACT_THRESHOLD, OracleUnavailableError,
@@ -364,11 +364,14 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     A missing (or None) budget parameter, a rounding threshold given to a
     solver whose row says it takes none, and an exact threshold that is no
     int or is over the table memory budget are refused before any work
-    (None means the default, as for every parameter).  This is
-    the one place a cover is summarised: after the solve, diagnostics gets
-    the returned paths' path_count, max_regret, total_regret and
-    max_length, and subsolves (the solve_rvrp calls the solver made on
-    sub-instances) is 0 unless the solver set it."""
+    (None means the default, as for every parameter).  A row with a
+    verify mode has its cover merged after the solver's own checks
+    (core.merge_paths under the mode's deadlines), and diagnostics gets
+    the solver's own count as rounded_count.  This is the one place a
+    cover is summarised: after the solve, diagnostics gets the returned
+    paths' path_count, max_regret, total_regret and max_length, and
+    subsolves (the solve_rvrp calls the solver made on sub-instances) is 0
+    unless the solver set it."""
     row = _solver(solver)
     if params.get(row.param) is None:
         raise ValueError(f"solver {solver!r} requires the {row.param!r} "
@@ -384,6 +387,10 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
         kwargs["threshold"] = threshold
     paths = getattr(reductions, row.function)(inst, params[row.param],
                                               **kwargs)
+    if row.verify_mode is not None:
+        diag["rounded_count"] = len(paths)
+        paths = merge_paths(inst, paths, deadlines(inst, row.verify_mode,
+                                                   params[row.param]))
     diag.setdefault("subsolves", 0)
     diag.update(path_count=len(paths),
                 max_regret=max((p.regret for p in paths), default=0),
@@ -418,16 +425,18 @@ def _oracle_value(solver: str, inst: Instance, params: Mapping
 def run_job(job: Mapping, timings: bool = False) -> dict:
     """Execute one (instance, solver) pair into a report dictionary.
 
-    Report keys: id, solver, n, params, count, total_regret, max_regret,
-    max_length, lp_value, lp_certified, lp_rounds, lp_pivots and
-    lp_columns (when the solver produced an LP; certified is false when
-    pricing was heuristic; rounds, pivots and columns are the
-    column-generation rounds, the master's simplex pivots and the columns
-    it ended with), subsolves (the solve_rvrp calls a reduction made on
-    sub-instances; 0 for rvrp and krvrp), oracle (exact
+    Report keys: id, solver, n, params, count, rounded_count (the
+    solver's own count before run_solver's merge; absent for krvrp),
+    total_regret, max_regret, max_length, lp_value, lp_certified,
+    lp_rounds, lp_pivots and lp_columns (when the solver produced an LP;
+    certified is false when pricing was heuristic; rounds, pivots and
+    columns are the column-generation rounds, the master's simplex pivots
+    and the columns it ended with), subsolves (the solve_rvrp calls a
+    reduction made on sub-instances; 0 for rvrp and krvrp), oracle (exact
     optimum when the instance is small enough, plus the solver/oracle
     ratio), bound_checks (forwarded from the solver diagnostics), ok.
-    count, the regrets, max_length and subsolves are run_solver's summary.
+    count, rounded_count, the regrets, max_length and subsolves are
+    run_solver's summary.
     """
     inst: Instance = job["instance"]
     params = dict(job["params"])
@@ -450,7 +459,8 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
         "failures": check["failures"],
     }
     report.update((key, diag[key]) for key in
-                  ("total_regret", "max_regret", "max_length", "subsolves",
+                  ("rounded_count", "total_regret", "max_regret",
+                   "max_length", "subsolves",
                    "bound_checks", *FractionalSolution.REPORT_KEYS)
                   if key in diag)
     if job.get("oracle"):

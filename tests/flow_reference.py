@@ -1,5 +1,9 @@
-"""The two node-split networks and trail peels that ``flows.min_cost_path_cover``
-replaced: the test oracle for it.
+"""The min-cost circulation solver and the two node-split networks and trail
+peels that ``flows`` replaced: the test oracles for it.
+
+``ReferenceCirculation`` is the successive-shortest-path solver whose
+Dijkstra runs until every reachable node is settled; the tests require
+``MinCostCirculation``, which stops at the sink, to find the same cost.
 
 ``zero_regret_cover`` splits every client (in-node 2v, out-node 2v+1) and
 peels whole zero-regret paths.  ``witness_flow`` splits only the witnesses,
@@ -9,11 +13,94 @@ end only where flow leaves for the collector.  Both peels take the least
 trails as these.
 """
 
+import heapq
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from regret_route.core import (Instance, RootedPath, regret_distance,
-                               tight_arcs)
+from regret_route.core import (Instance, RootedPath, SolverError,
+                               regret_distance, tight_arcs)
 from regret_route.flows import MinCostCirculation
+
+
+class ReferenceCirculation(MinCostCirculation):
+    """MinCostCirculation with a Dijkstra that settles every reachable node
+    before each augmentation; only solve differs."""
+
+    def solve(self) -> int:
+        n = self.n
+        source, sink = n, n + 1
+        size = n + 2
+        to: List[int] = []
+        cap: List[int] = []
+        cost: List[int] = []
+        adj: List[List[int]] = [[] for _ in range(size)]
+
+        def push_arc(u: int, v: int, c: int, w: int) -> int:
+            aid = len(to)
+            to.append(v); cap.append(c); cost.append(w); adj[u].append(aid)
+            to.append(u); cap.append(0); cost.append(-w); adj[v].append(aid + 1)
+            return aid
+
+        balance = [0] * size
+        self._residual_id = []
+        base_cost = 0
+        for u, v, lower, capacity, w in self._arcs:
+            self._residual_id.append(push_arc(u, v, capacity - lower, w))
+            balance[v] += lower
+            balance[u] -= lower
+            base_cost += lower * w
+        need = 0
+        for v in range(n):
+            if balance[v] > 0:
+                push_arc(source, v, balance[v], 0)
+                need += balance[v]
+            elif balance[v] < 0:
+                push_arc(v, sink, -balance[v], 0)
+
+        pot = [0] * size
+        pushed = 0
+        total_cost = base_cost
+        INFD = float("inf")
+        while pushed < need:
+            dist = [INFD] * size
+            prev_arc = [-1] * size
+            dist[source] = 0
+            heap = [(0, source)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                pu = pot[u]
+                for aid in adj[u]:
+                    if cap[aid] <= 0:
+                        continue
+                    v = to[aid]
+                    nd = d + cost[aid] + pu - pot[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev_arc[v] = aid
+                        heapq.heappush(heap, (nd, v))
+            if dist[sink] == INFD:
+                raise SolverError("lower bounds are infeasible")
+            for v in range(size):
+                if dist[v] < INFD:
+                    pot[v] += dist[v]
+            bottleneck = need - pushed
+            v = sink
+            while v != source:
+                aid = prev_arc[v]
+                bottleneck = min(bottleneck, cap[aid])
+                v = to[aid ^ 1]
+            v = sink
+            while v != source:
+                aid = prev_arc[v]
+                cap[aid] -= bottleneck
+                cap[aid ^ 1] += bottleneck
+                total_cost += bottleneck * cost[aid]
+                v = to[aid ^ 1]
+            pushed += bottleneck
+        self._cap = cap
+        self._solved = True
+        return total_cost
 
 
 def zero_regret_cover(inst: Instance, targets) -> List[RootedPath]:

@@ -1,10 +1,14 @@
 """Min-cost circulation engine: feasibility, optimality, lower bounds; and
 the rooted path cover built on it."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
+from flow_reference import ReferenceCirculation
+from regret_route import flows, harness, rounding
 from regret_route.core import SolverError
 from regret_route.flows import MinCostCirculation, min_cost_path_cover
 from regret_route.harness import gen_euclidean
@@ -96,6 +100,88 @@ def test_conservation_on_random_networks():
             balance[u] -= f
             balance[v] += f
         assert balance == [0] * n
+
+
+def _assert_circulation(net):
+    """Every arc's flow lies within its bounds and every node balances."""
+    balance = [0] * net.n
+    for aid, (u, v, lower, cap, _) in enumerate(net._arcs):
+        f = net.flow(aid)
+        assert lower <= f <= cap
+        balance[u] -= f
+        balance[v] += f
+    assert balance == [0] * net.n
+
+
+def test_early_exit_matches_the_reference_on_random_networks():
+    # Dijkstra stops at the sink; the cost is the full search's, and an
+    # infeasible network is refused by both.
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        arcs = []
+        for _ in range(rng.randint(1, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            lower = rng.choice((0, 0, 1, 2))
+            arcs.append((u, v, lower, lower + rng.randint(0, 3),
+                         rng.randint(0, 6)))
+        net, ref = MinCostCirculation(n), ReferenceCirculation(n)
+        for arc in arcs:
+            net.add_arc(*arc)
+            ref.add_arc(*arc)
+        try:
+            want = ref.solve()
+        except SolverError:
+            with pytest.raises(SolverError):
+                net.solve()
+            continue
+        assert net.solve() == want
+        _assert_circulation(net)
+
+
+def _benchmark_jobs(seed):
+    """The solver calls of every benchmark workload at seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [job for name in workloads.WORKLOADS
+            for job in workloads.build(name, seed)]
+
+
+def test_early_exit_matches_the_reference_on_the_benchmark(monkeypatch):
+    # Every network that seed 1 of the benchmark builds costs what the full
+    # search finds, and every witness flow, solved either way, passes
+    # round_flow's certificates (they raise otherwise) and is claimed by
+    # exactly its witnesses.
+    solve, round_flow = MinCostCirculation.solve, rounding.round_flow
+    seen = {"networks": 0, "witness flows": 0}
+
+    def checked_solve(net):
+        ref = ReferenceCirculation(net.n)
+        ref._arcs = list(net._arcs)
+        cost = solve(net)
+        assert cost == ref.solve()
+        _assert_circulation(net)
+        seen["networks"] += 1
+        return cost
+
+    def checked_round_flow(inst, arc_weight, witnesses, *args, **kwargs):
+        out = round_flow(inst, arc_weight, witnesses, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(flows, "MinCostCirculation", ReferenceCirculation)
+            ref = round_flow(inst, arc_weight, witnesses, *args, **kwargs)
+        assert out.cost == ref.cost
+        for flow in (out, ref):
+            assert rounding.decompose_flow(inst, flow)
+        seen["witness flows"] += 1
+        return out
+
+    monkeypatch.setattr(MinCostCirculation, "solve", checked_solve)
+    monkeypatch.setattr(rounding, "round_flow", checked_round_flow)
+    for job in _benchmark_jobs(1):
+        harness.run_solver(job["solver"], job["instance"], job["params"])
+    assert seen["networks"] > seen["witness flows"] > 100
 
 
 # --- min_cost_path_cover -----------------------------------------------------

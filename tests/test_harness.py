@@ -377,12 +377,14 @@ def test_run_job_report_shape():
     job = {"id": "t-0", "solver": "rvrp", "instance": inst,
            "params": {"regret": 1}, "oracle": True}
     report = run_job(job, timings=True)
-    for key in ("id", "solver", "n", "params", "count", "total_regret",
-                "max_regret", "max_length", "ok", "failures", "lp_value",
-                "lp_certified", "lp_rounds", "lp_pivots", "lp_columns",
-                "subsolves", "bound_checks", "oracle", "ratio", "wall_ms"):
+    for key in ("id", "solver", "n", "params", "count", "rounded_count",
+                "total_regret", "max_regret", "max_length", "ok", "failures",
+                "lp_value", "lp_certified", "lp_rounds", "lp_pivots",
+                "lp_columns", "subsolves", "bound_checks", "oracle", "ratio",
+                "wall_ms"):
         assert key in report, key
     assert report["ok"] and not report["failures"]
+    assert report["count"] <= report["rounded_count"]
     assert report["lp_certified"] is True
     assert report["subsolves"] == 0           # rvrp reduces to nothing
     lp = solve_rvrp_lp(inst, 1)
@@ -393,6 +395,10 @@ def test_run_job_report_shape():
     assert type(report["oracle"]) is int
     assert report["ratio"] == round(report["count"] / report["oracle"], 6)
     json.dumps(report)            # must be serializable as-is
+    # krvrp's cover is not merged, so it has no count of its own to report
+    krvrp = run_job({**job, "id": "t-k", "solver": "krvrp",
+                     "params": {"k": 2}})
+    assert krvrp["ok"] and "rounded_count" not in krvrp
 
 
 def test_run_job_without_oracle_or_timings():
@@ -646,11 +652,11 @@ def test_heuristic_suite_deterministic():
 # output byte-identical must leave these alone; one that changes it on
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
-    "smoke": "72797e2754ecc1465a511a44d246e749ef20f88d60927ff79bb22576f3a74846",
-    "rvrp": "2d1c1900ae0c77e41d43f5c43beece93506c6950fd26846537e1dc548c3c4e3f",
-    "caps": "47edefb6063f6f5ece314e94f6f7d263fd920d67b962d898d665f91f6c7dfcce",
+    "smoke": "e8b5f24477bf056dde584e38846b211b426900b460525fd0c115477ffa894622",
+    "rvrp": "685bbd430e2b1106417e5170660ddcc487e5068863976f282c61cf075edbae1f",
+    "caps": "a26a0ddf51a8db3bef6a6790f73d49ff84db77e8b1a72a4d590e3120274ba596",
     "heuristic":
-        "eba74b237411869041368db2f7b1278d1e0dd55a24b1c34c33f030ad5304de81",
+        "f86459eae903a9b6149ef37d2035fab767efe4f9f4beb6ace7696742a56edbcd",
 }
 
 
