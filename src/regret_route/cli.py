@@ -88,8 +88,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     inst = Instance.from_dict(_read_json(args.instance))
     key = SOLVERS[args.solver].param
     params = {key: _flag(args, f"solver {args.solver!r}", key)}
-    if args.threshold is not None:
-        params["threshold"] = args.threshold
     params["exact_threshold"] = args.exact_threshold
     diag: dict = {}
     paths = run_solver(args.solver, inst, params, diagnostics=diag)
@@ -174,8 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--bounds",
                        help="per-node regret bounds: JSON object or file")
     solve.add_argument("--k", type=int, help="path budget")
-    solve.add_argument("--threshold",
-                       help="rvrp rounding split threshold in (0,1), e.g. 1/3")
     solve.add_argument("--exact-threshold", type=int,
                        default=DEFAULT_EXACT_THRESHOLD,
                        help="largest client count priced exactly")

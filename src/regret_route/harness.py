@@ -334,20 +334,17 @@ class Solver(NamedTuple):
                             # up on every call so that a wrapper bound to the
                             # module global sees the call
     verify_mode: Optional[str]  # None for a k-path cover, verified at the
-                                # worst regret it produced
-    oracle: Optional[str]   # the oracle kind; None without a brute force
-    threshold: bool         # takes a rounding split threshold
+                                # worst regret it produced; keys the row's
+                                # ORACLES entry (krvrp's is keyed by name)
 
 
 SOLVERS = {
-    "rvrp": Solver("regret", "solve_rvrp", "rvrp", "rvrp", True),
-    "dvrp-dp": Solver("dist", "solve_dvrp_dp", "dvrp", "dvrp", False),
-    "dvrp-lp": Solver("dist", "solve_dvrp_lp_round", "dvrp", "dvrp", False),
-    "mult": Solver("ratio", "solve_multiplicative", "multiplicative", None,
-                   False),
-    "nonuniform": Solver("bounds", "solve_nonuniform", "nonuniform", None,
-                         False),
-    "krvrp": Solver("k", "solve_krvrp_minmax", None, "krvrp", False),
+    "rvrp": Solver("regret", "solve_rvrp", "rvrp"),
+    "dvrp-dp": Solver("dist", "solve_dvrp_dp", "dvrp"),
+    "dvrp-lp": Solver("dist", "solve_dvrp_lp_round", "dvrp"),
+    "mult": Solver("ratio", "solve_multiplicative", "multiplicative"),
+    "nonuniform": Solver("bounds", "solve_nonuniform", "nonuniform"),
+    "krvrp": Solver("k", "solve_krvrp_minmax", None),
 }
 
 
@@ -361,30 +358,28 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
                diagnostics: Optional[dict] = None) -> List[RootedPath]:
     """Run a named solver from SOLVERS; the CLI reads the same table.
 
-    A missing (or None) budget parameter, a rounding threshold given to a
-    solver whose row says it takes none, and an exact threshold that is no
-    int or is over the table memory budget are refused before any work
-    (None means the default, as for every parameter).  A row with a
-    verify mode has its cover merged after the solver's own checks
-    (core.merge_paths under the mode's deadlines), and diagnostics gets
-    the solver's own count as rounded_count.  This is the one place a
-    cover is summarised: after the solve, diagnostics gets the returned
-    paths' path_count, max_regret, total_regret and max_length, and
-    subsolves (the solve_rvrp calls the solver made on sub-instances) is 0
-    unless the solver set it."""
+    A missing (or None) budget parameter, then any parameter key but the
+    budget and exact_threshold, and an exact threshold that is no int or is
+    over the table memory budget are refused before any work (None means
+    the default, as for every parameter).  A row with a verify mode has
+    its cover merged after the solver's own checks (core.merge_paths under
+    the mode's deadlines), and diagnostics gets the solver's own count as
+    rounded_count.  This is the one place a cover is summarised: after the
+    solve, diagnostics gets the returned paths' path_count, max_regret,
+    total_regret and max_length, and subsolves (the solve_rvrp calls the
+    solver made on sub-instances) is 0 unless the solver set it."""
     row = _solver(solver)
     if params.get(row.param) is None:
         raise ValueError(f"solver {solver!r} requires the {row.param!r} "
                          f"parameter")
+    unknown = sorted(set(params) - {row.param, "exact_threshold"}, key=str)
+    if unknown:
+        raise ValueError(f"solver {solver!r} takes no parameter "
+                         f"{', '.join(map(repr, unknown))}")
     exact = params.get("exact_threshold")
     diag = {} if diagnostics is None else diagnostics
     kwargs = {"diagnostics": diag, "exact_threshold": check_exact_threshold(
         DEFAULT_EXACT_THRESHOLD if exact is None else exact)}
-    threshold = params.get("threshold")
-    if threshold is not None and not row.threshold:
-        raise ValueError(f"solver {solver!r} takes no rounding threshold")
-    if threshold is not None:
-        kwargs["threshold"] = threshold
     paths = getattr(reductions, row.function)(inst, params[row.param],
                                               **kwargs)
     if row.verify_mode is not None:
@@ -410,12 +405,18 @@ def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]
     return mode, {key: params[key]}
 
 
+def _oracle(solver: str) -> Optional[Tuple]:
+    """The solver's ORACLES entry, keyed by its verify mode (krvrp, the row
+    without one, by its name); None without a brute force."""
+    return ORACLES.get(_solver(solver).verify_mode or solver)
+
+
 def _oracle_value(solver: str, inst: Instance, params: Mapping
                   ) -> Optional[int]:
-    kind = _solver(solver).oracle
-    if kind is None:
+    entry = _oracle(solver)
+    if entry is None:
         return None
-    oracle, key, _ = ORACLES[kind]
+    oracle, key, _ = entry
     try:
         return oracle(inst, params[key])
     except OracleUnavailableError:
@@ -467,7 +468,7 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
         opt = _oracle_value(job["solver"], inst, params)
         if opt is not None:
             report["oracle"] = opt
-            measured = report[ORACLES[SOLVERS[job["solver"]].oracle][2]]
+            measured = report[_oracle(job["solver"])[2]]
             report["ratio"] = (None if opt == 0 else
                                round(measured / opt, 6))
     if timings:

@@ -27,7 +27,9 @@ The round admits them in that order while they pass the admission test
 and ends column generation when it admits none. Admission and that proof
 of optimality read the true duals only: the center steers which columns
 enter, never whether the LP is optimal. At a master optimum every master
-column prices at most 1, so a scan never re-proposes one.
+column fails the admission test, so no pricer, exact or heuristic, can
+re-propose one; a column that passes it and is already in the master
+raises SolverError.
 """
 
 from __future__ import annotations
@@ -247,10 +249,8 @@ def column_generation(inst: Instance,
                 break
             path = res.path
             if path.nodes in seen:
-                if exact:
-                    raise SolverError("exact pricing re-proposed a column "
-                                      "already in the master")
-                break  # heuristic stalled on a known column
+                raise SolverError("pricing re-proposed a column already "
+                                  "in the master")
             seen.add(path.nodes)
             columns.append(path)
             master.add_column(path.nodes[1:], _column_cost(path, objective))

@@ -18,27 +18,26 @@ from .core import (Instance, RootedPath, check_cap, check_path_budget,
                    zero_regret_cover)
 from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
                  solve_rvrp_lp, preprocess_fractional)
-from .rounding import check_threshold, round_minsum, round_rvrp
+from .rounding import round_minsum, round_rvrp
 
 
-def solve_rvrp(inst: Instance, R: int, threshold: Optional[Fraction] = None,
+def solve_rvrp(inst: Instance, R: int,
                exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                diagnostics: Optional[dict] = None) -> List[RootedPath]:
     """Cover all clients with rooted paths of regret at most R.
 
     R = 0 is solved exactly as a min path cover of the tight arcs; R > 0
-    goes through the configuration LP and the rounding pipeline, so the
-    number of paths is within a constant factor of the fractional optimum.
+    goes through the configuration LP and the rounding pipeline at the
+    default threshold, which minimizes its bound, so the number of paths
+    is within (8 + 4*sqrt(3)) times the fractional optimum, plus one.
     """
     # No simple path has regret above its length, at most (n - 1) times
     # the longest edge, so a larger R admits the same columns.
     R = min(check_regret(R), (inst.n - 1) * max(map(max, inst.dist)))
-    threshold = check_threshold(threshold)
     if R == 0 or not inst.clients:
         return zero_regret_cover(inst, inst.clients)
     sol = solve_rvrp_lp(inst, R, exact_threshold=exact_threshold)
-    return round_rvrp(inst, R, sol, threshold=threshold,
-                      diagnostics=diagnostics)
+    return round_rvrp(inst, R, sol, diagnostics=diagnostics)
 
 
 def _cover_subset(inst: Instance, nodes: Sequence[int], bound: int,

@@ -548,9 +548,7 @@ def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
     k = check_path_budget(k)
     require(sol.total_weight <= k, "fractional solution exceeds the path cap")
     delta = Fraction(3 * k + 1, 3 * k + 2)
-    nustar = sol.value if sol.objective == "regret" else None
-    if nustar is None:
-        nustar = sum((Fraction(p.regret) * w for p, w in sol.support()), ZERO)
+    nustar = sum((p.regret * w for p, w in sol.support()), ZERO)
 
     grafted, diag = _pipeline(inst, sol, delta, k, cost_factor=3)
     diagnostics.update(diag)

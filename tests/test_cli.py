@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end."""
 
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from regret_route.cli import main
+from regret_route.core import Instance
+from regret_route.harness import gen_random_metric
 
 
 def run_cli(*argv):
@@ -61,26 +64,20 @@ def test_solve_errors_exit_one(tmp_path, capsys):
     assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
                    "--exact-threshold", "40") == 1
     assert "budget" in capsys.readouterr().err
-    # a rounding threshold passed to a solver that rounds nothing
-    assert run_cli("solve", "mult", "--instance", inst, "--ratio", "3/2",
-                   "--threshold", "1/3") == 1
-    assert ("error: solver 'mult' takes no rounding threshold"
+    # rvrp rounds at one threshold; there is no flag to set another
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
+                "--threshold", "1/3")
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --threshold 1/3"
             in capsys.readouterr().err)
-    # a rounding threshold outside (0, 1), 0 included, also at R = 0
-    for regret, bad in (("1", "0"), ("1", "1"), ("0", "0")):
-        assert run_cli("solve", "rvrp", "--instance", inst, "--regret",
-                       regret, "--threshold", bad) == 1
-        assert ("error: threshold must lie strictly between 0 and 1"
-                in capsys.readouterr().err)
-    # a zero denominator in a ratio or a threshold
+    # a zero denominator in a ratio
     sol = tmp_path / "sol.json"
     assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
                    "--out", sol) == 0
     for argv in (("solve", "mult", "--instance", inst, "--ratio", "1/0"),
                  ("verify", "--instance", inst, "--solution", sol,
-                  "--mode", "multiplicative", "--ratio", "1/0"),
-                 ("solve", "rvrp", "--instance", inst, "--regret", "1",
-                  "--threshold", "1/0")):
+                  "--mode", "multiplicative", "--ratio", "1/0")):
         capsys.readouterr()
         assert run_cli(*argv) == 1
         assert "error: zero denominator in " in capsys.readouterr().err
@@ -357,6 +354,67 @@ def test_module_entry_point(tmp_path, src_env):
         capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stats"]["count"] == 1
+
+
+def test_module_main_runs_in_process(tmp_path, monkeypatch, capsys):
+    # The same entry point as above, run in this interpreter, so that
+    # __main__ itself executes: its exit status is main's return value.
+    import runpy
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "line", "--positions", "0,1,2", "--out", inst)
+    capsys.readouterr()
+    for argv, code in ((["solve", "rvrp", "--regret", "0"], 0),
+                       (["solve", "rvrp", "--regret", "-1"], 1)):
+        monkeypatch.setattr(sys, "argv", ["regret_route", *argv,
+                                          "--instance", str(inst)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("regret_route", run_name="__main__")
+        assert exc.value.code == code
+    assert "error: " in capsys.readouterr().err
+
+
+def test_instance_from_stdin(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "line", "--positions", "0,1,2,4", "--out", inst)
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(inst.read_text()))
+    assert run_cli("solve", "rvrp", "--instance", "-", "--regret", "1") == 0
+    from_stdin = json.loads(capsys.readouterr().out)
+    assert run_cli("solve", "rvrp", "--instance", inst, "--regret", "1") == 0
+    assert from_stdin == json.loads(capsys.readouterr().out)
+
+
+def test_gen_random_matches_the_generator(tmp_path):
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", "random", "--n", "7", "--seed", "5",
+                   "--max-edge", "9", "--out", out) == 0
+    inst = Instance.from_dict(json.loads(out.read_text()))
+    assert inst.dist == gen_random_metric(7, 5, max_edge=9).dist
+    assert inst.n == 7
+
+
+def test_bench_failures_exit_two(tmp_path, monkeypatch, capsys):
+    # One report that fails verification makes bench exit 2, naming it,
+    # after every report is written.
+    from regret_route import harness
+    verify, calls = harness.verify, []
+
+    def failing_once(*args, **kwargs):
+        report = verify(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            report.update(ok=False, failures=[{"kind": "forged"}])
+        return report
+
+    monkeypatch.setattr(harness, "verify", failing_once)
+    out = tmp_path / "smoke.jsonl"
+    assert run_cli("bench", "--suite", "smoke", "--seed", "1",
+                   "--out", out) == 2
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 28
+    bad = [r["id"] for r in lines if not r["ok"]]
+    assert bad == [lines[1]["id"]]
+    assert capsys.readouterr().err == f"1 failing jobs: {bad[0]}\n"
 
 
 def test_no_numpy_import_without_a_table(src_env):

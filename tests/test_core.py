@@ -551,6 +551,18 @@ def test_induced_instance_maps_ids():
     assert sub.dist[1][2] == inst.dist[1][3]
 
 
+def test_out_of_range_ids_and_negative_weights_are_refused():
+    with pytest.raises(InvalidInstanceError,
+                       match=r"^negative edge weight on \(1,2\)$"):
+        metric_from_edges(3, [(0, 1, 5), (1, 2, -1)])
+    inst = line_instance()
+    for bad in ([4], [-1], [1, 9]):
+        with pytest.raises(ValueError, match="^target node out of range$"):
+            zero_regret_cover(inst, bad)
+        with pytest.raises(ValueError, match="^node id out of range$"):
+            induced_instance(inst, bad)
+
+
 def test_solution_round_trip():
     inst = line_instance()
     p = RootedPath.build(inst, [0, 1, 2])

@@ -88,6 +88,11 @@ def test_infeasible_budget_detected():
         master.solve()
 
 
+def test_negative_budget_is_refused():
+    with pytest.raises(ValueError, match="^negative budget$"):
+        CoveringMaster([1, 2], budget=-1)
+
+
 def test_uncoverable_client_detected():
     master = CoveringMaster([1, 2])
     master.add_column([1], Fraction(1))

@@ -76,6 +76,15 @@ def test_argument_validation():
         net.flow(0)
 
 
+def test_a_solved_network_takes_no_arc():
+    net = MinCostCirculation(2)
+    net.add_arc(0, 1, lower=1, cap=1, cost=2)
+    net.add_arc(1, 0, lower=0, cap=1, cost=0)
+    assert net.solve() == 2
+    with pytest.raises(SolverError, match="^network already solved$"):
+        net.add_arc(1, 0, lower=0, cap=1, cost=0)
+
+
 def test_conservation_on_random_networks():
     import random
     rng = random.Random(0)

@@ -12,8 +12,10 @@ import pytest
 import verify_reference
 from regret_route.core import InfeasibleError, Instance, InvalidInstanceError
 from regret_route.harness import (
+    ORACLE_LIMIT,
     ORACLES,
     SOLVERS,
+    Solver,
     VERIFY_MODES,
     _oracle_value,
     _verify_mode,
@@ -236,6 +238,17 @@ def test_oracle_infeasible_and_limits():
         brute_force_lp(big, 1, kind="speed")
 
 
+def test_lp_oracle_refusals_and_empty_instance():
+    with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+        brute_force_lp(gen_line([0, 1, 2]), -1)
+    assert brute_force_lp(Instance.from_matrix([[0]]), 0) == 0.0
+    # client 2 lies 5 from the root, beyond a length budget of 3
+    with pytest.raises(InfeasibleError, match=r"^nodes \[2\] unreachable "
+                                              r"within the budget$") as exc:
+        brute_force_lp(gen_line([0, 1, 5]), 3, kind="length")
+    assert exc.value.nodes == (2,)
+
+
 def test_lp_oracle_frozen_values():
     ladder = gen_ladder(2)
     assert brute_force_lp(ladder, 1, "regret") == pytest.approx(1.5)
@@ -286,6 +299,19 @@ def test_verify_flags_each_failure_kind():
 
     with pytest.raises(ValueError):
         verify(inst, [[0, 1]], "walks", {})
+
+
+def test_verify_flags_node_ids_out_of_range():
+    # The path is a structure failure and adds no visit: its in-range
+    # client is still uncovered.
+    inst = gen_line([0, 1, 2])
+    for bad in (3, -1):
+        report = verify(inst, [[0, 1, bad], [0, 2]], "rvrp", {"regret": 9})
+        assert report["failures"] == [
+            {"kind": "structure", "path": 0,
+             "detail": "node id out of range"},
+            {"kind": "coverage", "node": 1,
+             "detail": "client not visited by any path"}]
 
 
 @pytest.mark.parametrize("mode, key", [("rvrp", "regret"), ("dvrp", "dist"),
@@ -410,6 +436,17 @@ def test_run_job_without_oracle_or_timings():
     assert report["params"] == {"ratio": "3/2"}
 
 
+def test_run_job_leaves_out_an_oracle_over_its_limit():
+    # 13 clients, one over ORACLE_LIMIT: the job asks for its oracle and
+    # gets a report without one.
+    inst = gen_euclidean(ORACLE_LIMIT + 2, 3)
+    assert len(inst.clients) == ORACLE_LIMIT + 1
+    report = run_job({"id": "t-2", "solver": "rvrp", "instance": inst,
+                      "params": {"regret": 0}, "oracle": True})
+    assert report["ok"]
+    assert "oracle" not in report and "ratio" not in report
+
+
 def _colocated(inst, copies, root=0):
     """inst plus a copy of each node in copies, at distance 0 from it."""
     ids = list(range(inst.n)) + list(copies)
@@ -433,7 +470,7 @@ def test_solver_table_row(solver):
     inst = gen_euclidean(7, 4)
     assert len(inst.clients) == 6
     maxd = max(inst.root_dist)
-    key = SOLVERS[solver][0]
+    key = SOLVERS[solver].param
     params = {key: {"regret": maxd // 2, "dist": maxd + maxd // 2,
                     "ratio": "3/2", "k": 2,
                     "bounds": {v: v % 3 for v in inst.clients}}[key]}
@@ -446,7 +483,8 @@ def test_solver_table_row(solver):
     if opt is not None:
         measured = {"count": len(paths),
                     "max_regret": max(p.regret for p in paths)}
-        assert measured[ORACLES[SOLVERS[solver][3]][2]] >= opt
+        field = ORACLES[SOLVERS[solver].verify_mode or solver][2]
+        assert measured[field] >= opt
     for inst in COLOCATED:
         params = {key: {"regret": 0, "dist": max(inst.root_dist),
                         "ratio": 1, "k": 2,
@@ -548,7 +586,8 @@ def test_missing_parameter_is_refused_by_name(solver):
     inst = gen_line([0, 1, 2])
     key = SOLVERS[solver].param
     message = f"solver {solver!r} requires the {key!r} parameter"
-    for params in ({}, {key: None}, {"threshold": "1/3"}):
+    # the budget is checked before any other key is refused
+    for params in ({}, {key: None}, {"threshold": "1/3"}, {"regert": 1}):
         with pytest.raises(ValueError, match=message):
             run_solver(solver, inst, params)
     with pytest.raises(ValueError, match=message):
@@ -556,22 +595,36 @@ def test_missing_parameter_is_refused_by_name(solver):
                  "params": {}})
 
 
-def test_rounding_threshold_only_where_the_row_takes_one():
+def test_solver_rows_take_no_rounding_threshold():
+    # rvrp always rounds at the threshold that minimizes its bound.
+    import inspect
+    from regret_route import reductions
+    assert Solver._fields == ("param", "function", "verify_mode")
+    params = inspect.signature(reductions.solve_rvrp).parameters
+    assert "threshold" not in params
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_unknown_parameters_are_refused_by_name(monkeypatch, solver):
+    # A stale or misspelt key fails before any work instead of being
+    # dropped; the budget and exact_threshold are the only keys a row reads.
+    from regret_route import reductions
     inst = gen_line([0, 1, 2])
-    assert [name for name, row in SOLVERS.items() if row.threshold] == ["rvrp"]
-    assert run_solver("rvrp", inst, {"regret": 1, "threshold": "1/3"})
-    # 0 is a threshold, not a request for the default
-    for bad in (0, "0", Fraction(0), 1, "3/2"):
-        with pytest.raises(ValueError, match="strictly between 0 and 1"):
-            run_solver("rvrp", inst, {"regret": 1, "threshold": bad})
-    for name, row in SOLVERS.items():
-        if row.threshold:
-            continue
-        params = {row.param: {"regret": 1, "dist": 4, "ratio": "3/2",
-                              "k": 2, "bounds": {1: 1, 2: 1}}[row.param],
-                  "threshold": "1/3"}
-        with pytest.raises(ValueError, match="takes no rounding threshold"):
-            run_solver(name, inst, params)
+    row = SOLVERS[solver]
+    budget = {row.param: {"regret": 1, "dist": 4, "ratio": "3/2", "k": 2,
+                          "bounds": {1: 1, 2: 1}}[row.param]}
+    assert run_solver(solver, inst, {**budget, "exact_threshold": None})
+
+    def no_work(*args, **kwargs):
+        raise RuntimeError("the solver was reached")
+
+    monkeypatch.setattr(reductions, row.function, no_work)
+    for extra, named in (({"threshold": "1/3"}, "'threshold'"),
+                         ({"exact-threshold": 4}, "'exact-threshold'"),
+                         ({"threshold": None, 7: 1}, "7, 'threshold'")):
+        with pytest.raises(ValueError, match=f"^solver {solver!r} takes no "
+                                             f"parameter {named}$"):
+            run_solver(solver, inst, {**budget, **extra})
 
 
 def test_unknown_solver_is_refused():

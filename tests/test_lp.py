@@ -163,6 +163,52 @@ def test_validate_raises_solver_error():
         sol.validate()
 
 
+def test_validate_refuses_a_malformed_solution():
+    inst = gen_line([0, 1, 2])
+    one, both = (RootedPath.build(inst, [0, 1]),
+                 RootedPath.build(inst, [0, 1, 2]))
+    for build, message in (
+            (lambda: FractionalSolution.from_columns(inst, [both], [1]),
+             None),
+            (lambda: FractionalSolution(
+                inst, [both], [Fraction(1), Fraction(1)], Fraction(1),
+                "count", None, None, True), "1 columns but 2 weights"),
+            (lambda: FractionalSolution.from_columns(
+                inst, [both, one], [2, -1]), "negative column weight"),
+            (lambda: FractionalSolution.from_columns(
+                inst, [both], [1], column_bound=("length", 1)),
+             r"column \(0, 1, 2\) breaks length<=1"),
+            (lambda: FractionalSolution.from_columns(
+                inst, [both, one], [1, 1], objective="regret", count_cap=1),
+             "total weight 2 exceeds the count cap 1")):
+        sol = build()
+        if message is None:
+            sol.validate()
+            continue
+        with pytest.raises(SolverError, match=f"^{message}"):
+            sol.validate()
+
+
+@pytest.mark.parametrize("solve, arg", [(solve_rvrp_lp, 3),
+                                        (solve_minsum_lp, 2)])
+def test_a_re_proposed_column_is_refused(monkeypatch, solve, arg):
+    # At a master optimum no master column passes the admission test, so a
+    # pricer that re-proposes one with a forged value is at fault, heuristic
+    # or exact: the LP must not end there as if it were optimal.
+    from regret_route import lp
+    inst = gen_euclidean(6, 3)
+
+    def forged(inst, rewards, budget_kind, budget=0):
+        seed = RootedPath.build(inst, [inst.root, inst.clients[0]])
+        return PricedPath(seed, Fraction(2 if budget_kind != "min_excess"
+                                         else -10 ** 9))
+
+    monkeypatch.setattr(lp, "heuristic_pricing", forged)
+    with pytest.raises(SolverError, match="re-proposed a column already in "
+                                          "the master"):
+        solve(inst, arg, exact_threshold=2)
+
+
 def test_validate_survives_optimized_python(src_env):
     # Under -O every assert is compiled out; validate must still refuse.
     import subprocess

@@ -63,23 +63,6 @@ def test_solve_rvrp_validation_and_trivial():
     assert solve_rvrp(empty, 3) == []
 
 
-def test_solve_rvrp_checks_threshold_before_the_lp(monkeypatch):
-    # An out-of-range threshold is refused before any table or LP is built,
-    # at R = 0 as well, where the LP is never solved.
-    from regret_route import harness, reductions
-
-    def no_lp(*args, **kwargs):
-        raise RuntimeError("the LP was reached")
-
-    monkeypatch.setattr(reductions, "solve_rvrp_lp", no_lp)
-    inst = gen_euclidean(6, 1)
-    for R in (0, 5):
-        for bad in (0, 1, Fraction(-1, 2)):
-            with pytest.raises(ValueError, match="threshold must lie"):
-                harness.run_solver("rvrp", inst,
-                                   {"regret": R, "threshold": bad})
-
-
 def test_solve_rvrp_feasible_and_near_optimal():
     factor = 8 + 4 * math.sqrt(3)
     for seed in range(6):

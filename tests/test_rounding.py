@@ -11,7 +11,8 @@ import rounding_reference as reference
 from test_acceptance import mixed_instance
 from test_harness import COLOCATED
 from regret_route import rounding
-from regret_route.core import Instance, RootedPath, regret_distance
+from regret_route.core import (Instance, RootedPath, SolverError,
+                               regret_distance)
 from regret_route.harness import (brute_force_rvrp, gen_euclidean, gen_ladder,
                                   gen_line, gen_random_metric)
 from regret_route.lp import (FractionalSolution, solve_minsum_lp,
@@ -241,6 +242,23 @@ def test_rounded_count_vs_integral_optimum():
         paths = round_rvrp(inst, R, sol)
         opt = brute_force_rvrp(inst, R)
         assert len(paths) <= factor * opt + 1
+
+
+def test_bound_check_records_then_raises():
+    diag = {}
+    rounding._bound_check(diag, "under", 2, Fraction(5, 2))
+    rounding._bound_check(diag, "over", Fraction(1, 2), Fraction(1, 3),
+                          ge=True)
+    with pytest.raises(SolverError, match="^late: 3 vs 5/2$"):
+        rounding._bound_check(diag, "late", 3, Fraction(5, 2))
+    with pytest.raises(SolverError, match="^short: 1/4 vs 1/3$"):
+        rounding._bound_check(diag, "short", Fraction(1, 4), Fraction(1, 3),
+                              ge=True)
+    assert {name: check["ok"] for name, check in
+            diag["bound_checks"].items()} == {
+        "under": True, "over": True, "late": False, "short": False}
+    assert diag["bound_checks"]["late"] == {"actual": 3.0, "bound": 2.5,
+                                            "ok": False}
 
 
 def test_bound_check_survives_optimized_python(src_env):
