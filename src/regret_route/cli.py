@@ -11,7 +11,6 @@ instance), 2 verification or bench failures.
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .core import (Instance, RegretRouteError, solution_from_dict,
@@ -22,17 +21,6 @@ from .harness import (ORACLES, SOLVERS, SUITES, VERIFY_MODES,
                       run_suite, verify)
 from .harness import LP_ORACLE_LIMIT, ORACLE_LIMIT
 from .pricing import DEFAULT_EXACT_THRESHOLD
-
-
-def _jsonable(obj):
-    """Diagnostics may hold Fractions and tuples; JSON knows neither."""
-    if isinstance(obj, Fraction):
-        return obj.numerator if obj.denominator == 1 else str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _read_json(path: str):
@@ -91,11 +79,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     params["exact_threshold"] = args.exact_threshold
     diag: dict = {}
     paths = run_solver(args.solver, inst, params, diagnostics=diag)
-    stats = {"solver": args.solver,
-             "params": _jsonable(params),
-             "count": len(paths),
-             "diagnostics": _jsonable(diag)}
-    _write_json(solution_to_dict(inst, paths, stats=stats), args.out)
+    stats = {"solver": args.solver, "params": params, "count": len(paths),
+             "diagnostics": diag}
+    _write_json(solution_to_dict(paths, stats=stats), args.out)
     return 0
 
 
@@ -138,8 +124,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other input errors; 2 means failed checks."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regret-route",
         description="Cover clients of a rooted metric with few bounded-"
                     "regret or bounded-length paths.")

@@ -215,10 +215,6 @@ class EdgeColoring:
     edge_is_red: Tuple[bool, ...]
     piece: Mapping[int, Tuple[int, ...]] = field(repr=False)
 
-    def red_subpath(self, v: int) -> Tuple[int, ...]:
-        """Nodes of the maximal red subpath containing v (maybe just (v,))."""
-        return self.piece[v]
-
     def red_cost(self, inst: Instance) -> int:
         nodes = self.path.nodes
         return sum(inst.dist[nodes[i]][nodes[i + 1]]
@@ -269,8 +265,10 @@ def split_by_regret(inst: Instance, path: RootedPath, R: int) -> List[RootedPath
 
 
 def farthest_node(inst: Instance, path: RootedPath) -> int:
-    """Farthest-from-root node on the path; ties go to the smallest id."""
-    return max(path.nodes, key=lambda v: (inst.root_dist[v], -v))
+    """Farthest-from-root client on the path (the root on a trivial one);
+    ties go to the smallest id, so a client at the depot beats the root."""
+    return max(path.nodes[1:] or path.nodes,
+               key=lambda v: (inst.root_dist[v], -v))
 
 
 def preprocess_path_pair(inst: Instance, path: RootedPath) -> Tuple[RootedPath, RootedPath]:
@@ -595,16 +593,10 @@ def induced_instance(inst: Instance, keep: Iterable[int]) -> Tuple[Instance, Lis
     return Instance.from_matrix(sub, root=0, validate=False), ids
 
 
-def solution_to_dict(inst: Instance, paths: Iterable, stats: dict | None = None) -> dict:
+def solution_to_dict(paths: Sequence[RootedPath], stats: dict | None = None) -> dict:
     """JSON form of a solution: node sequences, per-path regrets, stats."""
-    seqs = []
-    regrets = []
-    for p in paths:
-        nodes = list(p.nodes) if isinstance(p, RootedPath) else list(p)
-        seqs.append(nodes)
-        cost = sum(inst.dist[u][v] for u, v in zip(nodes, nodes[1:]))
-        regrets.append(cost - inst.root_dist[nodes[-1]])
-    return {"paths": seqs, "regrets": regrets, "stats": stats or {}}
+    return {"paths": [list(p.nodes) for p in paths],
+            "regrets": [p.regret for p in paths], "stats": stats or {}}
 
 
 def solution_from_dict(d: Mapping) -> List[List[int]]:

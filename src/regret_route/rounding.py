@@ -89,12 +89,9 @@ class RoundingContext:
                    node_spans=node_spans)
 
     @property
-    def scaled_regret_mass(self) -> int:
-        return sum(p.regret * W for (p, _), W in zip(self.support, self.weights))
-
-    @property
     def regret_mass(self) -> Fraction:
-        return Fraction(self.scaled_regret_mass, self.scale)
+        return Fraction(sum(p.regret * W for (p, _), W in
+                            zip(self.support, self.weights)), self.scale)
 
 
 def _covered(ctx: RoundingContext, v: int, S) -> int:
@@ -139,9 +136,10 @@ class WitnessStructure:
         return sorted(self.witness.values())
 
 
-def _closed_tour(inst: Instance, comp: FrozenSet[int],
-                 edges: Sequence[Tuple[int, int]], anchor: int) -> Tuple[int, ...]:
-    """Preorder walk of the component's tree from the anchor (cost <= 2c)."""
+def _closed_tour(comp: FrozenSet[int], edges: Sequence[Tuple[int, int]],
+                 anchor: int) -> Tuple[int, ...]:
+    """Preorder walk of the component's tree from the anchor (cost <= 2c);
+    a tree pushes each node once, from its parent."""
     adj: Dict[int, List[int]] = {v: [] for v in comp}
     for u, v in edges:
         adj[u].append(v)
@@ -153,14 +151,13 @@ def _closed_tour(inst: Instance, comp: FrozenSet[int],
     seen = set()
     while stack:
         u = stack.pop()
-        if u in seen:
-            continue
         seen.add(u)
         order.append(u)
         for nb in reversed(adj[u]):
             if nb not in seen:
                 stack.append(nb)
-    require(set(order) == set(comp), "tour misses part of its component")
+    require(sorted(order) == sorted(comp),
+            "tour does not visit its component once per node")
     return tuple(order)
 
 
@@ -303,7 +300,7 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
                     "inactive non-root component without a witness")
             anchor = eligible[0]
             witness[ci] = anchor
-        tour = _closed_tour(inst, comp, edges_of[ci], anchor)
+        tour = _closed_tour(comp, edges_of[ci], anchor)
         cost = _tour_cost(inst, tour)
         require(cost <= 2 * sum(inst.dist[u][v] for u, v in edges_of[ci]),
                 f"tour of component {ci} costs more than its doubled tree")

@@ -3,8 +3,9 @@
 classify_edges groups consecutive red edges into maximal runs with a
 nested while loop and hands every position its (possibly trivial) run;
 split_by_regret walks the prefix regrets with a window/current state
-machine; farthest_node keeps the best (D, -id) seen.  ``core`` now cuts
-each path once, at its blue edges or where the regret window changes.
+machine; farthest_node keeps the best (D, -id) among the clients (the
+root on a trivial path).  ``core`` now cuts each path once, at its blue
+edges or where the regret window changes.
 The tests require the same edge colours, the same red subpath at every
 node, the same split paths node for node and the same farthest node.
 """
@@ -72,8 +73,8 @@ def split_by_regret(inst: Instance, path: RootedPath, R: int
 
 
 def farthest_node(inst: Instance, path: RootedPath) -> int:
-    best = path.nodes[0]
-    for v in path.nodes:
+    best = path.nodes[-1]
+    for v in path.nodes[1:]:
         if (inst.root_dist[v], -v) > (inst.root_dist[best], -best):
             best = v
     return best

@@ -135,7 +135,7 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
             assert eligible, "inactive non-root component without a witness"
             anchor = eligible[0]
             witness[ci] = anchor
-        tour = _closed_tour(inst, comp, edges_of[ci], anchor)
+        tour = _closed_tour(comp, edges_of[ci], anchor)
         cost = _tour_cost(inst, tour)
         assert cost <= 2 * sum(inst.dist[u][v] for u, v in edges_of[ci])
         tours[ci] = tour

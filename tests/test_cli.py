@@ -68,7 +68,7 @@ def test_solve_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "rvrp", "--instance", inst, "--regret", "1",
                 "--threshold", "1/3")
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert ("unrecognized arguments: --threshold 1/3"
             in capsys.readouterr().err)
     # a zero denominator in a ratio
@@ -81,6 +81,24 @@ def test_solve_errors_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(*argv) == 1
         assert "error: zero denominator in " in capsys.readouterr().err
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    # argparse's own usage errors exit 1 like every other input error, in
+    # the top parser and in each subcommand's, so 2 still means only that
+    # a check failed (test_verify_rejects_corrupted_solution).
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "line", "--positions", "0,1,2,4", "--out", inst)
+    for argv in (("solve", "rvrp", "--instance", inst, "--regret", "1",
+                  "--bogus"),
+                 ("solve", "rvrp", "--regret", "1"),
+                 ("verify", "--instance", inst, "--mode", "nope"),
+                 ("frobnicate",)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: regret-route") and "error: " in err
 
 
 @pytest.mark.parametrize("solver, flag, mode, value", [

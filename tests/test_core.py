@@ -189,7 +189,7 @@ def test_classify_edges_monotone_path_all_blue():
     inst = line_instance()
     col = classify_edges(inst, RootedPath.build(inst, [0, 1, 2, 3]))
     assert col.edge_is_red == (False, False, False)
-    assert all(col.red_subpath(v) == (v,) for v in range(4))
+    assert all(col.piece[v] == (v,) for v in range(4))
     assert col.red_cost(inst) == 0
 
 
@@ -199,8 +199,7 @@ def test_classify_edges_backtrack_is_red():
     col = classify_edges(inst, p)
     # prefix max D reaches 2 at node 2 >= D_1, but stays below D_3 = 4
     assert col.edge_is_red == (False, True, False)
-    assert [col.red_subpath(v) for v in p.nodes] == [(0,), (2, 1), (2, 1),
-                                                     (3,)]
+    assert [col.piece[v] for v in p.nodes] == [(0,), (2, 1), (2, 1), (3,)]
     assert 2 * col.red_cost(inst) <= 3 * p.regret
 
 
@@ -248,16 +247,19 @@ def test_split_by_regret_random_contract():
 
 def test_path_cutting_matches_the_reference():
     # The trivial path, every one-client path and random longer ones on
-    # euclidean, random-metric, ladder and co-located instances: the same
-    # colours, red subpaths, splits at every R in 1..regret+1 and farthest
-    # node as the loops in path_reference.  The one co-located instance at
-    # scale 100 gets fewer paths, since it has about ten times the regret.
+    # euclidean, random-metric, ladder and co-located instances (two with
+    # clients at the depot, one rooted at 1): the same colours, red
+    # subpaths, splits at every R in 1..regret+1 and farthest node as the
+    # loops in path_reference.  The one co-located instance at scale 100
+    # gets fewer paths, since it has about ten times the regret.
     rng = random.Random(25)
     insts = [gen_euclidean(n, seed, scale=6) for n, seed in
              ((5, 1), (8, 2), (10, 3))]
     insts += [gen_random_metric(n, seed, max_edge=5) for n, seed in
               ((7, 4), (9, 5))]
     insts += [gen_ladder(2, 1), gen_ladder(2, 2), *COLOCATED]
+    depot = [[0, 0, 0, 2], [0, 0, 0, 2], [0, 0, 0, 2], [2, 2, 2, 0]]
+    insts += [Instance.from_matrix(depot, root=r) for r in (0, 1)]
     paths = red_paths = multi_splits = 0
     for inst in insts:
         clients = list(inst.clients)
@@ -269,7 +271,7 @@ def test_path_cutting_matches_the_reference():
             col = classify_edges(inst, p)
             red, piece = path_reference.classify_edges(inst, p)
             assert col.edge_is_red == red
-            assert all(col.red_subpath(v) == piece[v] for v in p.nodes)
+            assert all(col.piece[v] == piece[v] for v in p.nodes)
             for R in range(1, p.regret + 2):
                 got = split_by_regret(inst, p, R)
                 want = path_reference.split_by_regret(inst, p, R)
@@ -288,6 +290,17 @@ def test_farthest_node_tie_breaks_smallest_id():
     star = star_instance()
     p = RootedPath.build(star, [0, 3, 1])
     assert farthest_node(star, p) == 1
+
+
+def test_a_client_at_the_depot_beats_the_root():
+    # With D = 0 on every node the root must not be the pivot: the pair
+    # split would return the trivial path twice and drop both clients.
+    inst = Instance.from_matrix([[0] * 3] * 3)
+    p = RootedPath.build(inst, [0, 1, 2])
+    assert farthest_node(inst, p) == 1
+    a, b = preprocess_path_pair(inst, p)
+    assert (a.nodes, b.nodes) == ((0, 1), (0, 2, 1))
+    assert farthest_node(inst, RootedPath.trivial(inst)) == 0
 
 
 def test_preprocess_path_pair_contract():
@@ -566,7 +579,7 @@ def test_out_of_range_ids_and_negative_weights_are_refused():
 def test_solution_round_trip():
     inst = line_instance()
     p = RootedPath.build(inst, [0, 1, 2])
-    d = solution_to_dict(inst, [p], stats={"note": 1})
+    d = solution_to_dict([p], stats={"note": 1})
     assert d["paths"] == [[0, 1, 2]]
     assert d["regrets"] == [0]
     assert d["stats"] == {"note": 1}

@@ -409,22 +409,50 @@ def test_integral_fractions_and_floats_accepted():
     assert sol.value == 3 and sol.budget_dual == 0
 
 
-@pytest.mark.parametrize("corrupt", ["xb", "adj", "det", "y"])
-def test_certificate_checks_original_columns(corrupt):
-    # A damaged inverse, basic vector or maintained det * y must not reach
-    # a MasterSolution.
+def _certified_master():
     master = CoveringMaster([1, 2, 3], budget=2)
     for covered, cost in (([1, 2, 3], 3), ([1, 2], 1), ([2, 3], 1),
                           ([1, 3], 1), ([3], 0)):
         master.add_column(covered, cost)
     master.solve()
+    return master
+
+
+@pytest.mark.parametrize("corrupt",
+                         ["xb", "xb sign", "adj", "det", "det sign", "y"])
+def test_certificate_checks_original_columns(corrupt):
+    # A damaged inverse, basic vector, det or maintained det * y must not
+    # reach a MasterSolution.
+    master = _certified_master()
+    message = "basic values do not satisfy the rows"
     if corrupt == "xb":
         master._xb[0] += 1
+    elif corrupt == "xb sign":
+        master._xb[0] = -1
+        message = "negative basic value"
     elif corrupt == "adj":
         master._adj[0] = [x + 1 for x in master._adj[0]]
+        message = "optimality certificate failed"
     elif corrupt == "y":
         master._y[0] += 1
-    else:
+        message = r"maintained duals differ from c_B \* adj"
+    elif corrupt == "det":
         master._det += 1
-    with pytest.raises(SolverError):
+    else:
+        master._det = 0
+        message = "basis determinant is not positive"
+    with pytest.raises(SolverError, match=f"^{message}$"):
         master._extract()
+
+
+def test_certificate_refuses_a_dual_of_the_wrong_sign():
+    # The surplus column of a coverage row and the slack column of the
+    # budget row price to -y_i and y_budget against cost 0, so the
+    # optimality test refuses a negative coverage or positive budget dual.
+    master = _certified_master()
+    for row, y_row in ((0, -1), (master.budget_row, 1)):
+        y = list(master._y)
+        y[row] = y_row
+        with pytest.raises(SolverError,
+                           match="^optimality certificate failed$"):
+            master._certify(y)

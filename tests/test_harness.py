@@ -95,6 +95,13 @@ def test_generator_ranges_are_checked():
                                 "max edge")):
         with pytest.raises(ValueError, match=f"^{message} must be positive"):
             make(5, 1, **arg)
+    for h, c in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="^ladder parameters must be "
+                                             "at least 1$"):
+            gen_ladder(h, c)
+    for make in (gen_euclidean, gen_random_metric):
+        with pytest.raises(ValueError, match="^need at least two nodes$"):
+            make(1, 0)
     assert gen_random_metric(5, 1, max_edge=4.0).meta["max_edge"] == 4
     assert type(gen_euclidean(5, 1, scale=8.0).meta["scale"]) is int
 

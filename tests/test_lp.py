@@ -247,6 +247,29 @@ def test_pivot_count_reaches_solution(monkeypatch):
     assert sol.pivots == seen[-1] > 0
 
 
+def test_a_rising_master_value_is_refused(monkeypatch):
+    # Adding columns can only lower the restricted master's optimum, so a
+    # second solve whose value is larger than the first is refused.
+    from dataclasses import replace
+
+    from regret_route import lp
+    solve = lp.CoveringMaster.solve
+    values = []
+
+    def rising(self):
+        res = solve(self)
+        if values:
+            res = replace(res, scaled_value=res.det * (values[0] + 1))
+        values.append(res.value)
+        return res
+
+    monkeypatch.setattr(lp.CoveringMaster, "solve", rising)
+    with pytest.raises(SolverError,
+                       match="^restricted master value increased$"):
+        solve_rvrp_lp(gen_ladder(3), 1)
+    assert len(values) == 2
+
+
 def test_duals_are_recomputed_once_per_solve(monkeypatch):
     # det * y is kept across pivots: c_B * adj is computed at the start
     # basis and once per solve for the certificate, never per pivot.

@@ -13,7 +13,8 @@ from regret_route.core import (InfeasibleError, Instance, RootedPath,
                                induced_instance, regret_distance)
 from regret_route.harness import (brute_force_dvrp, brute_force_krvrp,
                                   brute_force_rvrp, gen_euclidean, gen_ladder,
-                                  gen_line, gen_random_metric, verify)
+                                  gen_line, gen_random_metric, run_solver,
+                                  verify)
 from regret_route.reductions import (
     _prune_redundant,
     cover_lower_bound,
@@ -425,6 +426,15 @@ def test_dvrp_lp_round_line_and_star():
     paths = solve_dvrp_lp_round(star, 1, diagnostics=diag)
     assert len(paths) == 4
     assert len(diag["parts"]) < 3 * diag["support_weight"] + 1e-9
+
+
+def test_dvrp_lp_round_client_at_the_depot():
+    # The one client sits at the depot, so its column's farthest node must
+    # be the client, not the root, or the pair split drops it.
+    inst = Instance.from_matrix([[0, 0], [0, 0]])
+    paths = run_solver("dvrp-lp", inst, {"dist": 0})
+    assert [p.nodes for p in paths] == [(0, 1)]
+    assert verify(inst, paths, "dvrp", {"dist": 0})["ok"]
 
 
 def test_dvrp_lp_round_part_closure_captures_stranded_nodes():

@@ -127,6 +127,18 @@ def test_round_flow_integrality_and_lower_bounds():
     assert flow.value == value <= 3
 
 
+def test_round_flow_names_the_value_cap(monkeypatch):
+    # A failed witness flow is refused with the cap it was solved at.
+    def infeasible(*args):
+        raise SolverError("no feasible flow")
+
+    monkeypatch.setattr(rounding, "min_cost_path_cover", infeasible)
+    inst = gen_line([0, 1, 2])
+    with pytest.raises(SolverError, match="^witness flow at value cap 1: "
+                                          "no feasible flow$"):
+        round_flow(inst, {(0, 1): 1, (1, 2): 1}, [1, 2], 1, value_cap=1)
+
+
 def test_decompose_flow_covers_arcs():
     inst = gen_line([0, 1, 2, 4])
     arc_weight = {(0, 1): Fraction(1), (1, 2): Fraction(1),
