@@ -51,10 +51,15 @@ def _load_bounds(arg: str) -> dict:
 
 
 def _flag(args: argparse.Namespace, what: str, key: str):
-    """The value of --key, without which `what` cannot run."""
+    """The value of --key, without which `what` cannot run; `what` reads no
+    other budget flag, so one that is set is refused."""
     value = getattr(args, key)
     if value is None:
         raise SystemExit(f"error: {what} requires --{key}")
+    extra = [f"--{k}" for k in ("regret", "dist", "ratio", "bounds", "k")
+             if k != key and getattr(args, k, None) is not None]
+    if extra:
+        raise SystemExit(f"error: {what} takes no {', '.join(extra)}")
     return _load_bounds(value) if key == "bounds" else value
 
 
@@ -92,7 +97,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise SystemExit(
                 "error: oracle lp takes exactly one of --regret / --dist")
         kind = "regret" if args.regret is not None else "length"
-        bound = args.regret if kind == "regret" else args.dist
+        bound = _flag(args, "oracle lp",
+                      "regret" if kind == "regret" else "dist")
         limit = LP_ORACLE_LIMIT if args.limit is None else args.limit
         value = brute_force_lp(inst, bound, kind=kind, limit=limit)
     else:

@@ -260,8 +260,20 @@ VERIFY_MODES = {"rvrp": ("regret", "regret"), "dvrp": ("dist", "length"),
                 "nonuniform": ("bounds", "regret")}
 
 
+def _budget(what: str, params: Optional[Mapping], key: str, *also: str):
+    """params[key], which `what` requires (ValueError when it is missing or
+    None), after refusing by name every other key but `also`."""
+    if (params or {}).get(key) is None:
+        raise ValueError(f"{what} requires the {key!r} parameter")
+    unknown = sorted(set(params) - {key, *also}, key=str)
+    if unknown:
+        raise ValueError(f"{what} takes no parameter "
+                         f"{', '.join(map(repr, unknown))}")
+    return params[key]
+
+
 def verify(inst: Instance, paths: Iterable, mode: str,
-           params: Optional[Mapping] = None) -> dict:
+           params: Optional[Mapping]) -> dict:
     """Recompute feasibility of a solution from the distance matrix alone.
 
     Accepts raw node sequences or path objects, trusting neither costs
@@ -269,16 +281,14 @@ def verify(inst: Instance, paths: Iterable, mode: str,
     coverage, and that every visit of a client, not only its first, meets
     its core.deadlines deadline: a failure per late visit, or under dvrp,
     where every deadline is the cap, per path too long.  Failures become
-    report entries; a parameter the mode's solver refuses raises there.
+    report entries.  A missing key, any key but the mode's own, and a
+    parameter the mode's solver refuses raise ValueError.
     """
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
     key, kind = VERIFY_MODES[mode]
-    params = dict(params or {})
-    if params.get(key) is None:
-        raise ValueError(f"verification mode {mode!r} requires the "
-                         f"{key!r} parameter")
-    deadline = deadlines(inst, mode, params[key])
+    deadline = deadlines(inst, mode, _budget(f"verification mode {mode!r}",
+                                             params, key))
     failures: List[dict] = []
     D, dist = inst.root_dist, inst.dist
 
@@ -369,13 +379,7 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     total_regret and max_length, and subsolves (the solve_rvrp calls the
     solver made on sub-instances) is 0 unless the solver set it."""
     row = _solver(solver)
-    if params.get(row.param) is None:
-        raise ValueError(f"solver {solver!r} requires the {row.param!r} "
-                         f"parameter")
-    unknown = sorted(set(params) - {row.param, "exact_threshold"}, key=str)
-    if unknown:
-        raise ValueError(f"solver {solver!r} takes no parameter "
-                         f"{', '.join(map(repr, unknown))}")
+    _budget(f"solver {solver!r}", params, row.param, "exact_threshold")
     exact = params.get("exact_threshold")
     diag = {} if diagnostics is None else diagnostics
     kwargs = {"diagnostics": diag, "exact_threshold": check_exact_threshold(

@@ -123,17 +123,17 @@ def cut_value(ctx: RoundingContext, S) -> int:
 
 @dataclass
 class WitnessStructure:
+    """The kept forest edges, keyed by witness: zone[w] is the component
+    whose witness is w and tour[w] its closed walk from w; root_tour walks
+    the root's component from the root. forest_cost and tours_cost total
+    the edges and the walks."""
+
     forest: List[Tuple[int, int]]
-    components: List[FrozenSet[int]]
-    witness: Dict[int, int]          # component index -> witness node
-    tours: Dict[int, Tuple[int, ...]]  # component index -> closed walk anchor..
-    root_component: int
+    zone: Dict[int, FrozenSet[int]]
+    tour: Dict[int, Tuple[int, ...]]
+    root_tour: Tuple[int, ...]
     forest_cost: int
     tours_cost: int
-
-    @property
-    def witnesses(self) -> List[int]:
-        return sorted(self.witness.values())
 
 
 def _closed_tour(comp: FrozenSet[int], edges: Sequence[Tuple[int, int]],
@@ -275,23 +275,12 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
         if not _active(ctx, sides[0]) and not _active(ctx, sides[1]):
             kept = trial
 
-    comps = _forest_components(n, kept)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    root_ci = comp_of[inst.root]
-
-    witness: Dict[int, int] = {}
-    tours: Dict[int, Tuple[int, ...]] = {}
-    edges_of: Dict[int, List[Tuple[int, int]]] = {ci: [] for ci in range(len(comps))}
-    for u, v in kept:
-        edges_of[comp_of[u]].append((u, v))
-    forest_cost = sum(inst.dist[u][v] for u, v in kept)
+    zone: Dict[int, FrozenSet[int]] = {}
+    tour: Dict[int, Tuple[int, ...]] = {}
     tours_cost = 0
-    for ci, comp in enumerate(comps):
+    for comp in _forest_components(n, kept):
         require(not _active(ctx, comp), "active component survived")
-        if ci == root_ci:
+        if inst.root in comp:
             anchor = inst.root
         else:
             eligible = [v for v in sorted(comp)
@@ -299,17 +288,21 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
             require(bool(eligible),
                     "inactive non-root component without a witness")
             anchor = eligible[0]
-            witness[ci] = anchor
-        tour = _closed_tour(comp, edges_of[ci], anchor)
-        cost = _tour_cost(inst, tour)
-        require(cost <= 2 * sum(inst.dist[u][v] for u, v in edges_of[ci]),
-                f"tour of component {ci} costs more than its doubled tree")
-        tours[ci] = tour
+        edges = [e for e in kept if e[0] in comp]
+        walk = _closed_tour(comp, edges, anchor)
+        cost = _tour_cost(inst, walk)
+        require(cost <= 2 * sum(inst.dist[u][v] for u, v in edges),
+                f"tour from {anchor} costs more than its doubled tree")
         tours_cost += cost
+        if anchor == inst.root:
+            root_tour = walk
+        else:
+            zone[anchor], tour[anchor] = comp, walk
 
-    return WitnessStructure(forest=kept, components=comps, witness=witness,
-                            tours=tours, root_component=root_ci,
-                            forest_cost=forest_cost, tours_cost=tours_cost)
+    return WitnessStructure(forest=kept, zone=zone, tour=tour,
+                            root_tour=root_tour,
+                            forest_cost=sum(inst.dist[u][v] for u, v in kept),
+                            tours_cost=tours_cost)
 
 
 def _split_sides(n: int, edges: Sequence[Tuple[int, int]],
@@ -347,9 +340,8 @@ def shortcut_to_witnesses(ctx: RoundingContext, index: int,
     _pipeline checks on the merged support."""
     path, _ = ctx.support[index]
     spans = ctx.red_span[index]
-    zone = {w: ws.components[ci] for ci, w in ws.witness.items()}
     keep = [w for w in path.nodes[1:]
-            if w in zone and spans[w] <= zone[w]]
+            if w in ws.zone and spans[w] <= ws.zone[w]]
     return shortcut(ctx.inst, path, keep)
 
 
@@ -362,14 +354,6 @@ class IntegralFlow:
     @property
     def value(self) -> int:
         return len(self.trails)
-
-
-def _heads(arc_weight: Mapping[Tuple[int, int], int]) -> Dict[int, int]:
-    """Total weight entering each node, in one pass over the arcs."""
-    into: Dict[int, int] = {}
-    for (_, v), f in arc_weight.items():
-        into[v] = into.get(v, 0) + f
-    return into
 
 
 def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], int],
@@ -425,19 +409,16 @@ def graft(inst: Instance, paths: Sequence[RootedPath],
           ws: WitnessStructure) -> List[RootedPath]:
     """Insert each witness component's tour after the witness; the root
     component's tour leads the first path. Covers every node."""
-    zone_tour = {w: ws.tours[ci] for ci, w in ws.witness.items()}
-    root_tour = ws.tours[ws.root_component]
     out = []
     for i, p in enumerate(paths):
         seq = [inst.root]
         if i == 0:
-            seq.extend(root_tour[1:])
+            seq.extend(ws.root_tour[1:])
         for w in p.nodes[1:]:
-            seq.append(w)
-            seq.extend(zone_tour[w][1:])
+            seq.extend(ws.tour[w])
         out.append(RootedPath.build(inst, seq))
-    if not paths and len(root_tour) > 1:
-        out.append(RootedPath.build(inst, list(root_tour)))
+    if not paths and len(ws.root_tour) > 1:
+        out.append(RootedPath.build(inst, list(ws.root_tour)))
     require_cover(out, inst.clients, "graft left nodes uncovered")
     return out
 
@@ -452,12 +433,12 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
         **sol.report(),
         "forest_cost": ws.forest_cost,
         "tours_cost": ws.tours_cost,
-        "components": len(ws.components),
-        "witnesses": len(ws.witness),
+        "components": len(ws.zone) + 1,
+        "witnesses": len(ws.zone),
     }
     _bound_check(diag, "forest_cost_vs_regret_mass", ws.forest_cost,
                  3 * ctx.regret_mass / (1 - threshold))
-    if not ws.witness:
+    if not ws.zone:
         grafted = graft(inst, [], ws)
         diag.update(flow_cost=0, flow_value=0)
         return grafted, diag
@@ -478,12 +459,14 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
     require(all(a == inst.root or D[a] < D[b] for a, b in arc_weight),
             "shortcut support has an arc that does not climb in D")
     diag["support_acyclic"] = True
-    inflow = _heads(arc_weight)
+    # every head is a witness: a shortcut keeps only witnesses
+    inflow = dict.fromkeys(ws.zone, 0)
+    for (_, w), W in arc_weight.items():
+        inflow[w] += W
     _bound_check(diag, "witness_inflow",
-                 Fraction(min(inflow.get(w, 0) for w in ws.witnesses),
-                          ctx.scale), threshold, ge=True)
+                 Fraction(min(inflow.values()), ctx.scale), threshold, ge=True)
 
-    flow = round_flow(inst, arc_weight, ws.witnesses, ctx.need, value_cap,
+    flow = round_flow(inst, arc_weight, ws.zone, ctx.need, value_cap,
                       cost_factor=cost_factor)
     skeleton = decompose_flow(inst, flow)
     grafted = graft(inst, skeleton, ws)

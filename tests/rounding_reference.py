@@ -112,42 +112,38 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
             kept = trial
 
     comps = _forest_components(n, kept)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    root_ci = comp_of[inst.root]
-
-    witness: Dict[int, int] = {}
-    tours: Dict[int, Tuple[int, ...]] = {}
-    edges_of: Dict[int, List[Tuple[int, int]]] = {ci: [] for ci in range(len(comps))}
-    for u, v in kept:
-        edges_of[comp_of[u]].append((u, v))
+    zone: Dict[int, frozenset] = {}
+    tour: Dict[int, Tuple[int, ...]] = {}
+    root_tour: Tuple[int, ...] = ()
     forest_cost = sum(inst.dist[u][v] for u, v in kept)
     tours_cost = 0
-    for ci, comp in enumerate(comps):
+    for comp in comps:
         assert cut_value(ctx, comp) == 0, "active component survived"
-        if ci == root_ci:
+        if inst.root in comp:
             anchor = inst.root
         else:
             eligible = [v for v in sorted(comp)
                         if covered_within(ctx, v, comp) >= delta]
             assert eligible, "inactive non-root component without a witness"
             anchor = eligible[0]
-            witness[ci] = anchor
-        tour = _closed_tour(comp, edges_of[ci], anchor)
-        cost = _tour_cost(inst, tour)
-        assert cost <= 2 * sum(inst.dist[u][v] for u, v in edges_of[ci])
-        tours[ci] = tour
+        edges = [(u, v) for u, v in kept if u in comp]
+        walk = _closed_tour(comp, edges, anchor)
+        cost = _tour_cost(inst, walk)
+        assert cost <= 2 * sum(inst.dist[u][v] for u, v in edges)
         tours_cost += cost
+        if anchor == inst.root:
+            root_tour = walk
+        else:
+            zone[anchor] = comp
+            tour[anchor] = walk
 
     # Cost certificate: red mass of the support, scaled by the threshold gap.
     bound = 3 * ctx.regret_mass / (1 - delta)
     assert forest_cost <= bound, (forest_cost, bound)
 
-    return WitnessStructure(forest=kept, components=comps, witness=witness,
-                            tours=tours, root_component=root_ci,
-                            forest_cost=forest_cost, tours_cost=tours_cost)
+    return WitnessStructure(forest=kept, zone=zone, tour=tour,
+                            root_tour=root_tour, forest_cost=forest_cost,
+                            tours_cost=tours_cost)
 
 
 def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],
@@ -198,12 +194,12 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
         "lp_columns": len(sol.columns),
         "forest_cost": ws.forest_cost,
         "tours_cost": ws.tours_cost,
-        "components": len(ws.components),
-        "witnesses": len(ws.witness),
+        "components": len(_forest_components(inst.n, ws.forest)),
+        "witnesses": len(ws.zone),
     }
     _bound_check(diag, "forest_cost_vs_regret_mass", ws.forest_cost,
                  3 * ctx.regret_mass / (1 - threshold))
-    if not ws.witness:
+    if not ws.zone:
         grafted = graft(inst, [], ws)
         diag.update(flow_cost=0, flow_value=0)
         return grafted, diag
@@ -224,12 +220,13 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
     D = inst.root_dist
     assert all(a == inst.root or D[a] < D[b] for a, b in arc_weight)
     diag["support_acyclic"] = True
+    witnesses = sorted(ws.zone)
     inflow = {wt: sum(w for (_, b), w in arc_weight.items() if b == wt)
-              for wt in ws.witnesses}
+              for wt in witnesses}
     _bound_check(diag, "witness_inflow", min(inflow.values()), threshold,
                  ge=True)
 
-    flow = round_flow(inst, arc_weight, ws.witnesses, threshold, value_cap,
+    flow = round_flow(inst, arc_weight, witnesses, threshold, value_cap,
                       cost_factor=cost_factor)
     skeleton = decompose_flow(inst, flow)
     grafted = graft(inst, skeleton, ws)

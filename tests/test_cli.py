@@ -238,6 +238,29 @@ def test_missing_required_param_exits_nonzero(tmp_path):
                 "--mode", "dvrp")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "rvrp", "--regret", "20", "--dist", "5", "--k", "9"),
+     "solver 'rvrp' takes no --dist, --k"),
+    (("verify", "--solution", "sol.json", "--mode", "rvrp", "--regret", "20",
+      "--ratio", "2", "--dist", "1"), "mode rvrp takes no --dist, --ratio"),
+    (("oracle", "krvrp", "--k", "2", "--regret", "3", "--dist", "1"),
+     "oracle krvrp takes no --regret, --dist"),
+    (("oracle", "lp", "--regret", "3", "--k", "2"),
+     "oracle lp takes no --k"),
+], ids=["solve", "verify", "oracle", "oracle-lp"])
+def test_unread_budget_flags_are_refused(tmp_path, monkeypatch, argv,
+                                         message):
+    # A budget flag the command does not read fails, naming every such
+    # flag, instead of being dropped; nothing is written.
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen", "line", "--positions", "0,1,2", "--out", "inst.json")
+    assert run_cli("solve", "rvrp", "--instance", "inst.json",
+                   "--regret", "1", "--out", "sol.json") == 0
+    with pytest.raises(SystemExit, match=f"^error: {message}$"):
+        run_cli(*argv, "--instance", "inst.json", "--out", "out.json")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "rvrp", "--instance", "missing.json", "--regret", "1"),
     ("oracle", "rvrp", "--instance", "missing.json", "--regret", "1"),

@@ -331,6 +331,23 @@ def test_verify_without_its_parameter_is_refused(mode, key):
             verify(inst, [[0, 1]], mode, params)
 
 
+def test_verify_refuses_a_parameter_its_mode_does_not_read():
+    # Like run_solver, verify names every key but its mode's own, after the
+    # missing-key check, even when the paths would pass: a malformed ratio
+    # that rvrp never reads is not dropped.
+    inst = gen_line([0, 1])
+    params = {"regret": 20, "dist": 5, "ratio": "1/0"}
+    with pytest.raises(ValueError, match="^verification mode 'rvrp' takes "
+                                         "no parameter 'dist', 'ratio'$"):
+        verify(inst, [[0, 1]], "rvrp", params)
+    for mode, (key, _) in VERIFY_MODES.items():
+        value = {"bounds": {1: 0}}.get(key, 1)
+        assert verify(inst, [[0, 1]], mode, {key: value})["ok"]
+        with pytest.raises(ValueError, match=f"^verification mode {mode!r} "
+                                             f"takes no parameter 'k'$"):
+            verify(inst, [[0, 1]], mode, {key: value, "k": 2})
+
+
 def test_verify_recomputes_from_the_matrix():
     inst = gen_line([0, 1, 2])
     report = verify(inst, [(0, 1), (0, 2)], "rvrp", {"regret": 0})

@@ -72,19 +72,31 @@ def test_context_validates_threshold():
         RoundingContext.build(inst, sol, Fraction(0))
 
 
-def test_forest_structure_on_ladder():
-    ctx = ladder_context()
+@pytest.mark.parametrize("make, R", [
+    (lambda: gen_ladder(2), 1), (lambda: gen_euclidean(9, 31), 98),
+    (lambda: COLOCATED[2], 3)], ids=["ladder", "euclidean", "co-located"])
+def test_forest_structure(make, R):
+    # The euclidean forest has a zone of three nodes; the co-located one
+    # is rooted at node 6, whose component holds a client too.
+    inst = make()
+    ctx = RoundingContext.build(inst, solve_rvrp_lp(inst, R),
+                                default_threshold())
     ws = build_forest(ctx)
+    # the zones and the root's component partition the nodes
+    root_zone = frozenset(ws.root_tour)
+    assert sum(map(len, ws.zone.values())) + len(root_zone) == inst.n
+    assert root_zone.union(*ws.zone.values()) == set(range(inst.n))
     # every component is inactive and every witness is eligible inside it
-    for ci, comp in enumerate(ws.components):
+    assert cut_value(ctx, root_zone) == 0
+    for w, comp in ws.zone.items():
         assert cut_value(ctx, comp) == 0
-        if ci != ws.root_component:
-            w = ws.witness[ci]
-            assert covered_within(ctx, w, comp) >= ctx.threshold
+        assert covered_within(ctx, w, comp) >= ctx.threshold
     assert 3 * ctx.regret_mass / (1 - ctx.threshold) >= ws.forest_cost
     # tours visit their whole component and start at the anchor
-    for ci, tour in ws.tours.items():
-        assert set(tour) == set(ws.components[ci])
+    assert ws.tour.keys() == ws.zone.keys()
+    for w, tour in ws.tour.items():
+        assert tour[0] == w and set(tour) == ws.zone[w]
+    assert ws.root_tour[0] == inst.root
 
 
 def test_shortcut_to_witnesses_monotone():
@@ -158,7 +170,7 @@ def test_graft_covers_everything():
     ctx = ladder_context()
     ws = build_forest(ctx)
     skeleton = [RootedPath.build(ctx.inst, [ctx.inst.root, w])
-                for w in ws.witnesses]
+                for w in sorted(ws.zone)]
     grafted = graft(ctx.inst, skeleton, ws)
     covered = set().union(*(p.node_set for p in grafted))
     assert covered >= set(ctx.inst.clients)
@@ -342,7 +354,7 @@ def assert_matches_reference(ctx):
     ws = build_forest(ctx)
     assert ws == reference.build_forest(ctx)
     everything = frozenset(range(ctx.inst.n))
-    for S in ws.components + [everything]:
+    for S in [*ws.zone.values(), frozenset(ws.root_tour), everything]:
         assert cut_value(ctx, S) == reference.cut_value(ctx, S)
         for v in S:
             assert covered_within(ctx, v, S) == \
