@@ -5,7 +5,8 @@ Lower bounds are folded away by pre-routing them and repairing conservation
 through a super source/sink pair; the remainder is a min-cost max-flow solved
 with successive shortest augmenting paths. All arc costs must be nonnegative,
 so Dijkstra with potentials works from the start; each Dijkstra stops once
-the sink is settled. Everything is integer.
+the sink is settled. Everything is integer. ``solve`` returns the cost and
+each arc's flow; it builds its residual network afresh on every call.
 
 ``min_cost_path_cover`` is the one network the package builds: root trails
 through a DAG that enter every required node (Ahuja, Magnanti & Orlin,
@@ -27,11 +28,8 @@ class MinCostCirculation:
     def __init__(self, n: int):
         self.n = n
         self._arcs: List[tuple] = []  # (u, v, lower, cap, cost)
-        self._solved = False
 
     def add_arc(self, u: int, v: int, lower: int, cap: int, cost: int) -> int:
-        if self._solved:
-            raise SolverError("network already solved")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("arc endpoint out of range")
         if not 0 <= lower <= cap:
@@ -41,31 +39,31 @@ class MinCostCirculation:
         self._arcs.append((u, v, lower, cap, cost))
         return len(self._arcs) - 1
 
-    def solve(self) -> int:
-        """Find a minimum-cost feasible circulation; returns its cost.
+    def solve(self) -> Tuple[int, List[int]]:
+        """Find a minimum-cost feasible circulation; returns its cost and
+        the flow on each arc, in add_arc order.
 
         Raises SolverError when the lower bounds admit no circulation.
         """
         n = self.n
         source, sink = n, n + 1
         size = n + 2
-        # Residual arc arrays; arc 2i/2i+1 are a forward/backward pair.
+        # Residual arc arrays; arc 2i/2i+1 are a forward/backward pair, and
+        # network arc i is residual arc 2i.
         to: List[int] = []
         cap: List[int] = []
         cost: List[int] = []
         adj: List[List[int]] = [[] for _ in range(size)]
 
-        def push_arc(u: int, v: int, c: int, w: int) -> int:
+        def push_arc(u: int, v: int, c: int, w: int) -> None:
             aid = len(to)
             to.append(v); cap.append(c); cost.append(w); adj[u].append(aid)
             to.append(u); cap.append(0); cost.append(-w); adj[v].append(aid + 1)
-            return aid
 
         balance = [0] * size
-        self._residual_id = []
         base_cost = 0
         for u, v, lower, capacity, w in self._arcs:
-            self._residual_id.append(push_arc(u, v, capacity - lower, w))
+            push_arc(u, v, capacity - lower, w)
             # Pre-routing `lower` units leaves a deficit at v and excess at u.
             balance[v] += lower
             balance[u] -= lower
@@ -127,16 +125,8 @@ class MinCostCirculation:
                 total_cost += bottleneck * cost[aid]
                 v = to[aid ^ 1]
             pushed += bottleneck
-        self._cap = cap
-        self._solved = True
-        return total_cost
-
-    def flow(self, arc_id: int) -> int:
-        if not self._solved:
-            raise SolverError("solve() has not run")
-        u, v, lower, capacity, w = self._arcs[arc_id]
-        rid = self._residual_id[arc_id]
-        return lower + (capacity - lower - self._cap[rid])
+        return total_cost, [arc[3] - cap[2 * i]
+                            for i, arc in enumerate(self._arcs)]
 
 
 def min_cost_path_cover(inst: Instance, arcs: Mapping[Tuple[int, int], int],
@@ -151,8 +141,9 @@ def min_cost_path_cover(inst: Instance, arcs: Mapping[Tuple[int, int], int],
     required; every out node may end a trail at a collector, which closes
     back to the root. Nodes are numbered root-out, then in/out per node in
     ascending order, then the collector; arcs are added sorted, then each
-    node's inner and collector arcs, then the closing arc. SolverError when
-    no such trails exist within the cap.
+    node's inner and collector arcs, then the closing arc, and solve
+    returns each arc's flow in that order. SolverError when no such trails
+    exist within the cap.
 
     Trails are peeled one unit at a time from the root. The next hop is the
     least (D[v], v) with flow left; a trail ends where no flow leaves, at a
@@ -174,15 +165,15 @@ def min_cost_path_cover(inst: Instance, arcs: Mapping[Tuple[int, int], int],
         end_ids[v] = net.add_arc(pos[v] + 1, collector, lower=0, cap=cap,
                                  cost=0)
     close = net.add_arc(collector, 0, lower=0, cap=cap, cost=trail_cost)
-    cost = net.solve()
+    cost, flow = net.solve()
 
-    left = {a: f for a, aid in arc_ids.items() if (f := net.flow(aid))}
-    ends = {v: net.flow(aid) for v, aid in end_ids.items()}
+    left = {a: flow[aid] for a, aid in arc_ids.items() if flow[aid]}
+    ends = {v: flow[aid] for v, aid in end_ids.items()}
     outs: Dict[int, List[int]] = {}
     for u, v in sorted(left, key=lambda a: (D[a[1]], a[1])):
         outs.setdefault(u, []).append(v)
     trails = []
-    for _ in range(net.flow(close)):
+    for _ in range(flow[close]):
         trail = [root]
         while True:
             u = trail[-1]

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from .core import (Instance, RootedPath, SolverError, as_fraction,
                    check_path_budget, classify_edges, regret_distance,
@@ -95,7 +96,8 @@ class RoundingContext:
 
 
 def _covered(ctx: RoundingContext, v: int, S) -> int:
-    """covered_within(ctx, v, S) times ctx.scale, without the checks."""
+    """Support weight, times ctx.scale, on paths whose red subpath around v
+    stays inside S."""
     return sum(W for red, W in ctx.node_spans[v] if red <= S)
 
 
@@ -103,22 +105,6 @@ def _active(ctx: RoundingContext, S) -> bool:
     """Whether S's cut requirement is 1: no node reaches the threshold."""
     need = ctx.need
     return all(_covered(ctx, v, S) < need for v in S)
-
-
-def covered_within(ctx: RoundingContext, v: int, S) -> Fraction:
-    """Support weight on paths whose red subpath around v stays inside S."""
-    S = frozenset(S)
-    if v not in S:
-        raise ValueError(f"node {v} is not in the queried set")
-    return Fraction(_covered(ctx, v, S), ctx.scale)
-
-
-def cut_value(ctx: RoundingContext, S) -> int:
-    """1 iff every node of S is covered below the threshold within S."""
-    S = frozenset(S)
-    if not S:
-        raise ValueError("empty set has no cut requirement")
-    return int(_active(ctx, S))
 
 
 @dataclass
@@ -345,22 +331,13 @@ def shortcut_to_witnesses(ctx: RoundingContext, index: int,
     return shortcut(ctx.inst, path, keep)
 
 
-@dataclass
-class IntegralFlow:
-    trails: List[List[int]]   # root trails, one per unit of flow value
-    witnesses: List[int]
-    cost: int
-
-    @property
-    def value(self) -> int:
-        return len(self.trails)
-
-
 def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], int],
                witnesses: Sequence[int], threshold: int,
-               value_cap: int, cost_factor: int = 1) -> IntegralFlow:
+               value_cap: int, cost_factor: int = 1
+               ) -> Tuple[List[List[int]], int]:
     """Min-regret-cost integral flow of value <= cap entering each witness,
-    peeled into root trails.
+    peeled into root trails, one per unit of flow value; returns the
+    trails and the flow's cost.
 
     With a cap of at least ceil(support value / threshold), the support flow
     scaled by 1/threshold certifies feasibility and the integral optimum
@@ -380,27 +357,27 @@ def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], int],
     except SolverError as exc:
         raise SolverError(
             f"witness flow at value cap {value_cap}: {exc}") from exc
-    out = IntegralFlow(trails=trails, witnesses=wlist, cost=total)
-    require(out.value <= value_cap,
-            f"flow value {out.value} exceeds {value_cap}")
+    require(len(trails) <= value_cap,
+            f"flow value {len(trails)} exceeds {value_cap}")
     # total <= cost_factor * support cost / threshold, cross-multiplied
     support_cost = sum(regret[a] * f for a, f in arc_weight.items())
     require(total * threshold <= cost_factor * support_cost,
             f"flow cost {total} exceeds {cost_factor} x support cost "
             f"{support_cost} / threshold {threshold}")
-    return out
+    return trails, total
 
 
-def decompose_flow(inst: Instance, flow: IntegralFlow) -> List[RootedPath]:
+def decompose_flow(inst: Instance, trails: Sequence[Sequence[int]],
+                   witnesses: Iterable[int]) -> List[RootedPath]:
     """Keep each witness on the first trail that enters it."""
     claimed: Set[int] = set()
     paths = []
-    for seq in flow.trails:
+    for seq in trails:
         keep = [v for v in seq[1:] if v not in claimed]
         claimed.update(keep)
         if keep:
             paths.append(RootedPath.build(inst, [inst.root] + keep))
-    require(claimed == set(flow.witnesses),
+    require(claimed == set(witnesses),
             "peeled paths do not cover exactly the witnesses")
     return paths
 
@@ -466,15 +443,15 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
     _bound_check(diag, "witness_inflow",
                  Fraction(min(inflow.values()), ctx.scale), threshold, ge=True)
 
-    flow = round_flow(inst, arc_weight, ws.zone, ctx.need, value_cap,
-                      cost_factor=cost_factor)
-    skeleton = decompose_flow(inst, flow)
+    trails, flow_cost = round_flow(inst, arc_weight, ws.zone, ctx.need,
+                                   value_cap, cost_factor=cost_factor)
+    skeleton = decompose_flow(inst, trails, ws.zone)
     grafted = graft(inst, skeleton, ws)
     total = sum(p.regret for p in grafted)
-    require(total <= flow.cost + ws.tours_cost,
+    require(total <= flow_cost + ws.tours_cost,
             f"grafted regret {total} exceeds flow plus tours "
-            f"{flow.cost + ws.tours_cost}")
-    diag.update(flow_cost=flow.cost, flow_value=flow.value,
+            f"{flow_cost + ws.tours_cost}")
+    diag.update(flow_cost=flow_cost, flow_value=len(trails),
                 support_flow_cost=float(Fraction(frac_cost, ctx.scale)))
     return grafted, diag
 

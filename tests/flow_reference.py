@@ -25,7 +25,7 @@ class ReferenceCirculation(MinCostCirculation):
     """MinCostCirculation with a Dijkstra that settles every reachable node
     before each augmentation; only solve differs."""
 
-    def solve(self) -> int:
+    def solve(self) -> Tuple[int, List[int]]:
         n = self.n
         source, sink = n, n + 1
         size = n + 2
@@ -34,17 +34,15 @@ class ReferenceCirculation(MinCostCirculation):
         cost: List[int] = []
         adj: List[List[int]] = [[] for _ in range(size)]
 
-        def push_arc(u: int, v: int, c: int, w: int) -> int:
+        def push_arc(u: int, v: int, c: int, w: int) -> None:
             aid = len(to)
             to.append(v); cap.append(c); cost.append(w); adj[u].append(aid)
             to.append(u); cap.append(0); cost.append(-w); adj[v].append(aid + 1)
-            return aid
 
         balance = [0] * size
-        self._residual_id = []
         base_cost = 0
         for u, v, lower, capacity, w in self._arcs:
-            self._residual_id.append(push_arc(u, v, capacity - lower, w))
+            push_arc(u, v, capacity - lower, w)
             balance[v] += lower
             balance[u] -= lower
             base_cost += lower * w
@@ -98,9 +96,8 @@ class ReferenceCirculation(MinCostCirculation):
                 total_cost += bottleneck * cost[aid]
                 v = to[aid ^ 1]
             pushed += bottleneck
-        self._cap = cap
-        self._solved = True
-        return total_cost
+        return total_cost, [arc[3] - cap[2 * i]
+                            for i, arc in enumerate(self._arcs)]
 
 
 def zero_regret_cover(inst: Instance, targets) -> List[RootedPath]:
@@ -123,20 +120,20 @@ def zero_regret_cover(inst: Instance, targets) -> List[RootedPath]:
     for v in inst.clients:
         net.add_arc(2 * v + 1, sink, lower=0, cap=inst.n, cost=0)
 
-    net.solve()
+    _, flows = net.solve()
 
     # Peel paths from the root, always taking the smallest-(D, id) next hop.
     out_arcs: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
     flow = {}
     for (u, v), aid in hop.items():
-        f = net.flow(aid)
+        f = flows[aid]
         if f > 0:
             flow[(u, v)] = f
             out_arcs.setdefault(u, []).append(((inst.root_dist[v], v), aid))
     for lst in out_arcs.values():
         lst.sort()
     paths = []
-    for _ in range(net.flow(source_arc)):
+    for _ in range(flows[source_arc]):
         seq = [inst.root]
         u = inst.root
         while True:
@@ -191,9 +188,9 @@ def witness_flow(inst: Instance, arcs: Sequence[Tuple[int, int]],
                     cost=0)
         net.add_arc(node(w, "out"), collector, lower=0, cap=value_cap, cost=0)
     close = net.add_arc(collector, root_out, lower=0, cap=value_cap, cost=0)
-    total = net.solve()
-    flows = {a: net.flow(aid) for a, aid in arc_ids.items() if net.flow(aid) > 0}
-    value = net.flow(close)
+    total, arc_flow = net.solve()
+    flows = {a: arc_flow[aid] for a, aid in arc_ids.items() if arc_flow[aid] > 0}
+    value = arc_flow[close]
     return total, flows, value, _peel(inst, flows, wlist, value)
 
 

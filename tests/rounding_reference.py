@@ -16,7 +16,7 @@ import flow_reference
 from regret_route.core import (Instance, RootedPath, SolverError,
                                split_by_regret, zero_regret_cover)
 from regret_route.lp import FractionalSolution
-from regret_route.rounding import (IntegralFlow, RoundingContext,
+from regret_route.rounding import (RoundingContext,
                                    WitnessStructure, _ceil,
                                    _bound_check, _closed_tour,
                                    _forest_components, _split_sides,
@@ -148,8 +148,10 @@ def build_forest(ctx: RoundingContext) -> WitnessStructure:
 
 def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],
                witnesses: Sequence[int], threshold: Fraction,
-               value_cap: int, cost_factor: int = 1) -> IntegralFlow:
-    """Min-regret-cost integral flow of value <= cap entering each witness.
+               value_cap: int, cost_factor: int = 1
+               ) -> Tuple[List[List[int]], int]:
+    """Min-regret-cost integral flow of value <= cap entering each witness;
+    returns its peeled root trails and its cost.
 
     With a cap of at least ceil(support value / threshold), the support flow
     scaled by 1/threshold certifies feasibility and the integral optimum
@@ -178,7 +180,7 @@ def round_flow(inst: Instance, arc_weight: Mapping[Tuple[int, int], Fraction],
     frac_cost = sum(Fraction(D[u] + inst.dist[u][v] - D[v]) * f
                     for (u, v), f in arc_weight.items())
     assert Fraction(total) <= cost_factor * frac_cost / threshold
-    return IntegralFlow(trails=trails, witnesses=wlist, cost=total)
+    return trails, total
 
 
 def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
@@ -226,13 +228,13 @@ def _pipeline(inst: Instance, sol: FractionalSolution, threshold: Fraction,
     _bound_check(diag, "witness_inflow", min(inflow.values()), threshold,
                  ge=True)
 
-    flow = round_flow(inst, arc_weight, witnesses, threshold, value_cap,
-                      cost_factor=cost_factor)
-    skeleton = decompose_flow(inst, flow)
+    trails, flow_cost = round_flow(inst, arc_weight, witnesses, threshold,
+                                   value_cap, cost_factor=cost_factor)
+    skeleton = decompose_flow(inst, trails, witnesses)
     grafted = graft(inst, skeleton, ws)
     total = sum(p.regret for p in grafted)
-    assert total <= flow.cost + ws.tours_cost
-    diag.update(flow_cost=flow.cost, flow_value=flow.value,
+    assert total <= flow_cost + ws.tours_cost
+    diag.update(flow_cost=flow_cost, flow_value=len(trails),
                 support_flow_cost=float(frac_cost))
     return grafted, diag
 

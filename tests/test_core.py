@@ -300,7 +300,11 @@ def test_a_client_at_the_depot_beats_the_root():
     assert farthest_node(inst, p) == 1
     a, b = preprocess_path_pair(inst, p)
     assert (a.nodes, b.nodes) == ((0, 1), (0, 2, 1))
-    assert farthest_node(inst, RootedPath.trivial(inst)) == 0
+    trivial = RootedPath.trivial(inst)
+    assert farthest_node(inst, trivial) == 0
+    # the trivial path itself is split into itself, twice
+    first, second = preprocess_path_pair(inst, trivial)
+    assert first is second and first.nodes == (0,)
 
 
 def test_preprocess_path_pair_contract():
@@ -399,7 +403,11 @@ def test_cover_check_survives_optimized_python(src_env):
         "from regret_route.core import Instance, SolverError, "
         "zero_regret_cover\n"
         "assert False, 'asserts are live'\n"
-        "flows.MinCostCirculation.flow = lambda self, arc: 0\n"
+        "solve = flows.MinCostCirculation.solve\n"
+        "def no_flow(self):\n"
+        "    cost, flow = solve(self)\n"
+        "    return cost, [0] * len(flow)\n"
+        "flows.MinCostCirculation.solve = no_flow\n"
         "inst = Instance.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
         "try:\n"
         "    print(zero_regret_cover(inst, inst.clients))\n"

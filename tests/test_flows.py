@@ -17,11 +17,10 @@ from regret_route.harness import gen_euclidean
 def test_simple_cycle_with_lower_bound():
     # forcing one unit around a 3-cycle costs the cycle's length
     net = MinCostCirculation(3)
-    a = net.add_arc(0, 1, lower=1, cap=5, cost=2)
-    b = net.add_arc(1, 2, lower=0, cap=5, cost=3)
-    c = net.add_arc(2, 0, lower=0, cap=5, cost=4)
-    assert net.solve() == 9
-    assert net.flow(a) == net.flow(b) == net.flow(c) == 1
+    net.add_arc(0, 1, lower=1, cap=5, cost=2)
+    net.add_arc(1, 2, lower=0, cap=5, cost=3)
+    net.add_arc(2, 0, lower=0, cap=5, cost=4)
+    assert net.solve() == (9, [1, 1, 1])
 
 
 def test_zero_lower_bounds_mean_empty_circulation():
@@ -29,32 +28,27 @@ def test_zero_lower_bounds_mean_empty_circulation():
     net.add_arc(0, 1, lower=0, cap=5, cost=2)
     net.add_arc(1, 2, lower=0, cap=5, cost=3)
     net.add_arc(2, 0, lower=0, cap=5, cost=4)
-    assert net.solve() == 0
+    assert net.solve() == (0, [0, 0, 0])
 
 
 def test_cheaper_parallel_route_wins():
     # forced arc 0->1; return via 1->0 (cost 10) or 1->2->0 (cost 3)
     net = MinCostCirculation(3)
-    forced = net.add_arc(0, 1, lower=2, cap=2, cost=0)
-    direct = net.add_arc(1, 0, lower=0, cap=9, cost=10)
-    via_a = net.add_arc(1, 2, lower=0, cap=9, cost=1)
-    via_b = net.add_arc(2, 0, lower=0, cap=9, cost=2)
-    assert net.solve() == 6
-    assert net.flow(forced) == 2
-    assert net.flow(direct) == 0
-    assert net.flow(via_a) == net.flow(via_b) == 2
+    net.add_arc(0, 1, lower=2, cap=2, cost=0)     # forced
+    net.add_arc(1, 0, lower=0, cap=9, cost=10)    # direct
+    net.add_arc(1, 2, lower=0, cap=9, cost=1)     # via 2
+    net.add_arc(2, 0, lower=0, cap=9, cost=2)
+    assert net.solve() == (6, [2, 0, 2, 2])
 
 
 def test_capacity_forces_split_routing():
     net = MinCostCirculation(4)
     net.add_arc(0, 1, lower=3, cap=3, cost=0)
-    cheap = net.add_arc(1, 2, lower=0, cap=2, cost=1)   # capped cheap leg
-    dear = net.add_arc(1, 3, lower=0, cap=9, cost=5)
+    net.add_arc(1, 2, lower=0, cap=2, cost=1)   # capped cheap leg
+    net.add_arc(1, 3, lower=0, cap=9, cost=5)
     net.add_arc(2, 0, lower=0, cap=9, cost=0)
     net.add_arc(3, 0, lower=0, cap=9, cost=0)
-    assert net.solve() == 2 * 1 + 1 * 5
-    assert net.flow(cheap) == 2
-    assert net.flow(dear) == 1
+    assert net.solve() == (2 * 1 + 1 * 5, [3, 2, 1, 2, 1])
 
 
 def test_infeasible_lower_bound_raises():
@@ -72,17 +66,26 @@ def test_argument_validation():
         net.add_arc(0, 1, lower=2, cap=1, cost=0)
     with pytest.raises(ValueError):
         net.add_arc(0, 1, lower=0, cap=1, cost=-1)
-    with pytest.raises(SolverError):
-        net.flow(0)
 
 
-def test_a_solved_network_takes_no_arc():
-    net = MinCostCirculation(2)
-    net.add_arc(0, 1, lower=1, cap=1, cost=2)
-    net.add_arc(1, 0, lower=0, cap=1, cost=0)
-    assert net.solve() == 2
-    with pytest.raises(SolverError, match="^network already solved$"):
-        net.add_arc(1, 0, lower=0, cap=1, cost=0)
+def test_each_solve_returns_the_flows_of_the_network_it_is_given():
+    # solve rebuilds its residual network from the arcs on every call: an
+    # arc added after a solve is routed by the next one, and the reference
+    # returns the same (cost, flows) pair.
+    net, ref = MinCostCirculation(3), ReferenceCirculation(3)
+    for arc in [(0, 1, 1, 1, 2), (1, 0, 0, 1, 5)]:
+        net.add_arc(*arc)
+        ref.add_arc(*arc)
+    first = net.solve()
+    assert first == ref.solve() == (7, [1, 1])
+    _assert_circulation(net, first[1])
+    for arc in [(1, 2, 0, 1, 1), (2, 0, 0, 1, 1)]:
+        net.add_arc(*arc)
+        ref.add_arc(*arc)
+    second = net.solve()
+    assert second == ref.solve() == (4, [1, 0, 1, 1])
+    _assert_circulation(net, second[1])
+    assert net.solve() == second
 
 
 def test_conservation_on_random_networks():
@@ -100,10 +103,10 @@ def test_conservation_on_random_networks():
             lower = rng.randint(0, 2)
             arcs.append(((u, v), net.add_arc(u, v, lower, 6,
                                              rng.randint(0, 4))))
-        net.solve()
+        _, flow = net.solve()
         balance = [0] * n
         for (u, v), aid in arcs:
-            f = net.flow(aid)
+            f = flow[aid]
             lo = net._arcs[aid][2]
             assert lo <= f <= 6
             balance[u] -= f
@@ -111,11 +114,12 @@ def test_conservation_on_random_networks():
         assert balance == [0] * n
 
 
-def _assert_circulation(net):
-    """Every arc's flow lies within its bounds and every node balances."""
+def _assert_circulation(net, flow):
+    """The flow solve returned has one entry per arc, within the arc's
+    bounds, and every node balances."""
+    assert len(flow) == len(net._arcs)
     balance = [0] * net.n
-    for aid, (u, v, lower, cap, _) in enumerate(net._arcs):
-        f = net.flow(aid)
+    for f, (u, v, lower, cap, _) in zip(flow, net._arcs):
         assert lower <= f <= cap
         balance[u] -= f
         balance[v] += f
@@ -139,13 +143,14 @@ def test_early_exit_matches_the_reference_on_random_networks():
             net.add_arc(*arc)
             ref.add_arc(*arc)
         try:
-            want = ref.solve()
+            want, _ = ref.solve()
         except SolverError:
             with pytest.raises(SolverError):
                 net.solve()
             continue
-        assert net.solve() == want
-        _assert_circulation(net)
+        cost, flow = net.solve()
+        assert cost == want
+        _assert_circulation(net, flow)
 
 
 def _benchmark_jobs(seed):
@@ -169,20 +174,20 @@ def test_early_exit_matches_the_reference_on_the_benchmark(monkeypatch):
     def checked_solve(net):
         ref = ReferenceCirculation(net.n)
         ref._arcs = list(net._arcs)
-        cost = solve(net)
-        assert cost == ref.solve()
-        _assert_circulation(net)
+        cost, flow = out = solve(net)
+        assert cost == ref.solve()[0]
+        _assert_circulation(net, flow)
         seen["networks"] += 1
-        return cost
+        return out
 
     def checked_round_flow(inst, arc_weight, witnesses, *args, **kwargs):
         out = round_flow(inst, arc_weight, witnesses, *args, **kwargs)
         with monkeypatch.context() as m:
             m.setattr(flows, "MinCostCirculation", ReferenceCirculation)
             ref = round_flow(inst, arc_weight, witnesses, *args, **kwargs)
-        assert out.cost == ref.cost
-        for flow in (out, ref):
-            assert rounding.decompose_flow(inst, flow)
+        assert out[1] == ref[1]           # the same cost
+        for trails, _ in (out, ref):
+            assert rounding.decompose_flow(inst, trails, witnesses)
         seen["witness flows"] += 1
         return out
 

@@ -248,7 +248,11 @@ def test_oracle_infeasible_and_limits():
 def test_lp_oracle_refusals_and_empty_instance():
     with pytest.raises(ValueError, match="^budget must be nonnegative$"):
         brute_force_lp(gen_line([0, 1, 2]), -1)
-    assert brute_force_lp(Instance.from_matrix([[0]]), 0) == 0.0
+    empty = Instance.from_matrix([[0]])
+    assert brute_force_lp(empty, 0) == 0.0
+    # with no client no path is needed
+    for oracle in (brute_force_rvrp, brute_force_dvrp, brute_force_krvrp):
+        assert oracle(empty, 1) == 0
     # client 2 lies 5 from the root, beyond a length budget of 3
     with pytest.raises(InfeasibleError, match=r"^nodes \[2\] unreachable "
                                               r"within the budget$") as exc:

@@ -106,6 +106,14 @@ def test_minsum_lp_respects_count_cap():
     assert sol.value == 0
 
 
+def test_no_client_lps_are_empty_and_certified():
+    # Column generation returns before pricing when there is no client.
+    empty = Instance.from_matrix([[0]])
+    for solve in (solve_rvrp_lp, solve_dvrp_lp, solve_minsum_lp):
+        sol = solve(empty, 1)
+        assert (sol.value, sol.certified, sol.columns) == (0, True, [])
+
+
 def test_minsum_lp_single_path_forced():
     inst = gen_line([0, 1, 2, 4])
     sol = solve_minsum_lp(inst, 1)

@@ -19,11 +19,10 @@ from regret_route.lp import (FractionalSolution, solve_minsum_lp,
                              solve_rvrp_lp)
 from regret_route.reductions import solve_rvrp
 from regret_route.rounding import (
-    IntegralFlow,
     RoundingContext,
+    _active,
+    _covered,
     build_forest,
-    covered_within,
-    cut_value,
     decompose_flow,
     default_threshold,
     graft,
@@ -50,17 +49,21 @@ def test_default_threshold_value():
     assert f(float(d)) <= min(f(x / 100) for x in range(1, 100)) + 1e-9
 
 
-def test_covered_within_and_cut_value():
+def test_covered_and_active():
+    # The LP covers every client at least once, so the whole node set is
+    # inactive; on it and on every single node, the scaled coverage and
+    # the cut requirement equal the Fraction oracle's.
     ctx = ladder_context()
     inst = ctx.inst
     everything = frozenset(range(inst.n))
     for v in inst.clients:
-        assert covered_within(ctx, v, everything) >= 1
-    with pytest.raises(ValueError):
-        covered_within(ctx, 1, frozenset([2]))
-    assert cut_value(ctx, everything) == 0
-    with pytest.raises(ValueError):
-        cut_value(ctx, frozenset())
+        assert _covered(ctx, v, everything) >= ctx.scale
+    assert not _active(ctx, everything)
+    for S in [everything, *(frozenset([v]) for v in range(inst.n))]:
+        assert _active(ctx, S) == reference.cut_value(ctx, S)
+        for v in S:
+            assert Fraction(_covered(ctx, v, S), ctx.scale) == \
+                reference.covered_within(ctx, v, S)
 
 
 def test_context_validates_threshold():
@@ -87,10 +90,10 @@ def test_forest_structure(make, R):
     assert sum(map(len, ws.zone.values())) + len(root_zone) == inst.n
     assert root_zone.union(*ws.zone.values()) == set(range(inst.n))
     # every component is inactive and every witness is eligible inside it
-    assert cut_value(ctx, root_zone) == 0
+    assert reference.cut_value(ctx, root_zone) == 0
     for w, comp in ws.zone.items():
-        assert cut_value(ctx, comp) == 0
-        assert covered_within(ctx, w, comp) >= ctx.threshold
+        assert reference.cut_value(ctx, comp) == 0
+        assert reference.covered_within(ctx, w, comp) >= ctx.threshold
     assert 3 * ctx.regret_mass / (1 - ctx.threshold) >= ws.forest_cost
     # tours visit their whole component and start at the anchor
     assert ws.tour.keys() == ws.zone.keys()
@@ -126,17 +129,17 @@ def test_round_flow_integrality_and_lower_bounds():
     arc_weight = {(0, 1): w, (1, 2): w, (2, 3): w,
                   (0, 2): w, (0, 3): w}
     witnesses = [1, 2, 3]
-    flow = round_flow(inst, arc_weight, witnesses, Fraction(1, 2), value_cap=3)
-    assert isinstance(flow, IntegralFlow)
-    used = _trail_arcs(flow.trails)
+    trails, cost = round_flow(inst, arc_weight, witnesses, Fraction(1, 2),
+                              value_cap=3)
+    used = _trail_arcs(trails)
     _, arcs, value, _ = flow_reference.witness_flow(inst, arc_weight,
                                                     witnesses, 3)
     assert used == arcs                  # integral, on the support arcs
     assert sum(regret_distance(inst, *a) * f
-               for a, f in used.items()) == flow.cost
+               for a, f in used.items()) == cost
     for v in witnesses:
         assert sum(f for (_, b), f in used.items() if b == v) >= 1
-    assert flow.value == value <= 3
+    assert len(trails) == value <= 3
 
 
 def test_round_flow_names_the_value_cap(monkeypatch):
@@ -155,14 +158,14 @@ def test_decompose_flow_covers_arcs():
     inst = gen_line([0, 1, 2, 4])
     arc_weight = {(0, 1): Fraction(1), (1, 2): Fraction(1),
                   (2, 3): Fraction(1)}
-    flow = round_flow(inst, arc_weight, [1, 2, 3], Fraction(1, 2),
-                      value_cap=2)
+    trails, cost = round_flow(inst, arc_weight, [1, 2, 3], Fraction(1, 2),
+                              value_cap=2)
     _, arcs, _, _ = flow_reference.witness_flow(inst, arc_weight, [1, 2, 3], 2)
-    assert _trail_arcs(flow.trails) == arcs
-    paths = decompose_flow(inst, flow)
-    assert len(paths) == flow.value
+    assert _trail_arcs(trails) == arcs
+    paths = decompose_flow(inst, trails, [1, 2, 3])
+    assert len(paths) == len(trails)
     assert _trail_arcs([p.nodes for p in paths]) == arcs
-    assert sum(p.regret for p in paths) == flow.cost
+    assert sum(p.regret for p in paths) == cost
     assert set().union(*(p.node_set for p in paths)) >= {1, 2, 3}
 
 
@@ -248,6 +251,20 @@ def test_round_minsum_count_and_regret_bounds():
         assert diag["bound_checks"]["total_regret_vs_fractional"]["ok"]
 
 
+def test_no_client_roundings_return_no_paths():
+    empty = Instance.from_matrix([[0]])
+    assert round_rvrp(empty, 1, solve_rvrp_lp(empty, 1)) == []
+    assert round_minsum(empty, 1, solve_minsum_lp(empty, 1)) == []
+
+
+def test_closed_tour_refuses_a_walk_that_misses_nodes():
+    # Without edges the walk from node 1 never reaches node 2; the
+    # certificate is a require, so it holds under python -O too.
+    with pytest.raises(SolverError, match="^tour does not visit its "
+                                          "component once per node$"):
+        rounding._closed_tour(frozenset({1, 2}), [], 1)
+
+
 def test_round_minsum_rejects_bad_budget():
     inst = gen_line([0, 1])
     sol = solve_minsum_lp(inst, 1)
@@ -322,7 +339,10 @@ def test_flow_cost_check_survives_optimized_python(src_env):
         "from regret_route.lp import solve_rvrp_lp\n"
         "assert False, 'asserts are live'\n"
         "solve = flows.MinCostCirculation.solve\n"
-        "flows.MinCostCirculation.solve = lambda self: solve(self) + 10 ** 6\n"
+        "def inflated(self):\n"
+        "    cost, flow = solve(self)\n"
+        "    return cost + 10 ** 6, flow\n"
+        "flows.MinCostCirculation.solve = inflated\n"
         "inst = gen_ladder(2)\n"
         "try:\n"
         "    rounding.round_rvrp(inst, 1, solve_rvrp_lp(inst, 1))\n"
@@ -355,9 +375,9 @@ def assert_matches_reference(ctx):
     assert ws == reference.build_forest(ctx)
     everything = frozenset(range(ctx.inst.n))
     for S in [*ws.zone.values(), frozenset(ws.root_tour), everything]:
-        assert cut_value(ctx, S) == reference.cut_value(ctx, S)
+        assert _active(ctx, S) == reference.cut_value(ctx, S)
         for v in S:
-            assert covered_within(ctx, v, S) == \
+            assert Fraction(_covered(ctx, v, S), ctx.scale) == \
                 reference.covered_within(ctx, v, S)
     return ws
 
@@ -440,7 +460,7 @@ def test_integer_forest_when_only_the_root_starts_inactive():
     inst = _clock(7)
     sol = solve_rvrp_lp(inst, 24)
     ctx = RoundingContext.build(inst, sol, default_threshold())
-    inactive = [v for v in range(inst.n) if not cut_value(ctx, {v})]
+    inactive = [v for v in range(inst.n) if not _active(ctx, {v})]
     assert inactive == [inst.root]
     ws = assert_matches_reference(ctx)
     assert ws.forest
@@ -455,10 +475,10 @@ def test_witness_flow_matches_the_oracle_network(monkeypatch):
 
     def recording(inst, arc_weight, witnesses, threshold, value_cap,
                   **kwargs):
-        flow = solve(inst, arc_weight, witnesses, threshold, value_cap,
-                     **kwargs)
-        calls.append((inst, dict(arc_weight), witnesses, value_cap, flow))
-        return flow
+        out = solve(inst, arc_weight, witnesses, threshold, value_cap,
+                    **kwargs)
+        calls.append((inst, dict(arc_weight), witnesses, value_cap, out))
+        return out
 
     monkeypatch.setattr(rounding, "round_flow", recording)
     for i in range(200):
@@ -469,8 +489,7 @@ def test_witness_flow_matches_the_oracle_network(monkeypatch):
         inst = make()
         round_minsum(inst, 2, solve_minsum_lp(inst, 2))
     assert len(calls) >= 200
-    for inst, arc_weight, witnesses, value_cap, flow in calls:
-        cost, arcs, value, trails = flow_reference.witness_flow(
-            inst, arc_weight, witnesses, value_cap)
-        assert (flow.cost, flow.value, flow.trails) == (cost, value, trails)
-        assert _trail_arcs(flow.trails) == arcs
+    for inst, arc_weight, witnesses, value_cap, (trails, cost) in calls:
+        assert flow_reference.witness_flow(
+            inst, arc_weight, witnesses, value_cap) == \
+            (cost, _trail_arcs(trails), len(trails), trails)
