@@ -1,8 +1,9 @@
 """Exact subset-DP pricing oracles and a local-search fallback.
 
 The exact oracles answer argmax/argmin queries over all simple rooted paths
-by scanning a Held-Karp table: HK[S][t] is the cheapest rooted path visiting
-exactly client set S and ending at t. One table serves every budget kind, so
+by scanning a Held-Karp table: cost[i, S] is the cheapest rooted path
+visiting exactly client set S and ending at client i, one contiguous row of
+2^m masks per end. One table serves every budget kind, so
 it is built once per instance and shared: every request goes through
 table_for, which keeps the last table it built. Rewards arrive as integers
 over one common denominator, (nums, den) with nums in the order of
@@ -84,7 +85,7 @@ DEFAULT_EXACT_THRESHOLD = 16
 CELL_BYTES = 11
 TABLE_BUDGET_BYTES = 256 << 20
 # Bytes of keys per chunk of masks while the table is built.
-CHUNK_BYTES = 64 << 10
+CHUNK_BYTES = 128 << 10
 # The most columns an exact scan returns. Four
 # took more column-generation rounds for a slower solve, sixteen were no
 # faster than eight.
@@ -165,11 +166,12 @@ def _doubling(values, dtype, np):
 class HKTable:
     """Held-Karp subset DP for one instance.
 
-    cost[mask, i] is the cheapest cost of a rooted path visiting exactly the
+    cost[i, mask] is the cheapest cost of a rooted path visiting exactly the
     clients in mask and ending at clients[i] (a sentinel above every real
     cost where i is not in mask); parent pointers reconstruct one canonical
-    optimal path: parent[mask, i] is the smallest predecessor end among the
-    cheapest (-1 for a single client or an end outside the mask).
+    optimal path: parent[i, mask] is the smallest predecessor end among the
+    cheapest (-1 for a single client or an end outside the mask). Both are
+    end-major, shape (m, 2^m), so the row of one end is contiguous.
     min_regret/min_length fold out the end node; end_within finds the end
     a scan reconstructs from. regret_bound is max(|min_regret|, 1) over the
     nonempty masks, the min-excess scan's dtype bound, and plan holds the
@@ -179,15 +181,16 @@ class HKTable:
     every end index, so that one elementwise minimum yields both the
     cheapest cost and the smallest end that reaches it. It runs one popcount
     layer at a time, in chunks of at most CHUNK_BYTES of keys: gather the
-    chunk's rows ends-major, fold them into min_length and min_regret (the
-    regret key adds max(D) - D_i to stay nonnegative), and push every mask
-    to all m ends at once, one np.minimum over the predecessor ends. The
-    table holds the keys themselves while it is built, in the wider of the
-    cost and key dtypes (so cost has that dtype too), and is split into
-    cost and parent at the end. The build's peak is about 5.6 bytes per
-    cell on an int32 table and 10.1 on int64 at 16 and 18 clients, under
-    CELL_BYTES; on a few clients the fixed chunk buffers weigh more, and
-    object tables are not bounded by it.
+    chunk's columns with one take, fold them into min_length and min_regret
+    (the regret key adds max(D) - D_i to stay nonnegative), push every mask
+    to all m ends at once, one np.minimum over the predecessor ends, and
+    write each end's targets into its own row. The table holds the keys
+    themselves while it is built, in the wider of the cost and key dtypes
+    (so cost has that dtype too), and is split into cost and parent one row
+    at a time at the end. The build's peak per cell is about 5.6 bytes on
+    an int32 table at 16 clients, 6.8 at 18, and 9.5 to 10.1 on int64 at
+    either, under CELL_BYTES; on a few clients the fixed chunk buffers
+    weigh more, and object tables are not bounded by it.
     """
 
     def __init__(self, inst: Instance, threshold: int = DEFAULT_EXACT_THRESHOLD):
@@ -214,8 +217,8 @@ class HKTable:
         size = 1 << m
         self.popcount = _doubling([1] * m, np.uint8, np)
         ends = np.arange(m)
-        cost = np.full((size, m), (top + 1) << s, held)
-        cost[1 << ends, ends] = [dist[inst.root][v] << s for v in clients]
+        cost = np.full((m, size), (top + 1) << s, held)
+        cost[ends, 1 << ends] = [dist[inst.root][v] << s for v in clients]
         step = np.array([[dist[u][v] << s for v in clients] for u in clients],
                         kdt)
         regret_offset = np.array([(max_d - d) << s for d in D], kdt)[:, None]
@@ -228,9 +231,8 @@ class HKTable:
             layer = np.flatnonzero(self.popcount == k)
             for lo in range(0, len(layer), chunk):
                 masks = layer[lo:lo + chunk]
-                # keys[i, c] = cost[masks[c], i] << s | i, ends-major.
-                keys = np.empty((m, len(masks)), kdt)
-                keys[...] = cost[masks].T
+                # keys[i, c] = cost[i, masks[c]] << s | i.
+                keys = cost.take(masks, axis=1).astype(kdt, copy=False)
                 keys &= cost_bits
                 keys |= end_bits
                 self.min_length[masks] = np.minimum.reduce(keys, axis=0) >> s
@@ -245,19 +247,19 @@ class HKTable:
                 for i in range(1, m):
                     np.add(keys[i], step[i][:, None], out=work)
                     np.minimum(nxt, work, out=nxt)
-                # Target (masks | 1 << j, j). Where j is in the mask, the xor
-                # sends the write to (mask ^ 1 << j, j) instead, a cell of
+                # Target (j, masks | 1 << j). Where j is in the mask, the xor
+                # sends the write to (j, mask ^ 1 << j) instead, a cell of
                 # an end outside its mask in a layer already read, which is
                 # reset below.
-                cells = (masks ^ (1 << ends)[:, None]) * m + ends[:, None]
-                cost.reshape(-1)[cells] = nxt.astype(held, copy=False)
-        parent = np.empty((size, m), np.int8)
-        np.bitwise_and(cost, low, out=parent, casting="unsafe")
-        cost >>= s
-        parent[1 << ends, ends] = -1
-        for j in range(m):
-            cost.reshape(-1, 2, 1 << j, m)[:, 0, :, j] = sentinel
-            parent.reshape(-1, 2, 1 << j, m)[:, 0, :, j] = -1
+                for j, row in enumerate(cost):
+                    row[masks ^ 1 << j] = nxt[j]
+        parent = np.empty((m, size), np.int8)
+        for j, (row, links) in enumerate(zip(cost, parent)):
+            np.bitwise_and(row, low, out=links, casting="unsafe")
+            row >>= s
+            links[1 << j] = -1
+            row.reshape(-1, 2, 1 << j)[:, 0] = sentinel
+            links.reshape(-1, 2, 1 << j)[:, 0] = -1
         self.cost = cost
         self.parent = parent
         regret = self.min_regret[1:]
@@ -267,18 +269,22 @@ class HKTable:
 
     def end_within(self, mask: int, kind: str, limit: int) -> int:
         """The first end of mask whose cheapest path has regret (kind
-        "regret") or length (kind "length") at most limit."""
-        row = self.cost[mask].tolist()
+        "regret") or length (kind "length") at most limit; SolverError when
+        there is none."""
+        column = self.cost[:, mask].tolist()
         D = self.inst.root_dist
-        return next(i for i, v in enumerate(self.clients) if mask >> i & 1 and
-                    row[i] - (D[v] if kind == "regret" else 0) <= limit)
+        for i, v in enumerate(self.clients):
+            if mask >> i & 1 and column[i] - (
+                    D[v] if kind == "regret" else 0) <= limit:
+                return i
+        raise SolverError(f"no end of mask {mask} has {kind} at most {limit}")
 
     def path_for(self, mask: int, end_index: int) -> RootedPath:
         seq = []
         i = end_index
         while i >= 0:
             seq.append(self.clients[i])
-            nxt = int(self.parent[mask, i])
+            nxt = int(self.parent[i, mask])
             mask ^= 1 << i
             i = nxt
         seq.append(self.inst.root)

@@ -92,7 +92,8 @@ class ReferenceTable:
 class DenseReferenceTable:
     """HKTable's arrays, built one (popcount layer, end) pair at a time: the
     masks of the layer without end j take their rows plus the step to j,
-    and argmin's first minimum is the parent."""
+    and argmin's first minimum is the parent. cost and parent are
+    mask-major, shape (2^m, m): the transpose of HKTable's."""
 
     def __init__(self, inst):
         self.inst = inst
@@ -153,7 +154,7 @@ def dense_bounded_scan(t, rewards, budget, kind):
         return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
     ties = feasible[reach == best]
     mask = int(ties[t.popcount[ties].argmin()])     # fewest nodes, then first
-    row = t.cost[mask].tolist()
+    row = t.cost[:, mask].tolist()
     D = t.inst.root_dist
     end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
                row[i] - (D[v] if kind == "regret" else 0) <= budget)

@@ -88,6 +88,17 @@ def test_table_path_reconstruction():
     assert q.cost == table.min_length[full]
 
 
+def test_end_within_refuses_a_mask_with_no_end_in_the_limit():
+    table = HKTable(gen_euclidean(6, 1))
+    # a regret is never negative, and no path is shorter than the least
+    with pytest.raises(SolverError, match="mask 3 has regret at most -1"):
+        table.end_within(3, "regret", -1)
+    least = int(table.min_length[5])
+    with pytest.raises(SolverError,
+                       match=f"mask 5 has length at most {least - 1}"):
+        table.end_within(5, "length", least - 1)
+
+
 def test_table_threshold_refusal():
     inst = random_instance(6, 1)
     with pytest.raises(OracleUnavailableError):
@@ -198,10 +209,10 @@ def test_one_lp_builds_one_plan_and_a_new_budget_replaces_it(plan_builds):
 def reference_layout(table):
     """The table's arrays as the reference's lists: INF off the mask."""
     cost = [[c if mask >> i & 1 else INF for i, c in enumerate(row)]
-            for mask, row in enumerate(table.cost.tolist())]
+            for mask, row in enumerate(table.cost.T.tolist())]
     min_regret = [INF] + table.min_regret.tolist()[1:]
     min_length = [INF] + table.min_length.tolist()[1:]
-    return cost, table.parent.tolist(), min_regret, min_length
+    return cost, table.parent.T.tolist(), min_regret, min_length
 
 
 def assert_same_ends(table, ref, masks):
@@ -487,8 +498,13 @@ TABLE_ARRAYS = ("cost", "parent", "min_regret", "min_length", "popcount")
 
 
 def assert_same_arrays(table, ref, seed):
+    """The table's arrays equal the dense reference's, whose cost and
+    parent are mask-major, so the table's end-major ones are compared with
+    their transposes."""
     for name in TABLE_ARRAYS:
         got, want = getattr(table, name), getattr(ref, name)
+        if name in ("cost", "parent"):
+            want = want.T
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert np.array_equal(got, want), name
     assert_same_ends(table, ref, sampled_masks(table.m, seed))
@@ -534,6 +550,23 @@ def test_key_dtype_tiers_hold_at_their_largest_edge(m):
             assert pricing._key_dtype(m, edge, np) == (want, s)
             inst = edge_metric(m, edge, edge)
             assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
+def test_chunk_size_does_not_change_the_table(chunk_bytes, monkeypatch):
+    # One mask per chunk, then one chunk per popcount layer, on each key
+    # tier: the 10-client metric at three scales, and 9 clients at the
+    # largest edge whose keys are still uint16.
+    monkeypatch.setattr(pricing, "CHUNK_BYTES", chunk_bytes)
+    base = gen_euclidean(11, 4)
+    largest = ((1 << 16 - 4) - 2) // 11
+    cases = [(base, np.uint16), (scaled(base, 1 << 12), np.int32),
+             (scaled(base, 1 << 27), np.int64),
+             (edge_metric(9, largest, 5), np.uint16)]
+    for inst, kdt in cases:
+        m = len(inst.clients)
+        assert pricing._key_dtype(m, max(map(max, inst.dist)), np)[0] == kdt
+        assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
 
 
 @pytest.mark.parametrize("factor, dtype", [(1, np.int32), (1 << 17, np.int64),
