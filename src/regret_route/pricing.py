@@ -44,12 +44,14 @@ is chosen from a bound on the values it must hold:
   mask; larger metrics fall back to Python integers (dtype=object);
 * the build's packed keys cost << s | end, s = (m-1).bit_length(), are
   uint16 when ((m+2)·max_edge + 1) << s < 2^16, then int32, int64 and
-  object on the same rule with 2^31 and 2^63, and the table holds them in
-  the wider of the cost and key dtypes until it is split (see HKTable);
-* reward and guide sums are int64 when the scaled total fits 2^62, else
-  object;
-* the min-excess scan bounds (max(|min_regret|, 1)·den + Σ rewards + 1)·
-  (m+1) the same way before it multiplies.
+  object on the same rule with 2^31 and 2^63; the table holds the keys,
+  then the costs, in that key dtype (see HKTable);
+* reward and guide sums, and the bounded scan's score (a guide sum + 1),
+  are int32 when the scaled total is below 2^31 - 1, int64 when it is
+  below 2^62, else object;
+* the min-excess scan bounds its score by (max(|min_regret|, 1)·den +
+  Σ rewards + 1)·(m+1) and runs its sums, its product and its popcount
+  subtraction in the one dtype that bound picks.
 
 An object array runs the same code with exact Python integers, so results
 never depend on the dtype. numpy is imported inside the table constructor,
@@ -151,7 +153,10 @@ def _key_dtype(m: int, edge: int, np):
 
 
 def _sum_dtype(bound: int, np):
-    """dtype for integers of absolute value below bound."""
+    """dtype for integers of absolute value at most bound + 1: a reward
+    sum is at most the total, and a bounded scan adds 1 to it."""
+    if bound < (1 << 31) - 1:
+        return np.int32
     return np.int64 if bound < 1 << 62 else object
 
 
@@ -185,12 +190,14 @@ class HKTable:
     (the regret key adds max(D) - D_i to stay nonnegative), push every mask
     to all m ends at once, one np.minimum over the predecessor ends, and
     write each end's targets into its own row. The table holds the keys
-    themselves while it is built, in the wider of the cost and key dtypes
-    (so cost has that dtype too), and is split into cost and parent one row
-    at a time at the end. The build's peak per cell is about 5.6 bytes on
-    an int32 table at 16 clients, 6.8 at 18, and 9.5 to 10.1 on int64 at
-    either, under CELL_BYTES; on a few clients the fixed chunk buffers
-    weigh more, and object tables are not bounded by it.
+    themselves while it is built, in the key dtype, and is split into cost
+    and parent one row at a time at the end, so cost keeps the key dtype:
+    uint16 at 16 clients while max edge <= 227, as on the harness
+    generators' default metrics. The build's peak per cell, at 14 / 16
+    clients, is about 4.6 / 3.6 bytes on a uint16 table, 7.4 / 5.6 on
+    int32 and 11.8 to 12.3 / 9.6 to 10.1 on int64. From 16 clients up that
+    is under CELL_BYTES; on fewer clients the fixed chunk buffers weigh
+    more, and object tables are not bounded by it.
     """
 
     def __init__(self, inst: Instance, threshold: int = DEFAULT_EXACT_THRESHOLD):
@@ -211,13 +218,21 @@ class HKTable:
         dtype, sentinel = _cost_dtype(top, np)
         kdt, s = _key_dtype(m, edge, np)
         low = (1 << s) - 1
-        # While it is built, the table holds keys cost << s | parent in the
-        # wider of the two dtypes; an end outside its mask holds top + 1.
-        held = np.promote_types(dtype, kdt)
+        # The table holds keys cost << s | parent while it is built, then
+        # the costs, all in the key dtype; an end outside its mask holds
+        # top + 1 until the split, and after it the cost sentinel where the
+        # key dtype is as wide as the cost dtype, else top + 1.
+        fill = sentinel if np.promote_types(dtype, kdt) == kdt else top + 1
         size = 1 << m
         self.popcount = _doubling([1] * m, np.uint8, np)
+        # Every mask in (popcount, mask) order: layer k is order[starts[k -
+        # 1]:starts[k]]. It is narrowed to the least dtype that holds a mask
+        # before the table is allocated, and each chunk is copied to intp.
+        order = np.argsort(self.popcount, kind="stable").astype(
+            np.min_scalar_type(size - 1))
+        starts = np.bincount(self.popcount, minlength=m + 1).cumsum().tolist()
         ends = np.arange(m)
-        cost = np.full((m, size), (top + 1) << s, held)
+        cost = np.full((m, size), (top + 1) << s, kdt)
         cost[ends, 1 << ends] = [dist[inst.root][v] << s for v in clients]
         step = np.array([[dist[u][v] << s for v in clients] for u in clients],
                         kdt)
@@ -228,11 +243,10 @@ class HKTable:
         self.min_length = np.full(size, sentinel, dtype)
         chunk = max(1, CHUNK_BYTES // (max(m, 1) * np.dtype(kdt).itemsize))
         for k in range(1, m + 1):
-            layer = np.flatnonzero(self.popcount == k)
-            for lo in range(0, len(layer), chunk):
-                masks = layer[lo:lo + chunk]
+            for lo in range(starts[k - 1], starts[k], chunk):
+                masks = order[lo:min(lo + chunk, starts[k])].astype(np.intp)
                 # keys[i, c] = cost[i, masks[c]] << s | i.
-                keys = cost.take(masks, axis=1).astype(kdt, copy=False)
+                keys = cost.take(masks, axis=1)
                 keys &= cost_bits
                 keys |= end_bits
                 self.min_length[masks] = np.minimum.reduce(keys, axis=0) >> s
@@ -253,12 +267,13 @@ class HKTable:
                 # reset below.
                 for j, row in enumerate(cost):
                     row[masks ^ 1 << j] = nxt[j]
+        del order               # before the build's peak, the split
         parent = np.empty((m, size), np.int8)
         for j, (row, links) in enumerate(zip(cost, parent)):
             np.bitwise_and(row, low, out=links, casting="unsafe")
             row >>= s
             links[1 << j] = -1
-            row.reshape(-1, 2, 1 << j)[:, 0] = sentinel
+            row.reshape(-1, 2, 1 << j)[:, 0] = fill
             links.reshape(-1, 2, 1 << j)[:, 0] = -1
         self.cost = cost
         self.parent = parent
@@ -267,10 +282,15 @@ class HKTable:
                                 1) if m else 1
         self.plan: Optional[ScanPlan] = None
 
+    def _check_mask(self, mask: int) -> None:
+        if not 0 < mask < 1 << self.m:
+            raise ValueError(f"mask {mask} is outside [1, 2^{self.m})")
+
     def end_within(self, mask: int, kind: str, limit: int) -> int:
         """The first end of mask whose cheapest path has regret (kind
-        "regret") or length (kind "length") at most limit; SolverError when
-        there is none."""
+        "regret") or length (kind "length") at most limit; ValueError for a
+        mask outside [1, 2^m), SolverError when no end is within limit."""
+        self._check_mask(mask)
         column = self.cost[:, mask].tolist()
         D = self.inst.root_dist
         for i, v in enumerate(self.clients):
@@ -280,6 +300,12 @@ class HKTable:
         raise SolverError(f"no end of mask {mask} has {kind} at most {limit}")
 
     def path_for(self, mask: int, end_index: int) -> RootedPath:
+        """The canonical cheapest path visiting exactly mask and ending at
+        clients[end_index]; ValueError for a mask outside [1, 2^m) or an
+        end outside the mask."""
+        self._check_mask(mask)
+        if not (0 <= end_index < self.m and mask >> end_index & 1):
+            raise ValueError(f"end {end_index} is not in mask {mask}")
         seq = []
         i = end_index
         while i >= 0:
@@ -442,15 +468,15 @@ def exact_min_excess_pricing(table: HKTable,
     # the canonical pick (least excess, then fewest nodes, then smallest
     # mask), and score > 0 exactly where excess < 0.
     w = t.m + 1
-    sums = _reward_sums([x * w for x in nums], np)[1:]
+    # Every |score| is below top, and so is each of its terms, so the one
+    # dtype that top picks holds the sums, the product and the score.
     top = (t.regret_bound * den + sum(nums) + 1) * w
-    if _sum_dtype(top, np) is object:
-        score = sums.astype(object) - regret.astype(object) * (den * w)
+    dtype = _sum_dtype(top, np)
+    sums = _doubling([x * w for x in nums], dtype, np)[1:]
+    if dtype is object:
+        score = sums - regret.astype(object) * (den * w)
     else:
-        # One int64 product, then the sums added in place; sums is int64
-        # too, since it is below top.
-        score = np.multiply(regret, -den * w, dtype=np.int64,
-                            casting="unsafe")
+        score = np.multiply(regret, -den * w, dtype=dtype, casting="unsafe")
         score += sums
     score -= t.popcount[1:]
     return _columns(t, score, lambda i: i + 1,

@@ -18,7 +18,8 @@ import numpy as np
 
 from regret_route.core import INF, RootedPath
 from regret_route import pricing
-from regret_route.pricing import PricedPath, _cost_dtype, _doubling
+from regret_route.pricing import (PricedPath, _cost_dtype, _doubling,
+                                  _key_dtype)
 
 
 class ReferenceTable:
@@ -93,7 +94,10 @@ class DenseReferenceTable:
     """HKTable's arrays, built one (popcount layer, end) pair at a time: the
     masks of the layer without end j take their rows plus the step to j,
     and argmin's first minimum is the parent. cost and parent are
-    mask-major, shape (2^m, m): the transpose of HKTable's."""
+    mask-major, shape (2^m, m): the transpose of HKTable's. cost is in the
+    key dtype; an end outside its mask holds the cost sentinel, or top + 1
+    where the key dtype is narrower than the cost dtype. The folds are in
+    the cost dtype."""
 
     def __init__(self, inst):
         self.inst = inst
@@ -101,14 +105,18 @@ class DenseReferenceTable:
         m = self.m = len(clients)
         dist = inst.dist
         D = [inst.root_dist[v] for v in clients]
-        dtype, sentinel = _cost_dtype((m + 1) * max(map(max, dist)), np)
+        edge = max(map(max, dist))
+        top = (m + 1) * edge
+        dtype, sentinel = _cost_dtype(top, np)
+        kdt = _key_dtype(m, edge, np)[0]
+        fill = sentinel if np.promote_types(dtype, kdt) == kdt else top + 1
         size = 1 << m
         self.popcount = _doubling([1] * m, np.uint8, np)
-        cost = np.full((size, m), sentinel, dtype)
+        cost = np.full((size, m), fill, kdt)
         parent = np.full((size, m), -1, np.int8)
         ends = np.arange(m)
         cost[1 << ends, ends] = [dist[inst.root][v] for v in clients]
-        step = np.array([[dist[u][v] for v in clients] for u in clients], dtype)
+        step = np.array([[dist[u][v] for v in clients] for u in clients], kdt)
         order = np.argsort(self.popcount, kind="stable")
         starts = np.cumsum(np.bincount(self.popcount, minlength=m + 1))
         for k in range(1, m):
@@ -130,7 +138,7 @@ class DenseReferenceTable:
         self.min_length = np.full(size, sentinel, dtype)
         self.length_end = np.full(size, -1, np.int8)
         for i in range(m):
-            c = cost.reshape(-1, 2, 1 << i, m)[:, 1, :, i]
+            c = cost.reshape(-1, 2, 1 << i, m)[:, 1, :, i].astype(dtype)
             for low, end, value in ((self.min_length, self.length_end, c),
                                     (self.min_regret, self.regret_end,
                                      c - D[i])):

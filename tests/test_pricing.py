@@ -99,6 +99,27 @@ def test_end_within_refuses_a_mask_with_no_end_in_the_limit():
         table.end_within(5, "length", least - 1)
 
 
+def test_path_for_and_end_within_refuse_what_they_cannot_serve():
+    table = HKTable(gen_euclidean(7, 3))
+    m = table.m
+    for mask, end in ((0b11, 4), (0b11, -1), (0b11, m), (1 << m - 1, 0)):
+        with pytest.raises(ValueError, match=f"end {end} is not in mask "
+                                             f"{mask}"):
+            table.path_for(mask, end)
+    for mask in (0, -1, 1 << m, (1 << m) + 1):
+        with pytest.raises(ValueError, match=rf"mask {mask} is outside "
+                                             rf"\[1, 2\^{m}\)"):
+            table.path_for(mask, 0)
+        for kind in ("regret", "length"):
+            with pytest.raises(ValueError, match=f"mask {mask} is outside"):
+                table.end_within(mask, kind, 10 ** 6)
+    # the edges of the range are served
+    full = (1 << m) - 1
+    assert table.path_for(1, 0).nodes == (table.inst.root, table.clients[0])
+    end = table.end_within(full, "regret", int(table.min_regret[full]))
+    assert len(table.path_for(full, end).nodes) == m + 1
+
+
 def test_table_threshold_refusal():
     inst = random_instance(6, 1)
     with pytest.raises(OracleUnavailableError):
@@ -384,10 +405,10 @@ def test_guided_scans_match_the_reference_ranking():
                         assert keys == sorted(keys)
                         cases.add((not any(scaled[0]), floor > 0))
     # all-zero and other guides returned columns at floor 0 and above, and
-    # guide sums took both the int64 and the object path
+    # guide sums took the int32, the int64 and the object path
     assert cases == {(True, True), (True, False), (False, True),
                      (False, False)}
-    assert dtypes == {np.int64, object}
+    assert dtypes == {np.int32, np.int64, object}
 
 
 def test_a_zero_guide_sum_above_the_floor_is_still_picked():
@@ -497,7 +518,7 @@ def test_wide_edges_take_int64_costs():
 TABLE_ARRAYS = ("cost", "parent", "min_regret", "min_length", "popcount")
 
 
-def assert_same_arrays(table, ref, seed):
+def assert_same_arrays(table, ref, masks):
     """The table's arrays equal the dense reference's, whose cost and
     parent are mask-major, so the table's end-major ones are compared with
     their transposes."""
@@ -507,18 +528,21 @@ def assert_same_arrays(table, ref, seed):
             want = want.T
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert np.array_equal(got, want), name
-    assert_same_ends(table, ref, sampled_masks(table.m, seed))
+    assert_same_ends(table, ref, masks)
 
 
 def test_sixteen_client_tables_match_the_dense_reference():
     for seed in range(1, 6):
         inst = gen_euclidean(17, seed)
-        assert_same_arrays(HKTable(inst),
-                           hk_reference.DenseReferenceTable(inst), seed)
+        table = HKTable(inst)
+        assert table.cost.dtype == np.uint16
+        assert_same_arrays(table, hk_reference.DenseReferenceTable(inst),
+                           sampled_masks(16, seed))
     inst = scaled(gen_euclidean(17, 7), 1 << 27)
     table = HKTable(inst)
     assert table.cost.dtype == np.int64
-    assert_same_arrays(table, hk_reference.DenseReferenceTable(inst), 7)
+    assert_same_arrays(table, hk_reference.DenseReferenceTable(inst),
+                       sampled_masks(16, 7))
 
 
 def edge_metric(m, edge, seed):
@@ -552,6 +576,50 @@ def test_key_dtype_tiers_hold_at_their_largest_edge(m):
             assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
 
 
+def test_sum_dtype_tiers_hold_at_their_largest_bound():
+    # A reward sum is at most the total and a bounded scan scores it + 1;
+    # the min-excess scan runs in the dtype that its bound (regret_bound·den
+    # + total + 1)·(m+1) picks. A sum or score that outgrew its dtype would
+    # wrap silently, so each narrow tier is checked at the largest bound
+    # that still selects it and at the next one: by the total for the
+    # bounded scans, by den for the min-excess scan, and at a den whose
+    # product regret_bound·den·(m+1) alone passes the tier. Every scan is
+    # checked against the reference at each.
+    inst = gen_euclidean(7, 3)
+    table = HKTable(inst)
+    ref = hk_reference.ReferenceTable(inst)
+    m, w, rb = table.m, table.m + 1, table.regret_bound
+    edge = max(map(max, inst.dist))
+    lone = [(RootedPath.trivial(inst).nodes, Fraction(0))]
+    rng = random.Random(33)
+
+    def split(total):
+        cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
+        return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+    for largest, narrow, wide in (((1 << 31) - 2, np.int32, np.int64),
+                                  ((1 << 62) - 1, np.int64, object)):
+        small = 40 * m
+        last = (largest // w - small - 1) // rb
+        cases = [(split(largest), 1, largest, narrow),
+                 (split(largest + 1), 1, largest + 1, wide)]
+        for d, want in ((last, narrow), (last + 1, wide),
+                        ((largest + 1) // (rb * w) + 1, wide)):
+            cases.append((split(small), d, (rb * d + small + 1) * w, want))
+        for nums, den, bound, want in cases:
+            assert pricing._sum_dtype(bound, np) is want
+            rewards = {v: Fraction(x, den) for v, x in zip(inst.clients, nums)}
+            for budget in (0, edge, 3 * edge):
+                for kind, scan in (("regret", exact_orienteering),
+                                   ("length", exact_length_budget)):
+                    assert priced(scan(table, (nums, den), budget)) == (
+                        priced(hk_reference.ranking(ref, rewards, kind,
+                                                    budget)) or lone)
+            assert priced(exact_min_excess_pricing(table, (nums, den))) == (
+                priced(hk_reference.ranking(ref, rewards, "min_excess"))
+                or lone)
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
 def test_chunk_size_does_not_change_the_table(chunk_bytes, monkeypatch):
     # One mask per chunk, then one chunk per popcount layer, on each key
@@ -569,9 +637,37 @@ def test_chunk_size_does_not_change_the_table(chunk_bytes, monkeypatch):
         assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
 
 
-@pytest.mark.parametrize("factor, dtype", [(1, np.int32), (1 << 17, np.int64),
+def test_table_holds_its_costs_in_the_key_dtype():
+    # On every key tier. Where the key dtype is narrower than the cost
+    # dtype (uint16, and one or two clients with wide edges) an end outside
+    # its mask holds top + 1, since the cost sentinel may not fit; elsewhere
+    # it holds the cost sentinel.
+    base = gen_euclidean(11, 4)
+    cases = [(base, np.uint16, True), (scaled(base, 1 << 12), np.int32, False),
+             (scaled(base, 1 << 27), np.int64, False),
+             (edge_metric(10, 1 << 56, 3), object, False),
+             (edge_metric(1, 1 << 29, 3), np.int32, True),
+             (edge_metric(2, (1 << 60) - 1, 3), np.int64, True)]
+    for inst, kdt, narrow in cases:
+        m, edge = len(inst.clients), max(map(max, inst.dist))
+        assert pricing._key_dtype(m, edge, np)[0] == kdt
+        table = HKTable(inst)
+        assert table.cost.dtype == kdt
+        top = (m + 1) * edge
+        sentinel = top + 1 if narrow else pricing._cost_dtype(top, np)[1]
+        assert set(table.cost[0, 0::2].tolist()) == {sentinel}
+        assert_same_arrays(table, hk_reference.DenseReferenceTable(inst),
+                           range(1, 1 << m))
+        if top < INF:       # the reference reads INF and up as unreachable
+            assert_same_table(table, hk_reference.ReferenceTable(inst))
+
+
+@pytest.mark.parametrize("factor, dtype", [(1, np.uint16), (1 << 12, np.int32),
+                                           (1 << 17, np.int64),
                                            (1 << 27, np.int64)])
 def test_build_peak_is_within_the_cell_estimate(factor, dtype):
+    # A uint16 table peaks at about 3.6 bytes per cell at 16 clients, an
+    # int32 one at 5.6, an int64 one at 9.6 to 10.1.
     inst = scaled(gen_euclidean(17, 7), factor)
     tracemalloc.start()
     try:
@@ -580,7 +676,8 @@ def test_build_peak_is_within_the_cell_estimate(factor, dtype):
     finally:
         tracemalloc.stop()
     assert table.cost.dtype == dtype
-    assert peak <= pricing.CELL_BYTES * (16 << 16)
+    limit = {np.uint16: 4, np.int32: 6}.get(dtype, pricing.CELL_BYTES)
+    assert peak <= limit * (16 << 16)
 
 
 def test_edges_beyond_int64_keep_exact_python_costs():
@@ -609,13 +706,16 @@ def test_zero_regret_python_costs_take_the_int64_excess_scan():
     # the min-excess values fit int64 although the costs need Python ints.
     # The reference reads costs from INF up as unreachable, so it runs on
     # the unscaled line, whose regrets are the same zeros.
+    # The small rewards take the int32 scan, the ones past 2^31 the int64.
     base = line_instance((0, 1, 2, 4, 7, 11))
     table = HKTable(scaled(base, 1 << 62))
     assert table.cost.dtype == object and not table.min_regret[1:].any()
-    rewards = {v: Fraction(v, 3) for v in base.clients}
-    got = exact_min_excess_pricing(table, ints(base, rewards))[0]
-    want = hk_reference.min_excess(hk_reference.ReferenceTable(base), rewards)
-    assert (got.path.nodes, got.value) == (want.path.nodes, want.value)
+    for scale in (1, 1 << 31):
+        rewards = {v: Fraction(v * scale, 3) for v in base.clients}
+        got = exact_min_excess_pricing(table, ints(base, rewards))[0]
+        want = hk_reference.min_excess(hk_reference.ReferenceTable(base),
+                                       rewards)
+        assert (got.path.nodes, got.value) == (want.path.nodes, want.value)
 
 
 def test_orienteering_collects_reachable_rewards():
