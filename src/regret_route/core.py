@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, groupby
+from operator import le
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 INF = 1 << 60
@@ -157,14 +158,15 @@ class RootedPath:
 
     @classmethod
     def build(cls, inst: Instance, nodes: Sequence[int]) -> "RootedPath":
-        nodes = tuple(int(v) for v in nodes)
+        nodes = tuple(map(int, nodes))
         if not nodes:
             raise MalformedPathError("empty node sequence")
         if nodes[0] != inst.root:
             raise MalformedPathError(f"path starts at {nodes[0]}, not the root")
-        if any(not 0 <= v < inst.n for v in nodes):
+        if min(nodes) < 0 or max(nodes) >= inst.n:
             raise MalformedPathError("node id out of range")
-        if len(set(nodes)) != len(nodes):
+        node_set = frozenset(nodes)
+        if len(node_set) != len(nodes):
             raise MalformedPathError("repeated node in path")
         dist, D = inst.dist, inst.root_dist
         cost = 0
@@ -172,12 +174,12 @@ class RootedPath:
         for u, v in zip(nodes, nodes[1:]):
             cost += dist[u][v]
             prefix.append(cost - D[v])
-        if not (all(p >= 0 for p in prefix) and
-                all(a <= b for a, b in zip(prefix, prefix[1:]))):
+        # Nondecreasing from prefix[0] = 0, so nonnegative too.
+        if not all(map(le, prefix, prefix[1:])):
             raise SolverError(f"prefix regrets {prefix} of {nodes} are not "
                               "nonnegative and nondecreasing")
         return cls(nodes=nodes, cost=cost, regret=prefix[-1],
-                   prefix_regret=tuple(prefix), node_set=frozenset(nodes))
+                   prefix_regret=tuple(prefix), node_set=node_set)
 
     @classmethod
     def trivial(cls, inst: Instance) -> "RootedPath":

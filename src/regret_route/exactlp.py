@@ -29,8 +29,11 @@ certificate.
 
 Every column's nonzeros share one sign: +1 on structural and slack
 columns, -1 on surplus columns. A column is stored as its sorted row tuple
-and that sign, so a price Y * a_j, an entry of adj * a_j and an entry of
-c_B * adj are each one C-level sum over map or zip.
+and that sign, so a price Y * a_j and an entry of adj * a_j are each one
+C-level sum over map. c_B * adj is a sum of the basic rows of adj: a row
+whose column costs 0 is left out, one whose column costs 1 is added as
+it is, and only the others are scaled, so under unit costs each entry is
+one C-level sum over zip.
 
 Solves can be resumed after new columns arrive, which is what column
 generation needs: a new column leaves the basis, and so Y, as it is. At the
@@ -199,13 +202,17 @@ class CoveringMaster:
         self._y = self._duals_for(self._costs)
 
     def _duals_for(self, costs: List[int]) -> List[int]:
-        """det * y = c_B * adj."""
-        priced = [(costs[j], row) for j, row in zip(self._basis, self._adj)
-                  if costs[j]]
-        if not priced:
+        """det * y = c_B * adj: the sum of the adj rows of the basic
+        columns with nonzero cost, each scaled by its cost unless that is
+        1."""
+        rows = []
+        for j, row in zip(self._basis, self._adj):
+            c = costs[j]
+            if c:
+                rows.append(row if c == 1 else [c * x for x in row])
+        if not rows:
             return [0] * self.m
-        c_b, rows = zip(*priced)
-        return [sum(map(mul, c_b, col)) for col in zip(*rows)]
+        return list(map(sum, zip(*rows)))
 
     def _alpha(self, j: int) -> List[int]:
         """det * B^-1 * a_j."""

@@ -34,6 +34,7 @@ raises SolverError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -104,9 +105,15 @@ class FractionalSolution:
         if any(w < 0 for w in self.weights):
             raise SolverError("negative column weight")
         support = self.support()
-        cover = self._coverage_by_node(support)
+        # The checks run on the numerators of the weights over their lcm.
+        scale = math.lcm(*(w.denominator for _, w in support))
+        nums = [w.numerator * (scale // w.denominator) for _, w in support]
+        cover: Dict[int, int] = {}
+        for (p, _), x in zip(support, nums):
+            for v in p.node_set:
+                cover[v] = cover.get(v, 0) + x
         for v in self.inst.clients:
-            if cover.get(v, ZERO) < 1:
+            if cover.get(v, 0) < scale:
                 raise SolverError(f"client {v} under-covered")
         if self.column_bound is not None:
             kind, limit = self.column_bound
@@ -114,12 +121,12 @@ class FractionalSolution:
                 used = p.regret if kind == "regret" else p.cost
                 if used > limit:
                     raise SolverError(f"column {p.nodes} breaks {kind}<={limit}")
-        if self.count_cap is not None:
-            total = _weight_sum(support)
-            if total > self.count_cap:
-                raise SolverError(f"total weight {total} exceeds the count "
-                                  f"cap {self.count_cap}")
-        expect = self._objective_value(support)
+        weight = sum(nums)
+        if self.count_cap is not None and weight > self.count_cap * scale:
+            raise SolverError(f"total weight {Fraction(weight, scale)} "
+                              f"exceeds the count cap {self.count_cap}")
+        expect = Fraction(weight if self.objective == "count" else sum(
+            p.regret * x for (p, _), x in zip(support, nums)), scale)
         if self.value != expect:
             raise SolverError(str((self.value, expect)))
 

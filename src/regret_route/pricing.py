@@ -289,7 +289,9 @@ class HKTable:
     def end_within(self, mask: int, kind: str, limit: int) -> int:
         """The first end of mask whose cheapest path has regret (kind
         "regret") or length (kind "length") at most limit; ValueError for a
-        mask outside [1, 2^m), SolverError when no end is within limit."""
+        mask outside [1, 2^m) or a kind that is neither, SolverError when
+        no end is within limit."""
+        _check_budget_kind(kind)
         self._check_mask(mask)
         column = self.cost[:, mask].tolist()
         D = self.inst.root_dist
@@ -354,6 +356,13 @@ def _checked_rewards(rewards: ScaledRewards,
     return nums, den
 
 
+def _check_budget_kind(kind: str,
+                       kinds: Tuple[str, ...] = ("regret", "length")) -> None:
+    """ValueError unless kind is one of kinds."""
+    if kind not in kinds:
+        raise ValueError(f"unknown budget kind {kind!r}")
+
+
 def _reward_sums(nums: List[int], np):
     return _doubling(nums, _sum_dtype(sum(nums), np), np)
 
@@ -364,11 +373,13 @@ class ScanPlan:
     length (kind "length") is at most budget, in (popcount, mask) order, so
     that a first maximum is the canonical pick. It is intp, numpy's own
     index type, since a gather copies any other index dtype to intp first.
+    Any other kind is a ValueError.
     """
 
     def __init__(self, table: HKTable, kind: str, budget: int):
         import numpy as np
 
+        _check_budget_kind(kind)
         self.kind, self.budget = kind, budget
         values = table.min_regret if kind == "regret" else table.min_length
         masks = np.flatnonzero(values[1:] <= budget) + 1
@@ -523,14 +534,26 @@ def heuristic_pricing(inst: Instance, rewards: ScaledRewards,
     reward).
 
     Each step inserts the free client at the position that improves the
-    objective most, trying clients in ascending id and positions from the
-    front (after the root) to the end, and keeping a candidate only when it
-    is strictly better, so the first best move wins.  When no insertion
-    improves, a min_excess search reverses the first segment nodes[i..j]
-    (i, j in lexicographic order) that strictly lowers the regret, then
-    goes back to inserting.  A reversal keeps the reward sum, so under a
-    regret or length budget it can never strictly improve, and that scan is
-    skipped.
+    objective most.  Ties go to the smallest client id, then to the first
+    position from the front (after the root) to the end: the pick of a
+    scan in ascending id that keeps a candidate only when it is strictly
+    better.  When no insertion improves, a min_excess search reverses the
+    first segment nodes[i..j] (i, j in lexicographic order) that strictly
+    lowers the regret, then goes back to inserting.  A reversal keeps the
+    reward sum, so under a regret or length budget it can never strictly
+    improve, and that scan is skipped.
+
+    The search tries clients by descending reward, ties by id, and stops
+    early.  Under a budget every feasible position of v scores the same,
+    the reward sum plus reward[v], so the first client with a feasible
+    position is the pick, at its first feasible position.  Under
+    min_excess no move of v scores below the path's value minus
+    reward[v], since no insertion lowers the regret (triangle
+    inequality): an inner one adds its cost delta >= 0 and an end one
+    adds d(end, v) + D[end] − D[v] >= 0.  The scan stops at the first
+    client whose bound is above the best move found, and skips one whose
+    bound ties it with a larger id.  A client of reward 0 can never
+    improve the objective and is never tried.
 
     Moves are scored by integer deltas, not by rebuilding the path: the
     search tracks the path's cost, its scaled reward sum and its scaled
@@ -552,57 +575,62 @@ def heuristic_pricing(inst: Instance, rewards: ScaledRewards,
     kind = budget_kind
     clients = inst.clients
     nums, den = _checked_rewards(rewards, clients)
-    if kind not in ("regret", "length", "min_excess"):
-        raise ValueError(f"unknown budget kind {kind!r}")
+    _check_budget_kind(kind, ("regret", "length", "min_excess"))
     excess = kind == "min_excess"
     reward = dict(zip(clients, nums))
     dist, D = inst.dist, inst.root_dist
+    # The free clients of positive reward, by descending reward, then id.
+    free = sorted((v for v in clients if reward[v]),
+                  key=lambda v: (-reward[v], v))
 
     nodes = [inst.root]
-    on_path = {inst.root}
     cost = gain = value = 0
     while True:
         end = nodes[-1]
-        regret = cost - D[end]
-        slack = budget - (regret if kind == "regret" else cost)
         links = [(a, b, dist[a][b]) for a, b in zip(nodes, nodes[1:])]
         best = None             # (v, position, added cost)
-        best_value = value
-        for v in clients:
-            if v in on_path:
-                continue
-            rv = reward[v]
-            # Under a budget every position of v scores gain + rv, so only
-            # the first feasible one can be kept.
-            if not excess and gain + rv <= best_value:
-                continue
-            row = dist[v]
-            deltas = _insertion_deltas(row, links)
-            if excess:
+        if excess:
+            # The best move as (value, client, 0 inner or 1 end); until
+            # one is found, a move must beat the path's own value.
+            top = (value,)
+            for v in free:
+                bound = value - reward[v]
+                if bound > top[0]:
+                    break
+                if (bound, v) > top[:2]:
+                    continue
+                row = dist[v]
+                deltas = _insertion_deltas(row, links)
                 if deltas:
                     delta = min(deltas)
-                    cand = (regret + delta) * den - gain - rv
-                    if cand < best_value:
-                        best_value = cand
-                        best = (v, deltas.index(delta) + 1, delta)
-                cand = (cost + row[end] - D[v]) * den - gain - rv
-                if cand < best_value:
-                    best_value, best = cand, (v, len(nodes), row[end])
-                continue
-            k = next((k for k, delta in enumerate(deltas) if delta <= slack),
-                     None)
-            if k is not None:
-                best_value, best = gain + rv, (v, k + 1, deltas[k])
-            elif row[end] <= (budget - cost + D[v] if kind == "regret"
-                              else slack):
-                best_value, best = gain + rv, (v, len(nodes), row[end])
+                    key = (bound + delta * den, v, 0)
+                    if key < top:
+                        top, best = key, (v, deltas.index(delta) + 1, delta)
+                key = ((cost + row[end] - D[v]) * den - gain - reward[v],
+                       v, 1)
+                if key < top:
+                    top, best = key, (v, len(nodes), row[end])
+        else:
+            slack = budget - (cost - D[end] if kind == "regret" else cost)
+            for v in free:
+                row = dist[v]
+                deltas = _insertion_deltas(row, links)
+                k = next((k for k, delta in enumerate(deltas)
+                          if delta <= slack), None)
+                if k is not None:
+                    best = (v, k + 1, deltas[k])
+                    break
+                if row[end] <= (budget - cost + D[v] if kind == "regret"
+                                else slack):
+                    best = (v, len(nodes), row[end])
+                    break
         if best is not None:
             v, pos, delta = best
             nodes.insert(pos, v)
-            on_path.add(v)
+            free.remove(v)
             cost += delta
             gain += reward[v]
-            value = best_value
+            value = top[0] if excess else gain
             continue
         if not excess:
             break

@@ -139,14 +139,15 @@ def test_path_regret_identity():
 
 def test_rooted_path_build_rejections():
     inst = line_instance()
-    with pytest.raises(MalformedPathError):
-        RootedPath.build(inst, [])
-    with pytest.raises(MalformedPathError):
-        RootedPath.build(inst, [1, 2])
-    with pytest.raises(MalformedPathError):
-        RootedPath.build(inst, [0, 1, 1])
-    with pytest.raises(MalformedPathError):
-        RootedPath.build(inst, [0, 9])
+    for nodes, message in (([], "empty node sequence"),
+                           ([1, 2], "path starts at 1, not the root"),
+                           ([0, 1, 1], "repeated node in path"),
+                           ([0, 9], "node id out of range"),
+                           ([0, -1], "node id out of range"),
+                           ([0, inst.n], "node id out of range"),
+                           ([0, 2, inst.n, 2], "node id out of range")):
+        with pytest.raises(MalformedPathError, match=f"^{message}$"):
+            RootedPath.build(inst, nodes)
 
 
 def test_prefix_regret_check_survives_optimized_python(src_env):

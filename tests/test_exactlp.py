@@ -359,6 +359,35 @@ def test_every_pivot_element_is_positive(monkeypatch):
     assert len(elements) > 1000 and min(elements) > 0
 
 
+def test_duals_for_is_c_b_times_adj(monkeypatch):
+    # At every master state a pivot reaches, _duals_for agrees with a plain
+    # double loop over c_B and adj: under the script's unit or regret costs,
+    # and under costs that are 0 on every basic column.
+    seen = set()
+    pivot = CoveringMaster._pivot
+
+    def plain(master, costs):
+        return [sum(costs[j] * master._adj[r][k]
+                    for r, j in enumerate(master._basis))
+                for k in range(master.m)]
+
+    def spy(self, r, j, alpha, reduced):
+        pivot(self, r, j, alpha, reduced)
+        structural = self._costs[self._first_structural:]
+        seen.add("unit" if set(structural) == {1} else "regret")
+        unpriced = [0 if k in self._in_basis else 5
+                    for k in range(len(self._costs))]
+        assert self._duals_for(unpriced) == [0] * self.m
+        for costs in (self._costs, unpriced):
+            assert self._duals_for(costs) == plain(self, costs)
+
+    monkeypatch.setattr(CoveringMaster, "_pivot", spy)
+    rng = random.Random(3)
+    for _ in range(200):
+        _run(CoveringMaster, *_random_script(rng))
+    assert seen == {"unit", "regret"}
+
+
 def test_missing_singleton_is_refused():
     # The LP is feasible, but client 2 has no column covering it alone, so
     # there is no start basis.

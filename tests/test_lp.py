@@ -188,7 +188,22 @@ def test_validate_refuses_a_malformed_solution():
              r"column \(0, 1, 2\) breaks length<=1"),
             (lambda: FractionalSolution.from_columns(
                 inst, [both, one], [1, 1], objective="regret", count_cap=1),
-             "total weight 2 exceeds the count cap 1")):
+             "total weight 2 exceeds the count cap 1"),
+            # weights over different denominators
+            (lambda: FractionalSolution.from_columns(
+                inst, [both, one], [Fraction(1, 2), Fraction(1, 3)]),
+             "client 1 under-covered"),
+            (lambda: FractionalSolution.from_columns(
+                inst, [both, one], [Fraction(2, 3), Fraction(1, 2)]),
+             "client 2 under-covered"),
+            (lambda: FractionalSolution.from_columns(
+                inst, [both, one], [Fraction(3, 2), Fraction(1, 3)],
+                count_cap=1),
+             "total weight 11/6 exceeds the count cap 1"),
+            (lambda: FractionalSolution.from_columns(
+                inst, [both, both], [Fraction(3, 4), Fraction(1, 4)],
+                objective="regret", count_cap=1),
+             None)):
         sol = build()
         if message is None:
             sol.validate()

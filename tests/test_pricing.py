@@ -113,6 +113,12 @@ def test_path_for_and_end_within_refuse_what_they_cannot_serve():
         for kind in ("regret", "length"):
             with pytest.raises(ValueError, match=f"mask {mask} is outside"):
                 table.end_within(mask, kind, 10 ** 6)
+    # a bounded query is by regret or by length, nothing else
+    for kind in ("bogus", "min_excess", "Regret"):
+        with pytest.raises(ValueError, match=f"unknown budget kind '{kind}'"):
+            table.end_within(3, kind, 10 ** 6)
+        with pytest.raises(ValueError, match=f"unknown budget kind '{kind}'"):
+            pricing.ScanPlan(table, kind, 10 ** 6)
     # the edges of the range are served
     full = (1 << m) - 1
     assert table.path_for(1, 0).nodes == (table.inst.root, table.clients[0])
@@ -896,6 +902,20 @@ def test_heuristic_matches_reference():
                    for v in inst.clients}
         _assert_same_heuristic(inst, FractionQuery(
             rewards=rewards, budget_kind="min_excess"))
+    # Points on a line.  The search goes by descending reward, so these
+    # pin where it must not stop early.
+    for positions, rewards, kind, budget in (
+            # 3 at 9 is past the length budget: 2, then 1, enter.
+            ((0, 1, 2, 9), {1: 1, 2: 2, 3: 7}, "length", 4),
+            # Once 3 is on the path, 2 at -4 adds regret 8 or more: 1 enters.
+            ((0, 3, -4, 6), {1: 1, 2: 8, 3: 9}, "regret", 5),
+            # Once 3 is on the path, appending 2 (regret 2) or 1 (regret 0)
+            # both reach -16: 1 wins on its id, after 2 in reward order.
+            ((0, 4, -5, 1), {1: 5, 2: 7, 3: 11}, "min_excess", 0),
+            # 2 reaches -3 before 1 and after it: the inner position wins.
+            ((0, 3, 3), {1: 2, 2: 1}, "min_excess", 0)):
+        _assert_same_heuristic(line_instance(positions), FractionQuery(
+            {v: Fraction(r) for v, r in rewards.items()}, kind, budget))
 
 
 def test_heuristic_rejects_unknown_kind_and_negative_rewards():
