@@ -79,22 +79,30 @@ class FractionalSolution:
 
     @property
     def total_weight(self) -> Fraction:
-        return _weight_sum(self.support())
+        scaled, scale = self._scaled_support()
+        return Fraction(sum(x for _, x in scaled), scale)
 
     def coverage(self, v: int) -> Fraction:
-        return self._coverage_by_node(self.support()).get(v, ZERO)
-
-    @staticmethod
-    def _coverage_by_node(support) -> Dict[int, Fraction]:
-        """The weight on each node, summed over the support."""
-        cover: Dict[int, Fraction] = {}
-        for p, w in support:
-            for v in p.node_set:
-                cover[v] = cover.get(v, ZERO) + w
-        return cover
+        scaled, scale = self._scaled_support()
+        return Fraction(_coverage_by_node(scaled).get(v, 0), scale)
 
     def support(self) -> List[Tuple[RootedPath, Fraction]]:
         return [(p, w) for p, w in zip(self.columns, self.weights) if w > 0]
+
+    def _scaled_support(self) -> Tuple[List[Tuple[RootedPath, int]], int]:
+        """The support with each weight replaced by its numerator over the
+        lcm of the weights' denominators, and that lcm."""
+        support = self.support()
+        scale = math.lcm(*(w.denominator for _, w in support))
+        return [(p, w.numerator * (scale // w.denominator))
+                for p, w in support], scale
+
+    def _objective_numerator(self, scaled: List[Tuple[RootedPath, int]]) -> int:
+        """The objective over the scaled support, as a numerator over its
+        scale: zero weights add nothing."""
+        if self.objective == "count":
+            return sum(x for _, x in scaled)
+        return sum(p.regret * x for p, x in scaled)
 
     def validate(self) -> None:
         """Raise SolverError unless coverage, column bounds, the count cap
@@ -104,37 +112,25 @@ class FractionalSolution:
                               f"{len(self.weights)} weights")
         if any(w < 0 for w in self.weights):
             raise SolverError("negative column weight")
-        support = self.support()
         # The checks run on the numerators of the weights over their lcm.
-        scale = math.lcm(*(w.denominator for _, w in support))
-        nums = [w.numerator * (scale // w.denominator) for _, w in support]
-        cover: Dict[int, int] = {}
-        for (p, _), x in zip(support, nums):
-            for v in p.node_set:
-                cover[v] = cover.get(v, 0) + x
+        scaled, scale = self._scaled_support()
+        cover = _coverage_by_node(scaled)
         for v in self.inst.clients:
             if cover.get(v, 0) < scale:
                 raise SolverError(f"client {v} under-covered")
         if self.column_bound is not None:
             kind, limit = self.column_bound
-            for p, _ in support:
+            for p, _ in scaled:
                 used = p.regret if kind == "regret" else p.cost
                 if used > limit:
                     raise SolverError(f"column {p.nodes} breaks {kind}<={limit}")
-        weight = sum(nums)
+        weight = sum(x for _, x in scaled)
         if self.count_cap is not None and weight > self.count_cap * scale:
             raise SolverError(f"total weight {Fraction(weight, scale)} "
                               f"exceeds the count cap {self.count_cap}")
-        expect = Fraction(weight if self.objective == "count" else sum(
-            p.regret * x for (p, _), x in zip(support, nums)), scale)
+        expect = Fraction(self._objective_numerator(scaled), scale)
         if self.value != expect:
             raise SolverError(str((self.value, expect)))
-
-    def _objective_value(self, support) -> Fraction:
-        """The objective over the support: zero weights add nothing."""
-        if self.objective == "count":
-            return _weight_sum(support)
-        return sum((p.regret * w for p, w in support), ZERO)
 
     @classmethod
     def from_columns(cls, inst: Instance, columns: Sequence[RootedPath],
@@ -147,12 +143,18 @@ class FractionalSolution:
         sol = cls(inst=inst, columns=cols, weights=ws, value=ZERO,
                   objective=objective, column_bound=column_bound,
                   count_cap=count_cap, certified=certified)
-        sol.value = sol._objective_value(sol.support())
+        scaled, scale = sol._scaled_support()
+        sol.value = Fraction(sol._objective_numerator(scaled), scale)
         return sol
 
 
-def _weight_sum(support: Sequence[Tuple[RootedPath, Fraction]]) -> Fraction:
-    return sum((w for _, w in support), ZERO)
+def _coverage_by_node(scaled: List[Tuple[RootedPath, int]]) -> Dict[int, int]:
+    """The weight numerators on each node, summed over a scaled support."""
+    cover: Dict[int, int] = {}
+    for p, x in scaled:
+        for v in p.node_set:
+            cover[v] = cover.get(v, 0) + x
+    return cover
 
 
 def _column_cost(path: RootedPath, objective: str) -> int:
