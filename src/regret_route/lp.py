@@ -13,23 +13,18 @@ pricing oracle as integers over one common denominator. Each LP binds its
 oracle once: an exact Held-Karp table scan up to a client-count threshold,
 above it a local-search heuristic whose result is flagged as uncertified.
 
-Each round solves the master once and prices once. A count LP priced by
-a bounded exact scan keeps a stability center (Wentges, ITOR 4(2), 1997):
-the first round's duals, then the midpoint of the old center, rounded down
-onto the new duals' denominator, and the new duals, over twice that
-denominator, which keeps the center's integers about as wide as the
-duals'. The scan returns up to
-eight columns whose reward at the true duals is above 1, which is the
-admission test, picked by their reward at the center (then fewest nodes,
-then the smallest client mask) and carrying their true reward; the
+Each round solves the master once and prices once. A bounded exact scan
+returns up to eight maximal client sets within the bound, largest reward
+at the duals first (then fewest nodes, then the smallest client mask); the
 min-excess scan returns up to eight of least excess, the heuristic one.
 The round admits them in that order while they pass the admission test
-and ends column generation when it admits none. Admission and that proof
-of optimality read the true duals only: the center steers which columns
-enter, never whether the LP is optimal. At a master optimum every master
-column fails the admission test, so no pricer, exact or heuristic, can
-re-propose one; a column that passes it and is already in the master
-raises SolverError.
+and ends column generation when it admits none. The duals are
+nonnegative, so a maximal set's reward is at least that of each of its
+feasible subsets: when no maximal column prices above 1, no column within
+the bound does, which proves the count LP optimal. At a master optimum
+every master column fails the admission test, so no pricer, exact or
+heuristic, can re-propose one; a column that passes it and is already in
+the master raises SolverError.
 """
 
 from __future__ import annotations
@@ -44,9 +39,9 @@ from .core import (Instance, RootedPath, SolverError, check_cap,
                    check_path_budget, check_regret, farthest_node,
                    preprocess_path_pair)
 from .exactlp import CoveringMaster, MasterSolution
-from .pricing import (DEFAULT_EXACT_THRESHOLD, PricedPath, ScaledRewards,
-                      exact_length_budget, exact_min_excess_pricing,
-                      exact_orienteering, heuristic_pricing, table_for)
+from .pricing import (DEFAULT_EXACT_THRESHOLD, exact_length_budget,
+                      exact_min_excess_pricing, exact_orienteering,
+                      heuristic_pricing, table_for)
 
 ZERO = Fraction(0)
 
@@ -182,17 +177,6 @@ def _seed_columns(inst: Instance,
     return seeds
 
 
-def _moved_center(center: Optional[ScaledRewards],
-                  duals: ScaledRewards) -> ScaledRewards:
-    """The stability center after a round whose duals are (nums, den): the
-    duals themselves in the first round, later the midpoint of the old
-    center, rounded down onto den, and the duals, over 2·den."""
-    if center is None:
-        return duals
-    (old, old_den), (nums, den) = center, duals
-    return [c * den // old_den + x for c, x in zip(old, nums)], 2 * den
-
-
 def column_generation(inst: Instance,
                       column_bound: Optional[Tuple[str, int]] = None,
                       count_cap: Optional[int] = None,
@@ -217,15 +201,9 @@ def column_generation(inst: Instance,
         price = partial(exact_min_excess_pricing,
                         table_for(inst, exact_threshold))
     else:
-        scan = partial(exact_orienteering if kind == "regret"
-                       else exact_length_budget,
-                       table_for(inst, exact_threshold), budget=limit)
-        center: Optional[ScaledRewards] = None
-
-        def price(duals: ScaledRewards) -> List[PricedPath]:
-            nonlocal center
-            center = _moved_center(center, duals)
-            return scan(duals, guide=center, floor=duals[1])
+        price = partial(exact_orienteering if kind == "regret"
+                        else exact_length_budget,
+                        table_for(inst, exact_threshold), budget=limit)
 
     master = CoveringMaster(clients, budget=count_cap)
     columns: List[RootedPath] = []

@@ -13,25 +13,25 @@ Fraction.
 
 Each exact scan returns up to COLUMNS_PER_ROUND = 8 columns, one per
 client set, each with its true value. The min-excess scan returns those of
-negative excess, least first. A bounded scan returns those whose reward
-sum is above a floor (0 unless given), largest guide sum first, where the
-guide is a second set of scaled rewards (the rewards themselves unless
-given): column generation guides by a smoothed copy of the duals and sets
-the floor at its admission test. Ties go to fewer nodes, then the smallest
-mask; when nothing qualifies, the trivial path at 0 alone. All three go
-through one picker, _columns, which takes first maxima of the scan's score
-array, overwriting each pick with 0. A bounded scan scores a mask guide
-sum + 1 above the floor and 0 elsewhere, so a mask above the floor whose
-guide sum is 0 is still picked.
+negative excess, least first. A bounded scan returns those of positive
+reward, largest first. Ties go to fewer nodes, then the smallest mask; when
+nothing qualifies, the trivial path at 0 alone. All three go through one
+picker, _columns, which takes first maxima of the scan's score array,
+overwriting each pick with 0.
 
-A bounded scan (exact_orienteering, exact_length_budget) can only return
-a client set whose least regret or length is within the budget, and that
-set is fixed for the whole LP while the rewards change every round. The
-first scan at a (kind, budget) builds a ScanPlan, one array of those masks
-in (popcount, mask) order, and holds it in the table's one plan slot; a
-scan at another budget replaces it. Each round gathers the plan's entries
-from the table of reward sums over every mask, so a first maximum is the
-canonical pick. The min-excess scan has no budget and scores every mask by
+A bounded scan (exact_orienteering, exact_length_budget) prices only the
+maximal client sets: those whose least regret or length is within the
+budget and that no such set extends by one client. Adding clients to a
+feasible set while it stays feasible ends at a maximal one, and rewards are
+nonnegative, so a best maximal set is a best set, and when no maximal set
+prices above a threshold no feasible set does (Desrochers, Desrosiers &
+Solomon, Oper. Res. 40(2), 1992; Feillet et al., Networks 44(3), 2004).
+The sets are fixed for the whole LP while the rewards change every round:
+the first scan at a (kind, budget) builds a ScanPlan, the maximal masks in
+(popcount, mask) order with their 0/1 client rows, and holds it in the
+table's one plan slot; a scan at another budget replaces it. Each round's
+reward sums are one product of those rows with the rewards' numerators.
+The min-excess scan has no budget and scores every mask by
 -(excess·(m+1) + popcount), which folds the tie order into the score; its
 dtype bound on the regrets is computed once per table.
 
@@ -46,9 +46,8 @@ is chosen from a bound on the values it must hold:
   uint16 when ((m+2)·max_edge + 1) << s < 2^16, then int32, int64 and
   object on the same rule with 2^31 and 2^63; the table holds the keys,
   then the costs, in that key dtype (see HKTable);
-* reward and guide sums, and the bounded scan's score (a guide sum + 1),
-  are int32 when the scaled total is below 2^31 - 1, int64 when it is
-  below 2^62, else object;
+* a bounded scan's reward sums are int32 when the scaled total is below
+  2^31 - 1, int64 when it is below 2^62, else object;
 * the min-excess scan bounds its score by (max(|min_regret|, 1)·den +
   Σ rewards + 1)·(m+1) and runs its sums, its product and its popcount
   subtraction in the one dtype that bound picks.
@@ -153,8 +152,10 @@ def _key_dtype(m: int, edge: int, np):
 
 
 def _sum_dtype(bound: int, np):
-    """dtype for integers of absolute value at most bound + 1: a reward
-    sum is at most the total, and a bounded scan adds 1 to it."""
+    """dtype for integers of absolute value at most bound + 1: int32 below
+    2^31 - 1, int64 below 2^62, else object. A bounded scan's reward sums
+    are at most the total; the min-excess scan passes a bound on its
+    score."""
     if bound < (1 << 31) - 1:
         return np.int32
     return np.int64 if bound < 1 << 62 else object
@@ -180,7 +181,8 @@ class HKTable:
     min_regret/min_length fold out the end node; end_within finds the end
     a scan reconstructs from. regret_bound is max(|min_regret|, 1) over the
     nonempty masks, the min-excess scan's dtype bound, and plan holds the
-    ScanPlan of the last bounded scan.
+    ScanPlan of the last bounded scan: its maximal masks and their client
+    rows at one (kind, budget).
 
     The build works on packed keys cost << s | end, s bits wide enough for
     every end index, so that one elementwise minimum yields both the
@@ -363,17 +365,15 @@ def _check_budget_kind(kind: str,
         raise ValueError(f"unknown budget kind {kind!r}")
 
 
-def _reward_sums(nums: List[int], np):
-    return _doubling(nums, _sum_dtype(sum(nums), np), np)
-
-
 class ScanPlan:
-    """The client sets a bounded scan of one table may return at one budget:
-    masks holds every nonempty mask whose least regret (kind "regret") or
-    length (kind "length") is at most budget, in (popcount, mask) order, so
-    that a first maximum is the canonical pick. It is intp, numpy's own
-    index type, since a gather copies any other index dtype to intp first.
-    Any other kind is a ValueError.
+    """The client sets a bounded scan of one table prices at one budget.
+
+    A nonempty mask is feasible when its least regret (kind "regret") or
+    length (kind "length") is at most budget, and maximal when no feasible
+    mask adds one client to it. masks holds the maximal ones in (popcount,
+    mask) order, so that a first maximum is the canonical pick; it is intp,
+    numpy's own index type. rows[i, j] = masks[i] >> j & 1, as uint8, so a
+    round's reward sums are rows @ nums. Any other kind is a ValueError.
     """
 
     def __init__(self, table: HKTable, kind: str, budget: int):
@@ -382,8 +382,16 @@ class ScanPlan:
         _check_budget_kind(kind)
         self.kind, self.budget = kind, budget
         values = table.min_regret if kind == "regret" else table.min_length
-        masks = np.flatnonzero(values[1:] <= budget) + 1
+        feasible = values <= budget
+        feasible[0] = False
+        maximal = feasible.copy()
+        for i in range(table.m):
+            maximal.reshape(-1, 2, 1 << i)[:, 0] &= \
+                ~feasible.reshape(-1, 2, 1 << i)[:, 1]
+        masks = np.flatnonzero(maximal)
         self.masks = masks[np.argsort(table.popcount[masks], kind="stable")]
+        self.rows = (self.masks[:, None] >> np.arange(table.m) & 1).astype(
+            np.uint8)
 
 
 def _plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
@@ -399,65 +407,57 @@ def _plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
 def _columns(t: HKTable, score, mask_of, end_of,
              value_of) -> List[PricedPath]:
     """Up to COLUMNS_PER_ROUND columns from the positive entries of score,
-    one first maximum at a time, each overwritten with 0: entry i is the
-    client set mask_of(i), its path ends at end_of(mask) and its value is
-    value_of(i). With no positive entry, the trivial path at 0."""
+    one first maximum at a time: entry i is the client set mask_of(i), its
+    path ends at end_of(mask) and its value is value_of(i), read before the
+    entry is overwritten with 0. With no positive entry, the trivial path
+    at 0."""
     columns = []
     while len(score) and len(columns) < COLUMNS_PER_ROUND:
         pick = int(score.argmax())
         if score[pick] <= 0:
             break
+        value = value_of(pick)
         score[pick] = 0
         mask = mask_of(pick)
-        columns.append(PricedPath(t.path_for(mask, end_of(mask)),
-                                  value_of(pick)))
+        columns.append(PricedPath(t.path_for(mask, end_of(mask)), value))
     return columns or [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
 
 
 def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
-                     kind: str, guide: Optional[ScaledRewards],
-                     floor: int) -> List[PricedPath]:
-    """Up to COLUMNS_PER_ROUND rooted paths whose regret or length is at
-    most budget and whose reward sum, in units of 1/den, is above floor:
-    the largest guide sum first, each with its true reward. The guide is
-    scored as its sum + 1, so a mask above floor whose guide sum is 0 is
-    still picked; guide None scores the rewards themselves."""
+                     kind: str) -> List[PricedPath]:
+    """Up to COLUMNS_PER_ROUND maximal client sets whose regret or length
+    is within budget, of positive reward, the largest first, each as the
+    canonical path of its first end within budget and at its reward."""
     if budget < 0:
         raise ValueError(f"negative {kind} budget")
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
-    masks = _plan_for(t, kind, budget).masks
-    sums = _reward_sums(nums, np).take(masks)
-    score = (sums if guide is None else _reward_sums(
-        _checked_rewards(guide, t.clients)[0], np).take(masks)) + 1
-    score[sums <= floor] = 0
-    return _columns(t, score, lambda i: int(masks[i]),
+    plan = _plan_for(t, kind, budget)
+    sums = plan.rows @ np.array(nums, _sum_dtype(sum(nums), np))
+    return _columns(t, sums, lambda i: int(plan.masks[i]),
                     lambda mask: t.end_within(mask, kind, budget),
                     lambda i: Fraction(int(sums[i]), den))
 
 
-def exact_orienteering(table: HKTable, rewards: ScaledRewards, budget: int,
-                       guide: Optional[ScaledRewards] = None,
-                       floor: int = 0) -> List[PricedPath]:
-    """The rooted paths of the table's instance with regret at most budget
-    and reward above floor/den, the largest guide sum first (by default the
-    reward itself); exact.
+def exact_orienteering(table: HKTable, rewards: ScaledRewards,
+                       budget: int) -> List[PricedPath]:
+    """The maximal client sets of the table's instance with regret at most
+    budget and positive reward, the largest reward first, as rooted paths;
+    exact: no path within budget has a larger reward than the first.
 
     Ties are broken toward fewer nodes, then a fixed canonical order. With
-    nothing above floor (all-zero rewards, say) this is the trivial path at
+    no positive reward (all-zero rewards, say) this is the trivial path at
     reward 0 alone.
     """
-    return _max_reward_scan(table, rewards, budget, "regret", guide, floor)
+    return _max_reward_scan(table, rewards, budget, "regret")
 
 
-def exact_length_budget(table: HKTable, rewards: ScaledRewards, budget: int,
-                        guide: Optional[ScaledRewards] = None,
-                        floor: int = 0) -> List[PricedPath]:
-    """The rooted paths of the table's instance with total length at most
-    budget and reward above floor/den, ordered as exact_orienteering's;
-    exact."""
-    return _max_reward_scan(table, rewards, budget, "length", guide, floor)
+def exact_length_budget(table: HKTable, rewards: ScaledRewards,
+                        budget: int) -> List[PricedPath]:
+    """The maximal client sets of the table's instance with total length at
+    most budget, as rooted paths ordered as exact_orienteering's; exact."""
+    return _max_reward_scan(table, rewards, budget, "length")
 
 
 def exact_min_excess_pricing(table: HKTable,

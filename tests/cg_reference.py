@@ -1,11 +1,14 @@
-"""Column generation without a stability center: the round loop that picks
-columns by the master's own duals, kept as the oracle of the guided one.
+"""Column generation priced over every feasible client set: the round loop
+of regret_route.lp.column_generation, whose count LPs price only the
+maximal sets, kept as its oracle.
 
-Each round solves the master once and prices once at its duals; an exact
-scan returns up to COLUMNS_PER_ROUND columns, the most improving first, and
-the round admits them while they pass the admission test. It ends when a
-round admits none, so an exact run is certified by the same proof as
-regret_route.lp.column_generation: no column prices above 1 (count LPs) or
+Each round solves the master once and prices once at its duals. A count LP
+prices with hk_reference.dense_ranking, which ranks every mask within the
+bound by its reward at those duals; the min-sum LP and the heuristic use
+the production pricers. An exact scan returns up to COLUMNS_PER_ROUND
+columns, the most improving first, and the round admits them while they
+pass the admission test. It ends when a round admits none, so an exact run
+is certified by the same proof: no column prices above 1 (count LPs) or
 below -z (the min-sum LP) at the final duals.
 """
 
@@ -16,10 +19,10 @@ from regret_route.exactlp import CoveringMaster
 from regret_route.lp import (FractionalSolution, _column_cost,
                              _seed_columns)
 from regret_route.pricing import (DEFAULT_EXACT_THRESHOLD,
-                                  exact_length_budget,
-                                  exact_min_excess_pricing,
-                                  exact_orienteering, heuristic_pricing,
+                                  exact_min_excess_pricing, heuristic_pricing,
                                   table_for)
+
+from hk_reference import dense_ranking
 
 
 def column_generation(inst, column_bound=None, count_cap=None,
@@ -39,8 +42,8 @@ def column_generation(inst, column_bound=None, count_cap=None,
         price = partial(exact_min_excess_pricing,
                         table_for(inst, exact_threshold))
     else:
-        scan = exact_orienteering if kind == "regret" else exact_length_budget
-        price = partial(scan, table_for(inst, exact_threshold), budget=limit)
+        price = partial(dense_ranking, table_for(inst, exact_threshold),
+                        budget=limit, kind=kind)
 
     master = CoveringMaster(clients, budget=count_cap)
     columns, seen = [], set()

@@ -3,12 +3,16 @@
 ReferenceTable and the pricers are the plain loops that
 ``regret_route.pricing`` vectorises.  DenseReferenceTable is the numpy
 build that the packed-key build replaced: one argmin per (layer, end).
-dense_bounded_scan is the numpy bounded scan that the per-budget scan plan
-replaced: every round sums the rewards of all 2^m masks and filters them
-by the budget.  ranking orders every mask the way a scan returns its
-columns, by the rewards or by a guide, above a floor.  The tests require the vectorised table and pricers to agree with
-them exactly: the same costs, parent pointers, per-mask optima and
-canonical ends, and the same (path, value) list from every pricer.
+dense_ranking is the numpy bounded scan that the per-budget plan of
+maximal sets replaced: every round sums the rewards of all 2^m masks and
+ranks every mask within the budget.  orienteering, length_budget and
+min_excess give the single best column over every feasible mask;
+maximal_masks lists the masks a bounded scan prices, and ranking orders
+them (every mask, for min-excess) the way a scan returns its columns.  The
+tests require the vectorised table and pricers to agree with them exactly:
+the same costs, parent pointers, per-mask optima and canonical ends, the
+same (path, value) list from every pricer as ranking, and a bounded scan's
+first value equal to the best over every feasible mask.
 """
 
 import math
@@ -148,25 +152,33 @@ class DenseReferenceTable:
                 end.reshape(-1, 2, 1 << i)[:, 1][better] = i
 
 
-def dense_bounded_scan(t, rewards, budget, kind):
-    """Max-reward rooted path of an HKTable's instance whose regret (kind
-    "regret") or length (kind "length") is at most budget, from the reward
-    sums of every mask."""
+def dense_ranking(t, rewards, budget, kind):
+    """The columns of an HKTable's instance that the bounded scan returned
+    before it priced only maximal sets: every mask whose regret (kind
+    "regret") or length (kind "length") is within budget and whose reward
+    is positive, from the reward sums of all 2^m masks, by (-reward,
+    popcount, mask), cut at COLUMNS_PER_ROUND, each at its reward. The
+    trivial path alone when there is none."""
     nums, den = pricing._checked_rewards(rewards, t.clients)
-    sums = pricing._reward_sums(nums, np)
+    sums = _doubling(nums, pricing._sum_dtype(sum(nums), np), np)
     values = t.min_regret if kind == "regret" else t.min_length
-    feasible = np.flatnonzero(values <= budget)
-    reach = sums[feasible]
-    best = int(reach.max()) if len(reach) else 0
-    if best <= 0:
-        return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
-    ties = feasible[reach == best]
-    mask = int(ties[t.popcount[ties].argmin()])     # fewest nodes, then first
-    row = t.cost[:, mask].tolist()
+    masks = np.flatnonzero(values[1:] <= budget) + 1
+    masks = masks[np.argsort(t.popcount[masks], kind="stable")]
+    score = sums.take(masks)        # a first maximum is the canonical pick
     D = t.inst.root_dist
-    end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
-               row[i] - (D[v] if kind == "regret" else 0) <= budget)
-    return PricedPath(t.path_for(mask, end), Fraction(best, den))
+    out = []
+    while len(out) < pricing.COLUMNS_PER_ROUND and len(score):
+        pick = int(score.argmax())
+        if score[pick] <= 0:
+            break
+        mask = int(masks[pick])
+        row = t.cost[:, mask].tolist()
+        end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
+                   row[i] - (D[v] if kind == "regret" else 0) <= budget)
+        out.append(PricedPath(t.path_for(mask, end),
+                              Fraction(int(score[pick]), den)))
+        score[pick] = 0
+    return out or [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
 
 
 def _bits(mask):
@@ -248,28 +260,38 @@ def min_excess(t, rewards):
                       Fraction(best, den))
 
 
-def ranking(t, rewards, kind, budget=None, guide=None, floor=0):
+def maximal_masks(values, budget, m):
+    """The nonempty masks whose value is at most budget and that no such
+    mask extends by one client, in (popcount, mask) order; values[mask] is
+    a mask's least regret or length, INF (or a sentinel) at mask 0."""
+    feasible = {mask for mask in range(1, 1 << m) if values[mask] <= budget}
+    maximal = [mask for mask in feasible
+               if not any(mask | 1 << j in feasible for j in range(m)
+                          if not mask >> j & 1)]
+    return sorted(maximal, key=lambda mask: (bin(mask).count("1"), mask))
+
+
+def ranking(t, rewards, kind, budget=None):
     """Every column a scan may return, in its order, cut at
-    COLUMNS_PER_ROUND: for kind "regret" or "length" the masks within
-    budget whose reward is above floor, by (-guide sum, popcount, mask),
-    the guide being the rewards unless given; for kind "min_excess" every
-    mask of negative excess by (excess, popcount, mask). Each column comes
-    with its reward (or excess)."""
+    COLUMNS_PER_ROUND: for kind "regret" or "length" the maximal masks
+    within budget of positive reward, by (-reward, popcount, mask); for
+    kind "min_excess" every mask of negative excess by (excess, popcount,
+    mask). Each column comes with its reward (or excess)."""
     nums, den = scaled_rewards(t.clients, rewards)
-    sums = _reward_sums(nums, t.m)
-    guide_sums = _reward_sums(
-        scaled_rewards(t.clients, rewards if guide is None else guide)[0],
-        t.m)
     D = t.inst.root_dist
     ranked = []
-    for mask in range(1, 1 << t.m):
-        if kind == "min_excess":
+    if kind == "min_excess":
+        sums = _reward_sums(nums, t.m)
+        for mask in range(1, 1 << t.m):
             key = t.min_regret[mask] * den - sums[mask]
             if key < 0:
                 ranked.append((key, bin(mask).count("1"), mask))
-        elif ((t.min_regret if kind == "regret" else t.min_length)[mask]
-              <= budget and Fraction(sums[mask], den) > floor):
-            ranked.append((-guide_sums[mask], bin(mask).count("1"), mask))
+    else:
+        values = t.min_regret if kind == "regret" else t.min_length
+        sums = {mask: sum(nums[i] for i in _bits(mask))
+                for mask in maximal_masks(values, budget, t.m)}
+        ranked = [(-x, bin(mask).count("1"), mask)
+                  for mask, x in sums.items() if x > 0]
     ranked.sort()
     out = []
     for _, _, mask in ranked[:pricing.COLUMNS_PER_ROUND]:

@@ -8,6 +8,7 @@ import pytest
 
 from hk_reference import scaled_rewards
 from master_reference import ReferenceMaster
+from regret_route import pricing
 from regret_route.core import SolverError
 from regret_route.exactlp import CoveringMaster
 from regret_route.harness import gen_euclidean
@@ -284,12 +285,15 @@ def test_matches_fraction_reference_on_column_generation(monkeypatch, shape,
     # Column generation's own scripts at the sizes the benchmark solves:
     # 16 clients price exactly, 20 and 24 heuristically; the krvrp min-sum
     # LP carries the budget row. An exact scan admits several columns a
-    # round, and the regret LP picks them by smoothed duals, so at 16
+    # round, and the regret LP prices only maximal client sets, so at 16
     # clients other instances, a regret bound of 11/4 maxD and a one-path
     # budget keep the script long: batches of several columns resume the
-    # master, at least 28 times.
+    # master, at least 28 times. No 16-client regret LP found takes 28
+    # rounds at eight columns a round, so that one admits two a round.
     if nodes == 17:
         seed, quarters, k = (16 if shape == "rvrp" else 8), 11, 1
+        if shape == "rvrp":
+            monkeypatch.setattr(pricing, "COLUMNS_PER_ROUND", 2)
     else:
         seed, quarters, k = 1, 2, 3
     inst = gen_euclidean(nodes, seed)

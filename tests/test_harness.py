@@ -733,9 +733,9 @@ def test_heuristic_suite_deterministic():
 # output byte-identical must leave these alone; one that changes it on
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
-    "smoke": "e8b5f24477bf056dde584e38846b211b426900b460525fd0c115477ffa894622",
-    "rvrp": "685bbd430e2b1106417e5170660ddcc487e5068863976f282c61cf075edbae1f",
-    "caps": "a26a0ddf51a8db3bef6a6790f73d49ff84db77e8b1a72a4d590e3120274ba596",
+    "smoke": "d22d903d0a2db8fde69f1c86e63b6982526bfc60dfa0c238f2099101515ef670",
+    "rvrp": "8c443fc13f782cbcc90f2ab67c89c88438753fafa4d845b40ea5589db4ef878d",
+    "caps": "cdefc1541ce815ec75ff5bff398c01d9754df98f963806ada4da4cc3cb8bd9b6",
     "heuristic":
         "f86459eae903a9b6149ef37d2035fab767efe4f9f4beb6ace7696742a56edbcd",
 }

@@ -417,9 +417,10 @@ def assert_matches_reference(sol, inst, column_bound, **kwargs):
 
 
 def test_guided_count_lps_match_the_unguided_reference():
-    # The regret and length LPs pick columns by a stability center, the
-    # reference by the master's duals; both certify the same optimum. The
-    # round counts must differ somewhere, or the center is not in use.
+    # The regret and length LPs price only the maximal client sets, the
+    # reference every feasible one; both certify the same optimum. The
+    # column counts must differ somewhere, or the maximal pricer is not in
+    # use.
     rng = random.Random(7)
     moved = 0
     for trial in range(12):
@@ -430,32 +431,34 @@ def test_guided_count_lps_match_the_unguided_reference():
         for R in (0, maxd // 4, maxd // 2, maxd):
             sol = solve_rvrp_lp(inst, R)
             ref = assert_matches_reference(sol, inst, ("regret", R))
-            moved += sol.rounds != ref.rounds
+            moved += len(sol.columns) != len(ref.columns)
         for D in (maxd, maxd + maxd // 2, 2 * maxd):
             sol = solve_dvrp_lp(inst, D)
             ref = assert_matches_reference(sol, inst, ("length", D))
-            moved += sol.rounds != ref.rounds
+            moved += len(sol.columns) != len(ref.columns)
     assert moved
 
 
 def test_fanout_14_count_lps_match_the_unguided_reference(monkeypatch):
     # Every count LP of one pass over the benchmark's fanout-14 workload at
     # seeds 1 and 2: dvrp-dp's sub-solves, dvrp-lp and its parts, mult's
-    # rings and nonuniform's classes.
+    # rings and nonuniform's classes. Some LP must end with another column
+    # count than the reference's.
     from regret_route import lp
     from regret_route.harness import run_solver
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    checked = []
+    checked, moved = [], []
     real = lp.column_generation
 
     def checking(inst, column_bound=None, **kwargs):
         sol = real(inst, column_bound, **kwargs)
         assert column_bound is not None and sol.certified
-        assert_matches_reference(sol, inst, column_bound, **kwargs)
+        ref = assert_matches_reference(sol, inst, column_bound, **kwargs)
         checked.append(column_bound[0])
+        moved.append(len(sol.columns) != len(ref.columns))
         return sol
 
     monkeypatch.setattr(lp, "column_generation", checking)
@@ -463,3 +466,4 @@ def test_fanout_14_count_lps_match_the_unguided_reference(monkeypatch):
         for job in workloads.build("fanout-14", seed):
             run_solver(job["solver"], job["instance"], job["params"])
     assert len(checked) > 100 and set(checked) == {"regret", "length"}
+    assert any(moved)

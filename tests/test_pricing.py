@@ -34,6 +34,10 @@ def ints(inst, rewards):
     return hk_reference.scaled_rewards(list(inst.clients), rewards)
 
 
+def priced(columns):
+    return [(p.path.nodes, p.value) for p in columns]
+
+
 # The path-rebuilding reference reads Fraction rewards by client id.
 FractionQuery = namedtuple("FractionQuery", "rewards budget_kind budget",
                            defaults=(0,))
@@ -268,8 +272,9 @@ def assert_same_table(table, ref, masks=None):
 
 def assert_same_pricing(inst, table, ref, rewards, budget):
     # Each scan returns the reference ranking of the improving columns, or
-    # the trivial path alone when there is none, and its first column is
-    # the reference's single answer.
+    # the trivial path alone when there is none. The min-excess scan's first
+    # column is the reference's single answer; a bounded scan's first value
+    # is the best over every feasible mask, reached by a maximal one.
     query = ints(inst, rewards)
     cases = [
         (exact_orienteering(table, query, budget),
@@ -283,11 +288,11 @@ def assert_same_pricing(inst, table, ref, rewards, budget):
          hk_reference.min_excess(ref, rewards)),
     ]
     for got, ranked, want in cases:
-        assert [(p.path.nodes, p.value) for p in got] == [
-            (p.path.nodes, p.value) for p in ranked or [want]]
-        assert (got[0].path.nodes, got[0].value) == (
-            want.path.nodes, want.value)
+        assert priced(got) == priced(ranked or [want])
+        assert got[0].value == want.value
         assert all(type(p.value.numerator) is int for p in got)
+    got, _, want = cases[2]
+    assert got[0].path.nodes == want.path.nodes
 
 
 def reward_draws(inst, rng, scale):
@@ -330,115 +335,6 @@ def test_table_and_pricers_match_reference_on_tied_lines():
     cross_check(uniform, rng, (0, 1, 3, 8))
 
 
-# --- guided scans ------------------------------------------------------------
-
-def guide_draws(inst, rng, rewards):
-    """Guides for one reward draw: the rewards themselves, all zero (a mask
-    above the floor then scores the + 1 alone), the rewards with a random
-    half of the clients zeroed, random values, and random values with
-    the first client's over 2^63 + 1, so that the others scale past 2^62
-    and their sums take the object path."""
-    clients = list(inst.clients)
-    half = set(rng.sample(clients, len(clients) // 2))
-    return [rewards, {},
-            {v: x for v, x in rewards.items() if v not in half},
-            {v: Fraction(rng.randint(0, 20), rng.randint(1, 4))
-             for v in clients},
-            {v: Fraction(rng.randint(1, 20), (1 << 63) + 1 if v == clients[0]
-                         else 1) for v in clients}]
-
-
-def mask_of(table, path):
-    index = {v: i for i, v in enumerate(table.clients)}
-    return sum(1 << index[v] for v in path.nodes[1:])
-
-
-def priced(columns):
-    return [(p.path.nodes, p.value) for p in columns]
-
-
-def test_guided_scans_match_the_reference_ranking():
-    # A guided scan returns the masks within budget whose true reward is
-    # above floor, by (guide sum, fewest nodes, smallest mask), each at its
-    # true reward; the trivial path alone exactly when no mask clears the
-    # floor; and the rewards as their own guide over floor 0 give the
-    # unguided scan.
-    rng = random.Random(21)
-    cases, dtypes = set(), set()
-    for m in (1, 2, 4, 7, 10):
-        for inst in (gen_euclidean(m + 1, 700 + m),
-                     gen_random_metric(m + 1, 750 + m)):
-            table = HKTable(inst)
-            ref = hk_reference.ReferenceTable(inst)
-            top = max(map(max, inst.dist))
-            lone = [(RootedPath.trivial(inst).nodes, Fraction(0))]
-            for rewards in reward_draws(inst, rng, 1):
-                query = nums, den = ints(inst, rewards)
-                sums = hk_reference._reward_sums(nums, m)
-                for budget, (kind, scan) in itertools.product(
-                        (0, rng.randint(1, top), 3 * top),
-                        (("regret", exact_orienteering),
-                         ("length", exact_length_budget))):
-                    values = (ref.min_regret if kind == "regret"
-                              else ref.min_length)
-                    plain = priced(scan(table, query, budget))
-                    assert priced(scan(table, query, budget, guide=query,
-                                       floor=0)) == plain
-                    assert plain == (priced(hk_reference.ranking(
-                        ref, rewards, kind, budget)) or lone)
-                    for guide in guide_draws(inst, rng, rewards):
-                        floor = rng.choice((0, den, rng.randint(0, sum(nums))))
-                        scaled = ints(inst, guide)
-                        dtypes.add(pricing._sum_dtype(sum(scaled[0]), np))
-                        got = scan(table, query, budget, guide=scaled,
-                                   floor=floor)
-                        want = hk_reference.ranking(
-                            ref, rewards, kind, budget, guide=guide,
-                            floor=Fraction(floor, den))
-                        clears = any(values[mask] <= budget
-                                     and sums[mask] > floor
-                                     for mask in range(1, 1 << m))
-                        assert (priced(got) == lone) == (not clears)
-                        assert priced(got) == (priced(want) or lone)
-                        if not clears:
-                            continue
-                        assert all(p.value * den > floor for p in got)
-                        guide_sums = hk_reference._reward_sums(scaled[0], m)
-                        keys = [(-guide_sums[mask], bin(mask).count("1"),
-                                 mask)
-                                for mask in (mask_of(table, p.path)
-                                             for p in got)]
-                        assert keys == sorted(keys)
-                        cases.add((not any(scaled[0]), floor > 0))
-    # all-zero and other guides returned columns at floor 0 and above, and
-    # guide sums took the int32, the int64 and the object path
-    assert cases == {(True, True), (True, False), (False, True),
-                     (False, False)}
-    assert dtypes == {np.int32, np.int64, object}
-
-
-def test_a_zero_guide_sum_above_the_floor_is_still_picked():
-    # Clients at 1, 2 and 4 on a line: every client set has regret 0. The
-    # sets of reward above 2 are {1}, {1, 2}, {1, 3} and {1, 2, 3}; under an
-    # all-zero guide they tie and come by fewest nodes, then smallest mask,
-    # each at its true reward.
-    inst = line_instance()
-    table = HKTable(inst)
-    got = exact_orienteering(table, ([3, 1, 1], 1), 0, guide=([0, 0, 0], 1),
-                             floor=2)
-    assert priced(got) == [((0, 1), 3), ((0, 1, 2), 4), ((0, 1, 3), 4),
-                           ((0, 1, 2, 3), 5)]
-    # a guide on client 3 alone puts the sets holding it first
-    got = exact_orienteering(table, ([3, 1, 1], 1), 0, guide=([0, 0, 5], 7),
-                             floor=2)
-    assert priced(got) == [((0, 1, 3), 4), ((0, 1, 2, 3), 5), ((0, 1), 3),
-                           ((0, 1, 2), 4)]
-    # nothing above the floor: the trivial path alone, whatever the guide
-    got, = exact_length_budget(table, ([3, 1, 1], 1), 8, guide=([1, 1, 1], 1),
-                               floor=5)
-    assert got.path.is_trivial and got.value == 0
-
-
 # --- scan plans vs. the dense bounded scan -----------------------------------
 
 def sparse_draws(m, rng):
@@ -457,14 +353,16 @@ def sparse_draws(m, rng):
 
 
 def test_scan_plans_match_the_dense_scan_at_every_budget():
+    # At every budget a bounded scan's first value is the dense scan's best
+    # over every feasible mask, its columns are the reference ranking of
+    # the maximal masks, and the held plan holds those masks and their
+    # client rows.
     rng = random.Random(14)
     for m in (1, 2, 5, 8, 12):
         for inst in (gen_euclidean(m + 1, 900 + m),
                      gen_random_metric(m + 1, 950 + m)):
             table = HKTable(inst)
             ref = hk_reference.ReferenceTable(inst)
-            order = sorted(range(1, 1 << m),
-                           key=lambda mask: (bin(mask).count("1"), mask))
             draws = sparse_draws(m, rng)
             assert [pricing._sum_dtype(sum(nums), np) is object
                     for nums, _ in draws] == [False] * 3 + [m > 1] * 2
@@ -475,17 +373,78 @@ def test_scan_plans_match_the_dense_scan_at_every_budget():
                 ref_values = (ref.min_regret if kind == "regret"
                               else ref.min_length)
                 for budget in range(int(values[1:].max()) + 1):
-                    for rewards in draws:
-                        got = scan(table, rewards, budget)[0]
-                        want = hk_reference.dense_bounded_scan(
-                            table, rewards, budget, kind)
-                        assert (got.path.nodes, got.value) == (
-                            want.path.nodes, want.value)
-                    assert (table.plan.kind, table.plan.budget) == (
-                        kind, budget)
-                    assert table.plan.masks.dtype == np.intp
-                    assert table.plan.masks.tolist() == [
-                        mask for mask in order if ref_values[mask] <= budget]
+                    for nums, den in draws:
+                        got = scan(table, (nums, den), budget)
+                        want = hk_reference.dense_ranking(
+                            table, (nums, den), budget, kind)[0]
+                        assert got[0].value == want.value
+                        rewards = {v: Fraction(x, den)
+                                   for v, x in zip(inst.clients, nums)}
+                        assert priced(got) == priced(hk_reference.ranking(
+                            ref, rewards, kind, budget) or [want])
+                    plan = table.plan
+                    assert (plan.kind, plan.budget) == (kind, budget)
+                    assert plan.masks.dtype == np.intp
+                    masks = hk_reference.maximal_masks(ref_values, budget, m)
+                    assert plan.masks.tolist() == masks
+                    assert plan.rows.tolist() == [
+                        [mask >> j & 1 for j in range(m)] for mask in masks]
+
+
+def simple_path_optima(inst):
+    """{mask: (least regret, least length)} over every simple rooted path,
+    enumerated depth first, with no pruning."""
+    clients, dist, D = inst.clients, inst.dist, inst.root_dist
+    best = {}
+
+    def extend(u, mask, cost):
+        for i, v in enumerate(clients):
+            if mask >> i & 1:
+                continue
+            new, key = cost + dist[u][v], mask | 1 << i
+            regret, length = best.get(key, (INF, INF))
+            best[key] = (min(regret, new - D[v]), min(length, new))
+            extend(v, key, new)
+
+    extend(inst.root, 0, 0)
+    return best
+
+
+def test_scan_plans_hold_the_maximal_sets_of_an_enumeration():
+    # A plan's masks are the node sets within budget that no other set
+    # within budget contains, in (popcount, mask) order, and every set
+    # within budget lies inside one of them.
+    def order(mask):
+        return bin(mask).count("1"), mask
+
+    for m in (1, 2, 5, 7, 9):
+        for inst in (gen_euclidean(m + 1, 40 + m),
+                     gen_random_metric(m + 1, 80 + m)):
+            table = HKTable(inst)
+            optima = simple_path_optima(inst)
+            maxd = max(inst.root_dist)
+            above = max(length for _, length in optima.values()) + 1
+            for budget in (0, maxd // 4, maxd // 2, maxd, above):
+                for k, kind in enumerate(("regret", "length")):
+                    feasible = [mask for mask, value in optima.items()
+                                if value[k] <= budget]
+                    maximal = sorted(
+                        (mask for mask in feasible
+                         if not any(other != mask and other & mask == mask
+                                    for other in feasible)), key=order)
+                    plan = pricing.ScanPlan(table, kind, budget)
+                    masks = plan.masks.tolist()
+                    assert masks == maximal
+                    assert masks == sorted(masks, key=order)
+                    assert all(any(mask & top == mask for top in masks)
+                               for mask in feasible)
+                    if budget == above:
+                        assert masks == [(1 << m) - 1]
+    # the empty mask is never priced, even at a budget over the sentinel
+    # that its unreached least regret and length hold
+    lone = HKTable(Instance.from_matrix([[0]]))
+    for kind in ("regret", "length"):
+        assert pricing.ScanPlan(lone, kind, 1 << 70).masks.tolist() == []
 
 
 def test_sixteen_client_table_matches_reference():
@@ -583,14 +542,14 @@ def test_key_dtype_tiers_hold_at_their_largest_edge(m):
 
 
 def test_sum_dtype_tiers_hold_at_their_largest_bound():
-    # A reward sum is at most the total and a bounded scan scores it + 1;
-    # the min-excess scan runs in the dtype that its bound (regret_bound·den
-    # + total + 1)·(m+1) picks. A sum or score that outgrew its dtype would
-    # wrap silently, so each narrow tier is checked at the largest bound
-    # that still selects it and at the next one: by the total for the
-    # bounded scans, by den for the min-excess scan, and at a den whose
-    # product regret_bound·den·(m+1) alone passes the tier. Every scan is
-    # checked against the reference at each.
+    # A bounded scan's reward sum is at most the total; the min-excess scan
+    # runs in the dtype that its bound (regret_bound·den + total + 1)·(m+1)
+    # picks. A sum or score that outgrew its dtype would wrap silently, so
+    # each narrow tier is checked at the largest bound that still selects
+    # it and at the next one: by the total for the bounded scans, by den
+    # for the min-excess scan, and at a den whose product
+    # regret_bound·den·(m+1) alone passes the tier. Every scan is checked
+    # against the reference at each.
     inst = gen_euclidean(7, 3)
     table = HKTable(inst)
     ref = hk_reference.ReferenceTable(inst)
@@ -731,9 +690,14 @@ def test_orienteering_collects_reachable_rewards():
     res = exact_orienteering(table, ints(inst, rewards), budget=0)[0]
     assert res.value == 3                      # the whole line has regret 0
     assert res.path.nodes == (0, 1, 2, 3)
+    # only maximal sets are priced: the whole line, at client 1's reward
     res = exact_orienteering(table, ([5, 0, 0], 1), budget=0)[0]
-    assert res.value == 5
-    assert res.path.nodes == (0, 1)            # fewer nodes win ties
+    assert (res.path.nodes, res.value) == ((0, 1, 2, 3), 5)
+    # clients at -1, 1 and 2: the maximal sets within regret 0 are {1} and
+    # {2, 3}, and at equal reward fewer nodes win the tie
+    split = line_instance((0, -1, 1, 2))
+    got = exact_orienteering(HKTable(split), ([5, 0, 5], 1), budget=0)
+    assert priced(got) == [((0, 1), 5), ((0, 2, 3), 5)]
 
 
 def test_orienteering_zero_rewards_and_validation():
