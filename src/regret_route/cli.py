@@ -15,11 +15,10 @@ from typing import Optional
 
 from .core import (Instance, RegretRouteError, solution_from_dict,
                    solution_to_dict)
-from .harness import (ORACLES, SOLVERS, SUITES, VERIFY_MODES,
-                      brute_force_lp, gen_euclidean, gen_ladder, gen_line,
-                      gen_random_metric, reports_to_jsonl, run_solver,
-                      run_suite, verify)
-from .harness import LP_ORACLE_LIMIT, ORACLE_LIMIT
+from .harness import (ORACLE_LIMIT, ORACLES, SOLVERS, SUITES, VERIFY_MODES,
+                      gen_euclidean, gen_ladder, gen_line, gen_random_metric,
+                      lp_oracle, reports_to_jsonl, run_solver, run_suite,
+                      verify)
 from .pricing import DEFAULT_EXACT_THRESHOLD
 
 
@@ -99,13 +98,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         kind = "regret" if args.regret is not None else "length"
         bound = _flag(args, "oracle lp",
                       "regret" if kind == "regret" else "dist")
-        limit = LP_ORACLE_LIMIT if args.limit is None else args.limit
-        value = brute_force_lp(inst, bound, kind=kind, limit=limit)
+        value = float(lp_oracle(inst, bound, kind=kind, limit=args.limit))
     else:
         oracle, key, _ = ORACLES[args.kind]
-        limit = ORACLE_LIMIT if args.limit is None else args.limit
         value = oracle(inst, _flag(args, f"oracle {args.kind}", key),
-                       limit=limit)
+                       limit=args.limit)
     _write_json({"oracle": args.kind, "value": value}, args.out)
     return 0
 
@@ -178,15 +175,16 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     oracle = sub.add_parser(
-        "oracle", help="exact optimum by exhaustion (small instances)")
+        "oracle", help="exact optimum over the maximal feasible client sets "
+                       "of a Held-Karp table (small instances)")
     oracle.add_argument("kind", choices=[*ORACLES, "lp"])
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--regret", type=int)
     oracle.add_argument("--dist", type=int)
     oracle.add_argument("--k", type=int)
-    oracle.add_argument("--limit", type=int,
-                        help=f"largest client count to attempt (default "
-                             f"{LP_ORACLE_LIMIT} for lp, else {ORACLE_LIMIT})")
+    oracle.add_argument("--limit", type=int, default=ORACLE_LIMIT,
+                        help="largest client count to attempt "
+                             "(default %(default)s)")
     oracle.add_argument("--out", help="output file (default stdout)")
     oracle.set_defaults(func=_cmd_oracle)
 

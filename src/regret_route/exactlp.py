@@ -319,10 +319,11 @@ class CoveringMaster:
 
     def _certify(self, y: List[int]) -> None:
         """Optimality certificate on the original columns, all scaled by det:
-        A_B (det x_B) = det b with det x_B >= 0; (det y) a_j = det c_j on
-        basic columns and <= det c_j on every other one.  The surplus and
-        slack columns make the last test require det y >= 0 on coverage
-        rows and <= 0 on the budget row."""
+        A_B (det x_B) = det b with det x_B >= 0; (det y) a_j <= det c_j on
+        every column, then = det c_j on basic columns, each refused with
+        its own message.  The surplus and slack columns make the first
+        pricing test require det y >= 0 on coverage rows and <= 0 on the
+        budget row."""
         det, xb = self._det, self._xb
         if det <= 0:
             raise SolverError("basis determinant is not positive")
@@ -338,9 +339,10 @@ class CoveringMaster:
         prices = list(map(mul, self._signs, map(sum, map(
             map, repeat(y.__getitem__), self._rows))))
         scaled = [det * c for c in self._costs]
-        if (any(map(gt, prices, scaled))
-                or any(prices[j] != scaled[j] for j in self._basis)):
-            raise SolverError("optimality certificate failed")
+        if any(map(gt, prices, scaled)):
+            raise SolverError("a column is priced above its cost")
+        if any(prices[j] != scaled[j] for j in self._basis):
+            raise SolverError("a basic column is priced below its cost")
 
     def _extract(self) -> MasterSolution:
         y = self._duals_for(self._costs)

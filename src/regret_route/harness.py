@@ -1,9 +1,15 @@
-"""Instance generators, brute-force oracles, verifiers, and the runner.
+"""Instance generators, exact oracles, verifiers, and the runner.
 
 Everything here is support machinery: deterministic generators for the
 test corpus, exact small-instance oracles the solvers are measured
 against, a verifier that recomputes feasibility from the raw distance
 matrix, and the experiment runner behind the command line.
+
+The oracles decide feasibility as pricing does. The count oracles
+(brute_force_rvrp, _dvrp, _krvrp) cover the clients with the maximal masks
+of pricing's ScanPlan on the shared Held-Karp table, and lp_oracle is the
+certified column-generation LP priced on that table, so an oracle run
+right after a solve of the same instance builds no second table.
 """
 
 import json
@@ -15,15 +21,15 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import reductions
-from .core import (Instance, RootedPath, InfeasibleError, _as_int, check_cap,
+from .core import (Instance, RootedPath, SolverError, _as_int, check_cap,
                    check_path_budget, check_regret, deadlines, merge_paths,
                    metric_from_edges)
-from .lp import FractionalSolution
+from .lp import FractionalSolution, solve_dvrp_lp, solve_rvrp_lp
 from .pricing import (DEFAULT_EXACT_THRESHOLD, OracleUnavailableError,
-                      check_exact_threshold, table_for)
+                      _check_budget_kind, check_exact_threshold, plan_for,
+                      table_for)
 
 ORACLE_LIMIT = 12
-LP_ORACLE_LIMIT = 9
 
 
 # --- generators -------------------------------------------------------------
@@ -117,134 +123,86 @@ def gen_line(positions: Sequence[int]) -> Instance:
     return Instance.from_matrix(dist, meta=meta)
 
 
-# --- brute-force oracles ----------------------------------------------------
+# --- exact oracles ---------------------------------------------------------
 
-def _optima(inst: Instance, limit: int, attr: str) -> List[int]:
-    """HKTable.min_regret or .min_length without the empty mask: the least
-    regret or length of a rooted path through exactly each client set.
-    The table is pricing's, so right after a solve of inst it is reused."""
-    if not inst.clients:
-        return []
-    return getattr(table_for(inst, limit), attr).tolist()[1:]
+def _cover_size(inst: Instance, limit: int, kind: str, bound: int) -> int:
+    """Fewest client sets with least regret (kind "regret") or length
+    (kind "length") at most bound that cover every client.
 
-
-def _cover_count(optima: Sequence[int], bound: int) -> int:
-    """Fewest client sets with optima at most bound that cover every client.
-
-    Feasible families here are subset-closed (dropping a node from a path
-    and shortcutting never raises regret or length), so partitioning is as
-    good as covering and the classic submask DP applies.
+    The sets are the maximal masks of pricing's plan for (kind, bound) on
+    table_for(inst, limit): feasible sets are subset-closed (dropping a node
+    from a path and shortcutting never raises regret or length), so a cover
+    by feasible sets is one by maximal sets. Level t holds every union of t
+    maximal masks; the answer is the first level that holds the full mask.
+    The callers' checks leave every single client feasible, so that level
+    is at most the number of clients m; the search stops at m + 1, which
+    it returns when some client is in no feasible set.
     """
-    feasible = [False] + [x <= bound for x in optima]
-    m = len(optima).bit_length()
-    full = (1 << m) - 1
-    best = [0] + [m + 1] * full
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        sub = mask
-        acc = m + 1
-        while sub:
-            if sub & low and feasible[sub]:
-                cand = best[mask ^ sub] + 1
-                if cand < acc:
-                    acc = cand
-            sub = (sub - 1) & mask
-        best[mask] = acc
-    return best[full]
+    if not inst.clients:
+        return 0
+    import numpy as np
+
+    table = table_for(inst, limit)
+    masks = plan_for(table, kind, bound).masks
+    full = (1 << table.m) - 1
+    # Both orders, (popcount, mask) and ascending, put the full mask last.
+    level, count = masks, 1
+    while level[-1] != full and count <= table.m:
+        reach = np.zeros(full + 1, bool)
+        for mask in masks.tolist():
+            reach[level | mask] = True
+        level, count = np.flatnonzero(reach), count + 1
+    return count
 
 
 def brute_force_rvrp(inst: Instance, R: int,
                      limit: int = ORACLE_LIMIT) -> int:
     """Exact minimum number of regret-<=R rooted paths covering all clients."""
-    R = check_regret(R)
-    return _cover_count(_optima(inst, limit, "min_regret"), R)
+    return _cover_size(inst, limit, "regret", check_regret(R))
 
 
 def brute_force_dvrp(inst: Instance, cap: int,
                      limit: int = ORACLE_LIMIT) -> int:
     """Exact minimum number of length-<=cap rooted paths covering all."""
-    cap = check_cap(inst, cap)
-    return _cover_count(_optima(inst, limit, "min_length"), cap)
+    return _cover_size(inst, limit, "length", check_cap(inst, cap))
 
 
 def brute_force_krvrp(inst: Instance, k: int,
                       limit: int = ORACLE_LIMIT) -> int:
-    """Exact minimum over <=k-path covers of the maximum path regret."""
+    """Exact minimum over <=k-path covers of the maximum path regret: a
+    binary search over the table's distinct least regrets, each probe a
+    cover at that regret bound."""
     k = check_path_budget(k)
-    regrets = _optima(inst, limit, "min_regret")
-    values = sorted(set(regrets)) or [0]
+    values = sorted(set(table_for(inst, limit).min_regret[1:].tolist())) or [0]
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _cover_count(regrets, values[mid]) <= k:
+        if _cover_size(inst, limit, "regret", values[mid]) <= k:
             hi = mid
         else:
             lo = mid + 1
     return values[lo]
 
 
-def brute_force_lp(inst: Instance, bound: int, kind: str = "regret",
-                   limit: int = LP_ORACLE_LIMIT) -> float:
-    """Covering-LP value over every budget-feasible rooted path.
+def lp_oracle(inst: Instance, bound: int, kind: str = "regret",
+              limit: int = ORACLE_LIMIT) -> Fraction:
+    """Value of the covering LP over every regret- or length-feasible
+    rooted path: the column-generation LP priced exactly, on the count
+    oracles' table, with its optimality certificate required.
 
-    Enumerates all simple rooted paths by depth-first search (pruned on
-    the prefix budget, which is monotone for both regret and length),
-    keeps the maximal feasible node sets, and solves the LP with an
-    off-the-shelf solver.  Entirely independent of the column-generation
-    stack, which this value is used to cross-check.
+    An instance with more than limit clients is refused as the count
+    oracles refuse it; so is an LP whose value is not certified.
     """
-    from scipy.optimize import linprog
-
-    bound = _as_int(bound, "budget")
-    if kind not in ("regret", "length"):
-        raise ValueError(f"unknown budget kind {kind!r}")
-    if bound < 0:
-        raise ValueError("budget must be nonnegative")
-    clients = inst.clients
-    m = len(clients)
-    if m > limit:
-        raise OracleUnavailableError(
-            f"{m} clients exceed the enumeration threshold {limit}")
-    if m == 0:
-        return 0.0
-    index = {v: i for i, v in enumerate(clients)}
-    D, dist = inst.root_dist, inst.dist
-
-    feasible = set()
-
-    def extend(u: int, mask: int, cost: int) -> None:
-        for v in clients:
-            bit = 1 << index[v]
-            if mask & bit:
-                continue
-            new = cost + dist[u][v]
-            excess = new - D[v] if kind == "regret" else new
-            if excess > bound:
-                continue
-            feasible.add(mask | bit)
-            extend(v, mask | bit, new)
-
-    extend(inst.root, 0, 0)
-
-    uncovered = [clients[i] for i in range(m)
-                 if not any(mask >> i & 1 for mask in feasible)]
-    if uncovered:
-        raise InfeasibleError(
-            f"nodes {uncovered} unreachable within the budget",
-            nodes=uncovered)
-    maximal = [mask for mask in feasible
-               if not any(other != mask and other & mask == mask
-                          for other in feasible)]
-    rows = [[-1.0 if mask >> i & 1 else 0.0 for mask in maximal]
-            for i in range(m)]
-    res = linprog(c=[1.0] * len(maximal), A_ub=rows, b_ub=[-1.0] * m,
-                  bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise InfeasibleError(f"LP solver failed: {res.message}")
-    return float(res.fun)
+    _check_budget_kind(kind)
+    table_for(inst, limit)
+    solve = solve_rvrp_lp if kind == "regret" else solve_dvrp_lp
+    sol = solve(inst, bound, exact_threshold=limit)
+    if not sol.certified:
+        raise SolverError("the LP value is not certified")
+    return sol.value
 
 
-# Oracle kind -> (the brute-force optimum, its parameter, which is also its
+# Oracle kind -> (the exact optimum, its parameter, which is also its
 # CLI flag; the report field a solver's output is measured by against it).
 ORACLES = {"rvrp": (brute_force_rvrp, "regret", "count"),
            "dvrp": (brute_force_dvrp, "dist", "count"),
@@ -411,7 +369,7 @@ def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]
 
 def _oracle(solver: str) -> Optional[Tuple]:
     """The solver's ORACLES entry, keyed by its verify mode (krvrp, the row
-    without one, by its name); None without a brute force."""
+    without one, by its name); None without an exact oracle."""
     return ORACLES.get(_solver(solver).verify_mode or solver)
 
 

@@ -31,6 +31,9 @@ the first scan at a (kind, budget) builds a ScanPlan, the maximal masks in
 (popcount, mask) order with their 0/1 client rows, and holds it in the
 table's one plan slot; a scan at another budget replaces it. Each round's
 reward sums are one product of those rows with the rewards' numerators.
+The exact count oracles (harness.brute_force_rvrp, _dvrp and _krvrp) read
+the same plans through plan_for: a cover by feasible sets is a cover by
+maximal ones, so these sets are the program's one feasible-set family.
 The min-excess scan has no budget and scores every mask by
 -(excess·(m+1) + popcount), which folds the tie order into the score; its
 dtype bound on the regrets is computed once per table.
@@ -63,7 +66,7 @@ instance's (root, dist), captured when the table is built, so an equal but
 distinct Instance (induced_instance on every client of a root-0 instance,
 Instance.from_matrix on the same matrix) is served the same table, and
 successive solves of one instance (rvrp and krvrp, a reduction's repeated
-sub-solves, the brute-force oracle after the solve) build it once. A
+sub-solves, the exact oracles after the solve) build it once. A
 request for another instance drops the held table before it builds the new
 one, so two tables are never alive at once through the memo. The entry has
 no size, switch or reset: the program is single-threaded and the slot is
@@ -394,7 +397,7 @@ class ScanPlan:
             np.uint8)
 
 
-def _plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
+def plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
     """The table's plan for (kind, budget), built when the held one is for
     another budget; the old plan is dropped first."""
     plan = t.plan
@@ -433,7 +436,7 @@ def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
     import numpy as np
 
     nums, den = _checked_rewards(rewards, t.clients)
-    plan = _plan_for(t, kind, budget)
+    plan = plan_for(t, kind, budget)
     sums = plan.rows @ np.array(nums, _sum_dtype(sum(nums), np))
     return _columns(t, sums, lambda i: int(plan.masks[i]),
                     lambda mask: t.end_within(mask, kind, budget),

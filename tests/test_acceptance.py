@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_reference import brute_force_lp
 from regret_route.core import Instance, RootedPath
 from regret_route.harness import (
     brute_force_dvrp,
     brute_force_krvrp,
-    brute_force_lp,
     brute_force_rvrp,
     gen_euclidean,
     gen_ladder,

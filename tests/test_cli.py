@@ -355,20 +355,19 @@ def test_oracle_command(tmp_path, capsys):
 
 
 def test_oracle_limit_is_the_one_given(tmp_path, capsys):
-    # 10 clients: over the lp enumeration's default of 9, under rvrp's 12
+    # 10 clients: under the default limit of 12 for every oracle kind
     inst = tmp_path / "inst.json"
     run_cli("gen", "euclidean", "--n", "11", "--seed", "3", "--out", inst)
-    assert run_cli("oracle", "lp", "--instance", inst, "--regret", "0") == 1
-    assert "exceed the enumeration threshold 9" in capsys.readouterr().err
-    for limit in ("10", "12"):
-        assert run_cli("oracle", "lp", "--instance", inst, "--regret", "0",
-                       "--limit", limit) == 0
+    for kind in ("lp", "rvrp"):
+        assert run_cli("oracle", kind, "--instance", inst,
+                       "--regret", "0") == 0
         assert json.loads(capsys.readouterr().out)["value"] >= 1
-    assert run_cli("oracle", "rvrp", "--instance", inst, "--regret", "0") == 0
-    capsys.readouterr()
-    assert run_cli("oracle", "rvrp", "--instance", inst, "--regret", "0",
-                   "--limit", "9") == 1
-    assert "exceed the exact threshold 9" in capsys.readouterr().err
+        assert run_cli("oracle", kind, "--instance", inst, "--regret", "0",
+                       "--limit", "10") == 0
+        capsys.readouterr()
+        assert run_cli("oracle", kind, "--instance", inst, "--regret", "0",
+                       "--limit", "9") == 1
+        assert "exceed the exact threshold 9" in capsys.readouterr().err
 
 
 def test_bench_smoke_jsonl(tmp_path):
@@ -476,3 +475,23 @@ def test_no_numpy_import_without_a_table(src_env):
                           capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_oracles_and_bench_run_without_scipy(tmp_path, src_env):
+    # scipy is a test dependency only: the LP oracle is the certified
+    # column-generation LP, and bench runs the count oracles.
+    inst, out = str(tmp_path / "ladder.json"), str(tmp_path / "out")
+    run_cli("gen", "ladder", "--height", "2", "--out", inst)
+    runs = [["oracle", "lp", "--instance", inst, "--regret", "1"],
+            ["oracle", "rvrp", "--instance", inst, "--regret", "1"],
+            ["bench", "--suite", "smoke", "--seed", "1"]]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from regret_route.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         json.dumps([argv + ["--out", out] for argv in runs])],
+        capture_output=True, text=True, env=src_env)
+    assert proc.returncode == 0, proc.stderr

@@ -465,7 +465,7 @@ def test_certificate_checks_original_columns(corrupt):
         message = "negative basic value"
     elif corrupt == "adj":
         master._adj[0] = [x + 1 for x in master._adj[0]]
-        message = "optimality certificate failed"
+        message = "a column is priced above its cost"
     elif corrupt == "y":
         master._y[0] += 1
         message = r"maintained duals differ from c_B \* adj"
@@ -487,5 +487,31 @@ def test_certificate_refuses_a_dual_of_the_wrong_sign():
         y = list(master._y)
         y[row] = y_row
         with pytest.raises(SolverError,
-                           match="^optimality certificate failed$"):
+                           match="^a column is priced above its cost$"):
             master._certify(y)
+
+
+def test_certificate_refuses_a_basic_column_priced_below_its_cost():
+    # A lower positive coverage dual prices no column higher (the surplus
+    # column of its row stays at or below cost 0), but it prices each basic
+    # column through that row below its cost, which only the equality on
+    # basic columns refuses.
+    master = _certified_master()
+    y = list(master._y)
+    row = next(i for i, yi in enumerate(y[:len(master.client_rows)])
+               if yi > 0)
+    y[row] -= 1
+    with pytest.raises(SolverError,
+                       match="^a basic column is priced below its cost$"):
+        master._certify(y)
+
+
+def test_a_negative_cost_column_without_a_budget_row_is_unbounded():
+    # With no budget row nothing caps the weight of a column of negative
+    # cost: once it covers its client, raising it further only raises the
+    # surplus of the client's row.
+    master = CoveringMaster([1, 2])
+    for covered, cost in (([1], 1), ([2], 1), ([1], -1)):
+        master.add_column(covered, cost)
+    with pytest.raises(SolverError, match="^unbounded master LP$"):
+        master.solve()

@@ -9,8 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hk_reference
+import oracle_reference
 import verify_reference
-from regret_route.core import InfeasibleError, Instance, InvalidInstanceError
+from regret_route.core import (InfeasibleError, Instance, InvalidInstanceError,
+                               SolverError)
 from regret_route.harness import (
     ORACLE_LIMIT,
     ORACLES,
@@ -21,12 +24,12 @@ from regret_route.harness import (
     _verify_mode,
     brute_force_dvrp,
     brute_force_krvrp,
-    brute_force_lp,
     brute_force_rvrp,
     gen_euclidean,
     gen_ladder,
     gen_line,
     gen_random_metric,
+    lp_oracle,
     reports_to_jsonl,
     run_job,
     run_solver,
@@ -34,6 +37,7 @@ from regret_route.harness import (
     verify,
 )
 from regret_route.lp import solve_rvrp_lp
+from test_acceptance import LP_TOL
 from regret_route.pricing import (DEFAULT_EXACT_THRESHOLD,
                                   OracleUnavailableError)
 
@@ -80,7 +84,8 @@ def test_ladder_meta_carries_canonical_solution():
     (gen_euclidean, (4.5, 1), "node count"),
     (gen_random_metric, (3.5, 1), "node count"),
     (gen_line, ([0, 1.5],), "line position"),
-    (lambda *a: brute_force_lp(gen_line([0, 1, 2]), *a), (2.5,), "budget"),
+    (lambda *a: oracle_reference.brute_force_lp(gen_line([0, 1, 2]), *a),
+     (2.5,), "budget"),
     (gen_euclidean, (5, 1, 2.5), "scale"),
     (gen_random_metric, (5, 1, 2.5), "max edge"),
 ])
@@ -236,37 +241,87 @@ def test_oracle_infeasible_and_limits():
     with pytest.raises(OracleUnavailableError):
         brute_force_rvrp(big, 1, limit=5)
     with pytest.raises(OracleUnavailableError):
-        brute_force_lp(big, 1, limit=5)
+        lp_oracle(big, 1, limit=5)
     with pytest.raises(ValueError):
         brute_force_rvrp(big, -1)
     with pytest.raises(ValueError):
         brute_force_krvrp(big, 0)
     with pytest.raises(ValueError):
-        brute_force_lp(big, 1, kind="speed")
+        lp_oracle(big, 1, kind="speed")
 
 
-def test_lp_oracle_refusals_and_empty_instance():
-    with pytest.raises(ValueError, match="^budget must be nonnegative$"):
-        brute_force_lp(gen_line([0, 1, 2]), -1)
+def test_lp_oracle_refusals_and_empty_instance(monkeypatch):
+    line = gen_line([0, 1, 2])
+    with pytest.raises(ValueError, match="^regret bound must be "
+                                         "nonnegative$"):
+        lp_oracle(line, -1)
+    with pytest.raises(InvalidInstanceError,
+                       match="^non-integer regret bound: "):
+        lp_oracle(line, 2.5)
     empty = Instance.from_matrix([[0]])
-    assert brute_force_lp(empty, 0) == 0.0
+    assert lp_oracle(empty, 0) == 0
     # with no client no path is needed
     for oracle in (brute_force_rvrp, brute_force_dvrp, brute_force_krvrp):
         assert oracle(empty, 1) == 0
     # client 2 lies 5 from the root, beyond a length budget of 3
-    with pytest.raises(InfeasibleError, match=r"^nodes \[2\] unreachable "
-                                              r"within the budget$") as exc:
-        brute_force_lp(gen_line([0, 1, 5]), 3, kind="length")
+    with pytest.raises(InfeasibleError, match=r"^nodes \[2\] lie beyond "
+                                              r"distance 3 from the root$"
+                       ) as exc:
+        lp_oracle(gen_line([0, 1, 5]), 3, kind="length")
     assert exc.value.nodes == (2,)
+    # a value without its certificate is no oracle value
+    from regret_route import harness
+    sol = solve_rvrp_lp(line, 0)
+    sol.certified = False
+    monkeypatch.setattr(harness, "solve_rvrp_lp", lambda *a, **k: sol)
+    with pytest.raises(SolverError, match="^the LP value is not certified$"):
+        lp_oracle(line, 0)
 
 
 def test_lp_oracle_frozen_values():
     ladder = gen_ladder(2)
-    assert brute_force_lp(ladder, 1, "regret") == pytest.approx(1.5)
-    assert brute_force_lp(ladder, 10 ** 6, "regret") == pytest.approx(1.0)
+    assert lp_oracle(ladder, 1, "regret") == Fraction(3, 2)
+    assert lp_oracle(ladder, 10 ** 6, "regret") == 1
     line = gen_line([0, 1, 2])
-    assert brute_force_lp(line, 0, "regret") == pytest.approx(1.0)
-    assert brute_force_lp(line, 2, "length") == pytest.approx(1.0)
+    assert lp_oracle(line, 0, "regret") == 1
+    assert lp_oracle(line, 2, "length") == 1
+
+
+def test_lp_oracle_matches_the_enumerated_lp():
+    # oracle_reference.brute_force_lp enumerates every rooted path and
+    # solves the LP over the maximal sets with scipy, in floats.
+    ladder, line = gen_ladder(2), gen_line([0, 1, 2])
+    for inst, bound, kind in ((ladder, 1, "regret"),
+                              (ladder, 10 ** 6, "regret"),
+                              (line, 0, "regret"), (line, 2, "length")):
+        want = oracle_reference.brute_force_lp(inst, bound, kind)
+        assert abs(lp_oracle(inst, bound, kind) - want) <= LP_TOL
+
+
+def test_count_oracles_match_the_reference_cover_dp():
+    # The count oracles cover with the maximal masks of pricing's plan;
+    # oracle_reference._cover_count runs the 3^m submask DP over every
+    # mask's feasibility, read here from the plain-loop Held-Karp table.
+    cover = oracle_reference._cover_count
+    for n in range(3, 12):
+        for inst in (gen_euclidean(n, 4100 + n),
+                     gen_random_metric(n, 4200 + n)):
+            ref = hk_reference.ReferenceTable(inst)
+            regrets, lengths = ref.min_regret[1:], ref.min_length[1:]
+            maxd = max(inst.root_dist)
+            for R in (0, 1, maxd // 4, maxd // 2, maxd, 4 * maxd):
+                assert brute_force_rvrp(inst, R) == cover(regrets, R), R
+            for cap in (maxd, maxd + maxd // 4, maxd + maxd // 2, 2 * maxd,
+                        4 * maxd):
+                assert brute_force_dvrp(inst, cap) == cover(lengths, cap)
+            # cover counts fall as the bound rises, so the least feasible
+            # regret is the one within k whose next lower regret is not
+            values = sorted(set(regrets))
+            for k in (1, 2, 3):
+                got = brute_force_krvrp(inst, k)
+                assert got in values and cover(regrets, got) <= k, k
+                lower = [v for v in values if v < got]
+                assert not lower or cover(regrets, lower[-1]) > k, k
 
 
 # --- verifier ------------------------------------------------------------------

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import cg_reference
+from oracle_reference import brute_force_lp
 from regret_route.core import (InfeasibleError, Instance, RootedPath,
                                SolverError)
 from regret_route.exactlp import CoveringMaster
-from regret_route.harness import (brute_force_lp, brute_force_rvrp,
-                                  gen_euclidean, gen_ladder, gen_line,
-                                  gen_random_metric)
+from regret_route.harness import (brute_force_rvrp, gen_euclidean,
+                                  gen_ladder, gen_line, gen_random_metric)
 from regret_route.lp import (FractionalSolution, preprocess_fractional,
                              solve_dvrp_lp, solve_minsum_lp, solve_rvrp_lp)
 from regret_route.pricing import PricedPath
