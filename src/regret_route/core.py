@@ -178,8 +178,12 @@ class RootedPath:
         if not all(map(le, prefix, prefix[1:])):
             raise SolverError(f"prefix regrets {prefix} of {nodes} are not "
                               "nonnegative and nondecreasing")
-        return cls(nodes=nodes, cost=cost, regret=prefix[-1],
-                   prefix_regret=tuple(prefix), node_set=node_set)
+        # The frozen dataclass __init__ sets each field through
+        # object.__setattr__; one __dict__ update sets all five at once.
+        path = object.__new__(cls)
+        path.__dict__.update(nodes=nodes, cost=cost, regret=prefix[-1],
+                             prefix_regret=tuple(prefix), node_set=node_set)
+        return path
 
     @classmethod
     def trivial(cls, inst: Instance) -> "RootedPath":

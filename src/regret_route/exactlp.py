@@ -59,6 +59,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .core import SolverError
 
 ZERO = Fraction(0)
+# One solve's pivot cap: ITERATION_CAP_BASE plus ITERATION_CAP_PER_COLUMN
+# for each column of the master.  Bland's rule does not cycle, so this only
+# stops a solver bug from looping; it is not an option.
+ITERATION_CAP_BASE = 2000
+ITERATION_CAP_PER_COLUMN = 200
 
 Rows = Tuple[int, ...]                   # a column's nonzero rows, sorted
 Integral = Union[int, Fraction]          # a Fraction must have denominator 1
@@ -282,7 +287,7 @@ class CoveringMaster:
         """Bland's rule from the current basis. The first scan begins at
         column start; every column before it must have a nonnegative
         reduced cost under the current Y."""
-        cap = 2000 + 200 * len(self._rows)
+        cap = ITERATION_CAP_BASE + ITERATION_CAP_PER_COLUMN * len(self._rows)
         it = 0
         while True:
             it += 1

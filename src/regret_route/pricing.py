@@ -387,11 +387,23 @@ class ScanPlan:
         values = table.min_regret if kind == "regret" else table.min_length
         feasible = values <= budget
         feasible[0] = False
+        # Pass i clears the masks without client bit i whose superset with
+        # it is feasible.  The passes commute, and those for the low bits
+        # (rows of 1 << i bytes) run on a copy with the low six bits as the
+        # slow axis, where every row is long.
+        low = min(table.m, 6)
         maximal = feasible.copy()
-        for i in range(table.m):
+        for i in range(low, table.m):
             maximal.reshape(-1, 2, 1 << i)[:, 0] &= \
                 ~feasible.reshape(-1, 2, 1 << i)[:, 1]
-        masks = np.flatnonzero(maximal)
+        # In the copies, entry [a, h] is mask h << low | a.
+        high = feasible.size >> low
+        maximal = maximal.reshape(high, 1 << low).T.copy()
+        feasible = feasible.reshape(high, 1 << low).T.copy()
+        for i in range(low):
+            maximal.reshape(-1, 2, high << i)[:, 0] &= \
+                ~feasible.reshape(-1, 2, high << i)[:, 1]
+        masks = np.flatnonzero(maximal.T)
         self.masks = masks[np.argsort(table.popcount[masks], kind="stable")]
         self.rows = (self.masks[:, None] >> np.arange(table.m) & 1).astype(
             np.uint8)

@@ -1,6 +1,7 @@
 """Instance validation, path arithmetic, and path-surgery primitives."""
 
 import ast
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -182,6 +183,22 @@ def test_prefix_regret_monotone_and_visit_cost():
     assert [p.visit_cost(i, inst) for i in range(4)] == [0, 2, 3, 6]
     t = RootedPath.trivial(inst)
     assert t.is_trivial and t.end == 0 and t.regret == 0
+
+
+def test_rooted_path_fields_are_frozen():
+    # build sets the five fields in one step; they stay read-only
+    inst = line_instance()
+    p = RootedPath.build(inst, [0, 2, 1])
+    assert vars(p) == {"nodes": (0, 2, 1), "cost": 3, "regret": 2,
+                       "prefix_regret": (0, 0, 2),
+                       "node_set": frozenset({0, 1, 2})}
+    assert repr(p) == ("RootedPath(nodes=(0, 2, 1), cost=3, regret=2, "
+                       "prefix_regret=(0, 0, 2))")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.cost = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.regret
+    assert p.cost == 3 and p.regret == 2
 
 
 # --- edge coloring ------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from hk_reference import scaled_rewards
 from master_reference import ReferenceMaster
-from regret_route import pricing
+from regret_route import exactlp, pricing
 from regret_route.core import SolverError
 from regret_route.exactlp import CoveringMaster
 from regret_route.harness import gen_euclidean
@@ -23,6 +23,18 @@ def test_single_column_cover():
     sol = master.solve()
     assert sol.value == 1
     assert sol.weights == [0, 0, Fraction(1)]
+
+
+def test_iteration_cap_stops_a_solve(monkeypatch):
+    # Bland's rule does not cycle, so only a lowered cap is reached: one
+    # pivot is allowed, and the triples' optimum takes more.
+    monkeypatch.setattr(exactlp, "ITERATION_CAP_BASE", 1)
+    monkeypatch.setattr(exactlp, "ITERATION_CAP_PER_COLUMN", 0)
+    master = CoveringMaster([1, 2, 3])
+    for rows in ([1], [2], [3], [1, 2], [2, 3], [1, 3]):
+        master.add_column(rows, Fraction(1))
+    with pytest.raises(SolverError, match="^simplex iteration cap exceeded$"):
+        master.solve()
 
 
 def test_fractional_optimum_on_overlapping_triples():

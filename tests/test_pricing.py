@@ -391,6 +391,24 @@ def test_scan_plans_match_the_dense_scan_at_every_budget():
                         [mask >> j & 1 for j in range(m)] for mask in masks]
 
 
+def test_scan_plans_around_the_transposed_passes():
+    # The passes for the six lowest client bits run on a transposed copy:
+    # up to six clients every pass does, at seven one pass does not.  At
+    # every budget the plan holds the reference table's maximal masks.
+    for m in (4, 6, 7):
+        for inst in (gen_euclidean(m + 1, 60 + m),
+                     gen_random_metric(m + 1, 70 + m)):
+            table = HKTable(inst)
+            ref = hk_reference.ReferenceTable(inst)
+            for kind in ("regret", "length"):
+                values = (ref.min_regret if kind == "regret"
+                          else ref.min_length)
+                for budget in sorted(set(values[1:])):
+                    plan = pricing.ScanPlan(table, kind, budget)
+                    assert plan.masks.tolist() == \
+                        hk_reference.maximal_masks(values, budget, m)
+
+
 def simple_path_optima(inst):
     """{mask: (least regret, least length)} over every simple rooted path,
     enumerated depth first, with no pruning."""

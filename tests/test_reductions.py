@@ -9,13 +9,16 @@ from fractions import Fraction
 import pytest
 
 import dvrp_reference
+from regret_route import reductions
 from regret_route.core import (InfeasibleError, Instance, RootedPath,
                                induced_instance, regret_distance)
-from regret_route.harness import (brute_force_dvrp, brute_force_krvrp,
-                                  brute_force_rvrp, gen_euclidean, gen_ladder,
-                                  gen_line, gen_random_metric, run_solver,
-                                  verify)
+from regret_route.harness import (SOLVERS, brute_force_dvrp,
+                                  brute_force_krvrp, brute_force_rvrp,
+                                  gen_euclidean, gen_ladder, gen_line,
+                                  gen_random_metric, run_solver, verify)
+from regret_route.lp import DEFAULT_EXACT_THRESHOLD, solve_rvrp_lp
 from regret_route.reductions import (
+    _cover_subset,
     _prune_redundant,
     cover_lower_bound,
     dvrp_dp_state,
@@ -30,15 +33,18 @@ from regret_route.reductions import (
 
 def test_regret_above_every_path_is_capped():
     # R past (n - 1) * max edge admits no other column, and is solved as
-    # that cap: the same paths, and bound checks that stay finite floats.
+    # that cap: the same paths, rounded or not, and bound checks that stay
+    # finite floats.
     inst = gen_euclidean(8, 4)
     cap = (inst.n - 1) * max(map(max, inst.dist))
-    want = solve_rvrp(inst, cap)
+    want = solve_rvrp(inst, cap, diagnostics={})
     diag = {}
     got = solve_rvrp(inst, 10 ** 320, diagnostics=diag)
     assert [p.nodes for p in got] == [p.nodes for p in want]
     checks = diag["bound_checks"].values()
     assert all(math.isfinite(c["bound"]) for c in checks)
+    assert [p.nodes for p in solve_rvrp(inst, 10 ** 320)] == \
+        [p.nodes for p in solve_rvrp(inst, cap)]
 
 
 def star_instance(n=5):
@@ -75,6 +81,153 @@ def test_solve_rvrp_feasible_and_near_optimal():
         assert report["ok"], report["failures"]
         assert len(paths) <= factor * diag["lp_value"] + 1 + 1e-9
         assert len(paths) <= factor * brute_force_rvrp(inst, R) + 1
+
+
+# --- sub-solves ----------------------------------------------------------------
+
+def round_spy(monkeypatch):
+    """The LPs solve_rvrp hands to round_rvrp from now on."""
+    calls = []
+    original = reductions.round_rvrp
+
+    def spy(inst, R, sol, **kwargs):
+        calls.append(sol)
+        return original(inst, R, sol, **kwargs)
+
+    monkeypatch.setattr(reductions, "round_rvrp", spy)
+    return calls
+
+
+def integral(sol):
+    return all(w.denominator == 1 for w in sol.weights)
+
+
+def test_certified_integral_part_returns_its_lp_support(monkeypatch):
+    # Above every path's regret one path covers all, so the LP optimum is
+    # integral; a part gets that support as it is, where the rounding
+    # returns another path.
+    inst = gen_euclidean(8, 4)
+    R = (inst.n - 1) * max(map(max, inst.dist))
+    sol = solve_rvrp_lp(inst, R)
+    assert sol.certified and integral(sol) and sol.value == 1
+    support = [p.nodes for p, _ in sol.support()]
+    calls = round_spy(monkeypatch)
+    part = _cover_subset(inst, inst.clients, R, DEFAULT_EXACT_THRESHOLD)
+    assert [p.nodes for p in part] == support
+    assert [p.nodes for p in solve_rvrp(inst, R)] == support
+    assert calls == []
+    rounded = solve_rvrp(inst, R, diagnostics={})
+    assert len(calls) == 1 and [p.nodes for p in rounded] != support
+
+
+def test_certified_fractional_part_is_rounded(monkeypatch):
+    # The ladder's LP at R = 1 is certified at 3/2.
+    inst = gen_ladder(2)
+    calls = round_spy(monkeypatch)
+    part = _cover_subset(inst, inst.clients, 1, DEFAULT_EXACT_THRESHOLD)
+    assert [(sol.certified, sol.value) for sol in calls] == \
+        [(True, Fraction(3, 2))]
+    assert verify(inst, part, "rvrp", {"regret": 1})["ok"]
+
+
+def test_uncertified_integral_part_is_rounded(monkeypatch):
+    # Below the client count pricing is heuristic, and an integral
+    # heuristic optimum is no certified cover: it is rounded.
+    inst = gen_line([0, 1, 2, 3])
+    calls = round_spy(monkeypatch)
+    part = _cover_subset(inst, inst.clients, 1, 2)
+    assert len(calls) == 1
+    assert not calls[0].certified and integral(calls[0])
+    assert verify(inst, part, "rvrp", {"regret": 1})["ok"]
+
+
+def every_part_rounded(monkeypatch):
+    """Make every sub-solve round its LP, as before certified integral
+    parts were returned as they are."""
+    solve = reductions.solve_rvrp
+
+    def rounded(inst, R, exact_threshold=DEFAULT_EXACT_THRESHOLD,
+                diagnostics=None):
+        return solve(inst, R, exact_threshold=exact_threshold,
+                     diagnostics={} if diagnostics is None else diagnostics)
+
+    monkeypatch.setattr(reductions, "solve_rvrp", rounded)
+
+
+def compared(solver, inst, param):
+    """A reduction's cover and the counts it is compared by: its length
+    for dvrp-lp, mult and nonuniform, the F of every level for dvrp-dp."""
+    if solver == "dvrp-dp":
+        state = dvrp_dp_state(inst, param)
+        return state.P[state.M], state.F
+    paths = getattr(reductions, SOLVERS[solver].function)(inst, param)
+    return paths, [len(paths)]
+
+
+@pytest.mark.parametrize("solver", ["dvrp-dp", "dvrp-lp", "mult",
+                                    "nonuniform"])
+def test_unrounded_parts_never_add_paths(monkeypatch, solver):
+    # Against the same reduction with every part rounded: its covers pass
+    # verify, dvrp-lp, mult and nonuniform never return more paths (their
+    # count is a sum, or a sum of maxima, of part counts, and a part's
+    # optimum is never above its rounding), and no level of the dvrp-dp
+    # recurrence has a larger F.  dvrp-dp's pruned cover and run_solver's
+    # merged one are not compared: either can end a path above.
+    rng = random.Random(38)
+    row = SOLVERS[solver]
+    saved = 0
+    for trial in range(120):
+        gen = (gen_euclidean, gen_random_metric)[trial % 2]
+        inst = gen(rng.randint(6, 10) + 1, 3800 + trial)
+        maxd = max(inst.root_dist)
+        param = {"dist": maxd + rng.randint(0, maxd),
+                 "ratio": rng.choice([Fraction(5, 4), Fraction(3, 2), 2]),
+                 "bounds": {v: rng.randint(0, maxd) for v in inst.clients}
+                 }[row.param]
+        with monkeypatch.context() as patch:
+            every_part_rounded(patch)
+            _, before = compared(solver, inst, param)
+        paths, after = compared(solver, inst, param)
+        assert verify(inst, paths, row.verify_mode, {row.param: param})["ok"]
+        assert all(a <= b for a, b in zip(after, before))
+        saved += after != before
+    assert saved > 0
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("sol.weights[first] = 0", "3 support paths but LP value 4"),
+    ("sol.weights[first] = 0; sol.value -= 1",
+     "LP support leaves clients [1] uncovered"),
+    ("sol.columns[first] = RootedPath.build(inst, [0, 1, 2])",
+     "node 2 visited too late"),
+], ids=["count", "cover", "regret"])
+def test_tampered_lp_support_is_refused_under_optimized_python(
+        src_env, tamper, message):
+    # A star's leaves are pairwise too far apart to share a path at R = 1,
+    # so its LP is the four one-leaf paths.  A support with a path
+    # dropped, with a path dropped from the value as well, or with a path
+    # over the bound must be refused with asserts compiled out.
+    import subprocess
+    import sys
+    script = (
+        "from regret_route import reductions\n"
+        "from regret_route.core import Instance, RootedPath, SolverError\n"
+        "assert False, 'asserts are live'\n"
+        "solve = reductions.solve_rvrp_lp\n"
+        "def tampered(inst, R, **kwargs):\n"
+        "    sol = solve(inst, R, **kwargs)\n"
+        "    first = next(i for i, w in enumerate(sol.weights) if w)\n"
+        f"    {tamper}\n"
+        "    return sol\n"
+        "reductions.solve_rvrp_lp = tampered\n"
+        f"inst = Instance.from_matrix({star_instance().dist!r})\n"
+        "try:\n"
+        "    reductions.solve_rvrp(inst, 1)\n"
+        "except SolverError as exc:\n"
+        "    print('SolverError:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == f"SolverError: {message}"
 
 
 # --- multiplicative -------------------------------------------------------------
@@ -297,10 +450,10 @@ def test_dvrp_dp_skips_empty_levels(monkeypatch):
 # least count + F[k], and best-first order solves a larger one of them
 # before the smallest, which must still win.
 TIED_SCALES = [
-    (gen_random_metric, 6, 5007, 134, 7),
+    (gen_random_metric, 7, 5002, 56, 6),
     (gen_euclidean, 9, 5010, 297, 8),
     (gen_euclidean, 7, 5038, 113, 7),
-    (gen_euclidean, 5, 5096, 182, 8),
+    (gen_euclidean, 6, 5001, 103, 7),
 ]
 
 
