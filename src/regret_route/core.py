@@ -334,12 +334,17 @@ def check_regret(R) -> int:
 
 
 def as_fraction(x, what: str) -> Fraction:
-    """x as a Fraction; ValueError, not ZeroDivisionError, on a zero
-    denominator such as "1/0"."""
+    """x, a number or a string such as "3/2", as a Fraction. A bool, a zero
+    denominator such as "1/0", and anything that is no finite number (None,
+    a list, inf, nan) are a ValueError naming x."""
+    if isinstance(x, bool):
+        raise ValueError(f"boolean {what} {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {what} {x!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} {x!r} is not a finite number") from None
 
 
 def check_path_budget(k) -> int:

@@ -1,9 +1,12 @@
 """Exact subset-DP pricing oracles and a local-search fallback.
 
 The exact oracles answer argmax/argmin queries over all simple rooted paths
-by scanning a Held-Karp table: cost[i, S] is the cheapest rooted path
-visiting exactly client set S and ending at client i, one contiguous row of
-2^m masks per end. One table serves every budget kind, so
+by scanning the folds of a Held-Karp table: min_regret[S] and min_length[S],
+the least regret and length of a rooted path visiting exactly client set S.
+A count-LP column costs 1 and covers its set, so a set's column is its
+cheapest path by the scan's measure (regret for a regret budget and the
+min-excess scan, length for a length budget), drawn from the smallest end
+that reaches the least. One table serves every budget kind, so
 it is built once per instance and shared: every request goes through
 table_for, which keeps the last table it built. Rewards arrive as integers
 over one common denominator, (nums, den) with nums in the order of
@@ -17,7 +20,8 @@ negative excess, least first. A bounded scan returns those of positive
 reward, largest first. Ties go to fewer nodes, then the smallest mask; when
 nothing qualifies, the trivial path at 0 alone. All three go through one
 picker, _columns, which takes first maxima of the scan's score array,
-overwriting each pick with 0.
+overwriting each pick with 0, and raises SolverError unless the path it
+draws has its mask's least regret or length.
 
 A bounded scan (exact_orienteering, exact_length_budget) prices only the
 maximal client sets: those whose least regret or length is within the
@@ -42,13 +46,13 @@ The table and the scans are numpy arrays, filled one popcount layer at a
 time. Fixed-width integers wrap where Python integers grow, so every dtype
 is chosen from a bound on the values it must hold:
 
-* costs are int32 when (m+1)·max_edge < 2^29 and int64 when it is below
-  2^61, which leaves room for the sentinel that marks end nodes outside a
-  mask; larger metrics fall back to Python integers (dtype=object);
+* the folds min_regret and min_length are int32 when top = (m+1)·max_edge
+  is below 2^31 - 1, int64 when it is below 2^62, else Python integers
+  (dtype=object): a nonempty mask's fold is at most m·max_edge, and the
+  empty mask holds top + 1; the ends and the parent pointers are int8;
 * the build's packed keys cost << s | end, s = (m-1).bit_length(), are
   uint16 when ((m+2)·max_edge + 1) << s < 2^16, then int32, int64 and
-  object on the same rule with 2^31 and 2^63; the table holds the keys,
-  then the costs, in that key dtype (see HKTable);
+  object on the same rule with 2^31 and 2^63 (see HKTable);
 * a bounded scan's reward sums are int32 when the scaled total is below
   2^31 - 1, int64 when it is below 2^62, else object;
 * the min-excess scan bounds its score by (max(|min_regret|, 1)·den +
@@ -84,8 +88,8 @@ from .core import (Instance, RegretRouteError, RootedPath, SolverError,
 
 DEFAULT_EXACT_THRESHOLD = 16
 # Bytes per (mask, end) cell at the build's peak on an int64 table from 16
-# clients up: the cost, the int8 parent, the per-mask folds and the chunk
-# buffers (HKTable).
+# clients up: the key, the int8 parent, the per-mask folds and ends and the
+# chunk buffers (HKTable).
 CELL_BYTES = 11
 TABLE_BUDGET_BYTES = 256 << 20
 # Bytes of keys per chunk of masks while the table is built.
@@ -132,16 +136,6 @@ class PricedPath:
     value: Fraction
 
 
-def _cost_dtype(top: int, np):
-    """dtype for costs below top, and a sentinel above them all that still
-    fits after one more edge is added."""
-    if top < 1 << 29:
-        return np.int32, 1 << 30
-    if top < 1 << 61:
-        return np.int64, 1 << 62
-    return object, top + 1
-
-
 def _key_dtype(m: int, edge: int, np):
     """dtype of the build's keys cost << s | end on m clients with edges up
     to edge, and s. The largest key is the cap (m+1)·edge + 1 plus one more
@@ -175,34 +169,36 @@ def _doubling(values, dtype, np):
 class HKTable:
     """Held-Karp subset DP for one instance.
 
-    cost[i, mask] is the cheapest cost of a rooted path visiting exactly the
-    clients in mask and ending at clients[i] (a sentinel above every real
-    cost where i is not in mask); parent pointers reconstruct one canonical
-    optimal path: parent[i, mask] is the smallest predecessor end among the
-    cheapest (-1 for a single client or an end outside the mask). Both are
-    end-major, shape (m, 2^m), so the row of one end is contiguous.
-    min_regret/min_length fold out the end node; end_within finds the end
-    a scan reconstructs from. regret_bound is max(|min_regret|, 1) over the
-    nonempty masks, the min-excess scan's dtype bound, and plan holds the
-    ScanPlan of the last bounded scan: its maximal masks and their client
-    rows at one (kind, budget).
+    min_regret[mask] and min_length[mask] are the least regret and length of
+    a rooted path visiting exactly the clients in mask, and regret_end[mask]
+    and length_end[mask] the smallest end index among those that reach them
+    (top + 1 and -1 at the empty mask). Parent pointers draw one canonical
+    cheapest path per end: parent[i, mask] is the smallest predecessor end
+    among the cheapest paths of mask that end at clients[i] (-1 for a single
+    client or an end outside the mask), end-major, shape (m, 2^m). So
+    path_for(mask, regret_end[mask]) is mask's cheapest path by regret, and
+    with length_end by length. regret_bound is max(|min_regret|, 1) over
+    the nonempty masks, the min-excess scan's dtype bound, and plan holds
+    the ScanPlan of the last bounded scan: its maximal masks and their
+    client rows at one (kind, budget).
 
     The build works on packed keys cost << s | end, s bits wide enough for
     every end index, so that one elementwise minimum yields both the
     cheapest cost and the smallest end that reaches it. It runs one popcount
     layer at a time, in chunks of at most CHUNK_BYTES of keys: gather the
     chunk's columns with one take, fold them into min_length and min_regret
-    (the regret key adds max(D) - D_i to stay nonnegative), push every mask
-    to all m ends at once, one np.minimum over the predecessor ends, and
-    write each end's targets into its own row. The table holds the keys
-    themselves while it is built, in the key dtype, and is split into cost
-    and parent one row at a time at the end, so cost keeps the key dtype:
-    uint16 at 16 clients while max edge <= 227, as on the harness
-    generators' default metrics. The build's peak per cell, at 14 / 16
-    clients, is about 4.6 / 3.6 bytes on a uint16 table, 7.4 / 5.6 on
-    int32 and 11.8 to 12.3 / 9.6 to 10.1 on int64. From 16 clients up that
-    is under CELL_BYTES; on fewer clients the fixed chunk buffers weigh
-    more, and object tables are not bounded by it.
+    and their ends (the regret key adds max(D) - D_i to stay nonnegative),
+    push every mask to all m ends at once, one np.minimum over the
+    predecessor ends, and write each end's targets into its own row. The
+    table holds the keys, in the key dtype: uint16 at 16 clients while max
+    edge <= 227, as on the harness generators' default metrics. At the end
+    the parents are split out of it one row at a time and the keys are
+    dropped, so a built table keeps about 1.7 / 2.2 bytes per cell at 16
+    clients (int32 / int64 folds). The build's peak per cell, at 14 / 16
+    clients, is about 4.7 / 3.7 bytes on a uint16 table, 7.5 / 5.7 on int32
+    and 11.9 to 12.5 / 9.8 to 10.3 on int64. From 16 clients up that is
+    under CELL_BYTES; on fewer clients the fixed chunk buffers weigh more,
+    and object tables are not bounded by it.
     """
 
     def __init__(self, inst: Instance, threshold: int = DEFAULT_EXACT_THRESHOLD):
@@ -219,15 +215,12 @@ class HKTable:
         D = [inst.root_dist[v] for v in clients]
         max_d = max(D, default=0)
         edge = max(map(max, dist))
+        # A path of k clients costs at most k·edge, so top + 1 is above every
+        # cost and every fold of a nonempty mask.
         top = (m + 1) * edge
-        dtype, sentinel = _cost_dtype(top, np)
+        fold = _sum_dtype(top, np)
         kdt, s = _key_dtype(m, edge, np)
         low = (1 << s) - 1
-        # The table holds keys cost << s | parent while it is built, then
-        # the costs, all in the key dtype; an end outside its mask holds
-        # top + 1 until the split, and after it the cost sentinel where the
-        # key dtype is as wide as the cost dtype, else top + 1.
-        fill = sentinel if np.promote_types(dtype, kdt) == kdt else top + 1
         size = 1 << m
         self.popcount = _doubling([1] * m, np.uint8, np)
         # Every mask in (popcount, mask) order: layer k is order[starts[k -
@@ -237,27 +230,34 @@ class HKTable:
             np.min_scalar_type(size - 1))
         starts = np.bincount(self.popcount, minlength=m + 1).cumsum().tolist()
         ends = np.arange(m)
-        cost = np.full((m, size), (top + 1) << s, kdt)
-        cost[ends, 1 << ends] = [dist[inst.root][v] << s for v in clients]
+        # The keys cost << s | parent; an end outside its mask holds top + 1.
+        table = np.full((m, size), (top + 1) << s, kdt)
+        table[ends, 1 << ends] = [dist[inst.root][v] << s for v in clients]
         step = np.array([[dist[u][v] << s for v in clients] for u in clients],
                         kdt)
         regret_offset = np.array([(max_d - d) << s for d in D], kdt)[:, None]
         end_bits = ends.astype(kdt)[:, None]
         cost_bits = np.invert(np.array(low, kdt))
-        self.min_regret = np.full(size, sentinel, dtype)
-        self.min_length = np.full(size, sentinel, dtype)
+        self.min_regret = np.full(size, top + 1, fold)
+        self.min_length = np.full(size, top + 1, fold)
+        self.regret_end = np.full(size, -1, np.int8)
+        self.length_end = np.full(size, -1, np.int8)
         chunk = max(1, CHUNK_BYTES // (max(m, 1) * np.dtype(kdt).itemsize))
         for k in range(1, m + 1):
             for lo in range(starts[k - 1], starts[k], chunk):
                 masks = order[lo:min(lo + chunk, starts[k])].astype(np.intp)
-                # keys[i, c] = cost[i, masks[c]] << s | i.
-                keys = cost.take(masks, axis=1)
+                # keys[i, c] = cost[i, masks[c]] << s | i, so a fold's low
+                # bits are the smallest end among those that reach its least.
+                keys = table.take(masks, axis=1)
                 keys &= cost_bits
                 keys |= end_bits
-                self.min_length[masks] = np.minimum.reduce(keys, axis=0) >> s
+                best = np.minimum.reduce(keys, axis=0)
+                self.min_length[masks] = best >> s
+                self.length_end[masks] = best & low
                 work = keys + regret_offset
                 best = np.minimum.reduce(work, axis=0)
-                self.min_regret[masks] = (best >> s).astype(dtype) - max_d
+                self.min_regret[masks] = (best >> s).astype(fold) - max_d
+                self.regret_end[masks] = best & low
                 if k == m:
                     continue
                 # nxt[j, c]: the least key[i, c] + d(i, j) over i, whose low
@@ -268,19 +268,16 @@ class HKTable:
                     np.minimum(nxt, work, out=nxt)
                 # Target (j, masks | 1 << j). Where j is in the mask, the xor
                 # sends the write to (j, mask ^ 1 << j) instead, a cell of
-                # an end outside its mask in a layer already read, which is
-                # reset below.
-                for j, row in enumerate(cost):
+                # an end outside its mask in a layer already read, whose
+                # parent is reset below.
+                for j, row in enumerate(table):
                     row[masks ^ 1 << j] = nxt[j]
         del order               # before the build's peak, the split
         parent = np.empty((m, size), np.int8)
-        for j, (row, links) in enumerate(zip(cost, parent)):
+        for j, (row, links) in enumerate(zip(table, parent)):
             np.bitwise_and(row, low, out=links, casting="unsafe")
-            row >>= s
             links[1 << j] = -1
-            row.reshape(-1, 2, 1 << j)[:, 0] = fill
             links.reshape(-1, 2, 1 << j)[:, 0] = -1
-        self.cost = cost
         self.parent = parent
         regret = self.min_regret[1:]
         self.regret_bound = max(-int(regret.min()), int(regret.max()),
@@ -290,21 +287,6 @@ class HKTable:
     def _check_mask(self, mask: int) -> None:
         if not 0 < mask < 1 << self.m:
             raise ValueError(f"mask {mask} is outside [1, 2^{self.m})")
-
-    def end_within(self, mask: int, kind: str, limit: int) -> int:
-        """The first end of mask whose cheapest path has regret (kind
-        "regret") or length (kind "length") at most limit; ValueError for a
-        mask outside [1, 2^m) or a kind that is neither, SolverError when
-        no end is within limit."""
-        _check_budget_kind(kind)
-        self._check_mask(mask)
-        column = self.cost[:, mask].tolist()
-        D = self.inst.root_dist
-        for i, v in enumerate(self.clients):
-            if mask >> i & 1 and column[i] - (
-                    D[v] if kind == "regret" else 0) <= limit:
-                return i
-        raise SolverError(f"no end of mask {mask} has {kind} at most {limit}")
 
     def path_for(self, mask: int, end_index: int) -> RootedPath:
         """The canonical cheapest path visiting exactly mask and ending at
@@ -419,13 +401,16 @@ def plan_for(t: HKTable, kind: str, budget: int) -> ScanPlan:
     return plan
 
 
-def _columns(t: HKTable, score, mask_of, end_of,
+def _columns(t: HKTable, score, mask_of, kind: str,
              value_of) -> List[PricedPath]:
     """Up to COLUMNS_PER_ROUND columns from the positive entries of score,
-    one first maximum at a time: entry i is the client set mask_of(i), its
-    path ends at end_of(mask) and its value is value_of(i), read before the
-    entry is overwritten with 0. With no positive entry, the trivial path
-    at 0."""
+    one first maximum at a time: entry i is the client set mask_of(i), drawn
+    as its cheapest path by kind ("regret" or "length"), and its value is
+    value_of(i), read before the entry is overwritten with 0. With no
+    positive entry, the trivial path at 0. SolverError when a drawn path's
+    regret or length is not its mask's fold."""
+    ends, folds = ((t.regret_end, t.min_regret) if kind == "regret"
+                   else (t.length_end, t.min_length))
     columns = []
     while len(score) and len(columns) < COLUMNS_PER_ROUND:
         pick = int(score.argmax())
@@ -434,15 +419,20 @@ def _columns(t: HKTable, score, mask_of, end_of,
         value = value_of(pick)
         score[pick] = 0
         mask = mask_of(pick)
-        columns.append(PricedPath(t.path_for(mask, end_of(mask)), value))
+        path = t.path_for(mask, int(ends[mask]))
+        least = int(folds[mask])
+        if (path.regret if kind == "regret" else path.cost) != least:
+            raise SolverError(f"path {path.nodes} drawn for mask {mask} does "
+                              f"not have its least {kind} {least}")
+        columns.append(PricedPath(path, value))
     return columns or [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
 
 
 def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
                      kind: str) -> List[PricedPath]:
     """Up to COLUMNS_PER_ROUND maximal client sets whose regret or length
-    is within budget, of positive reward, the largest first, each as the
-    canonical path of its first end within budget and at its reward."""
+    is within budget, of positive reward, the largest first, each as its
+    cheapest path by that measure and at its reward."""
     if budget < 0:
         raise ValueError(f"negative {kind} budget")
     import numpy as np
@@ -450,8 +440,7 @@ def _max_reward_scan(t: HKTable, rewards: ScaledRewards, budget: int,
     nums, den = _checked_rewards(rewards, t.clients)
     plan = plan_for(t, kind, budget)
     sums = plan.rows @ np.array(nums, _sum_dtype(sum(nums), np))
-    return _columns(t, sums, lambda i: int(plan.masks[i]),
-                    lambda mask: t.end_within(mask, kind, budget),
+    return _columns(t, sums, lambda i: int(plan.masks[i]), kind,
                     lambda i: Fraction(int(sums[i]), den))
 
 
@@ -505,9 +494,7 @@ def exact_min_excess_pricing(table: HKTable,
         score = np.multiply(regret, -den * w, dtype=dtype, casting="unsafe")
         score += sums
     score -= t.popcount[1:]
-    return _columns(t, score, lambda i: i + 1,
-                    lambda mask: t.end_within(mask, "regret",
-                                              int(t.min_regret[mask])),
+    return _columns(t, score, lambda i: i + 1, "regret",
                     lambda i: Fraction(int(regret[i]) * den
                                        - int(sums[i]) // w, den))
 
@@ -583,15 +570,18 @@ def heuristic_pricing(inst: Instance, rewards: ScaledRewards,
     tracked ones; a nontrivial result satisfies the budget exactly, and
     the trivial path (value 0) is returned when nothing else is feasible.
 
-    Rewards must be nonnegative integers over a positive den
-    (ValueError).  Used when the client count exceeds the exact threshold;
-    the caller must then report the LP as unverified.
+    Rewards must be nonnegative integers over a positive den, and a regret
+    or length budget nonnegative, as in the exact scans (ValueError).  Used
+    when the client count exceeds the exact threshold; the caller must then
+    report the LP as unverified.
     """
     kind = budget_kind
     clients = inst.clients
     nums, den = _checked_rewards(rewards, clients)
     _check_budget_kind(kind, ("regret", "length", "min_excess"))
     excess = kind == "min_excess"
+    if not excess and budget < 0:
+        raise ValueError(f"negative {kind} budget")
     reward = dict(zip(clients, nums))
     dist, D = inst.dist, inst.root_dist
     # The free clients of positive reward, by descending reward, then id.

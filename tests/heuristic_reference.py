@@ -18,10 +18,13 @@ from regret_route.pricing import PricedPath
 def heuristic_pricing(inst, query) -> PricedPath:
     """Greedy insertion plus 2-opt under the query's budget; no optimality.
 
-    Any returned path satisfies the budget exactly (integer arithmetic).
+    Any returned path satisfies the budget exactly (integer arithmetic); a
+    negative regret or length budget is refused.
     Used when the client count exceeds the exact threshold; the caller must
     then report the LP as unverified.
     """
+    if query.budget_kind in ("regret", "length") and query.budget < 0:
+        raise ValueError(f"negative {query.budget_kind} budget")
     rewards = {v: Fraction(query.rewards.get(v, 0)) for v in inst.clients}
     if query.budget_kind == "regret":
         feasible = lambda p: p.regret <= query.budget

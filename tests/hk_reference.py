@@ -8,11 +8,13 @@ maximal sets replaced: every round sums the rewards of all 2^m masks and
 ranks every mask within the budget.  orienteering, length_budget and
 min_excess give the single best column over every feasible mask;
 maximal_masks lists the masks a bounded scan prices, and ranking orders
-them (every mask, for min-excess) the way a scan returns its columns.  The
-tests require the vectorised table and pricers to agree with them exactly:
-the same costs, parent pointers, per-mask optima and canonical ends, the
-same (path, value) list from every pricer as ranking, and a bounded scan's
-first value equal to the best over every feasible mask.
+them (every mask, for min-excess) the way a scan returns its columns,
+each drawn as its mask's cheapest path by the scan's measure, from the
+smallest end that reaches it.  The tests require the vectorised table and
+pricers to agree with them exactly: the same parent pointers, per-mask
+optima and ends, the same (path, value) list from every pricer as
+ranking, and a bounded scan's first value equal to the best over every
+feasible mask.
 """
 
 import math
@@ -22,8 +24,8 @@ import numpy as np
 
 from regret_route.core import INF, RootedPath
 from regret_route import pricing
-from regret_route.pricing import (PricedPath, _cost_dtype, _doubling,
-                                  _key_dtype)
+from regret_route.pricing import (PricedPath, _doubling, _key_dtype,
+                                  _sum_dtype)
 
 
 class ReferenceTable:
@@ -98,10 +100,9 @@ class DenseReferenceTable:
     """HKTable's arrays, built one (popcount layer, end) pair at a time: the
     masks of the layer without end j take their rows plus the step to j,
     and argmin's first minimum is the parent. cost and parent are
-    mask-major, shape (2^m, m): the transpose of HKTable's. cost is in the
-    key dtype; an end outside its mask holds the cost sentinel, or top + 1
-    where the key dtype is narrower than the cost dtype. The folds are in
-    the cost dtype."""
+    mask-major, shape (2^m, m): parent is the transpose of HKTable's. cost
+    is in the key dtype, and an end outside its mask holds top + 1, the
+    folds' value at the empty mask; the folds are in HKTable's dtype."""
 
     def __init__(self, inst):
         self.inst = inst
@@ -111,12 +112,11 @@ class DenseReferenceTable:
         D = [inst.root_dist[v] for v in clients]
         edge = max(map(max, dist))
         top = (m + 1) * edge
-        dtype, sentinel = _cost_dtype(top, np)
+        dtype = _sum_dtype(top, np)
         kdt = _key_dtype(m, edge, np)[0]
-        fill = sentinel if np.promote_types(dtype, kdt) == kdt else top + 1
         size = 1 << m
         self.popcount = _doubling([1] * m, np.uint8, np)
-        cost = np.full((size, m), fill, kdt)
+        cost = np.full((size, m), top + 1, kdt)
         parent = np.full((size, m), -1, np.int8)
         ends = np.arange(m)
         cost[1 << ends, ends] = [dist[inst.root][v] for v in clients]
@@ -137,9 +137,9 @@ class DenseReferenceTable:
         self.cost = cost
         self.parent = parent
         # Strict improvements in ascending end i keep the first optimal end.
-        self.min_regret = np.full(size, sentinel, dtype)
+        self.min_regret = np.full(size, top + 1, dtype)
         self.regret_end = np.full(size, -1, np.int8)
-        self.min_length = np.full(size, sentinel, dtype)
+        self.min_length = np.full(size, top + 1, dtype)
         self.length_end = np.full(size, -1, np.int8)
         for i in range(m):
             c = cost.reshape(-1, 2, 1 << i, m)[:, 1, :, i].astype(dtype)
@@ -157,25 +157,23 @@ def dense_ranking(t, rewards, budget, kind):
     before it priced only maximal sets: every mask whose regret (kind
     "regret") or length (kind "length") is within budget and whose reward
     is positive, from the reward sums of all 2^m masks, by (-reward,
-    popcount, mask), cut at COLUMNS_PER_ROUND, each at its reward. The
-    trivial path alone when there is none."""
+    popcount, mask), cut at COLUMNS_PER_ROUND, each as its cheapest path by
+    that measure and at its reward. The trivial path alone when there is
+    none."""
     nums, den = pricing._checked_rewards(rewards, t.clients)
     sums = _doubling(nums, pricing._sum_dtype(sum(nums), np), np)
-    values = t.min_regret if kind == "regret" else t.min_length
+    values, ends = ((t.min_regret, t.regret_end) if kind == "regret"
+                    else (t.min_length, t.length_end))
     masks = np.flatnonzero(values[1:] <= budget) + 1
     masks = masks[np.argsort(t.popcount[masks], kind="stable")]
     score = sums.take(masks)        # a first maximum is the canonical pick
-    D = t.inst.root_dist
     out = []
     while len(out) < pricing.COLUMNS_PER_ROUND and len(score):
         pick = int(score.argmax())
         if score[pick] <= 0:
             break
         mask = int(masks[pick])
-        row = t.cost[:, mask].tolist()
-        end = next(i for i, v in enumerate(t.clients) if mask >> i & 1 and
-                   row[i] - (D[v] if kind == "regret" else 0) <= budget)
-        out.append(PricedPath(t.path_for(mask, end),
+        out.append(PricedPath(t.path_for(mask, int(ends[mask])),
                               Fraction(int(score[pick]), den)))
         score[pick] = 0
     return out or [PricedPath(RootedPath.trivial(t.inst), Fraction(0))]
@@ -212,7 +210,7 @@ def _pick_best_mask(candidates):
     return min(candidates, key=lambda mask: (bin(mask).count("1"), mask))
 
 
-def _max_reward(t, rewards, budget, values, end_offset):
+def _max_reward(t, rewards, budget, values, ends):
     nums, den = scaled_rewards(t.clients, rewards)
     sums = _reward_sums(nums, t.m)
     best = 0
@@ -227,19 +225,15 @@ def _max_reward(t, rewards, budget, values, end_offset):
     if best <= 0:
         return PricedPath(RootedPath.trivial(t.inst), Fraction(0))
     mask = _pick_best_mask(masks)
-    row = t.cost[mask]
-    end = next(i for i in _bits(mask) if row[i] - end_offset[i] <= budget)
-    return PricedPath(t.path_for(mask, end), Fraction(best, den))
+    return PricedPath(t.path_for(mask, ends[mask]), Fraction(best, den))
 
 
 def orienteering(t, rewards, budget):
-    D = t.inst.root_dist
-    return _max_reward(t, rewards, budget, t.min_regret,
-                       [D[v] for v in t.clients])
+    return _max_reward(t, rewards, budget, t.min_regret, t.regret_end)
 
 
 def length_budget(t, rewards, budget):
-    return _max_reward(t, rewards, budget, t.min_length, [0] * t.m)
+    return _max_reward(t, rewards, budget, t.min_length, t.length_end)
 
 
 def min_excess(t, rewards):
@@ -278,7 +272,6 @@ def ranking(t, rewards, kind, budget=None):
     kind "min_excess" every mask of negative excess by (excess, popcount,
     mask). Each column comes with its reward (or excess)."""
     nums, den = scaled_rewards(t.clients, rewards)
-    D = t.inst.root_dist
     ranked = []
     if kind == "min_excess":
         sums = _reward_sums(nums, t.m)
@@ -293,16 +286,9 @@ def ranking(t, rewards, kind, budget=None):
         ranked = [(-x, bin(mask).count("1"), mask)
                   for mask, x in sums.items() if x > 0]
     ranked.sort()
+    ends = t.length_end if kind == "length" else t.regret_end
     out = []
-    for _, _, mask in ranked[:pricing.COLUMNS_PER_ROUND]:
-        if kind == "min_excess":
-            out.append(PricedPath(t.path_for(mask, t.regret_end[mask]),
-                                  Fraction(t.min_regret[mask] * den
-                                           - sums[mask], den)))
-            continue
-        row = t.cost[mask]
-        end = next(i for i in _bits(mask) if row[i] - (
-            D[t.clients[i]] if kind == "regret" else 0) <= budget)
-        out.append(PricedPath(t.path_for(mask, end),
-                              Fraction(sums[mask], den)))
+    for key, _, mask in ranked[:pricing.COLUMNS_PER_ROUND]:
+        value = Fraction(key if kind == "min_excess" else -key, den)
+        out.append(PricedPath(t.path_for(mask, ends[mask]), value))
     return out

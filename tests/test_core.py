@@ -467,10 +467,23 @@ def test_deadlines_per_mode():
     ("nonuniform", {1: 1, "1": 2, 2: 1}, ValueError,
      "two regret bounds for node 1"),
     ("walks", 1, ValueError, "unknown verification mode 'walks'"),
+    ("multiplicative", float("inf"), ValueError,
+     "^multiplicative bound inf is not a finite number$"),
+    ("multiplicative", float("nan"), ValueError,
+     "^multiplicative bound nan is not a finite number$"),
+    ("multiplicative", None, ValueError,
+     "^multiplicative bound None is not a finite number$"),
+    ("multiplicative", [1], ValueError,
+     r"^multiplicative bound \[1\] is not a finite number$"),
+    ("multiplicative", True, ValueError,
+     "^boolean multiplicative bound True$"),
+    ("multiplicative", "1/0", ValueError,
+     "^zero denominator in multiplicative bound '1/0'$"),
 ], ids=["negative-regret", "fractional-regret", "missing-bound",
         "ratio-half", "ratio-zero", "fractional-cap", "string-cap",
         "numpy-bool-regret", "bytes-bound", "two-bounds-one-node",
-        "unknown-mode"])
+        "unknown-mode", "ratio-inf", "ratio-nan", "ratio-none", "ratio-list",
+        "ratio-bool", "ratio-zero-denominator"])
 def test_deadlines_refuse_what_the_solvers_refuse(mode, param, error,
                                                   message):
     with pytest.raises(error, match=message):

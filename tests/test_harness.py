@@ -647,6 +647,24 @@ def test_non_integer_parameters_are_named():
                                          "exact_threshold": value})
 
 
+def test_malformed_ratios_are_refused_by_value():
+    # A bool, a non-finite float and a value that is no number are each a
+    # ValueError that names the value, before any work.
+    inst = gen_line([0, 1, 2, 4])
+    for value, message in (
+            (float("inf"), "multiplicative bound inf is not a finite number"),
+            (float("-inf"), "multiplicative bound -inf is not a finite"),
+            (float("nan"), "multiplicative bound nan is not a finite number"),
+            ([3, 2], r"multiplicative bound \[3, 2\] is not a finite"),
+            (b"3", "multiplicative bound b'3' is not a finite number"),
+            ("three", "multiplicative bound 'three' is not a finite number"),
+            (True, "boolean multiplicative bound True"),
+            (np.True_, "multiplicative bound np.True_ is not a finite")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_solver("mult", inst, {"ratio": value})
+    assert run_solver("mult", inst, {"ratio": 1.5})
+
+
 def test_one_bound_per_node():
     # Keys are ints or decimal strings; two keys that name one node, or a
     # key that names none, are refused rather than folded into one bound.
@@ -789,8 +807,8 @@ def test_heuristic_suite_deterministic():
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
     "smoke": "b55bb95886565aede2a83b38f06961dd483a5b179d01bc26b5ff21fbbd626510",
-    "rvrp": "8c443fc13f782cbcc90f2ab67c89c88438753fafa4d845b40ea5589db4ef878d",
-    "caps": "35d398fc871cfbd1f6c63bd82ca490cad3d5f25afcdca639f18f0a0709fc7412",
+    "rvrp": "4171b2f09ef19f9c5f60e57ebd3cce0a4a0bda51b66427303f14a9aaac634ee3",
+    "caps": "cdefc1541ce815ec75ff5bff398c01d9754df98f963806ada4da4cc3cb8bd9b6",
     "heuristic":
         "f86459eae903a9b6149ef37d2035fab767efe4f9f4beb6ace7696742a56edbcd",
 }

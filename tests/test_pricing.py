@@ -6,6 +6,7 @@ import tracemalloc
 import weakref
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -55,27 +56,29 @@ def random_instance(n, seed):
     return Instance.from_matrix(metric_from_edges(n, edges))
 
 
-def enumerate_best(inst, mask_nodes, key):
-    """Reference optimum over every ordering of a node set."""
-    best = None
-    for perm in itertools.permutations(mask_nodes):
-        p = RootedPath.build(inst, (inst.root,) + perm)
-        v = key(p)
-        if best is None or v < best:
-            best = v
-    return best
+def assert_folds_match_enumeration(table):
+    """Every nonempty mask's folds are the least regret and length over
+    every ordering of its clients, its ends the smallest last client among
+    the orderings that reach them, and the paths drawn from those ends
+    reach them."""
+    inst, clients = table.inst, table.clients
+    for mask in range(1, 1 << table.m):
+        perms = [RootedPath.build(inst, (inst.root,) + perm)
+                 for perm in itertools.permutations(
+                     v for i, v in enumerate(clients) if mask >> i & 1)]
+        for fold, ends, key in ((table.min_regret, table.regret_end,
+                                 lambda p: p.regret),
+                                (table.min_length, table.length_end,
+                                 lambda p: p.cost)):
+            least = min(map(key, perms))
+            end = min(clients.index(p.nodes[-1])
+                      for p in perms if key(p) == least)
+            assert (fold[mask], ends[mask]) == (least, end)
+            assert key(table.path_for(mask, end)) == least
 
 
 def test_table_matches_enumeration():
-    inst = random_instance(6, 17)
-    table = HKTable(inst)
-    clients = list(inst.clients)
-    for mask in range(1, 1 << len(clients)):
-        nodes = [clients[i] for i in range(len(clients)) if mask >> i & 1]
-        assert table.min_regret[mask] == enumerate_best(
-            inst, nodes, lambda p: p.regret)
-        assert table.min_length[mask] == enumerate_best(
-            inst, nodes, lambda p: p.cost)
+    assert_folds_match_enumeration(HKTable(random_instance(6, 17)))
 
 
 def test_table_path_reconstruction():
@@ -83,27 +86,39 @@ def test_table_path_reconstruction():
     table = HKTable(inst)
     full = (1 << 3) - 1
     assert table.min_regret[full] == 0
-    p = table.path_for(full, table.end_within(
-        full, "regret", table.min_regret[full]))
+    p = table.path_for(full, int(table.regret_end[full]))
     assert p.nodes == (0, 1, 2, 3)
     assert p.regret == table.min_regret[full]
-    q = table.path_for(full, table.end_within(
-        full, "length", table.min_length[full]))
+    q = table.path_for(full, int(table.length_end[full]))
     assert q.cost == table.min_length[full]
+    # the empty mask has no path
+    assert (table.regret_end[0], table.length_end[0]) == (-1, -1)
 
 
-def test_end_within_refuses_a_mask_with_no_end_in_the_limit():
-    table = HKTable(gen_euclidean(6, 1))
-    # a regret is never negative, and no path is shorter than the least
-    with pytest.raises(SolverError, match="mask 3 has regret at most -1"):
-        table.end_within(3, "regret", -1)
-    least = int(table.min_length[5])
-    with pytest.raises(SolverError,
-                       match=f"mask 5 has length at most {least - 1}"):
-        table.end_within(5, "length", least - 1)
+@pytest.mark.parametrize("kind", ["regret", "length", "min_excess"])
+def test_a_path_drawn_off_its_fold_is_refused(kind):
+    # Clients at 1, 2 and 4 on a line: the whole line's least regret is 0
+    # and its least length 4, both reached only by ending at client 3. A
+    # table whose end at the full mask says client 1 draws a longer path,
+    # and each scan refuses it, also under python -O.
+    table = HKTable(line_instance())
+    full = 0b111
+    measure = "length" if kind == "length" else "regret"
+    ends = table.length_end if kind == "length" else table.regret_end
+    assert ends[full] == 2
+    ends[full] = 0
+    least = 4 if kind == "length" else 0
+    with pytest.raises(SolverError, match=rf"drawn for mask {full} does not "
+                                          rf"have its least {measure} "
+                                          rf"{least}$"):
+        if kind == "min_excess":
+            exact_min_excess_pricing(table, ([2, 2, 2], 1))
+        else:
+            (exact_length_budget if kind == "length" else exact_orienteering)(
+                table, ([1, 1, 1], 1), least)
 
 
-def test_path_for_and_end_within_refuse_what_they_cannot_serve():
+def test_path_for_and_scan_plan_refuse_what_they_cannot_serve():
     table = HKTable(gen_euclidean(7, 3))
     m = table.m
     for mask, end in ((0b11, 4), (0b11, -1), (0b11, m), (1 << m - 1, 0)):
@@ -114,19 +129,14 @@ def test_path_for_and_end_within_refuse_what_they_cannot_serve():
         with pytest.raises(ValueError, match=rf"mask {mask} is outside "
                                              rf"\[1, 2\^{m}\)"):
             table.path_for(mask, 0)
-        for kind in ("regret", "length"):
-            with pytest.raises(ValueError, match=f"mask {mask} is outside"):
-                table.end_within(mask, kind, 10 ** 6)
     # a bounded query is by regret or by length, nothing else
     for kind in ("bogus", "min_excess", "Regret"):
-        with pytest.raises(ValueError, match=f"unknown budget kind '{kind}'"):
-            table.end_within(3, kind, 10 ** 6)
         with pytest.raises(ValueError, match=f"unknown budget kind '{kind}'"):
             pricing.ScanPlan(table, kind, 10 ** 6)
     # the edges of the range are served
     full = (1 << m) - 1
     assert table.path_for(1, 0).nodes == (table.inst.root, table.clients[0])
-    end = table.end_within(full, "regret", int(table.min_regret[full]))
+    end = int(table.regret_end[full])
     assert len(table.path_for(full, end).nodes) == m + 1
 
 
@@ -238,36 +248,18 @@ def test_one_lp_builds_one_plan_and_a_new_budget_replaces_it(plan_builds):
 # --- vectorised table vs. the pure-Python reference -------------------------
 
 def reference_layout(table):
-    """The table's arrays as the reference's lists: INF off the mask."""
-    cost = [[c if mask >> i & 1 else INF for i, c in enumerate(row)]
-            for mask, row in enumerate(table.cost.T.tolist())]
-    min_regret = [INF] + table.min_regret.tolist()[1:]
-    min_length = [INF] + table.min_length.tolist()[1:]
-    return cost, table.parent.T.tolist(), min_regret, min_length
+    """The table's arrays as the reference's lists: the parents mask-major
+    and the folds INF at the empty mask."""
+    return (table.parent.T.tolist(), [INF] + table.min_regret.tolist()[1:],
+            [INF] + table.min_length.tolist()[1:], table.regret_end.tolist(),
+            table.length_end.tolist())
 
 
-def assert_same_ends(table, ref, masks):
-    """end_within at a mask's own least regret or length picks the
-    reference's first optimal end."""
-    for mask in map(int, masks):
-        assert table.end_within(
-            mask, "regret", table.min_regret[mask]) == ref.regret_end[mask]
-        assert table.end_within(
-            mask, "length", table.min_length[mask]) == ref.length_end[mask]
-
-
-def sampled_masks(m, seed):
-    """2000 nonempty masks of m clients, drawn with a fixed seed."""
-    return random.Random(seed).sample(range(1, 1 << m), 2000)
-
-
-def assert_same_table(table, ref, masks=None):
-    """The same arrays as the reference, and the same ends at every
-    nonempty mask, or at masks when given."""
-    assert reference_layout(table) == (
-        ref.cost, ref.parent, ref.min_regret, ref.min_length)
-    assert_same_ends(table, ref, range(1, 1 << table.m) if masks is None
-                     else masks)
+def assert_same_table(table, ref):
+    """The same parents, folds and ends as the reference."""
+    assert reference_layout(table) == (ref.parent, ref.min_regret,
+                                       ref.min_length, ref.regret_end,
+                                       ref.length_end)
 
 
 def assert_same_pricing(inst, table, ref, rewards, budget):
@@ -467,8 +459,7 @@ def test_scan_plans_hold_the_maximal_sets_of_an_enumeration():
 
 def test_sixteen_client_table_matches_reference():
     inst = gen_euclidean(17, 7)
-    assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst),
-                      sampled_masks(16, 7))
+    assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
 
 
 @pytest.mark.parametrize("den", [(1 << 40) - 87, (1 << 70) - 35])
@@ -491,41 +482,43 @@ def scaled(inst, factor):
     return Instance.from_matrix([[d * factor for d in row] for row in inst.dist])
 
 
+def key_dtype(inst):
+    return pricing._key_dtype(len(inst.clients), max(map(max, inst.dist)),
+                              np)[0]
+
+
 def test_wide_edges_take_int64_costs():
     inst = scaled(gen_random_metric(9, 8), 1 << 27)
     table = cross_check(inst, random.Random(13),
                         (0, 5 << 27, 40 << 27, 1 << 40), scale=1 << 27)
-    assert table.cost.dtype == np.int64
+    assert key_dtype(inst) == table.min_regret.dtype == np.int64
 
 
-TABLE_ARRAYS = ("cost", "parent", "min_regret", "min_length", "popcount")
+TABLE_ARRAYS = ("parent", "min_regret", "min_length", "regret_end",
+                "length_end", "popcount")
 
 
-def assert_same_arrays(table, ref, masks):
-    """The table's arrays equal the dense reference's, whose cost and
-    parent are mask-major, so the table's end-major ones are compared with
-    their transposes."""
+def assert_same_arrays(table, ref):
+    """The table's arrays equal the dense reference's, whose parent is
+    mask-major, so the table's end-major one is compared with its
+    transpose."""
     for name in TABLE_ARRAYS:
         got, want = getattr(table, name), getattr(ref, name)
-        if name in ("cost", "parent"):
+        if name == "parent":
             want = want.T
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert np.array_equal(got, want), name
-    assert_same_ends(table, ref, masks)
 
 
 def test_sixteen_client_tables_match_the_dense_reference():
     for seed in range(1, 6):
         inst = gen_euclidean(17, seed)
-        table = HKTable(inst)
-        assert table.cost.dtype == np.uint16
-        assert_same_arrays(table, hk_reference.DenseReferenceTable(inst),
-                           sampled_masks(16, seed))
+        assert key_dtype(inst) == np.uint16
+        assert_same_arrays(HKTable(inst),
+                           hk_reference.DenseReferenceTable(inst))
     inst = scaled(gen_euclidean(17, 7), 1 << 27)
-    table = HKTable(inst)
-    assert table.cost.dtype == np.int64
-    assert_same_arrays(table, hk_reference.DenseReferenceTable(inst),
-                       sampled_masks(16, 7))
+    assert key_dtype(inst) == np.int64
+    assert_same_arrays(HKTable(inst), hk_reference.DenseReferenceTable(inst))
 
 
 def edge_metric(m, edge, seed):
@@ -557,6 +550,24 @@ def test_key_dtype_tiers_hold_at_their_largest_edge(m):
             assert pricing._key_dtype(m, edge, np) == (want, s)
             inst = edge_metric(m, edge, edge)
             assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_folds_and_ends_match_enumeration_at_every_dtype_tier(m):
+    # At the largest edge of each key tier and of each fold tier, and at
+    # the next edge, which takes the next tier.
+    s = (m - 1).bit_length()
+    edges = [((1 << bits - s) - 2) // (m + 2) for bits in (16, 31, 63)]
+    edges += [top // (m + 1) for top in ((1 << 31) - 2, (1 << 62) - 1)]
+    tiers = set()
+    for edge in edges + [edge + 1 for edge in edges]:
+        inst = edge_metric(m, edge, edge)
+        table = HKTable(inst)
+        tiers.add((np.dtype(key_dtype(inst)), table.min_regret.dtype))
+        assert_folds_match_enumeration(table)
+    keys, folds = map(set, zip(*tiers))
+    assert keys == set(map(np.dtype, (np.uint16, np.int32, np.int64, object)))
+    assert folds == set(map(np.dtype, (np.int32, np.int64, object)))
 
 
 def test_sum_dtype_tiers_hold_at_their_largest_bound():
@@ -620,27 +631,30 @@ def test_chunk_size_does_not_change_the_table(chunk_bytes, monkeypatch):
         assert_same_table(HKTable(inst), hk_reference.ReferenceTable(inst))
 
 
-def test_table_holds_its_costs_in_the_key_dtype():
-    # On every key tier. Where the key dtype is narrower than the cost
-    # dtype (uint16, and one or two clients with wide edges) an end outside
-    # its mask holds top + 1, since the cost sentinel may not fit; elsewhere
-    # it holds the cost sentinel.
+def test_table_folds_and_ends_on_every_key_tier():
+    # The folds take the dtype that top = (m+1)·edge picks, whatever the
+    # key dtype, and hold top + 1 at the empty mask, where the ends hold -1.
+    # On every key tier, with folds of a narrower dtype, of the same one,
+    # and of a wider one (uint16 keys, and one client at edge 2^61).
     base = gen_euclidean(11, 4)
-    cases = [(base, np.uint16, True), (scaled(base, 1 << 12), np.int32, False),
-             (scaled(base, 1 << 27), np.int64, False),
-             (edge_metric(10, 1 << 56, 3), object, False),
-             (edge_metric(1, 1 << 29, 3), np.int32, True),
-             (edge_metric(2, (1 << 60) - 1, 3), np.int64, True)]
-    for inst, kdt, narrow in cases:
+    cases = [(base, np.uint16, np.int32),
+             (scaled(base, 1 << 12), np.int32, np.int32),
+             (scaled(base, 1 << 27), np.int64, np.int64),
+             (edge_metric(10, 1 << 56, 3), object, np.int64),
+             (edge_metric(10, 1 << 60, 3), object, object),
+             (edge_metric(1, 1 << 29, 3), np.int32, np.int32),
+             (edge_metric(1, 1 << 30, 3), np.int64, np.int64),
+             (edge_metric(1, 1 << 61, 3), np.int64, object),
+             (edge_metric(9, 1 << 26, 3), np.int64, np.int32)]
+    for inst, kdt, fold in cases:
         m, edge = len(inst.clients), max(map(max, inst.dist))
-        assert pricing._key_dtype(m, edge, np)[0] == kdt
+        assert key_dtype(inst) == kdt
         table = HKTable(inst)
-        assert table.cost.dtype == kdt
         top = (m + 1) * edge
-        sentinel = top + 1 if narrow else pricing._cost_dtype(top, np)[1]
-        assert set(table.cost[0, 0::2].tolist()) == {sentinel}
-        assert_same_arrays(table, hk_reference.DenseReferenceTable(inst),
-                           range(1, 1 << m))
+        assert table.min_regret.dtype == table.min_length.dtype == fold
+        assert table.min_regret[0] == table.min_length[0] == top + 1
+        assert table.regret_end[0] == table.length_end[0] == -1
+        assert_same_arrays(table, hk_reference.DenseReferenceTable(inst))
         if top < INF:       # the reference reads INF and up as unreachable
             assert_same_table(table, hk_reference.ReferenceTable(inst))
 
@@ -649,8 +663,8 @@ def test_table_holds_its_costs_in_the_key_dtype():
                                            (1 << 17, np.int64),
                                            (1 << 27, np.int64)])
 def test_build_peak_is_within_the_cell_estimate(factor, dtype):
-    # A uint16 table peaks at about 3.6 bytes per cell at 16 clients, an
-    # int32 one at 5.6, an int64 one at 9.6 to 10.1.
+    # A uint16 table peaks at about 3.7 bytes per cell at 16 clients, an
+    # int32 one at 5.7, an int64 one at 9.8 to 10.3.
     inst = scaled(gen_euclidean(17, 7), factor)
     tracemalloc.start()
     try:
@@ -658,7 +672,7 @@ def test_build_peak_is_within_the_cell_estimate(factor, dtype):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.cost.dtype == dtype
+    assert key_dtype(inst) == dtype
     limit = {np.uint16: 4, np.int32: 6}.get(dtype, pricing.CELL_BYTES)
     assert peak <= limit * (16 << 16)
 
@@ -668,14 +682,11 @@ def test_edges_beyond_int64_keep_exact_python_costs():
     factor = 1 << 62
     table = HKTable(scaled(base, factor))
     ref = hk_reference.ReferenceTable(base)
-    assert table.cost.dtype == object
-    cost, parent, min_regret, _ = reference_layout(table)
-    assert parent == ref.parent
-    assert_same_ends(table, ref, range(1, 1 << table.m))
+    assert table.min_regret.dtype == object
+    parent, min_regret, min_length, *ends = reference_layout(table)
+    assert parent == ref.parent and ends == [ref.regret_end, ref.length_end]
     assert min_regret[1:] == [r * factor for r in ref.min_regret[1:]]
-    assert all(c == (INF if r == INF else r * factor)
-               for row, ref_row in zip(cost, ref.cost)
-               for c, r in zip(row, ref_row))
+    assert min_length[1:] == [x * factor for x in ref.min_length[1:]]
     rewards = {v: Fraction(v * factor, 3) for v in base.clients}
     got = exact_min_excess_pricing(table, ints(table.inst, rewards))
     want = hk_reference.ranking(ref, {v: Fraction(v, 3)
@@ -692,7 +703,8 @@ def test_zero_regret_python_costs_take_the_int64_excess_scan():
     # The small rewards take the int32 scan, the ones past 2^31 the int64.
     base = line_instance((0, 1, 2, 4, 7, 11))
     table = HKTable(scaled(base, 1 << 62))
-    assert table.cost.dtype == object and not table.min_regret[1:].any()
+    assert table.min_regret.dtype == object
+    assert not table.min_regret[1:].any()
     for scale in (1, 1 << 31):
         rewards = {v: Fraction(v * scale, 3) for v in base.clients}
         got = exact_min_excess_pricing(table, ints(base, rewards))[0]
@@ -845,9 +857,17 @@ def _heuristic_queries(rng, inst):
 
 
 def _assert_same_heuristic(inst, query):
+    price = partial(heuristic_pricing, inst, ints(inst, query.rewards),
+                    query.budget_kind, query.budget)
+    if query.budget_kind != "min_excess" and query.budget < 0:
+        refused = f"^negative {query.budget_kind} budget$"
+        for run in (partial(heuristic_reference.heuristic_pricing, inst,
+                            query), price):
+            with pytest.raises(ValueError, match=refused):
+                run()
+        return
     want = heuristic_reference.heuristic_pricing(inst, query)
-    got = heuristic_pricing(inst, ints(inst, query.rewards),
-                            query.budget_kind, query.budget)
+    got = price()
     assert got.path.nodes == want.path.nodes, query
     assert got.value == want.value, query
     assert type(got.value) is Fraction
@@ -919,6 +939,25 @@ def test_heuristic_rejects_unknown_kind_and_negative_rewards():
         exact_orienteering(table, rewards, 50)
     with pytest.raises(ValueError):
         exact_length_budget(table, rewards, 50)
+
+
+def test_heuristic_refuses_a_negative_budget_as_the_exact_scans_do():
+    inst = random_instance(6, 5)
+    rewards = ([1] * len(inst.clients), 1)
+    table = HKTable(inst)
+    for kind, scan in (("regret", exact_orienteering),
+                       ("length", exact_length_budget)):
+        for price in (partial(heuristic_pricing, inst, rewards, kind),
+                      partial(scan, table, rewards)):
+            with pytest.raises(ValueError, match=f"^negative {kind} budget$"):
+                price(-1)
+        # budget 0 is served
+        assert heuristic_pricing(inst, rewards, kind, 0).value <= \
+            scan(table, rewards, 0)[0].value
+    # min_excess has no budget to refuse
+    res = heuristic_pricing(inst, ([30] * len(inst.clients), 1),
+                            "min_excess", -1)
+    assert res.value < 0
 
 
 def test_heuristic_min_excess_value_and_exact_bound():
