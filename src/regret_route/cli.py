@@ -15,10 +15,9 @@ from typing import Optional
 
 from .core import (Instance, RegretRouteError, solution_from_dict,
                    solution_to_dict)
-from .harness import (ORACLE_LIMIT, ORACLES, SOLVERS, SUITES, VERIFY_MODES,
-                      gen_euclidean, gen_ladder, gen_line, gen_random_metric,
-                      lp_oracle, reports_to_jsonl, run_solver, run_suite,
-                      verify)
+from .harness import (ORACLES, SOLVERS, SUITES, VERIFY_MODES, gen_euclidean,
+                      gen_ladder, gen_line, gen_random_metric, lp_oracle,
+                      reports_to_jsonl, run_solver, run_suite, verify)
 from .pricing import DEFAULT_EXACT_THRESHOLD
 
 
@@ -98,11 +97,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         kind = "regret" if args.regret is not None else "length"
         bound = _flag(args, "oracle lp",
                       "regret" if kind == "regret" else "dist")
-        value = float(lp_oracle(inst, bound, kind=kind, limit=args.limit))
+        value = float(lp_oracle(inst, bound, kind=kind,
+                                exact_threshold=args.exact_threshold))
     else:
         oracle, key, _ = ORACLES[args.kind]
         value = oracle(inst, _flag(args, f"oracle {args.kind}", key),
-                       limit=args.limit)
+                       exact_threshold=args.exact_threshold)
     _write_json({"oracle": args.kind, "value": value}, args.out)
     return 0
 
@@ -168,9 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--bounds",
                        help="per-node regret bounds: JSON object or file")
     solve.add_argument("--k", type=int, help="path budget")
-    solve.add_argument("--exact-threshold", type=int,
-                       default=DEFAULT_EXACT_THRESHOLD,
-                       help="largest client count priced exactly")
     solve.add_argument("--out", help="output file (default stdout)")
     solve.set_defaults(func=_cmd_solve)
 
@@ -182,11 +179,13 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--regret", type=int)
     oracle.add_argument("--dist", type=int)
     oracle.add_argument("--k", type=int)
-    oracle.add_argument("--limit", type=int, default=ORACLE_LIMIT,
-                        help="largest client count to attempt "
-                             "(default %(default)s)")
     oracle.add_argument("--out", help="output file (default stdout)")
     oracle.set_defaults(func=_cmd_oracle)
+    for command in (solve, oracle):
+        command.add_argument("--exact-threshold", type=int,
+                             default=DEFAULT_EXACT_THRESHOLD,
+                             help="largest client count priced exactly; an "
+                                  "oracle refuses more (default %(default)s)")
 
     ver = sub.add_parser("verify", help="re-check a solution file")
     ver.add_argument("--instance", required=True)

@@ -334,11 +334,14 @@ def check_regret(R) -> int:
 
 
 def as_fraction(x, what: str) -> Fraction:
-    """x, a number or a string such as "3/2", as a Fraction. A bool, a zero
+    """x, a number or a string such as "3/2", as a Fraction. A bool, a
+    string with surrounding whitespace (as _as_int refuses " 7 "), a zero
     denominator such as "1/0", and anything that is no finite number (None,
     a list, inf, nan) are a ValueError naming x."""
     if isinstance(x, bool):
         raise ValueError(f"boolean {what} {x!r}")
+    if isinstance(x, str) and x != x.strip():
+        raise ValueError(f"{what} {x!r} has surrounding whitespace")
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -29,8 +29,6 @@ from .pricing import (DEFAULT_EXACT_THRESHOLD, OracleUnavailableError,
                       _check_budget_kind, check_exact_threshold, plan_for,
                       table_for)
 
-ORACLE_LIMIT = 12
-
 
 # --- generators -------------------------------------------------------------
 
@@ -125,24 +123,24 @@ def gen_line(positions: Sequence[int]) -> Instance:
 
 # --- exact oracles ---------------------------------------------------------
 
-def _cover_size(inst: Instance, limit: int, kind: str, bound: int) -> int:
+def _cover_size(inst: Instance, threshold: int, kind: str, bound: int) -> int:
     """Fewest client sets with least regret (kind "regret") or length
     (kind "length") at most bound that cover every client.
 
     The sets are the maximal masks of pricing's plan for (kind, bound) on
-    table_for(inst, limit): feasible sets are subset-closed (dropping a node
-    from a path and shortcutting never raises regret or length), so a cover
-    by feasible sets is one by maximal sets. Level t holds every union of t
-    maximal masks; the answer is the first level that holds the full mask.
-    The callers' checks leave every single client feasible, so that level
-    is at most the number of clients m; the search stops at m + 1, which
-    it returns when some client is in no feasible set.
+    table_for(inst, threshold): feasible sets are subset-closed (dropping a
+    node from a path and shortcutting never raises regret or length), so a
+    cover by feasible sets is one by maximal sets. Level t holds every
+    union of t maximal masks; the answer is the first level that holds the
+    full mask. The callers' checks leave every single client feasible, so
+    that level is at most the number of clients m; the search stops at
+    m + 1, which it returns when some client is in no feasible set.
     """
     if not inst.clients:
         return 0
     import numpy as np
 
-    table = table_for(inst, limit)
+    table = table_for(inst, threshold)
     masks = plan_for(table, kind, bound).masks
     full = (1 << table.m) - 1
     # Both orders, (popcount, mask) and ascending, put the full mask last.
@@ -156,28 +154,29 @@ def _cover_size(inst: Instance, limit: int, kind: str, bound: int) -> int:
 
 
 def brute_force_rvrp(inst: Instance, R: int,
-                     limit: int = ORACLE_LIMIT) -> int:
+                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> int:
     """Exact minimum number of regret-<=R rooted paths covering all clients."""
-    return _cover_size(inst, limit, "regret", check_regret(R))
+    return _cover_size(inst, exact_threshold, "regret", check_regret(R))
 
 
 def brute_force_dvrp(inst: Instance, cap: int,
-                     limit: int = ORACLE_LIMIT) -> int:
+                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> int:
     """Exact minimum number of length-<=cap rooted paths covering all."""
-    return _cover_size(inst, limit, "length", check_cap(inst, cap))
+    return _cover_size(inst, exact_threshold, "length", check_cap(inst, cap))
 
 
 def brute_force_krvrp(inst: Instance, k: int,
-                      limit: int = ORACLE_LIMIT) -> int:
+                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> int:
     """Exact minimum over <=k-path covers of the maximum path regret: a
     binary search over the table's distinct least regrets, each probe a
     cover at that regret bound."""
     k = check_path_budget(k)
-    values = sorted(set(table_for(inst, limit).min_regret[1:].tolist())) or [0]
+    values = sorted(set(table_for(inst, exact_threshold)
+                        .min_regret[1:].tolist())) or [0]
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _cover_size(inst, limit, "regret", values[mid]) <= k:
+        if _cover_size(inst, exact_threshold, "regret", values[mid]) <= k:
             hi = mid
         else:
             lo = mid + 1
@@ -185,18 +184,18 @@ def brute_force_krvrp(inst: Instance, k: int,
 
 
 def lp_oracle(inst: Instance, bound: int, kind: str = "regret",
-              limit: int = ORACLE_LIMIT) -> Fraction:
+              exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> Fraction:
     """Value of the covering LP over every regret- or length-feasible
     rooted path: the column-generation LP priced exactly, on the count
     oracles' table, with its optimality certificate required.
 
-    An instance with more than limit clients is refused as the count
-    oracles refuse it; so is an LP whose value is not certified.
+    An instance with more than exact_threshold clients is refused as the
+    count oracles refuse it; so is an LP whose value is not certified.
     """
     _check_budget_kind(kind)
-    table_for(inst, limit)
+    table_for(inst, exact_threshold)
     solve = solve_rvrp_lp if kind == "regret" else solve_dvrp_lp
-    sol = solve(inst, bound, exact_threshold=limit)
+    sol = solve(inst, bound, exact_threshold=exact_threshold)
     if not sol.certified:
         raise SolverError("the LP value is not certified")
     return sol.value
@@ -338,12 +337,10 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
     solver made on sub-instances) is 0 unless the solver set it."""
     row = _solver(solver)
     _budget(f"solver {solver!r}", params, row.param, "exact_threshold")
-    exact = params.get("exact_threshold")
     diag = {} if diagnostics is None else diagnostics
-    kwargs = {"diagnostics": diag, "exact_threshold": check_exact_threshold(
-        DEFAULT_EXACT_THRESHOLD if exact is None else exact)}
-    paths = getattr(reductions, row.function)(inst, params[row.param],
-                                              **kwargs)
+    paths = getattr(reductions, row.function)(
+        inst, params[row.param], diagnostics=diag,
+        exact_threshold=_exact_threshold(params))
     if row.verify_mode is not None:
         diag["rounded_count"] = len(paths)
         paths = merge_paths(inst, paths, deadlines(inst, row.verify_mode,
@@ -354,6 +351,13 @@ def run_solver(solver: str, inst: Instance, params: Mapping,
                 total_regret=sum(p.regret for p in paths),
                 max_length=max((p.cost for p in paths), default=0))
     return paths
+
+
+def _exact_threshold(params: Mapping) -> int:
+    """params' checked exact_threshold; missing or None is the default."""
+    exact = params.get("exact_threshold")
+    return check_exact_threshold(exact if exact is not None else
+                                 DEFAULT_EXACT_THRESHOLD)
 
 
 def _verify_mode(solver: str, params: Mapping, paths: List[RootedPath]
@@ -380,7 +384,7 @@ def _oracle_value(solver: str, inst: Instance, params: Mapping
         return None
     oracle, key, _ = entry
     try:
-        return oracle(inst, params[key])
+        return oracle(inst, params[key], _exact_threshold(params))
     except OracleUnavailableError:
         return None
 
@@ -396,8 +400,9 @@ def run_job(job: Mapping, timings: bool = False) -> dict:
     columns are the column-generation rounds, the master's simplex pivots
     and the columns it ended with), subsolves (the solve_rvrp calls a
     reduction made on sub-instances; 0 for rvrp and krvrp), oracle (exact
-    optimum when the instance is small enough, plus the solver/oracle
-    ratio), bound_checks (forwarded from the solver diagnostics), ok.
+    optimum when the instance has at most the job's exact_threshold
+    clients, plus the solver/oracle ratio), bound_checks (the rounding's
+    stage checks, on krvrp rows and the rvrp rows whose LP is rounded), ok.
     count, rounded_count, the regrets, max_length and subsolves are
     run_solver's summary.
     """

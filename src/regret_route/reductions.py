@@ -8,13 +8,12 @@ k-path covers via the count-capped LP.
 
 The reductions' analyses ask one thing of each sub-solve: a cover of its
 part by at most (8 + 4*sqrt(3)) * LP + 1 paths.  A sub-solve is a
-solve_rvrp call without diagnostics, and when its LP is certified (exact
-pricing) and the optimal basic solution is integral, that solution's
-support is returned as it is: its count equals the LP value, which is
-then the optimum, so no rounding could return fewer paths.  The support
-is still checked as a cover within the regret bound whose count is the
-LP value, by SolverErrors that ``python -O`` keeps.  Every other sub-solve,
-and every call that asks for diagnostics (the rvrp row), is rounded.
+solve_rvrp call.  When its LP is certified (exact pricing) and the optimal
+basic solution is integral, that solution's support is returned as it is:
+its count equals the LP value, which is then the optimum, so no rounding
+could return fewer paths.  The support is still checked as a cover within
+the regret bound whose count is the LP value, by SolverErrors that
+``python -O`` keeps.  Every other LP is rounded.
 """
 
 from collections import Counter
@@ -26,8 +25,8 @@ from .core import (Instance, RootedPath, check_cap, check_path_budget,
                    check_regret, deadlines, induced_instance, node_bounds,
                    regret_distance, require, require_deadlines,
                    zero_regret_cover)
-from .lp import (DEFAULT_EXACT_THRESHOLD, FractionalSolution, solve_dvrp_lp,
-                 solve_minsum_lp, solve_rvrp_lp, preprocess_fractional)
+from .lp import (DEFAULT_EXACT_THRESHOLD, solve_dvrp_lp, solve_minsum_lp,
+                 solve_rvrp_lp, preprocess_fractional)
 from .rounding import round_minsum, round_rvrp
 
 
@@ -40,10 +39,12 @@ def solve_rvrp(inst: Instance, R: int,
     goes through the configuration LP and the rounding pipeline at the
     default threshold, which minimizes its bound, so the number of paths
     is within (8 + 4*sqrt(3)) times the fractional optimum, plus one.
-    Without diagnostics to fill in, a certified LP whose optimal weights
-    are integral is not rounded: its support is an optimal cover
-    (_integral_optimum).  Diagnostics report the rounding's stages, so a
-    call that asks for them is always rounded.
+    A certified LP whose optimal weights are integral is not rounded.  At
+    an optimum no weight is above 1 (one copy of the column covers as
+    much), so its support has as many paths as the LP value, which
+    certified pricing makes the optimum; the count, the cover and the
+    regret bound are checked again, and diagnostics get the LP's report
+    alone.  Every other LP's diagnostics report the rounding's stages too.
     """
     # No simple path has regret above its length, at most (n - 1) times
     # the longest edge, so a larger R admits the same columns.
@@ -51,24 +52,15 @@ def solve_rvrp(inst: Instance, R: int,
     if R == 0 or not inst.clients:
         return zero_regret_cover(inst, inst.clients)
     sol = solve_rvrp_lp(inst, R, exact_threshold=exact_threshold)
-    if diagnostics is None and sol.certified and \
-            all(w.denominator == 1 for w in sol.weights):
-        return _integral_optimum(inst, R, sol)
-    return round_rvrp(inst, R, sol, diagnostics=diagnostics)
-
-
-def _integral_optimum(inst: Instance, R: int,
-                      sol: FractionalSolution) -> List[RootedPath]:
-    """The support paths of a certified integral count-LP optimum, in
-    support order.  At an optimum no weight is above 1 (one copy of the
-    column covers as much), so the count is the LP value, which certified
-    pricing makes the optimum.  The cover and the regret bound are checked
-    again, as is that count."""
+    if not sol.certified or any(w.denominator > 1 for w in sol.weights):
+        return round_rvrp(inst, R, sol, diagnostics=diagnostics)
     paths = [p for p, _ in sol.support()]
     require(len(paths) == sol.value,
             f"{len(paths)} support paths but LP value {sol.value}")
     require_deadlines(inst, paths, deadlines(inst, "rvrp", R),
                       "LP support leaves clients {} uncovered")
+    if diagnostics is not None:
+        diagnostics.update(sol.report())
     return paths
 
 
@@ -77,11 +69,10 @@ def _cover_subset(inst: Instance, nodes: Sequence[int], bound: int,
     """solve_rvrp on the sub-instance induced by nodes, mapped back.
 
     The induced metric is a restriction of the original, so mapped paths
-    keep their cost and regret verbatim.  The sub-solve asks for no
-    diagnostics, so a part whose LP is certified with integral optimal
-    weights gets that optimum's support: as many paths as the LP value,
-    within the (8 + 4*sqrt(3)) * LP + 1 every reduction's analysis assumes
-    of a part.  Every other part is rounded.
+    keep their cost and regret verbatim.  A part whose LP is certified with
+    integral optimal weights gets that optimum's support: as many paths as
+    the LP value, within the (8 + 4*sqrt(3)) * LP + 1 every reduction's
+    analysis assumes of a part.  Every other part is rounded.
     """
     sub, ids = induced_instance(inst, nodes)
     sub_paths = solve_rvrp(sub, bound, exact_threshold=exact_threshold)

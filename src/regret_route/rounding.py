@@ -27,8 +27,6 @@ from .core import (Instance, RootedPath, SolverError, as_fraction,
 from .flows import min_cost_path_cover
 from .lp import FractionalSolution
 
-ZERO = Fraction(0)
-
 
 def default_threshold() -> Fraction:
     """Minimizer of 2/d + 6/(1-d), as an exact rational near (sqrt(3)-1)/2."""
@@ -496,20 +494,23 @@ def round_rvrp(inst: Instance, R: int, sol: FractionalSolution,
 
 def round_minsum(inst: Instance, k: int, sol: FractionalSolution,
                  diagnostics: Optional[dict] = None) -> List[RootedPath]:
-    """Round a count-capped fractional cover into <= k paths whose total
-    regret is at most (4 + 6(3k+2)) times the fractional regret."""
+    """Round a count-capped regret LP into <= k paths whose total regret is
+    at most (4 + 6(3k+2)) times its value, which validate() checks is the
+    support's regret sum; an LP of another objective is refused."""
     if diagnostics is None:
         diagnostics = {}
     if not inst.clients:
         return []
     k = check_path_budget(k)
+    require(sol.objective == "regret",
+            f"a {sol.objective!r} LP has no fractional regret to round")
     require(sol.total_weight <= k, "fractional solution exceeds the path cap")
     delta = Fraction(3 * k + 1, 3 * k + 2)
-    nustar = sum((p.regret * w for p, w in sol.support()), ZERO)
 
     grafted, diag = _pipeline(inst, sol, delta, k, cost_factor=3)
     diagnostics.update(diag)
     require(len(grafted) <= k, f"{len(grafted)} paths exceed the cap {k}")
     _bound_check(diagnostics, "total_regret_vs_fractional",
-                 sum(p.regret for p in grafted), (4 + 6 * (3 * k + 2)) * nustar)
+                 sum(p.regret for p in grafted),
+                 (4 + 6 * (3 * k + 2)) * sol.value)
     return grafted

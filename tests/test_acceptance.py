@@ -11,6 +11,7 @@ else.
 import math
 import time
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 
@@ -34,8 +35,8 @@ from regret_route.reductions import (
     solve_dvrp_lp_round,
     solve_krvrp_minmax,
     solve_multiplicative,
-    solve_rvrp,
 )
+from regret_route.rounding import round_rvrp
 
 COUNT_FACTOR = 8 + 4 * math.sqrt(3)
 LP_TOL = 1e-6
@@ -69,17 +70,23 @@ def test_criterion_1_ladder_lp_gap():
 
 # --- criteria 2+3: one 200-run batch shared by both ---------------------------
 
+def rvrp_case(i: int) -> Tuple[Instance, int]:
+    """The batch's i-th instance, of 4 to 12 clients, and its regret bound."""
+    inst = mixed_instance(5 + i % 9, 8000 + i)
+    maxd = max(inst.root_dist)
+    return inst, (1, 2, max(1, maxd // 2), maxd, 2 * maxd)[i % 5]
+
+
 @pytest.fixture(scope="module")
 def rvrp_batch():
+    # The rounding itself, on every LP: solve_rvrp returns a certified
+    # integral LP's support without rounding it.
     runs = []
     started = time.monotonic()
     for i in range(200):
-        n = 5 + i % 9                 # 4..12 clients
-        inst = mixed_instance(n, 8000 + i)
-        maxd = max(inst.root_dist)
-        R = (1, 2, max(1, maxd // 2), maxd, 2 * maxd)[i % 5]
+        inst, R = rvrp_case(i)
         diag: dict = {}
-        paths = solve_rvrp(inst, R, diagnostics=diag)
+        paths = round_rvrp(inst, R, solve_rvrp_lp(inst, R), diagnostics=diag)
         report = verify(inst, paths, "rvrp", {"regret": R})
         runs.append({"inst": inst, "R": R, "paths": paths,
                      "diag": diag, "report": report})

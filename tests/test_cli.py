@@ -185,7 +185,10 @@ RATIO_ERROR = "multiplicative bound must be at least 1"
     ("mult", "multiplicative", "ratio", "0", RATIO_ERROR),
     ("mult", "multiplicative", "ratio", "-3", RATIO_ERROR),
     ("rvrp", "rvrp", "regret", "-1", "regret bound must be nonnegative"),
-], ids=["ratio-half", "ratio-zero", "ratio-negative", "regret-negative"])
+    ("mult", "multiplicative", "ratio", " 3/2 ",
+     "multiplicative bound ' 3/2 ' has surrounding whitespace"),
+], ids=["ratio-half", "ratio-zero", "ratio-negative", "regret-negative",
+        "ratio-whitespace"])
 def test_solve_and_verify_refuse_the_same_parameter(tmp_path, capsys, solver,
                                                     mode, flag, value, error):
     inst = tmp_path / "inst.json"
@@ -355,7 +358,8 @@ def test_oracle_command(tmp_path, capsys):
 
 
 def test_oracle_limit_is_the_one_given(tmp_path, capsys):
-    # 10 clients: under the default limit of 12 for every oracle kind
+    # 10 clients: under the default exact threshold for every oracle kind.
+    # The oracle takes --exact-threshold as solve does, and no --limit.
     inst = tmp_path / "inst.json"
     run_cli("gen", "euclidean", "--n", "11", "--seed", "3", "--out", inst)
     for kind in ("lp", "rvrp"):
@@ -363,11 +367,15 @@ def test_oracle_limit_is_the_one_given(tmp_path, capsys):
                        "--regret", "0") == 0
         assert json.loads(capsys.readouterr().out)["value"] >= 1
         assert run_cli("oracle", kind, "--instance", inst, "--regret", "0",
-                       "--limit", "10") == 0
+                       "--exact-threshold", "10") == 0
         capsys.readouterr()
         assert run_cli("oracle", kind, "--instance", inst, "--regret", "0",
-                       "--limit", "9") == 1
+                       "--exact-threshold", "9") == 1
         assert "exceed the exact threshold 9" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("oracle", "rvrp", "--instance", inst, "--regret", "0",
+                "--limit", "9")
+    assert exc.value.code == 1
 
 
 def test_bench_smoke_jsonl(tmp_path):

@@ -479,11 +479,13 @@ def test_deadlines_per_mode():
      "^boolean multiplicative bound True$"),
     ("multiplicative", "1/0", ValueError,
      "^zero denominator in multiplicative bound '1/0'$"),
+    ("multiplicative", " 3/2 ", ValueError,
+     "^multiplicative bound ' 3/2 ' has surrounding whitespace$"),
 ], ids=["negative-regret", "fractional-regret", "missing-bound",
         "ratio-half", "ratio-zero", "fractional-cap", "string-cap",
         "numpy-bool-regret", "bytes-bound", "two-bounds-one-node",
         "unknown-mode", "ratio-inf", "ratio-nan", "ratio-none", "ratio-list",
-        "ratio-bool", "ratio-zero-denominator"])
+        "ratio-bool", "ratio-zero-denominator", "ratio-whitespace"])
 def test_deadlines_refuse_what_the_solvers_refuse(mode, param, error,
                                                   message):
     with pytest.raises(error, match=message):

@@ -15,7 +15,6 @@ import verify_reference
 from regret_route.core import (InfeasibleError, Instance, InvalidInstanceError,
                                SolverError)
 from regret_route.harness import (
-    ORACLE_LIMIT,
     ORACLES,
     SOLVERS,
     Solver,
@@ -239,9 +238,9 @@ def test_oracle_infeasible_and_limits():
         brute_force_dvrp(gen_line([0, 1, 5]), 3)
     big = gen_random_metric(8, 3)
     with pytest.raises(OracleUnavailableError):
-        brute_force_rvrp(big, 1, limit=5)
+        brute_force_rvrp(big, 1, exact_threshold=5)
     with pytest.raises(OracleUnavailableError):
-        lp_oracle(big, 1, limit=5)
+        lp_oracle(big, 1, exact_threshold=5)
     with pytest.raises(ValueError):
         brute_force_rvrp(big, -1)
     with pytest.raises(ValueError):
@@ -489,9 +488,11 @@ def test_run_job_report_shape():
     for key in ("id", "solver", "n", "params", "count", "rounded_count",
                 "total_regret", "max_regret", "max_length", "ok", "failures",
                 "lp_value", "lp_certified", "lp_rounds", "lp_pivots",
-                "lp_columns", "subsolves", "bound_checks", "oracle", "ratio",
-                "wall_ms"):
+                "lp_columns", "subsolves", "oracle", "ratio", "wall_ms"):
         assert key in report, key
+    # the LP is certified and integral: its support is returned, unrounded
+    assert "bound_checks" not in report
+    assert report["rounded_count"] == report["lp_value"]
     assert report["ok"] and not report["failures"]
     assert report["count"] <= report["rounded_count"]
     assert report["lp_certified"] is True
@@ -504,10 +505,12 @@ def test_run_job_report_shape():
     assert type(report["oracle"]) is int
     assert report["ratio"] == round(report["count"] / report["oracle"], 6)
     json.dumps(report)            # must be serializable as-is
-    # krvrp's cover is not merged, so it has no count of its own to report
+    # krvrp's cover is not merged, so it has no count of its own to report;
+    # its LP is always rounded
     krvrp = run_job({**job, "id": "t-k", "solver": "krvrp",
                      "params": {"k": 2}})
     assert krvrp["ok"] and "rounded_count" not in krvrp
+    assert all(c["ok"] for c in krvrp["bound_checks"].values())
 
 
 def test_run_job_without_oracle_or_timings():
@@ -520,14 +523,19 @@ def test_run_job_without_oracle_or_timings():
 
 
 def test_run_job_leaves_out_an_oracle_over_its_limit():
-    # 13 clients, one over ORACLE_LIMIT: the job asks for its oracle and
-    # gets a report without one.
-    inst = gen_euclidean(ORACLE_LIMIT + 2, 3)
-    assert len(inst.clients) == ORACLE_LIMIT + 1
-    report = run_job({"id": "t-2", "solver": "rvrp", "instance": inst,
-                      "params": {"regret": 0}, "oracle": True})
+    # 13 clients, one over the job's exact threshold: the job asks for its
+    # oracle and gets a report without one. At the default threshold the
+    # same job gets its oracle.
+    inst = gen_euclidean(14, 3)
+    assert len(inst.clients) == 13
+    job = {"id": "t-2", "solver": "rvrp", "instance": inst,
+           "params": {"regret": 0, "exact_threshold": 12}, "oracle": True}
+    report = run_job(job)
     assert report["ok"]
     assert "oracle" not in report and "ratio" not in report
+    job["params"] = {"regret": 0}
+    report = run_job(job)
+    assert report["ok"] and report["oracle"] == report["count"]
 
 
 def _colocated(inst, copies, root=0):
@@ -806,8 +814,8 @@ def test_heuristic_suite_deterministic():
 # output byte-identical must leave these alone; one that changes it on
 # purpose updates the digest and explains the difference.
 SUITE_DIGESTS = {
-    "smoke": "b55bb95886565aede2a83b38f06961dd483a5b179d01bc26b5ff21fbbd626510",
-    "rvrp": "4171b2f09ef19f9c5f60e57ebd3cce0a4a0bda51b66427303f14a9aaac634ee3",
+    "smoke": "5cc18296b67d0390e897aaed146958cc9a27ed7032d6c2fabb3fb4ff52734370",
+    "rvrp": "801d48c62cb1f6758bd33e959380578f2deb6c24efb15115e6f0d0cc5e7ec054",
     "caps": "cdefc1541ce815ec75ff5bff398c01d9754df98f963806ada4da4cc3cb8bd9b6",
     "heuristic":
         "f86459eae903a9b6149ef37d2035fab767efe4f9f4beb6ace7696742a56edbcd",

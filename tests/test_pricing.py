@@ -202,7 +202,7 @@ def test_a_hit_still_checks_the_threshold(hk_builds):
     with pytest.raises(OracleUnavailableError):
         table_for(inst, 13)
     with pytest.raises(OracleUnavailableError):
-        brute_force_rvrp(inst, R)                   # at limit 12
+        brute_force_rvrp(inst, R, exact_threshold=12)
     # a refused request keeps the held table
     assert table_for(inst) is held and hk_builds == [inst]
 

@@ -1,9 +1,11 @@
 """Derived solvers: distance caps, multiplicative bounds, per-node bounds,
 k-path covers."""
 
+import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,8 @@ from regret_route.harness import (SOLVERS, brute_force_dvrp,
                                   brute_force_krvrp, brute_force_rvrp,
                                   gen_euclidean, gen_ladder, gen_line,
                                   gen_random_metric, run_solver, verify)
-from regret_route.lp import DEFAULT_EXACT_THRESHOLD, solve_rvrp_lp
+from regret_route.lp import (DEFAULT_EXACT_THRESHOLD, FractionalSolution,
+                             solve_rvrp_lp)
 from regret_route.reductions import (
     _cover_subset,
     _prune_redundant,
@@ -29,22 +32,24 @@ from regret_route.reductions import (
     solve_nonuniform,
     solve_rvrp,
 )
+from regret_route.rounding import round_rvrp
 
 
 def test_regret_above_every_path_is_capped():
     # R past (n - 1) * max edge admits no other column, and is solved as
-    # that cap: the same paths, rounded or not, and bound checks that stay
-    # finite floats.
+    # that cap: the same paths whether the LP is priced exactly (its
+    # integral optimum is returned) or by the heuristic below the client
+    # count (it is rounded), and bound checks that stay finite floats.
     inst = gen_euclidean(8, 4)
     cap = (inst.n - 1) * max(map(max, inst.dist))
-    want = solve_rvrp(inst, cap, diagnostics={})
-    diag = {}
-    got = solve_rvrp(inst, 10 ** 320, diagnostics=diag)
-    assert [p.nodes for p in got] == [p.nodes for p in want]
+    for exact_threshold in (DEFAULT_EXACT_THRESHOLD, 2):
+        want = solve_rvrp(inst, cap, exact_threshold)
+        diag = {}
+        got = solve_rvrp(inst, 10 ** 320, exact_threshold, diagnostics=diag)
+        assert [p.nodes for p in got] == [p.nodes for p in want]
+        assert diag["lp_certified"] == (exact_threshold > 2)
     checks = diag["bound_checks"].values()
-    assert all(math.isfinite(c["bound"]) for c in checks)
-    assert [p.nodes for p in solve_rvrp(inst, 10 ** 320)] == \
-        [p.nodes for p in solve_rvrp(inst, cap)]
+    assert checks and all(math.isfinite(c["bound"]) for c in checks)
 
 
 def star_instance(n=5):
@@ -104,8 +109,8 @@ def integral(sol):
 
 def test_certified_integral_part_returns_its_lp_support(monkeypatch):
     # Above every path's regret one path covers all, so the LP optimum is
-    # integral; a part gets that support as it is, where the rounding
-    # returns another path.
+    # integral; a part and a solve with diagnostics get that support as it
+    # is, where the rounding returns another path.
     inst = gen_euclidean(8, 4)
     R = (inst.n - 1) * max(map(max, inst.dist))
     sol = solve_rvrp_lp(inst, R)
@@ -115,9 +120,10 @@ def test_certified_integral_part_returns_its_lp_support(monkeypatch):
     part = _cover_subset(inst, inst.clients, R, DEFAULT_EXACT_THRESHOLD)
     assert [p.nodes for p in part] == support
     assert [p.nodes for p in solve_rvrp(inst, R)] == support
-    assert calls == []
-    rounded = solve_rvrp(inst, R, diagnostics={})
-    assert len(calls) == 1 and [p.nodes for p in rounded] != support
+    diag = {}
+    assert [p.nodes for p in solve_rvrp(inst, R, diagnostics=diag)] == support
+    assert calls == [] and diag == sol.report()
+    assert [p.nodes for p in round_rvrp(inst, R, sol)] != support
 
 
 def test_certified_fractional_part_is_rounded(monkeypatch):
@@ -141,17 +147,40 @@ def test_uncertified_integral_part_is_rounded(monkeypatch):
     assert verify(inst, part, "rvrp", {"regret": 1})["ok"]
 
 
+def test_diagnostics_do_not_change_the_cover():
+    # With or without diagnostics, solve_rvrp returns the same paths, from
+    # certified integral LPs and from rounded ones alike. A solve that
+    # returns its LP's support reports that LP and nothing else.
+    rng = random.Random(40)
+    rounded = Counter()
+    for trial in range(60):
+        gen = (gen_euclidean, gen_random_metric)[trial % 2]
+        inst = gen(rng.randint(5, 11), 4000 + trial)
+        maxd = max(inst.root_dist)
+        R = rng.choice([1, max(1, maxd // 2), maxd, 2 * maxd])
+        diag = {}
+        paths = solve_rvrp(inst, R, diagnostics=diag)
+        assert [p.nodes for p in paths] == \
+            [p.nodes for p in solve_rvrp(inst, R)]
+        if "bound_checks" in diag:
+            assert set(FractionalSolution.REPORT_KEYS) < set(diag)
+        else:
+            assert set(diag) == set(FractionalSolution.REPORT_KEYS)
+            assert diag["lp_certified"] and len(paths) == diag["lp_value"]
+        rounded["bound_checks" in diag] += 1
+    assert rounded[True] and rounded[False]
+
+
 def every_part_rounded(monkeypatch):
     """Make every sub-solve round its LP, as before certified integral
-    parts were returned as they are."""
-    solve = reductions.solve_rvrp
+    parts were returned as they are: solve_rvrp reads each LP as
+    uncertified, and hands it to round_rvrp."""
+    solve = reductions.solve_rvrp_lp
 
-    def rounded(inst, R, exact_threshold=DEFAULT_EXACT_THRESHOLD,
-                diagnostics=None):
-        return solve(inst, R, exact_threshold=exact_threshold,
-                     diagnostics={} if diagnostics is None else diagnostics)
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), certified=False)
 
-    monkeypatch.setattr(reductions, "solve_rvrp", rounded)
+    monkeypatch.setattr(reductions, "solve_rvrp_lp", uncertified)
 
 
 def compared(solver, inst, param):

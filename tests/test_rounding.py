@@ -8,7 +8,7 @@ import pytest
 
 import flow_reference
 import rounding_reference as reference
-from test_acceptance import mixed_instance
+from test_acceptance import mixed_instance, rvrp_case
 from test_harness import COLOCATED
 from regret_route import rounding
 from regret_route.core import (Instance, RootedPath, SolverError,
@@ -17,7 +17,6 @@ from regret_route.harness import (brute_force_rvrp, gen_euclidean, gen_ladder,
                                   gen_line, gen_random_metric)
 from regret_route.lp import (FractionalSolution, solve_minsum_lp,
                              solve_rvrp_lp)
-from regret_route.reductions import solve_rvrp
 from regret_route.rounding import (
     RoundingContext,
     _active,
@@ -111,6 +110,18 @@ def test_shortcut_to_witnesses_monotone():
         seq = phi.nodes
         assert all(D[seq[j]] < D[seq[j + 1]] for j in range(1, len(seq) - 1))
         assert phi.regret <= ctx.support[i][0].regret
+
+
+def test_support_arc_that_does_not_climb_is_refused(monkeypatch):
+    # Witnesses 1 and 2 of the ladder sit at the same root distance. A
+    # shortcut that joins them makes an arc that does not climb in D.
+    ws = build_forest(ladder_context())
+    inst = gen_ladder(2)
+    assert {1, 2} <= set(ws.zone) and inst.root_dist[1] == inst.root_dist[2]
+    monkeypatch.setattr(rounding, "shortcut_to_witnesses",
+                        lambda ctx, i, ws: RootedPath.build(inst, [0, 1, 2]))
+    with pytest.raises(SolverError, match="does not climb in D"):
+        round_rvrp(inst, 1, solve_rvrp_lp(inst, 1))
 
 
 def _trail_arcs(trails):
@@ -270,6 +281,9 @@ def test_round_minsum_rejects_bad_budget():
     sol = solve_minsum_lp(inst, 1)
     with pytest.raises(ValueError):
         round_minsum(inst, 0, sol)
+    # a count LP has no fractional regret to bound the rounding by
+    with pytest.raises(SolverError, match="'count' LP has no fractional"):
+        round_minsum(inst, 1, solve_rvrp_lp(inst, 1))
 
 
 def test_rounded_count_vs_integral_optimum():
@@ -482,11 +496,8 @@ def test_witness_flow_matches_the_oracle_network(monkeypatch):
 
     monkeypatch.setattr(rounding, "round_flow", recording)
     for i in range(200):
-        inst = mixed_instance(5 + i % 9, 8000 + i)
-        maxd = max(inst.root_dist)
-        # with diagnostics, as criterion 2 asks, every LP is rounded
-        solve_rvrp(inst, (1, 2, max(1, maxd // 2), maxd, 2 * maxd)[i % 5],
-                   diagnostics={})
+        inst, R = rvrp_case(i)
+        round_rvrp(inst, R, solve_rvrp_lp(inst, R))
     for _, make, _ in CROSS_CHECK:
         inst = make()
         round_minsum(inst, 2, solve_minsum_lp(inst, 2))
